@@ -7,7 +7,7 @@ signals per node and the two aggregated graph representations are matched
 by dot product to score the pair.
 """
 
-from .autodiff import Parameter, Tape, Value, backward, grad_enabled, gradient_check, no_grad
+from .autodiff import ArrayOps, Parameter, Tape, Value, grad_enabled, gradient_check, no_grad
 from .data import (
     ITEM,
     USER,
@@ -98,6 +98,6 @@ from .training import (
     split_per_user,
     train,
 )
-from .variants import apply_variant, fm_predict, fm_reduction_predict
+from .variants import fm_predict, fm_reduction_predict
 
 __version__ = "0.1.0"

@@ -9,6 +9,10 @@ Design rules:
     each node exactly once.
   * relu's derivative at exactly 0 is 0.
 
+The model's forward pass is written once, against an ops object: a Tape
+records it for the backward pass, while ArrayOps computes the same arrays,
+bit for bit, and records nothing.
+
 Matrix products come in two flavours. `matmul(..., row_local=True)` computes
 each output row with an expand-multiply-reduce kernel whose bits do not
 depend on how many rows are stacked together; the per-sample prediction
@@ -101,7 +105,9 @@ def _as_array(x) -> np.ndarray:
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1/(1+exp(-x)) computed without overflow for any finite x."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
 
 
 # Row-local matmul: out[i, j] = sum_k a[i, k] * b[k, j], reduced over the
@@ -124,12 +130,21 @@ def _mm_row_local(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _segment_sum(m: np.ndarray, seg_ids, starts, out_rows, n_segments: int) -> np.ndarray:
+    out = np.zeros((n_segments, m.shape[1]))
+    if seg_ids.size:
+        out[out_rows] = np.add.reduceat(m, starts, axis=0)
+    return out
+
+
 class Tape:
     """Recorded differentiable computation with parameter leaves."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._leaves: dict[int, Value] = {}
+        # Leaf nodes, not Values: a Value points back at its tape, so holding
+        # one here would make every tape a reference cycle.
+        self._leaves: dict[int, _Node] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -140,14 +155,12 @@ class Tape:
         """Leaf value for a Parameter; backward accumulates into p.grad."""
         if not grad_enabled():
             return Value(p.values, None, self)
-        cached = self._leaves.get(id(p))
-        if cached is not None:
-            return cached
-        node = _Node((), (), param=p)
-        self.nodes.append(node)
-        v = Value(p.values, node, self)
-        self._leaves[id(p)] = v
-        return v
+        node = self._leaves.get(id(p))
+        if node is None:
+            node = _Node((), (), param=p)
+            self.nodes.append(node)
+            self._leaves[id(p)] = node
+        return Value(p.values, node, self)
 
     def _apply(self, data: np.ndarray, deps: Sequence[tuple[Value, Callable]]) -> Value:
         if not grad_enabled():
@@ -170,6 +183,9 @@ class Tape:
         if a.data.shape != b.data.shape:
             raise ShapeError(f"sub: shapes {a.data.shape} vs {b.data.shape}")
         return self._apply(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
+
+    def one_minus(self, a: Value) -> Value:
+        return self._apply(1.0 - a.data, [(a, lambda g: -g)])
 
     def scale(self, a: Value, c: float) -> Value:
         c = float(c)
@@ -338,10 +354,7 @@ class Tape:
         n_segments: int,
     ) -> Value:
         """segment_sum with precomputed boundaries (see segment_boundaries)."""
-        md = m.data
-        out = np.zeros((n_segments, md.shape[1]))
-        if seg_ids.size:
-            out[out_rows] = np.add.reduceat(md, starts, axis=0)
+        out = _segment_sum(m.data, seg_ids, starts, out_rows, n_segments)
         return self._apply(out, [(m, lambda g: g[seg_ids])])
 
     # -- recording by primitive name -------------------------------------------
@@ -408,8 +421,59 @@ def segment_boundaries(seg_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, seg_ids[starts]
 
 
-def backward(tape: Tape, output: Value) -> None:
-    tape.backward(output)
+class ArrayOps:
+    """The Tape primitives the model's forward pass calls, on plain arrays.
+
+    Each one returns the array its Tape namesake stores in Value.data, by
+    the same numpy operations. Nothing is recorded and no state is kept, so
+    concurrent runs are safe. Operands are not shape-checked; a Tape run of
+    the same forward checks them.
+    """
+
+    # Primitives that are a single numpy function are that function: no
+    # extra Python frame per call on the finite-difference path.
+    add = staticmethod(np.add)
+    sub = staticmethod(np.subtract)
+    mul = staticmethod(np.multiply)
+    sigmoid = staticmethod(stable_sigmoid)
+    tanh = staticmethod(np.tanh)
+    segment_sum_prepared = staticmethod(_segment_sum)
+
+    def constant(self, x) -> np.ndarray:
+        return _as_array(x)
+
+    def param(self, p: Parameter) -> np.ndarray:
+        return p.values
+
+    def one_minus(self, a):
+        return 1.0 - a
+
+    def scale(self, a, c: float):
+        return a * float(c)
+
+    def relu(self, a):
+        return np.maximum(a, 0.0)
+
+    def row_sums(self, a):
+        return a.sum(axis=1)
+
+    def rowdot(self, a, b):
+        return (a * b).sum(axis=1)
+
+    def matmul(self, a, b, row_local: bool = False):
+        return _mm_row_local(a, b) if row_local else a @ b
+
+    def concat_cols(self, a, b):
+        return np.concatenate([a, b], axis=1)
+
+    def gather_rows(self, m, idx, checked: bool = True):
+        return m[idx]
+
+    def scale_rows(self, m, c):
+        return m * _as_array(c)[:, None]
+
+    def add_rowvec(self, m, v):
+        return m + v[None, :]
 
 
 def gradient_check(

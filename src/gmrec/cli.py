@@ -69,6 +69,13 @@ _TRAIN_DEFAULTS = {
 }
 
 
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gmrec", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -97,7 +104,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="train and compare several variants")
     p.add_argument("--data", required=True)
     p.add_argument("--variants", required=True, help="semicolon-separated variant strings")
-    p.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p.add_argument("--seeds", type=_seed_list, default="0", help="comma-separated seeds")
     p.add_argument("--config", default=None)
     _add_train_flags(p)
     _add_data_flags(p)
@@ -160,7 +167,10 @@ def _effective(args, key: str, cast=None):
     config = getattr(args, "_config_values", {})
     if key in config:
         raw = config[key]
-        return cast(raw) if cast else raw
+        try:
+            return cast(raw) if cast else raw
+        except ValueError:
+            raise _UsageError(f"config file: {key} = {raw!r} is not a valid {cast.__name__}") from None
     return _TRAIN_DEFAULTS.get(key)
 
 
@@ -235,7 +245,7 @@ def _cmd_predict(args) -> int:
 def _cmd_ablate(args) -> int:
     dataset = parse_dataset(args.data, _parse_options(args))
     variants = [parse_variant(v) for v in args.variants.split(";") if v.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = args.seeds
     if not variants or not seeds:
         raise EngineError("ablate needs at least one variant and one seed")
     rows = []

@@ -12,26 +12,29 @@ fixed header (dim, attribute count, variant string length, counts of MLP
 and GRU arrays), the variant string, the attribute vocabulary as
 length-prefixed UTF-8 names (each followed by a side byte) in id order,
 then every parameter array as little-endian 64-bit floats in registry
-order. Loading validates the magic, the counts, and the exact byte size;
-a round trip is bit-exact.
+order, as model.parameter_layout lists them. Loading validates the magic,
+the vocabulary (UTF-8, unique names, side byte 0 or 1), the counts and the
+exact byte size before it allocates any parameter; a round trip is
+bit-exact. Saving renames a finished temporary file over the target.
 """
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+import threading
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Parameter
 from .data import (
     ITEM,
     USER,
     AttributeId,
     AttributeValuePair,
     DataSample,
-    EmbeddingTable,
     sample_user_key,
 )
 from .errors import (
@@ -42,17 +45,18 @@ from .errors import (
     ParseError,
 )
 from .model import (
-    GruWeights,
-    MlpWeights,
     ModelParams,
     VariantConfig,
     format_variant,
+    init_model_params,
+    parameter_layout,
     parse_variant,
 )
 
 MAGIC = b"GMCFCKP1"
 _HEADER = struct.Struct("<IIIII")  # dim, n_attrs, variant_len, n_mlp_arrays, n_gru_arrays
 _U32 = struct.Struct("<I")
+_SIDES = (USER, ITEM)  # indexed by the side byte
 
 
 class Vocabulary:
@@ -374,26 +378,21 @@ def write_synthetic(spec: SynthSpec, path: str) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _component_arrays(mp: ModelParams) -> tuple[int, int]:
-    n_mlp = sum(4 for part in (mp.inner_mlp, mp.cross_mlp, mp.fuse_mlp) if part is not None)
-    n_gru = 9 if mp.gru is not None else 0
-    return n_mlp, n_gru
+def _checkpoint_layout(variant: VariantConfig, dim: int, n_attrs: int) -> tuple[list[tuple[int, ...]], int, int]:
+    """Every array shape in registry order, and the header's MLP and GRU array counts."""
+    layout = parameter_layout(variant, dim)
+    n_gru = sum(len(shapes) for name, shapes in layout if name == "gru")
+    shapes = [(n_attrs, dim)] + [shape for _, part in layout for shape in part]
+    return shapes, len(shapes) - 1 - n_gru, n_gru
 
 
 def save_checkpoint(mp: ModelParams, variant: VariantConfig, path: str, vocab: Vocabulary) -> None:
     variant_bytes = format_variant(variant).encode("utf-8")
     if len(vocab) != len(mp.table.ids):
         raise CheckpointError("vocabulary size does not match the embedding table")
-    needs = _expected_components(variant)
-    actual = (
-        mp.inner_mlp is not None,
-        mp.gru is not None,
-        mp.cross_mlp is not None,
-        mp.fuse_mlp is not None,
-    )
-    if needs != actual:
+    shapes, n_mlp, n_gru = _checkpoint_layout(variant, mp.dim, len(vocab))
+    if [p.shape for p in mp.parameters()] != shapes:
         raise CheckpointError("model components do not match the declared variant")
-    n_mlp, n_gru = _component_arrays(mp)
     blob = bytearray()
     blob += MAGIC
     blob += _HEADER.pack(mp.dim, len(vocab), len(variant_bytes), n_mlp, n_gru)
@@ -402,25 +401,17 @@ def save_checkpoint(mp: ModelParams, variant: VariantConfig, path: str, vocab: V
         encoded = name.encode("utf-8")
         blob += _U32.pack(len(encoded))
         blob += encoded
-        blob += b"\x00" if att.side == USER else b"\x01"
+        blob.append(0 if att.side == USER else 1)
     for p in mp.parameters():
         blob += np.ascontiguousarray(p.values, dtype="<f8").tobytes()
-    with open(path, "wb") as handle:
-        handle.write(bytes(blob))
-
-
-def _expected_components(variant: VariantConfig) -> tuple[bool, bool, bool, bool]:
-    needs_inner = variant.mode == "graph" and (
-        variant.inner == "mlp" or variant.cross in ("mlp_shared", "mlp_separate")
-    )
-    needs_gru = variant.mode != "fm" and variant.fuse == "gru"
-    needs_cross = variant.mode == "graph" and variant.cross == "mlp_separate"
-    needs_fuse = variant.mode != "fm" and variant.fuse == "mlp"
-    return needs_inner, needs_gru, needs_cross, needs_fuse
-
-
-def _mlp_shapes(in_dim: int, hidden: int, out_dim: int):
-    return [(in_dim, hidden), (hidden,), (hidden, out_dim), (out_dim,)]
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, VariantConfig, Vocabulary]:
@@ -445,76 +436,44 @@ def load_checkpoint(path: str) -> tuple[ModelParams, VariantConfig, Vocabulary]:
         raise CheckpointError(f"corrupt variant string: {exc}") from None
     offset += variant_len
     vocab = Vocabulary()
-    for _ in range(n_attrs):
+    for k in range(n_attrs):
         if len(blob) < offset + _U32.size:
             raise CheckpointError("truncated checkpoint: vocabulary missing")
         (name_len,) = _U32.unpack_from(blob, offset)
         offset += _U32.size
         if len(blob) < offset + name_len + 1:
             raise CheckpointError("truncated checkpoint: vocabulary missing")
-        name = blob[offset:offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"corrupt vocabulary: name {k} is not valid UTF-8") from None
         offset += name_len
-        side = USER if blob[offset] == 0 else ITEM
+        if blob[offset] >= len(_SIDES):
+            raise CheckpointError(f"corrupt vocabulary: side byte {blob[offset]} for {name!r}")
+        if vocab.lookup(name) is not None:
+            raise CheckpointError(f"corrupt vocabulary: duplicate name {name!r}")
+        vocab.intern(name, _SIDES[blob[offset]])
         offset += 1
-        vocab.intern(name, side)
 
-    needs_inner, needs_gru, needs_cross, needs_fuse = _expected_components(variant)
-    shapes: list[tuple] = [(n_attrs, dim)]
-    if needs_inner:
-        shapes += _mlp_shapes(2 * dim, 4 * dim, dim)
-    if needs_gru:
-        shapes += [(dim, dim), (dim, dim), (dim,)] * 3
-    if needs_cross:
-        shapes += _mlp_shapes(2 * dim, 4 * dim, dim)
-    if needs_fuse:
-        shapes += _mlp_shapes(3 * dim, 4 * dim, dim)
-    expected_mlp = 4 * (int(needs_inner) + int(needs_cross) + int(needs_fuse))
-    expected_gru = 9 if needs_gru else 0
+    shapes, expected_mlp, expected_gru = _checkpoint_layout(variant, dim, n_attrs)
     if (n_mlp, n_gru) != (expected_mlp, expected_gru):
         raise CheckpointError(
             f"array counts ({n_mlp} MLP, {n_gru} GRU) do not match variant {format_variant(variant)!r}"
         )
     payload = len(blob) - offset
-    expected_payload = 8 * sum(int(np.prod(s)) for s in shapes)
+    expected_payload = 8 * sum(math.prod(shape) for shape in shapes)
     if payload != expected_payload:
         raise CheckpointError(
             f"payload size mismatch: {payload} bytes, expected {expected_payload}"
         )
-    arrays = []
+    values = []  # read-only views into the blob; load_values copies them
     for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays.append(arr.copy())  # frombuffer views are read-only; params must stay trainable
+        count = math.prod(shape)
+        values.append(np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape))
         offset += 8 * count
-    table = EmbeddingTable(dim=dim, ids=tuple(vocab.ids), matrix=arrays[0])
-    mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"))
-    cursor = 1
-
-    def take_mlp(tag: str) -> MlpWeights:
-        nonlocal cursor
-        w_in, b_hidden, w_out, b_out = arrays[cursor:cursor + 4]
-        cursor += 4
-        return MlpWeights(
-            w_in=Parameter(w_in, f"{tag}.w_in"),
-            b_hidden=Parameter(b_hidden, f"{tag}.b_hidden"),
-            w_out=Parameter(w_out, f"{tag}.w_out"),
-            b_out=Parameter(b_out, f"{tag}.b_out"),
-        )
-
-    if needs_inner:
-        mp.inner_mlp = take_mlp("inner_mlp")
-    if needs_gru:
-        names = ("update", "reset", "cand")
-        parts = {}
-        for gate in names:
-            w, u, b = arrays[cursor:cursor + 3]
-            cursor += 3
-            parts[f"w_{gate}"] = Parameter(w, f"gru.w_{gate}")
-            parts[f"u_{gate}"] = Parameter(u, f"gru.u_{gate}")
-            parts[f"b_{gate}"] = Parameter(b, f"gru.b_{gate}")
-        mp.gru = GruWeights(**parts)
-    if needs_cross:
-        mp.cross_mlp = take_mlp("cross_mlp")
-    if needs_fuse:
-        mp.fuse_mlp = take_mlp("fuse_mlp")
+    try:
+        mp = init_model_params(vocab.ids, dim, 0, variant)
+        mp.load_values(values)
+    except (InvalidConfigError, ContractError) as exc:
+        raise CheckpointError(f"checkpoint does not describe a model: {exc}") from None
     return mp, variant, vocab

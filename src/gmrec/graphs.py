@@ -19,7 +19,6 @@ class AttributeGraph:
 
     atts: tuple[AttributeId, ...]
     nodes: tuple[np.ndarray, ...]  # representations u = val * v, length dim each
-    complete: bool = True
 
     @property
     def n_nodes(self) -> int:

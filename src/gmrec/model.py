@@ -21,6 +21,12 @@ change any bit of the output. With row_local=True all matrix products use
 the row-local kernel, making per-row results independent of what else is
 stacked; predict() relies on this for its exact structural identities.
 
+The engine is written once, against an ops object. Training runs it on a
+Tape, which records it for the backward pass; scoring, predict(), the
+spec-level functions and the difference quotients of the gradient check run
+it on ArrayOps, which computes the same arrays bit for bit and records
+nothing.
+
 Ablation switches (VariantConfig) swap the pair model (mlp or elementwise
 product), the cross model (elementwise product, shared or separate MLP,
 or none), the fusing function (gru, sum, or a 3d -> 4d -> d MLP), and the
@@ -32,18 +38,11 @@ to the factorization-machine formula.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import (
-    Parameter,
-    Tape,
-    Value,
-    no_grad,
-    segment_boundaries,
-    stable_sigmoid,
-)
+from .autodiff import ArrayOps, Parameter, Tape, Value, segment_boundaries
 from .data import (
     AttributeId,
     AttributeValuePair,
@@ -193,40 +192,35 @@ class ModelParams:
             p.values[...] = v
 
 
-def _init_mlp(rng: np.random.Generator, in_dim: int, hidden: int, out_dim: int, tag: str) -> MlpWeights:
-    s_in = 1.0 / np.sqrt(in_dim)
-    s_hid = 1.0 / np.sqrt(hidden)
-    return MlpWeights(
-        w_in=Parameter(rng.uniform(-s_in, s_in, size=(in_dim, hidden)), f"{tag}.w_in"),
-        b_hidden=Parameter(np.zeros(hidden), f"{tag}.b_hidden"),
-        w_out=Parameter(rng.uniform(-s_hid, s_hid, size=(hidden, out_dim)), f"{tag}.w_out"),
-        b_out=Parameter(np.zeros(out_dim), f"{tag}.b_out"),
-    )
+def parameter_layout(variant: VariantConfig, dim: int) -> list[tuple[str, list[tuple[int, ...]]]]:
+    """The weight components a variant trains, in registry order, each with
+    the shapes of its arrays in parameters() order.
+
+    This is the one statement of the rule: init_model_params builds from it
+    and checkpoints are checked against it. The embedding table, shaped
+    (attributes, dim), precedes these in the registry.
+    """
+
+    def mlp(in_dim: int) -> list[tuple[int, ...]]:
+        return [(in_dim, 4 * dim), (4 * dim,), (4 * dim, dim), (dim,)]
+
+    layout = []
+    if variant.mode == "graph" and (variant.inner == "mlp" or variant.cross in ("mlp_shared", "mlp_separate")):
+        layout.append(("inner_mlp", mlp(2 * dim)))
+    if variant.mode != "fm" and variant.fuse == "gru":
+        layout.append(("gru", [(dim, dim), (dim, dim), (dim,)] * 3))
+    if variant.mode == "graph" and variant.cross == "mlp_separate":
+        layout.append(("cross_mlp", mlp(2 * dim)))
+    if variant.mode != "fm" and variant.fuse == "mlp":
+        layout.append(("fuse_mlp", mlp(3 * dim)))
+    return layout
 
 
-def _copy_mlp(src: MlpWeights, tag: str) -> MlpWeights:
-    return MlpWeights(
-        w_in=Parameter(src.w_in.values.copy(), f"{tag}.w_in"),
-        b_hidden=Parameter(src.b_hidden.values.copy(), f"{tag}.b_hidden"),
-        w_out=Parameter(src.w_out.values.copy(), f"{tag}.w_out"),
-        b_out=Parameter(src.b_out.values.copy(), f"{tag}.b_out"),
-    )
-
-
-def _init_gru(rng: np.random.Generator, dim: int) -> GruWeights:
-    s = 1.0 / np.sqrt(dim)
-
-    def mat(name):
-        return Parameter(rng.uniform(-s, s, size=(dim, dim)), name)
-
-    def vec(name):
-        return Parameter(np.zeros(dim), name)
-
-    return GruWeights(
-        w_update=mat("gru.w_update"), u_update=mat("gru.u_update"), b_update=vec("gru.b_update"),
-        w_reset=mat("gru.w_reset"), u_reset=mat("gru.u_reset"), b_reset=vec("gru.b_reset"),
-        w_cand=mat("gru.w_cand"), u_cand=mat("gru.u_cand"), b_cand=vec("gru.b_cand"),
-    )
+def _init_array(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    if len(shape) == 1:
+        return np.zeros(shape)
+    bound = 1.0 / np.sqrt(shape[0])
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def init_model_params(
@@ -236,22 +230,20 @@ def init_model_params(
     variant: VariantConfig = CANONICAL,
 ) -> ModelParams:
     """Seeded init. Embeddings are uniform on +-1/sqrt(dim); weight matrices
-    uniform on +-1/sqrt(fan_in); biases zero. A separate cross MLP starts as
-    an exact copy of the inner MLP, so shared and separate coincide at step 0.
+    uniform on +-1/sqrt(fan_in), drawn in registry order; biases zero. A
+    separate cross MLP starts as an exact copy of the inner MLP, so shared
+    and separate coincide at step 0.
     """
     table = init_embeddings(universe, dim, seed)
-    emb = Parameter(table.matrix, "embeddings")
+    mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    mp = ModelParams(table=table, emb=emb)
-    needs_inner = variant.mode == "graph" and (variant.inner == "mlp" or variant.cross in ("mlp_shared", "mlp_separate"))
-    if needs_inner:
-        mp.inner_mlp = _init_mlp(rng, 2 * dim, 4 * dim, dim, "inner_mlp")
-    if variant.mode != "fm" and variant.fuse == "gru":
-        mp.gru = _init_gru(rng, dim)
-    if variant.mode == "graph" and variant.cross == "mlp_separate":
-        mp.cross_mlp = _copy_mlp(mp.inner_mlp, "cross_mlp")
-    if variant.mode != "fm" and variant.fuse == "mlp":
-        mp.fuse_mlp = _init_mlp(rng, 3 * dim, 4 * dim, dim, "fuse_mlp")
+    for name, shapes in parameter_layout(variant, dim):
+        if name == "cross_mlp":
+            arrays = [p.values.copy() for p in mp.inner_mlp.parameters()]
+        else:
+            arrays = [_init_array(rng, shape) for shape in shapes]
+        kind = GruWeights if name == "gru" else MlpWeights
+        setattr(mp, name, kind(*(Parameter(a, f"{name}.{f.name}") for a, f in zip(arrays, fields(kind)))))
     return mp
 
 
@@ -383,6 +375,8 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
 
 @dataclass
 class _EngineOut:
+    """Forward outputs: tracked Values on a Tape, plain arrays on ArrayOps."""
+
     nodes: Value  # (n_nodes, d) representations u
     messages: Value  # (n_nodes, d) z
     matches: Value  # (n_nodes, d) s
@@ -392,12 +386,12 @@ class _EngineOut:
     scores: Value  # (n_samples,)
 
 
-def _mlp_apply(tape: Tape, w: MlpWeights, x: Value, row_local: bool) -> Value:
-    hidden = tape.relu(tape.add_rowvec(tape.matmul(x, tape.param(w.w_in), row_local), tape.param(w.b_hidden)))
-    return tape.add_rowvec(tape.matmul(hidden, tape.param(w.w_out), row_local), tape.param(w.b_out))
+def _mlp_apply(ops: Tape | ArrayOps, w: MlpWeights, x: Value, row_local: bool) -> Value:
+    hidden = ops.relu(ops.add_rowvec(ops.matmul(x, ops.param(w.w_in), row_local), ops.param(w.b_hidden)))
+    return ops.add_rowvec(ops.matmul(hidden, ops.param(w.w_out), row_local), ops.param(w.b_out))
 
 
-def _gru_sequence(tape: Tape, w: GruWeights, steps: list[Value], row_local: bool) -> Value:
+def _gru_sequence(ops: Tape | ArrayOps, w: GruWeights, steps: list[Value], row_local: bool) -> Value:
     """Run the GRU over the step inputs from a zero hidden state.
 
     Gate equations, per row:
@@ -409,178 +403,107 @@ def _gru_sequence(tape: Tape, w: GruWeights, steps: list[Value], row_local: bool
     effect and h' reduces to update * cand.
     """
     first = steps[0]
-    w_update, u_update, b_update = tape.param(w.w_update), tape.param(w.u_update), tape.param(w.b_update)
-    w_reset, u_reset, b_reset = tape.param(w.w_reset), tape.param(w.u_reset), tape.param(w.b_reset)
-    w_cand, u_cand, b_cand = tape.param(w.w_cand), tape.param(w.u_cand), tape.param(w.b_cand)
-    update = tape.sigmoid(tape.add_rowvec(tape.matmul(first, w_update, row_local), b_update))
-    cand = tape.tanh(tape.add_rowvec(tape.matmul(first, w_cand, row_local), b_cand))
-    h = tape.mul(update, cand)
-    ones = tape.constant(np.ones(first.data.shape))
+    w_update, u_update, b_update = ops.param(w.w_update), ops.param(w.u_update), ops.param(w.b_update)
+    w_reset, u_reset, b_reset = ops.param(w.w_reset), ops.param(w.u_reset), ops.param(w.b_reset)
+    w_cand, u_cand, b_cand = ops.param(w.w_cand), ops.param(w.u_cand), ops.param(w.b_cand)
+    update = ops.sigmoid(ops.add_rowvec(ops.matmul(first, w_update, row_local), b_update))
+    cand = ops.tanh(ops.add_rowvec(ops.matmul(first, w_cand, row_local), b_cand))
+    h = ops.mul(update, cand)
     for x in steps[1:]:
-        update = tape.sigmoid(
-            tape.add_rowvec(
-                tape.add(tape.matmul(x, w_update, row_local), tape.matmul(h, u_update, row_local)),
+        update = ops.sigmoid(
+            ops.add_rowvec(
+                ops.add(ops.matmul(x, w_update, row_local), ops.matmul(h, u_update, row_local)),
                 b_update,
             )
         )
-        reset = tape.sigmoid(
-            tape.add_rowvec(
-                tape.add(tape.matmul(x, w_reset, row_local), tape.matmul(h, u_reset, row_local)),
+        reset = ops.sigmoid(
+            ops.add_rowvec(
+                ops.add(ops.matmul(x, w_reset, row_local), ops.matmul(h, u_reset, row_local)),
                 b_reset,
             )
         )
-        cand = tape.tanh(
-            tape.add_rowvec(
-                tape.add(
-                    tape.matmul(x, w_cand, row_local),
-                    tape.matmul(tape.mul(reset, h), u_cand, row_local),
+        cand = ops.tanh(
+            ops.add_rowvec(
+                ops.add(
+                    ops.matmul(x, w_cand, row_local),
+                    ops.matmul(ops.mul(reset, h), u_cand, row_local),
                 ),
                 b_cand,
             )
         )
-        h = tape.add(tape.mul(tape.sub(ones, update), h), tape.mul(update, cand))
+        h = ops.add(ops.mul(ops.one_minus(update), h), ops.mul(update, cand))
     return h
 
 
-def _segsum(tape: Tape, m: Value, seg: _SegIndex) -> Value:
-    return tape.segment_sum_prepared(m, seg.ids, seg.starts, seg.out_rows, seg.n)
+def _segsum(ops: Tape | ArrayOps, m: Value, seg: _SegIndex) -> Value:
+    return ops.segment_sum_prepared(m, seg.ids, seg.starts, seg.out_rows, seg.n)
 
 
-def _forward(tape: Tape, plan: _Plan, mp: ModelParams, variant: VariantConfig, row_local: bool) -> _EngineOut:
+def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: VariantConfig, row_local: bool) -> _EngineOut:
     d = mp.dim
-    emb = tape.param(mp.emb)
-    nodes = tape.scale_rows(tape.gather_rows(emb, plan.attr_rows), plan.vals)
+    emb = ops.param(mp.emb)
+    nodes = ops.scale_rows(ops.gather_rows(emb, plan.attr_rows), plan.vals)
 
     if variant.mode == "graph":
         if plan.pair_a.size:
-            first = tape.gather_rows(nodes, plan.pair_a, checked=False)
-            second = tape.gather_rows(nodes, plan.pair_b, checked=False)
+            first = ops.gather_rows(nodes, plan.pair_a, checked=False)
+            second = ops.gather_rows(nodes, plan.pair_b, checked=False)
             if variant.inner == "mlp":
-                pair_out = _mlp_apply(tape, mp.inner_mlp, tape.concat_cols(first, second), row_local)
+                pair_out = _mlp_apply(ops, mp.inner_mlp, ops.concat_cols(first, second), row_local)
             else:
-                pair_out = tape.mul(first, second)
-            messages = _segsum(tape, pair_out, plan.by_pair_target)
+                pair_out = ops.mul(first, second)
+            messages = _segsum(ops, pair_out, plan.by_pair_target)
         else:
-            messages = tape.constant(np.zeros((plan.n_nodes, d)))
+            messages = ops.constant(np.zeros((plan.n_nodes, d)))
         if variant.cross == "none":
-            matches = tape.constant(np.zeros((plan.n_nodes, d)))
+            matches = ops.constant(np.zeros((plan.n_nodes, d)))
         elif variant.cross == "bi":
-            side_sums = _segsum(tape, nodes, plan.by_side)
-            matches = tape.mul(nodes, tape.gather_rows(side_sums, plan.opp_seg, checked=False))
+            side_sums = _segsum(ops, nodes, plan.by_side)
+            matches = ops.mul(nodes, ops.gather_rows(side_sums, plan.opp_seg, checked=False))
         else:
-            first = tape.gather_rows(nodes, plan.cross_a, checked=False)
-            second = tape.gather_rows(nodes, plan.cross_b, checked=False)
+            first = ops.gather_rows(nodes, plan.cross_a, checked=False)
+            second = ops.gather_rows(nodes, plan.cross_b, checked=False)
             weights = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
-            pair_out = _mlp_apply(tape, weights, tape.concat_cols(first, second), row_local)
-            matches = _segsum(tape, pair_out, plan.by_cross_target)
+            pair_out = _mlp_apply(ops, weights, ops.concat_cols(first, second), row_local)
+            matches = _segsum(ops, pair_out, plan.by_cross_target)
     else:
         # Union wiring: every other node of the same sample, either side,
         # is a cross partner: s_i = u_i * (sum over sample - u_i).
-        sample_sums = _segsum(tape, nodes, plan.by_sample)
-        others = tape.sub(tape.gather_rows(sample_sums, plan.by_sample.ids, checked=False), nodes)
-        matches = tape.mul(nodes, others)
-        messages = tape.constant(np.zeros((plan.n_nodes, d)))
+        sample_sums = _segsum(ops, nodes, plan.by_sample)
+        others = ops.sub(ops.gather_rows(sample_sums, plan.by_sample.ids, checked=False), nodes)
+        matches = ops.mul(nodes, others)
+        messages = ops.constant(np.zeros((plan.n_nodes, d)))
 
     if variant.mode == "fm":
-        fused = tape.add(nodes, tape.scale(matches, 0.5))
+        fused = ops.add(nodes, ops.scale(matches, 0.5))
     elif variant.fuse == "gru":
-        fused = _gru_sequence(tape, mp.gru, [nodes, messages, matches], row_local)
+        fused = _gru_sequence(ops, mp.gru, [nodes, messages, matches], row_local)
     elif variant.fuse == "sum":
-        fused = tape.add(tape.add(nodes, messages), matches)
+        fused = ops.add(ops.add(nodes, messages), matches)
     else:
-        stacked = tape.concat_cols(tape.concat_cols(nodes, messages), matches)
-        fused = _mlp_apply(tape, mp.fuse_mlp, stacked, row_local)
+        stacked = ops.concat_cols(ops.concat_cols(nodes, messages), matches)
+        fused = _mlp_apply(ops, mp.fuse_mlp, stacked, row_local)
 
-    graph_reprs = _segsum(tape, fused, plan.by_side)
-    user_repr = tape.gather_rows(graph_reprs, plan.user_seg, checked=False)
-    item_repr = tape.gather_rows(graph_reprs, plan.item_seg, checked=False)
+    graph_reprs = _segsum(ops, fused, plan.by_side)
+    user_repr = ops.gather_rows(graph_reprs, plan.user_seg, checked=False)
+    item_repr = ops.gather_rows(graph_reprs, plan.item_seg, checked=False)
     if variant.mode in ("union", "fm"):
-        scores = tape.add(tape.row_sums(user_repr), tape.row_sums(item_repr))
+        scores = ops.add(ops.row_sums(user_repr), ops.row_sums(item_repr))
     else:
-        scores = tape.rowdot(user_repr, item_repr)
+        scores = ops.rowdot(user_repr, item_repr)
     return _EngineOut(
         nodes=nodes, messages=messages, matches=matches, fused=fused,
         user_repr=user_repr, item_repr=item_repr, scores=scores,
     )
 
 
-def _forward_plain(plan: _Plan, mp: ModelParams, variant: VariantConfig) -> np.ndarray:
-    """Untracked twin of _forward (BLAS path): same formulas on raw arrays.
-
-    Kept in lockstep with _forward; a test asserts bit-identical scores.
-    Used for the difference quotients in gradient checking, where the tape
-    machinery would only add overhead.
-    """
-    d = mp.dim
-
-    def segsum(m, seg: _SegIndex):
-        out = np.zeros((seg.n, m.shape[1]))
-        if seg.ids.size:
-            out[seg.out_rows] = np.add.reduceat(m, seg.starts, axis=0)
-        return out
-
-    def mlp(w: MlpWeights, x):
-        hidden = np.maximum(x @ w.w_in.values + w.b_hidden.values[None, :], 0.0)
-        return hidden @ w.w_out.values + w.b_out.values[None, :]
-
-    nodes = mp.emb.values[plan.attr_rows] * plan.vals[:, None]
-    if variant.mode == "graph":
-        if plan.pair_a.size:
-            pair_in = np.concatenate([nodes[plan.pair_a], nodes[plan.pair_b]], axis=1)
-            pair_out = mlp(mp.inner_mlp, pair_in) if variant.inner == "mlp" else (
-                nodes[plan.pair_a] * nodes[plan.pair_b]
-            )
-            messages = segsum(pair_out, plan.by_pair_target)
-        else:
-            messages = np.zeros((plan.n_nodes, d))
-        if variant.cross == "none":
-            matches = np.zeros((plan.n_nodes, d))
-        elif variant.cross == "bi":
-            side_sums = segsum(nodes, plan.by_side)
-            matches = nodes * side_sums[plan.opp_seg]
-        else:
-            weights = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
-            cross_in = np.concatenate([nodes[plan.cross_a], nodes[plan.cross_b]], axis=1)
-            matches = segsum(mlp(weights, cross_in), plan.by_cross_target)
-    else:
-        sample_sums = segsum(nodes, plan.by_sample)
-        matches = nodes * (sample_sums[plan.by_sample.ids] - nodes)
-        messages = np.zeros((plan.n_nodes, d))
-
-    if variant.mode == "fm":
-        fused = nodes + matches * 0.5
-    elif variant.fuse == "gru":
-        w = mp.gru
-        update = stable_sigmoid(nodes @ w.w_update.values + w.b_update.values[None, :])
-        cand = np.tanh(nodes @ w.w_cand.values + w.b_cand.values[None, :])
-        h = update * cand
-        for x in (messages, matches):
-            update = stable_sigmoid(x @ w.w_update.values + h @ w.u_update.values + w.b_update.values[None, :])
-            reset = stable_sigmoid(x @ w.w_reset.values + h @ w.u_reset.values + w.b_reset.values[None, :])
-            cand = np.tanh(x @ w.w_cand.values + (reset * h) @ w.u_cand.values + w.b_cand.values[None, :])
-            h = (1.0 - update) * h + update * cand
-        fused = h
-    elif variant.fuse == "sum":
-        fused = nodes + messages + matches
-    else:
-        fused = mlp(mp.fuse_mlp, np.concatenate([nodes, messages, matches], axis=1))
-
-    graph_reprs = segsum(fused, plan.by_side)
-    user_repr = graph_reprs[plan.user_seg]
-    item_repr = graph_reprs[plan.item_seg]
-    if variant.mode in ("union", "fm"):
-        return user_repr.sum(axis=1) + item_repr.sum(axis=1)
-    return (user_repr * item_repr).sum(axis=1)
-
-
 def score_samples(samples, mp: ModelParams, variant: VariantConfig = CANONICAL, batch_size: int = 2048) -> np.ndarray:
     """Untracked scores, batched; safe to call concurrently over read-only params."""
     out = np.empty(len(samples))
-    with no_grad():
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start:start + batch_size]
-            plan = build_plan(chunk, mp.table, variant)
-            out[start:start + len(chunk)] = _forward(Tape(), plan, mp, variant, row_local=False).scores.data
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start:start + batch_size]
+        plan = build_plan(chunk, mp.table, variant)
+        out[start:start + len(chunk)] = _forward(ArrayOps(), plan, mp, variant, row_local=False).scores
     return out
 
 
@@ -623,8 +546,7 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONI
     of the input attributes and under swapping the user and item roles.
     """
     plan = build_plan([sample], mp.table, variant)
-    with no_grad():
-        out = _forward(Tape(), plan, mp, variant, row_local=True)
+    out = _forward(ArrayOps(), plan, mp, variant, row_local=True)
     p = len(sample.user_chars)
     rank_user = np.empty(p, dtype=np.intp)
     rank_user[plan.sort_user[0]] = np.arange(p)
@@ -635,18 +557,18 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONI
     def diag(att, row):
         return NodeDiagnostics(
             att=att,
-            representation=out.nodes.data[row].copy(),
-            message=out.messages.data[row].copy(),
-            match=out.matches.data[row].copy(),
-            fused=out.fused.data[row].copy(),
+            representation=out.nodes[row].copy(),
+            message=out.messages[row].copy(),
+            match=out.matches[row].copy(),
+            fused=out.fused[row].copy(),
         )
 
     user_nodes = tuple(diag(c.att, rank_user[k]) for k, c in enumerate(sample.user_chars))
     item_nodes = tuple(diag(c.att, p + rank_item[k]) for k, c in enumerate(sample.item_chars))
-    user_repr = out.user_repr.data[0].copy()
-    item_repr = out.item_repr.data[0].copy()
+    user_repr = out.user_repr[0].copy()
+    item_repr = out.item_repr[0].copy()
     if variant.mode in ("union", "fm"):
-        score = float(out.scores.data[0])
+        score = float(out.scores[0])
     else:
         score = float(np.dot(user_repr, item_repr))
     return ForwardResult(
@@ -675,10 +597,8 @@ def inner_message(u_i, u_j, mp: ModelParams) -> np.ndarray:
     d = mp.dim
     u_i = _check_dim(u_i, d, "inner_message u_i")
     u_j = _check_dim(u_j, d, "inner_message u_j")
-    tape = Tape()
-    with no_grad():
-        x = tape.constant(np.concatenate([u_i, u_j])[None, :])
-        return _mlp_apply(tape, mp.inner_mlp, x, row_local=True).data[0].copy()
+    x = np.concatenate([u_i, u_j])[None, :]
+    return _mlp_apply(ArrayOps(), mp.inner_mlp, x, row_local=True)[0].copy()
 
 
 def message_pass(graph: AttributeGraph, mp: ModelParams) -> list[np.ndarray]:
@@ -723,10 +643,7 @@ def fuse(u_i, z_i, s_i, mp: ModelParams) -> np.ndarray:
         _check_dim(z_i, d, "fuse z_i")[None, :],
         _check_dim(s_i, d, "fuse s_i")[None, :],
     ]
-    tape = Tape()
-    with no_grad():
-        steps = [tape.constant(r) for r in rows]
-        return _gru_sequence(tape, mp.gru, steps, row_local=True).data[0].copy()
+    return _gru_sequence(ArrayOps(), mp.gru, rows, row_local=True)[0].copy()
 
 
 def graph_representation(graph: AttributeGraph, opposite_nodes, mp: ModelParams) -> np.ndarray:

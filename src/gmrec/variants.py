@@ -21,7 +21,6 @@ from .data import DataSample, EmbeddingTable
 from .model import (
     CANONICAL,
     FM_REDUCTION,
-    ForwardResult,
     ModelParams,
     VariantConfig,
     format_variant,
@@ -35,19 +34,9 @@ __all__ = [
     "FM_REDUCTION",
     "parse_variant",
     "format_variant",
-    "apply_variant",
     "fm_predict",
     "fm_reduction_predict",
 ]
-
-
-def apply_variant(config: VariantConfig, mp: ModelParams, sample: DataSample) -> ForwardResult:
-    """Forward one sample under an ablation configuration.
-
-    The canonical configuration reproduces predict() exactly: it is the
-    same engine.
-    """
-    return predict(sample, mp, config)
 
 
 def fm_predict(

@@ -1,10 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from gmrec.autodiff import (
     Parameter,
     Tape,
-    backward,
     gradient_check,
     no_grad,
     stable_sigmoid,
@@ -68,14 +70,14 @@ class TestBackward:
         tape = Tape()
         v = tape.param(p)
         out = tape.dot(v, v)
-        backward(tape, out)
+        tape.backward(out)
         assert np.array_equal(p.grad, [2.0, 4.0])
 
     def test_sigmoid_gradient_at_zero(self):
         p = Parameter(np.zeros(()))
         tape = Tape()
         s = tape.sigmoid(tape.param(p))
-        backward(tape, s)
+        tape.backward(s)
         assert float(p.grad) == 0.25
 
     def test_non_scalar_output_rejected(self):
@@ -83,20 +85,20 @@ class TestBackward:
         tape = Tape()
         v = tape.param(p)
         with pytest.raises(ContractError):
-            backward(tape, tape.add(v, v))
+            tape.backward(tape.add(v, v))
 
     def test_accumulation_without_zeroing(self):
         p = Parameter([1.0, 2.0])
         tape = Tape()
         out = tape.dot(tape.param(p), tape.param(p))
-        backward(tape, out)
-        backward(tape, out)
+        tape.backward(out)
+        tape.backward(out)
         assert np.array_equal(p.grad, [4.0, 8.0])
 
     def test_untracked_output_rejected(self):
         tape = Tape()
         with pytest.raises(ContractError):
-            backward(tape, tape.constant(1.0))
+            tape.backward(tape.constant(1.0))
 
     def test_three_layer_random_composition_matches_fd(self, rng):
         w1 = Parameter(rng.normal(size=(5, 4)) * 0.5)
@@ -128,20 +130,37 @@ class TestBackward:
         a = tape.dot(v, tape.constant(np.array([1.0, 2.0, 3.0, 4.0])))
         b = tape.sum_reduce(tape.mul(v, v))
         total = tape.add(a, b)
-        backward(tape, total)
+        tape.backward(total)
         grad_sum = p.grad.copy()
 
         p.zero_grad()
         tape2 = Tape()
         v2 = tape2.param(p)
-        backward(tape2, tape2.dot(v2, tape2.constant(np.array([1.0, 2.0, 3.0, 4.0]))))
+        tape2.backward(tape2.dot(v2, tape2.constant(np.array([1.0, 2.0, 3.0, 4.0]))))
         ga = p.grad.copy()
         p.zero_grad()
         tape3 = Tape()
         v3 = tape3.param(p)
-        backward(tape3, tape3.sum_reduce(tape3.mul(v3, v3)))
+        tape3.backward(tape3.sum_reduce(tape3.mul(v3, v3)))
         gb = p.grad.copy()
         assert np.allclose(grad_sum, ga + gb, rtol=0, atol=1e-15)
+
+    def test_tape_freed_without_cycle_collector(self):
+        """A tape and its graph are freed by reference counting alone."""
+        p = Parameter([1.0, 2.0])
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = Tape()
+            out = tape.dot(tape.param(p), tape.param(p))
+            tape.backward(out)
+            ref = weakref.ref(tape)
+            del tape, out
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert np.array_equal(p.grad, [2.0, 4.0])
 
     def test_replay_bit_identical(self, rng):
         p = Parameter(rng.normal(size=6))
@@ -151,7 +170,7 @@ class TestBackward:
             v = tape.param(p)
             h = tape.relu(tape.scale(v, 1.7))
             out = tape.sum_reduce(tape.mul(h, h))
-            backward(tape, out)
+            tape.backward(out)
             return out.data.copy(), p.grad.copy()
 
         p.zero_grad()
@@ -165,6 +184,7 @@ class TestBackward:
 PRIMITIVE_CASES = [
     ("add", lambda t, a, b: t.add(a, b), 2, (4,)),
     ("sub", lambda t, a, b: t.sub(a, b), 2, (4,)),
+    ("one_minus", lambda t, a: t.one_minus(a), 1, (4,)),
     ("mul", lambda t, a, b: t.mul(a, b), 2, (4,)),
     ("scale", lambda t, a: t.scale(a, -1.3), 1, (4,)),
     ("dot", lambda t, a, b: t.dot(a, b), 2, (4,)),
@@ -224,7 +244,7 @@ class TestStructuredPrimitives:
         out = tape.gather_rows(tape.param(p), idx)
         assert np.array_equal(out.data, p.values[idx])
         total = tape.sum_reduce(tape.mul(out, out))
-        backward(tape, total)
+        tape.backward(total)
         numeric = finite_difference(
             lambda: float((p.values[idx] ** 2).sum()), [p], step=1e-6
         )[0]
@@ -247,7 +267,7 @@ class TestStructuredPrimitives:
         assert np.allclose(out.data, expected, rtol=0, atol=1e-15)
         weights = rng.normal(size=(5, 2))
         total = tape.sum_reduce(tape.mul(out, tape.constant(weights)))
-        backward(tape, total)
+        tape.backward(total)
         assert np.allclose(p.grad, weights[seg], rtol=0, atol=0)
 
     def test_segment_sum_unsorted_rejected(self):

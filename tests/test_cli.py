@@ -34,6 +34,19 @@ class TestUsage:
         assert code == 1
         assert "usage" in err.lower()
 
+    def test_non_numeric_config_value_is_usage_error(self, capsys, tmp_path, synth_file):
+        config = tmp_path / "run.conf"
+        config.write_text("dim = abc\n")
+        code, _, err = run(capsys, "train", "--data", synth_file, "--config", str(config))
+        assert code == 1
+        assert "dim" in err and "usage" in err.lower()
+
+    def test_non_numeric_seeds_is_usage_error(self, capsys, synth_file):
+        code, _, err = run(capsys, "ablate", "--data", synth_file, "--variants", "mode=fm",
+                           "--seeds", "a")
+        assert code == 1
+        assert "--seeds" in err
+
     def test_missing_data_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "evaluate", "--data", str(tmp_path / "nope.tsv"),
                            "--ckpt", str(tmp_path / "nope.ckpt"))

@@ -1,10 +1,17 @@
 import json
+import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gmrec.dataio
+from gmrec.cli import main
 from gmrec.data import ITEM, USER, universe_of
 from gmrec.dataio import (
+    MAGIC,
     ParseOptions,
     SynthSpec,
     generate_synthetic,
@@ -297,3 +304,108 @@ class TestCheckpoint:
             f.write(bytes(blob))
         with pytest.raises(CheckpointError, match="counts"):
             load_checkpoint(path)
+
+
+def _fm_blob(entries, dim=2, rows=None):
+    """A mode=fm checkpoint (embeddings only) over (name bytes, side byte) entries."""
+    variant = b"mode=fm"
+    blob = MAGIC + struct.pack("<IIIII", dim, len(entries), len(variant), 0, 0) + variant
+    for name, side in entries:
+        blob += struct.pack("<I", len(name)) + name + bytes([side])
+    rows = len(entries) if rows is None else rows
+    return blob + np.arange(rows * dim, dtype="<f8").tobytes()
+
+
+class TestCheckpointHardening:
+    def test_minimal_fm_checkpoint_loads(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(_fm_blob([(b"u", 0), (b"i", 1)]))
+        mp, variant, vocab = load_checkpoint(str(path))
+        assert variant == VariantConfig(mode="fm")
+        assert vocab.names == ["u", "i"] and [a.side for a in vocab.ids] == [USER, ITEM]
+        assert np.array_equal(mp.emb.values, [[0.0, 1.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "blob,message",
+        [
+            (_fm_blob([(b"\xffu", 0), (b"i", 1)]), "UTF-8"),
+            (_fm_blob([(b"u", 0), (b"u", 0), (b"i", 1)]), "duplicate"),
+            (_fm_blob([(b"u", 0), (b"i", 2)]), "side byte"),
+            (_fm_blob([(b"u", 0), (b"i", 1)], dim=0), "dim"),
+            (_fm_blob([], dim=2), "empty"),
+        ],
+        ids=["non-utf8-name", "duplicate-names", "side-byte-2", "dim-0", "empty-vocabulary"],
+    )
+    def test_corrupt_checkpoint_rejected(self, tmp_path, capsys, blob, message):
+        path = str(tmp_path / "model.ckpt")
+        with open(path, "wb") as f:
+            f.write(blob)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+        assert main(["predict", "--ckpt", path, "--line", "u\ti"]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_restore_failure_becomes_checkpoint_error(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.ckpt")
+        with open(path, "wb") as f:
+            f.write(_fm_blob([(b"u", 0), (b"i", 1)]))
+        skeleton = gmrec.dataio.init_model_params
+        monkeypatch.setattr(
+            gmrec.dataio, "init_model_params",
+            lambda universe, dim, seed, variant: skeleton(universe, dim, seed, CANONICAL),
+        )
+        with pytest.raises(CheckpointError, match="restoring"):
+            load_checkpoint(path)
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        ds, mp = _dataset_and_params()
+        save_checkpoint(mp, CANONICAL, str(tmp_path / "model.ckpt"), ds.vocab)
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        ds, mp = _dataset_and_params()
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(mp, CANONICAL, path, ds.vocab)
+        before = open(path, "rb").read()
+
+        def no_rename(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(gmrec.dataio.os, "replace", no_rename)
+        mp.emb.values[...] = 0.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(mp, CANONICAL, path, ds.vocab)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    """A small valid checkpoint: its directory, its bytes, and where its parameters start."""
+    text, _ = generate_synthetic(SynthSpec(users=4, items=3, samples=8, seed=1))
+    ds = parse_dataset_lines(text.splitlines())
+    mp = init_model_params(universe_of(ds.samples), 2, 1, CANONICAL)
+    directory = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(mp, CANONICAL, str(directory / "valid.ckpt"), ds.vocab)
+    blob = (directory / "valid.ckpt").read_bytes()
+    return directory, blob, len(blob) - 8 * sum(p.values.size for p in mp.parameters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_byte_mutation_rejected_or_round_trips(valid_checkpoint, data):
+    """Any one-byte change to a valid checkpoint either fails to load with
+    CheckpointError or loads a model that saves back to the same bytes."""
+    directory, blob, params_start = valid_checkpoint
+    index = data.draw(st.one_of(st.integers(0, params_start - 1), st.integers(0, len(blob) - 1)))
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != blob[index]))
+    mutated = bytearray(blob)
+    mutated[index] = value
+    path = directory / "mutated.ckpt"
+    path.write_bytes(bytes(mutated))
+    try:
+        mp, variant, vocab = load_checkpoint(str(path))
+    except CheckpointError:
+        return
+    save_checkpoint(mp, variant, str(directory / "resaved.ckpt"), vocab)
+    assert (directory / "resaved.ckpt").read_bytes() == bytes(mutated)

@@ -1,14 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from gmrec.autodiff import Tape, gradient_check, no_grad
+from gmrec import autodiff
+from gmrec.autodiff import ArrayOps, Tape, gradient_check
 from gmrec.data import universe_of
-from gmrec.errors import ContractError, ShapeError
+from gmrec.errors import ContractError, InvalidConfigError, ShapeError
 from gmrec.graphs import build_graphs
 from gmrec.model import (
     CANONICAL,
+    CROSS_KINDS,
+    FUSE_KINDS,
+    INNER_KINDS,
+    MODES,
+    VariantConfig,
     _forward,
-    _forward_plain,
     build_plan,
     fuse,
     graph_representation,
@@ -20,6 +27,8 @@ from gmrec.model import (
     score_samples,
     swap_roles,
 )
+
+from gmrec.selfcheck import run_gradcheck
 
 from conftest import make_sample
 from oracles import full_forward_oracle, gru_oracle, pair_message_oracle
@@ -279,18 +288,54 @@ class TestStructuralInvariances:
             assert np.abs(node.match - node.representation * opp_sum).max() < 1e-12
 
 
+def all_variants():
+    out = set()
+    for fields in itertools.product(INNER_KINDS, CROSS_KINDS, FUSE_KINDS, MODES):
+        try:
+            out.add(VariantConfig(*fields))
+        except InvalidConfigError:
+            pass
+    return sorted(out, key=repr)
+
+
 class TestEngineConsistency:
-    def test_plain_twin_bit_identical(self, rng):
-        for seed in range(10):
-            sample = make_sample(
-                int(rng.integers(1, 5)), int(rng.integers(1, 5)),
-                vals=None, label=1.0,
-            )
-            mp = make_model(sample, seed=seed)
-            plan = build_plan([sample], mp.table, CANONICAL)
-            with no_grad():
-                tracked = _forward(Tape(), plan, mp, CANONICAL, row_local=False).scores.data
-            assert np.array_equal(tracked, _forward_plain(plan, mp, CANONICAL))
+    def test_array_ops_bit_identical_to_tape(self, rng):
+        """The untracked run of the one engine computes the tracked run's
+        arrays bit for bit, for every variant and both matmul kernels."""
+        batches = [
+            [make_sample(int(rng.integers(1, 5)), int(rng.integers(1, 5)),
+                         vals=list(rng.uniform(-2.0, 2.0, size=8)), id_offset=8 * k)
+             for k in range(4)],
+            [make_sample(1, 1, vals=[0.7, -1.3])],  # no same-side pairs at all
+        ]
+        fields = ("nodes", "messages", "matches", "fused", "user_repr", "item_repr", "scores")
+        variants = all_variants()
+        assert len(variants) == 28
+        for variant, row_local, samples in itertools.product(variants, (False, True), batches):
+            mp = make_model(samples, seed=11, variant=variant)
+            plan = build_plan(samples, mp.table, variant)
+            tracked = _forward(Tape(), plan, mp, variant, row_local)
+            plain = _forward(ArrayOps(), plan, mp, variant, row_local)
+            assert tracked.scores.node is not None
+            for name in fields:
+                assert np.array_equal(getattr(tracked, name).data, getattr(plain, name)), (variant, row_local, name)
+
+    def test_untracked_forwards_leave_recording_state_alone(self, rng, monkeypatch):
+        """Scoring, prediction and the spec functions never touch the
+        process-wide recording switch, so they are safe beside training."""
+
+        class Untouchable(list):
+            def append(self, _):
+                raise AssertionError("the grad-enabled stack was pushed")
+
+        monkeypatch.setattr(autodiff, "_GRAD_ENABLED", Untouchable([True]))
+        samples = [make_sample(2, 3), make_sample(1, 2)]
+        mp = make_model(samples)
+        score_samples(samples, mp)
+        predict(samples[0], mp)
+        inner_message(np.ones(8), np.zeros(8), mp)
+        fuse(np.ones(8), np.ones(8), np.ones(8), mp)
+        run_gradcheck(instances=1, d=3)
 
     def test_batched_scores_match_predict(self, rng):
         samples = [

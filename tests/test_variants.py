@@ -13,7 +13,7 @@ from gmrec.model import (
     predict,
 )
 from gmrec.selfcheck import run_fmcheck
-from gmrec.variants import apply_variant, fm_predict, fm_reduction_predict
+from gmrec.variants import fm_predict, fm_reduction_predict
 
 from conftest import make_ids, make_sample
 from oracles import fm_oracle
@@ -51,7 +51,7 @@ class TestApplyVariant:
         sample = make_sample(3, 2, vals=list(rng.uniform(0.5, 2.0, size=5)))
         mp = init_model_params(universe_of([sample]), 8, 5)
         a = predict(sample, mp)
-        b = apply_variant(CANONICAL, mp, sample)
+        b = predict(sample, mp, CANONICAL)
         assert a.score == b.score
         assert np.array_equal(a.user_repr, b.user_repr)
 
@@ -62,7 +62,7 @@ class TestApplyVariant:
         variant = VariantConfig(inner="mlp", cross="bi", fuse="sum")
         mp = init_model_params(universe_of([sample]), 8, 5, variant)
         mp.table.matrix[1] = 0.0  # zero the item attribute's embedding
-        res = apply_variant(variant, mp, sample)
+        res = predict(sample, mp, variant)
         node = res.user_nodes[0]
         assert np.array_equal(node.message, np.zeros(8))
         assert np.array_equal(node.match, np.zeros(8))
@@ -73,7 +73,7 @@ class TestApplyVariant:
         sample = make_sample(2, 2, vals=list(rng.uniform(0.5, 2.0, size=4)))
         variant = VariantConfig(inner="bi", cross="bi", fuse="sum")
         mp = init_model_params(universe_of([sample]), 4, 19, variant)
-        res = apply_variant(variant, mp, sample)
+        res = predict(sample, mp, variant)
 
         reps_u = [p.val * mp.table.vector(p.att) for p in sample.user_chars]
         reps_i = [p.val * mp.table.vector(p.att) for p in sample.item_chars]
@@ -94,10 +94,10 @@ class TestApplyVariant:
         sample = make_sample(3, 2)
         variant = VariantConfig(cross="none")
         mp = init_model_params(universe_of([sample]), 8, 23, variant)
-        base = apply_variant(variant, mp, sample)
+        base = predict(sample, mp, variant)
         # noising the item embeddings must leave the user representation bits
         mp.table.matrix[3:] += rng.normal(size=(2, 8))
-        moved = apply_variant(variant, mp, sample)
+        moved = predict(sample, mp, variant)
         assert np.array_equal(base.user_repr, moved.user_repr)
         assert not np.array_equal(base.item_repr, moved.item_repr)
 
@@ -109,15 +109,15 @@ class TestApplyVariant:
         mp_separate = init_model_params(universe_of([sample]), 8, 31, separate)
         for a, b in zip(mp_shared.inner_mlp.parameters(), mp_separate.cross_mlp.parameters()):
             assert np.array_equal(a.values, b.values)
-        res_shared = apply_variant(shared, mp_shared, sample)
-        res_separate = apply_variant(separate, mp_separate, sample)
+        res_shared = predict(sample, mp_shared, shared)
+        res_separate = predict(sample, mp_separate, separate)
         assert abs(res_shared.score - res_separate.score) < 1e-12
 
     def test_union_mode_linear_match(self):
         sample = make_sample(2, 2)
         variant = VariantConfig(mode="union")
         mp = init_model_params(universe_of([sample]), 4, 3, variant)
-        res = apply_variant(variant, mp, sample)
+        res = predict(sample, mp, variant)
         assert abs(res.score - (res.user_repr.sum() + res.item_repr.sum())) < 1e-12
 
 
@@ -190,5 +190,5 @@ class TestFmReduction:
         table = init_embeddings(universe_of([sample]), 4, 2)
         mp = init_model_params(universe_of([sample]), 4, 2, FM_REDUCTION)
         mp.table.matrix[...] = table.matrix
-        res = apply_variant(FM_REDUCTION, mp, sample)
+        res = predict(sample, mp, FM_REDUCTION)
         assert abs(res.score - fm_reduction_predict(sample, table)) < 1e-12
