@@ -115,25 +115,31 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # bits are independent of every other row. Chunked to bound the temporary.
 _ROW_LOCAL_CHUNK_ELEMS = 1 << 21
 
+# gradient_check builds the perturbed copies of one parameter array in
+# chunks of at most this many elements, which bounds every batched forward.
+_FD_STACK_ELEMS = 1 << 16
+
 
 def _mm_row_local(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m, k = a.shape
-    n = b.shape[1]
-    bt = b.T  # (n, k) view; strides do not affect per-element bits
-    chunk = max(1, _ROW_LOCAL_CHUNK_ELEMS // max(k * n, 1))
+    """Row-local product over the last two axes; leading axes broadcast."""
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
+    bt = np.swapaxes(b, -1, -2)[..., None, :, :]  # (..., 1, n, k) view; strides do not affect bits
+    lead = max(a.size // max(m * k, 1), b.size // max(k * n, 1))
+    chunk = max(1, _ROW_LOCAL_CHUNK_ELEMS // max(lead * k * n, 1))
     if m <= chunk:
-        return (a[:, None, :] * bt[None, :, :]).sum(axis=2)
-    out = np.empty((m, n))
+        return (a[..., :, None, :] * bt).sum(axis=-1)
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
     for start in range(0, m, chunk):
         stop = min(start + chunk, m)
-        out[start:stop] = (a[start:stop, None, :] * bt[None, :, :]).sum(axis=2)
+        out[..., start:stop, :] = (a[..., start:stop, None, :] * bt).sum(axis=-1)
     return out
 
 
 def _segment_sum(m: np.ndarray, seg_ids, starts, out_rows, n_segments: int) -> np.ndarray:
-    out = np.zeros((n_segments, m.shape[1]))
+    out = np.zeros(m.shape[:-2] + (n_segments, m.shape[-1]))
     if seg_ids.size:
-        out[out_rows] = np.add.reduceat(m, starts, axis=0)
+        out[..., out_rows, :] = np.add.reduceat(m, starts, axis=-2)
     return out
 
 
@@ -425,9 +431,16 @@ class ArrayOps:
     """The Tape primitives the model's forward pass calls, on plain arrays.
 
     Each one returns the array its Tape namesake stores in Value.data, by
-    the same numpy operations. Nothing is recorded and no state is kept, so
+    the same numpy operations. Nothing is recorded and nothing is mutated, so
     concurrent runs are safe. Operands are not shape-checked; a Tape run of
     the same forward checks them.
+
+    Leading-axis rule: the matrix primitives act on the last two axes (the
+    vector ones on the last axis) and any leading axes broadcast. On 2-D
+    operands every primitive computes the same bits as its Tape namesake.
+    `substitutes` maps a Parameter to the array param() returns in place of
+    its values, e.g. a (K, *shape) stack of perturbed copies: only the
+    results downstream of that parameter then carry the K axis.
     """
 
     # Primitives that are a single numpy function are that function: no
@@ -439,11 +452,14 @@ class ArrayOps:
     tanh = staticmethod(np.tanh)
     segment_sum_prepared = staticmethod(_segment_sum)
 
+    def __init__(self, substitutes: dict[Parameter, np.ndarray] | None = None):
+        self._substitutes = substitutes or {}
+
     def constant(self, x) -> np.ndarray:
         return _as_array(x)
 
     def param(self, p: Parameter) -> np.ndarray:
-        return p.values
+        return self._substitutes.get(p, p.values)
 
     def one_minus(self, a):
         return 1.0 - a
@@ -455,32 +471,54 @@ class ArrayOps:
         return np.maximum(a, 0.0)
 
     def row_sums(self, a):
-        return a.sum(axis=1)
+        return a.sum(axis=-1)
 
     def rowdot(self, a, b):
-        return (a * b).sum(axis=1)
+        return (a * b).sum(axis=-1)
 
     def matmul(self, a, b, row_local: bool = False):
         return _mm_row_local(a, b) if row_local else a @ b
 
     def concat_cols(self, a, b):
-        return np.concatenate([a, b], axis=1)
+        if a.shape[:-2] != b.shape[:-2]:
+            lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+            a = np.broadcast_to(a, lead + a.shape[-2:])
+            b = np.broadcast_to(b, lead + b.shape[-2:])
+        return np.concatenate([a, b], axis=-1)
 
     def gather_rows(self, m, idx, checked: bool = True):
-        return m[idx]
+        return m[..., idx, :]
 
     def scale_rows(self, m, c):
         return m * _as_array(c)[:, None]
 
     def add_rowvec(self, m, v):
-        return m + v[None, :]
+        return m + v[..., None, :]
+
+
+def _evaluate_in_place(forward: Callable[[], Value]) -> Callable[[Parameter, np.ndarray], np.ndarray]:
+    """A value_fn that writes each stack row into the parameter's values,
+    runs forward() and restores the values, bit for bit, before returning."""
+
+    def evaluate(p: Parameter, stack: np.ndarray) -> np.ndarray:
+        saved = p.values.copy()
+        out = np.empty(len(stack))
+        try:
+            for r, row in enumerate(stack):
+                p.values[...] = row  # in place: views of the array stay live
+                out[r] = forward().data
+        finally:
+            p.values[...] = saved
+        return out
+
+    return evaluate
 
 
 def gradient_check(
     forward: Callable[[], Value],
     params: Sequence[Parameter],
     step: float = 1e-5,
-    value_fn: Callable[[], float] | None = None,
+    value_fn: Callable[[Parameter, np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Worst relative error between tape gradients and central differences.
 
@@ -488,10 +526,18 @@ def gradient_check(
     values and return a tracked scalar. For every parameter entry t the
     tape gradient is compared with (f(t+step) - f(t-step)) / (2 step).
     The relative error uses max(|analytic|, |numeric|, 1) as denominator,
-    so a pair of zero gradients contributes 0.
+    so a pair of zero gradients contributes 0. A non-finite forward value,
+    perturbed value or tape gradient raises NumericError.
 
-    value_fn, when given, evaluates the same function as forward() but may
-    take a faster untracked path; it is used for the difference quotients.
+    The quotients of one parameter array p are evaluated C entries at a
+    time: value_fn(p, stack) gets a (2C, *p.shape) stack whose row r < C is
+    p's values with entry r of the chunk raised by step, and row C + r the
+    same entry lowered by step. It returns the 2C values of f with p
+    replaced by each row, or one scalar that broadcasts when f does not
+    depend on p; it must leave p.values as they were. C is bounded so that
+    the stack holds at most _FD_STACK_ELEMS elements (at least one entry).
+    Without value_fn each row is written into p.values in turn, forward()
+    is run on its own tape, and the values are restored afterwards.
     """
     if step <= 0:
         raise ContractError("gradient_check: step must be positive")
@@ -506,31 +552,29 @@ def gradient_check(
     else:
         out.tape.backward(out)
         analytic = [p.grad.copy() for p in params]
-
-    def f() -> float:
-        if value_fn is not None:
-            value = value_fn()
-        else:
-            with no_grad():
-                value = forward().data
-        if not np.isfinite(value):
-            raise NumericError("gradient_check: perturbed forward value is not finite")
-        return float(value)
+    if not all(np.all(np.isfinite(a)) for a in analytic):
+        raise NumericError("gradient_check: tape gradient is not finite")
+    evaluate = value_fn if value_fn is not None else _evaluate_in_place(forward)
 
     worst = 0.0
     for p, grads in zip(params, analytic):
         flat_values = p.values.reshape(-1)
         flat_grads = grads.reshape(-1)
-        for k in range(flat_values.size):
-            orig = flat_values[k]
-            flat_values[k] = orig + step
-            f_plus = f()
-            flat_values[k] = orig - step
-            f_minus = f()
-            flat_values[k] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            a = flat_grads[k]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-            if err > worst:
-                worst = err
+        size = flat_values.size
+        chunk = max(1, _FD_STACK_ELEMS // max(2 * size, 1))
+        for start in range(0, size, chunk):
+            entries = np.arange(start, min(start + chunk, size))
+            c, rows = entries.size, np.arange(entries.size)
+            stack = np.empty((2, c, size))
+            stack[...] = flat_values
+            orig = flat_values[entries]
+            stack[0, rows, entries] = orig + step
+            stack[1, rows, entries] = orig - step
+            values = np.broadcast_to(evaluate(p, stack.reshape((2 * c,) + p.shape)), (2 * c,))
+            if not np.all(np.isfinite(values)):
+                raise NumericError("gradient_check: perturbed forward value is not finite")
+            numeric = (values[:c] - values[c:]) / (2.0 * step)
+            a = flat_grads[entries]
+            err = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1.0)
+            worst = max(worst, float(err.max()))
     return float(worst)

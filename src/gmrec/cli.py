@@ -8,6 +8,8 @@ which override built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 
 import numpy as np
@@ -21,7 +23,7 @@ from .dataio import (
     save_checkpoint,
     write_synthetic,
 )
-from .errors import EngineError, UndefinedMetricError
+from .errors import EngineError, InvalidConfigError, UndefinedMetricError
 from .metrics import (
     evaluate_model,
     export_matrices,
@@ -43,6 +45,26 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+# Config fields whose flag is not the field name with dashes for underscores.
+_FLAG_OF = {
+    "learning_rate": "lr",
+    "user_attr_card": "user-card",
+    "second_user_attr_card": "second-user-card",
+    "item_attr_card": "item-card",
+}
+
+
+@contextlib.contextmanager
+def _usage_errors(flag: str | None = None):
+    """Report a config-range error as a usage error naming its flag: `flag`,
+    or else the flag of the field the error names."""
+    try:
+        yield
+    except InvalidConfigError as exc:
+        name = flag or _FLAG_OF.get(exc.field, str(exc.field).replace("_", "-"))
+        raise _UsageError(f"--{name}: {exc}") from None
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -71,9 +93,12 @@ _TRAIN_DEFAULTS = {
 
 def _seed_list(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        seeds = None
+    if seeds is None or any(s < 0 for s in seeds):
+        raise argparse.ArgumentTypeError(f"expected comma-separated non-negative integers, got {text!r}")
+    return seeds
 
 
 def build_parser() -> _Parser:
@@ -175,16 +200,19 @@ def _effective(args, key: str, cast=None):
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        dim=int(_effective(args, "dim", int)),
-        learning_rate=float(_effective(args, "lr", float)),
-        lam=float(_effective(args, "lam", float)),
-        epochs=int(_effective(args, "epochs", int)),
-        batch_size=int(_effective(args, "batch_size", int)),
-        seed=int(_effective(args, "seed", int)),
-        variant=parse_variant(str(_effective(args, "variant", str))),
-        patience=int(_effective(args, "patience", int)),
-    )
+    with _usage_errors("variant"):
+        variant = parse_variant(str(_effective(args, "variant", str)))
+    with _usage_errors():
+        return TrainConfig(
+            dim=int(_effective(args, "dim", int)),
+            learning_rate=float(_effective(args, "lr", float)),
+            lam=float(_effective(args, "lam", float)),
+            epochs=int(_effective(args, "epochs", int)),
+            batch_size=int(_effective(args, "batch_size", int)),
+            seed=int(_effective(args, "seed", int)),
+            variant=variant,
+            patience=int(_effective(args, "patience", int)),
+        )
 
 
 def _parse_options(args) -> ParseOptions:
@@ -197,9 +225,9 @@ def _parse_options(args) -> ParseOptions:
 
 
 def _cmd_train(args) -> int:
+    config = _train_config(args)  # a bad flag fails before the data is read
     dataset = parse_dataset(args.data, _parse_options(args))
     print(f"# parsed {dataset.report}")
-    config = _train_config(args)
     split = split_per_user(dataset.samples, config.seed)
     result = train(split, config)
     for log in result.logs:
@@ -214,6 +242,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     mp, variant, vocab = load_checkpoint(args.ckpt)
     dataset = parse_dataset(args.data, _parse_options(args), vocab)
     samples = dataset.samples
@@ -243,11 +273,13 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    dataset = parse_dataset(args.data, _parse_options(args))
-    variants = [parse_variant(v) for v in args.variants.split(";") if v.strip()]
+    _train_config(args)  # a bad flag fails before the data is read
+    with _usage_errors("variants"):
+        variants = [parse_variant(v) for v in args.variants.split(";") if v.strip()]
     seeds = args.seeds
     if not variants or not seeds:
         raise EngineError("ablate needs at least one variant and one seed")
+    dataset = parse_dataset(args.data, _parse_options(args))
     rows = []
     for variant in variants:
         metrics_per_seed = []
@@ -272,6 +304,10 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if min(args.d, args.instances) < 1 or args.seed < 0:
+        raise _UsageError("--d and --instances must be >= 1 and --seed >= 0")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise _UsageError(f"--step must be finite and positive, got {args.step!r}")
     worst = run_gradcheck(instances=args.instances, d=args.d, seed=args.seed, step=args.step)
     print(f"max_relative_error={worst!r}")
     if worst >= args.tol:
@@ -281,6 +317,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_fmcheck(args) -> int:
+    if min(args.d, args.n) < 1 or args.seed < 0:
+        raise _UsageError("--d and --n must be >= 1 and --seed >= 0")
     worst = run_fmcheck(n=args.n, d_max=args.d, seed=args.seed)
     print(f"max_abs_deviation={worst!r}")
     if worst >= args.tol:
@@ -290,19 +328,20 @@ def _cmd_fmcheck(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        users=args.users,
-        items=args.items,
-        samples=args.samples,
-        rule=args.rule,
-        user_attr_card=args.user_card,
-        second_user_attr_card=args.second_user_card,
-        item_attr_card=args.item_card,
-        affinity_rank=args.affinity_rank,
-        noise=args.noise,
-        attrs=args.attrs,
-        seed=args.seed,
-    )
+    with _usage_errors():
+        spec = SynthSpec(
+            users=args.users,
+            items=args.items,
+            samples=args.samples,
+            rule=args.rule,
+            user_attr_card=args.user_card,
+            second_user_attr_card=args.second_user_card,
+            item_attr_card=args.item_card,
+            affinity_rank=args.affinity_rank,
+            noise=args.noise,
+            attrs=args.attrs,
+            seed=args.seed,
+        )
     write_synthetic(spec, args.out)
     print(f"# wrote {args.out} and {args.out}.rule.json")
     return 0

@@ -279,8 +279,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.users, self.items, self.samples) < 1:
-            raise ContractError("synthetic spec sizes must be positive")
+        for name in ("users", "items", "samples", "user_attr_card", "second_user_attr_card", "item_attr_card"):
+            if getattr(self, name) < 1:
+                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}", name)
+        if self.affinity_rank is not None and self.affinity_rank < 1:
+            raise InvalidConfigError(f"affinity_rank must be >= 1, got {self.affinity_rank!r}", "affinity_rank")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed!r}", "seed")
         if self.rule not in ("xor_cross", "cross", "random"):
             raise ContractError(f"unknown rule {self.rule!r}")
         if self.attrs not in ("both", "user", "item", "none"):
@@ -288,7 +293,7 @@ class SynthSpec:
         if not self.ids and self.attrs != "both":
             raise ContractError("dropping id columns requires attrs=both")
         if not 0.0 <= self.noise <= 1.0:
-            raise ContractError("noise must be in [0, 1]")
+            raise InvalidConfigError(f"noise must be in [0, 1], got {self.noise!r}", "noise")
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[str, dict]:

@@ -10,7 +10,14 @@ class EngineError(Exception):
 
 
 class InvalidConfigError(EngineError):
-    """A configuration value is outside its allowed range."""
+    """A configuration value is outside its allowed range.
+
+    `field` names the offending setting when one is to blame.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class MissingEmbeddingError(EngineError):

@@ -33,6 +33,29 @@ def random_instance(d: int, seed: int, max_attrs: int = 4):
     return sample, user_ids + item_ids, init_seed
 
 
+def gradcheck_problem(d: int, seed: int, max_attrs: int = 4, variant: VariantConfig = CANONICAL):
+    """The forward, the model and the batched value_fn of one random
+    instance; gradient_check(forward, mp.parameters(), step, value_fn)
+    checks it.
+
+    value_fn runs the same forward on ArrayOps with the perturbed parameter
+    substituted by its whole stack, so one call evaluates every row; the
+    values are the tape's bit for bit, without recording them.
+    """
+    sample, universe, init_seed = random_instance(d, seed, max_attrs)
+    mp = init_model_params(universe, d, init_seed, variant)
+    plan = build_plan([sample], mp.table, variant)
+
+    def forward():
+        tape = Tape()
+        return tape.sum_reduce(_forward(tape, plan, mp, variant, row_local=False).scores)
+
+    def value(p, stack):
+        return _forward(ArrayOps({p: stack}), plan, mp, variant, row_local=False).scores[..., 0]
+
+    return forward, mp, value
+
+
 def run_gradcheck(
     instances: int = 20,
     d: int = 8,
@@ -41,24 +64,10 @@ def run_gradcheck(
     max_attrs: int = 4,
     variant: VariantConfig = CANONICAL,
 ) -> float:
-    """Worst relative error over seeded random instances of the full forward.
-
-    The difference quotients run the same forward on ArrayOps, which
-    computes the tape's values bit for bit without recording them.
-    """
+    """Worst relative error over seeded random instances of the full forward."""
     worst = 0.0
     for k in range(instances):
-        sample, universe, init_seed = random_instance(d, seed + k, max_attrs)
-        mp = init_model_params(universe, d, init_seed, variant)
-        plan = build_plan([sample], mp.table, variant)
-
-        def forward():
-            tape = Tape()
-            return tape.sum_reduce(_forward(tape, plan, mp, variant, row_local=False).scores)
-
-        def value():
-            return float(_forward(ArrayOps(), plan, mp, variant, row_local=False).scores[0])
-
+        forward, mp, value = gradcheck_problem(d, seed + k, max_attrs, variant)
         worst = max(worst, gradient_check(forward, mp.parameters(), step, value_fn=value))
     return float(worst)
 

@@ -12,6 +12,7 @@ generator and cut 60/20/20, rounding in favour of the training split.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,7 +21,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tape, Value
 from .data import DataSample, sample_item_key, sample_user_key, universe_of
-from .errors import ContractError, SamplingError, TrainingError
+from .errors import ContractError, InvalidConfigError, SamplingError, TrainingError
 from .metrics import auc, logloss, score_dataset
 from .model import (
     CANONICAL,
@@ -46,10 +47,15 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        if self.dim < 1 or self.epochs < 0 or self.batch_size < 1 or self.patience < 1:
-            raise ContractError("invalid training configuration")
-        if self.learning_rate <= 0 or self.lam < 0:
-            raise ContractError("invalid training configuration")
+        for name, low in (("dim", 1), ("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise InvalidConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}", name)
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfigError(
+                f"learning_rate must be finite and positive, got {self.learning_rate!r}", "learning_rate"
+            )
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidConfigError(f"lam must be finite and non-negative, got {self.lam!r}", "lam")
 
 
 @dataclass

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gmrec.data import ITEM, USER, AttributeId, AttributeValuePair, DataSample
+from gmrec.errors import InvalidConfigError
+from gmrec.model import CROSS_KINDS, FUSE_KINDS, INNER_KINDS, MODES, VariantConfig
 
 
 def make_ids(n_user: int, n_item: int):
@@ -20,6 +24,17 @@ def make_sample(n_user: int, n_item: int, vals=None, label=1.0, id_offset: int =
         item_chars=tuple(AttributeValuePair(a, float(v)) for a, v in zip(items, vals[n_user:])),
         label=label,
     )
+
+
+def all_variants():
+    """Every valid VariantConfig, in a fixed order."""
+    out = set()
+    for fields in itertools.product(INNER_KINDS, CROSS_KINDS, FUSE_KINDS, MODES):
+        try:
+            out.add(VariantConfig(*fields))
+        except InvalidConfigError:
+            pass
+    return sorted(out, key=repr)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from gmrec import autodiff
 from gmrec.autodiff import (
     Parameter,
     Tape,
@@ -332,6 +333,92 @@ class TestGradientCheck:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError):
                 gradient_check(forward, [p])
+
+    def test_non_finite_tape_gradient_rejected(self, monkeypatch):
+        """A NaN or inf tape gradient fails the check even where every
+        forward value is finite; it must not hide the other entries."""
+        p = Parameter([1.0, -2.0, 0.5])
+
+        def forward():
+            tape = Tape()
+            return tape.sum_reduce(tape.param(p))
+
+        backward = Tape.backward
+        for bad in (np.nan, np.inf):
+            def broken_backward(tape, out, bad=bad):
+                backward(tape, out)
+                p.grad[1] = bad
+
+            monkeypatch.setattr(Tape, "backward", broken_backward)
+            for value_fn in (None, lambda q, stack: stack.sum(axis=-1)):
+                with pytest.raises(NumericError):
+                    gradient_check(forward, [p], value_fn=value_fn)
+
+    def test_value_fn_stack_layout_and_chunks(self, monkeypatch):
+        """value_fn gets C raised rows then C lowered rows, C bounded by the
+        stack budget, and every entry exactly once."""
+        monkeypatch.setattr(autodiff, "_FD_STACK_ELEMS", 24)
+        p = Parameter([[0.5, -1.0, 2.0], [0.25, 3.0, -0.75]])
+        orig = p.values.copy()
+        seen = []
+
+        def forward():
+            tape = Tape()
+            return tape.sum_reduce(tape.mul(tape.param(p), tape.param(p)))
+
+        def value_fn(q, stack):
+            assert q is p and stack.shape[1:] == p.shape and stack.size <= 24
+            seen.append(stack.copy())
+            return (stack * stack).reshape(len(stack), -1).sum(axis=1)
+
+        assert gradient_check(forward, [p], step=1e-3, value_fn=value_fn) < 1e-8
+        assert [len(s) for s in seen] == [4, 4, 4]  # C = 24 // (2 * 6) = 2 entries per call
+        entry = 0
+        for stack in seen:
+            c = len(stack) // 2
+            for r in range(c):
+                for sign, row in ((1.0, stack[r]), (-1.0, stack[c + r])):
+                    expected = orig.copy().reshape(-1)
+                    expected[entry] = orig.reshape(-1)[entry] + sign * 1e-3
+                    assert np.array_equal(row.reshape(-1), expected)
+                entry += 1
+        assert entry == p.values.size
+
+    def test_scalar_value_fn_broadcasts(self):
+        """A value_fn that does not depend on the parameter may return one
+        scalar; the quotients are then all zero."""
+        p = Parameter([1.0, 2.0])
+
+        def forward():
+            tape = Tape()
+            return tape.sum_reduce(tape.constant(np.array([3.0])))
+
+        assert gradient_check(forward, [p], value_fn=lambda q, stack: np.float64(3.0)) == 0.0
+
+    def test_values_restored_when_check_fails_mid_chunk(self):
+        """A non-finite quotient value, or an error raised by forward() on a
+        perturbed row, leaves the parameter's array and bits as they were."""
+        p = Parameter([1.0, 4e-6, 2.0])  # entry 1 minus step is negative
+        array, before = p.values, p.values.tobytes()
+
+        def log_forward():
+            tape = Tape()
+            return tape.sum_reduce(tape.log(tape.param(p)))
+
+        def raising_forward():
+            if p.values.min() < 0:
+                raise NumericError("negative entry")
+            tape = Tape()
+            return tape.sum_reduce(tape.mul(tape.param(p), tape.param(p)))
+
+        def batched_log(q, stack):
+            return np.log(stack).sum(axis=-1)
+
+        with np.errstate(invalid="ignore"):
+            for forward, value_fn in ((log_forward, None), (raising_forward, None), (log_forward, batched_log)):
+                with pytest.raises(NumericError):
+                    gradient_check(forward, [p], value_fn=value_fn)
+                assert p.values is array and p.values.tobytes() == before
 
 
 def test_stable_sigmoid_extremes():

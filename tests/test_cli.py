@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmrec.cli import main
 from gmrec.dataio import SynthSpec, write_synthetic
@@ -51,6 +56,100 @@ class TestUsage:
         code, _, err = run(capsys, "evaluate", "--data", str(tmp_path / "nope.tsv"),
                            "--ckpt", str(tmp_path / "nope.ckpt"))
         assert code == 2
+
+
+class TestConfigRangeErrors:
+    """An out-of-range flag or config value is a usage error (exit 1) that
+    names the flag, and it fails before the data file is read."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("train", "--variant", "bogus"), "--variant"),
+        (("train", "--dim", "0"), "--dim"),
+        (("train", "--batch-size", "0"), "--batch-size"),
+        (("train", "--lr", "nan"), "--lr"),
+        (("train", "--lr", "inf"), "--lr"),
+        (("train", "--lam", "nan"), "--lam"),
+        (("train", "--seed", "-1"), "--seed"),
+        (("ablate", "--variants", "inner=attention"), "--variants"),
+        (("ablate", "--variants", "mode=fm", "--seeds", "-1"), "--seeds"),
+        (("ablate", "--variants", "mode=fm", "--patience", "0"), "--patience"),
+    ])
+    def test_train_flag(self, capsys, tmp_path, argv, flag):
+        missing = str(tmp_path / "never-read.tsv")
+        code, _, err = run(capsys, argv[0], "--data", missing, *argv[1:])
+        assert code == 1, err
+        assert flag in err and "usage" in err.lower()
+
+    def test_config_file_value(self, capsys, tmp_path, synth_file):
+        config = tmp_path / "run.conf"
+        config.write_text("dim = 0\n")
+        code, _, err = run(capsys, "train", "--data", synth_file, "--config", str(config))
+        assert code == 1
+        assert "--dim" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--users", "0"), "--users"),
+        (("--item-card", "0"), "--item-card"),
+        (("--affinity-rank", "0"), "--affinity-rank"),
+        (("--noise", "nan"), "--noise"),
+        (("--seed", "-3"), "--seed"),
+    ])
+    def test_synth_flag(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "never-written.tsv"
+        code, _, err = run(capsys, "synth", "--out", str(out), *argv)
+        assert code == 1, err
+        assert flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("gradcheck", "--d", "0"), ("gradcheck", "--seed", "-1"), ("gradcheck", "--step", "nan"),
+        ("gradcheck", "--step", "0"),
+        ("fmcheck", "--d", "0"), ("fmcheck", "--n", "0"), ("fmcheck", "--seed", "-1"),
+        ("evaluate", "--seed", "-1", "--split", "test", "--data", "never-read.tsv", "--ckpt", "never-read.ckpt"),
+    ])
+    def test_other_command_flag(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert argv[1] in err
+
+
+_NUMBERS = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "1e400", "-0", "0x10", "1_000", "nan", "-inf"]),
+)
+# --dim and --epochs stay small (or out of range), so a valid draw trains
+# a tiny model; every other numeric flag takes any value.
+_FLAG_VALUES = {
+    "--dim": st.integers(-2, 3).map(str),
+    "--epochs": st.integers(-2, 2).map(str),
+    **{flag: _NUMBERS for flag in ("--lr", "--lam", "--batch-size", "--patience", "--seed",
+                                   "--threshold", "--min-positives")},
+}
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("data") / "data.tsv")
+    write_synthetic(SynthSpec(users=12, items=8, samples=80, rule="xor_cross", seed=5), path)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["train", "ablate"]),
+       flags=st.lists(st.sampled_from(sorted(_FLAG_VALUES)), min_size=1, max_size=4, unique=True),
+       data=st.data())
+def test_random_numeric_flags_exit_0_1_or_2(small_data, command, flags, data):
+    """Any numeric flag values end in exit 0, 1 (bad flag) or 2 (data or
+    numeric failure), never in an exception out of main()."""
+    argv = [command, "--data", small_data, "--dim=2", "--epochs=1"]
+    argv += [f"{flag}={data.draw(_FLAG_VALUES[flag], label=flag)}" for flag in flags]
+    if command == "ablate":
+        argv += ["--variants", "mode=fm"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            np.errstate(all="ignore"):
+        code = main(argv)
+    assert code in (0, 1, 2)
 
 
 class TestChecks:

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import struct
 
@@ -409,3 +411,49 @@ def test_byte_mutation_rejected_or_round_trips(valid_checkpoint, data):
         return
     save_checkpoint(mp, variant, str(directory / "resaved.ckpt"), vocab)
     assert (directory / "resaved.ckpt").read_bytes() == bytes(mutated)
+
+
+_VALID_LINES = [
+    "1\tuid_1 gender=male age=0.5\tiid_1 genre=scifi year=1.25",
+    "0\tuid_2 gender=female age=-1\tiid_2 genre=drama",
+    "1\tuid_1 gender=male age=0.5\tiid_2 genre=drama year=2",
+    "0\tuid_3\tiid_1 genre=scifi",
+]
+_MUTATION_CHARS = "\t\n\r =.-+e019abinfuid_é"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_line_rejected_with_line_number_or_valid(data):
+    """Up to three character edits to one line of a valid dataset file give
+    either a ParseError naming a line of the file or a valid Dataset."""
+    lines = list(_VALID_LINES)
+    target = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[target]
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        at = data.draw(st.integers(0, len(line)), label="at")
+        kind = data.draw(st.sampled_from(["insert", "replace", "delete"]), label="kind")
+        char = data.draw(st.sampled_from(_MUTATION_CHARS), label="char")
+        if kind == "insert":
+            line = line[:at] + char + line[at:]
+        elif kind == "replace":
+            line = line[:at] + char + line[at + 1:]
+        else:
+            line = line[:at] + line[at + 1:]
+    lines[target] = line
+    text = "\n".join(lines) + "\n"
+    n_lines = len(io.StringIO(text, newline=None).readlines())
+    try:
+        ds = parse_dataset_lines(io.StringIO(text, newline=None))  # the newline handling of a text file
+    except ParseError as exc:
+        assert exc.line_number is not None and 1 <= exc.line_number <= n_lines
+        assert str(exc).startswith(f"line {exc.line_number}: ")
+        return
+    assert ds.report.n_samples == len(ds.samples) >= len(_VALID_LINES) - 1
+    for sample in ds.samples:
+        assert sample.label in (0.0, 1.0)
+        for chars, side in ((sample.user_chars, USER), (sample.item_chars, ITEM)):
+            assert chars and len({p.att.id for p in chars}) == len(chars)
+            for p in chars:
+                assert ds.vocab.ids[p.att.id] == p.att and p.att.side == side
+                assert math.isfinite(p.val)

@@ -6,15 +6,10 @@ import pytest
 from gmrec import autodiff
 from gmrec.autodiff import ArrayOps, Tape, gradient_check
 from gmrec.data import universe_of
-from gmrec.errors import ContractError, InvalidConfigError, ShapeError
+from gmrec.errors import ContractError, ShapeError
 from gmrec.graphs import build_graphs
 from gmrec.model import (
     CANONICAL,
-    CROSS_KINDS,
-    FUSE_KINDS,
-    INNER_KINDS,
-    MODES,
-    VariantConfig,
     _forward,
     build_plan,
     fuse,
@@ -28,9 +23,9 @@ from gmrec.model import (
     swap_roles,
 )
 
-from gmrec.selfcheck import run_gradcheck
+from gmrec.selfcheck import gradcheck_problem, run_gradcheck
 
-from conftest import make_sample
+from conftest import all_variants, make_sample
 from oracles import full_forward_oracle, gru_oracle, pair_message_oracle
 
 
@@ -288,16 +283,6 @@ class TestStructuralInvariances:
             assert np.abs(node.match - node.representation * opp_sum).max() < 1e-12
 
 
-def all_variants():
-    out = set()
-    for fields in itertools.product(INNER_KINDS, CROSS_KINDS, FUSE_KINDS, MODES):
-        try:
-            out.add(VariantConfig(*fields))
-        except InvalidConfigError:
-            pass
-    return sorted(out, key=repr)
-
-
 class TestEngineConsistency:
     def test_array_ops_bit_identical_to_tape(self, rng):
         """The untracked run of the one engine computes the tracked run's
@@ -357,3 +342,93 @@ class TestEngineConsistency:
             return tape.sum_reduce(_forward(tape, plan, mp, CANONICAL, row_local=False).scores)
 
         assert gradient_check(forward, mp.parameters(), step=1e-5) < 1e-4
+
+
+class TestBatchedFiniteDifferences:
+    """ArrayOps with a parameter substituted by a stack of perturbed copies,
+    as gradient_check's batched difference quotients use it."""
+
+    def test_batched_value_fn_bit_identical_to_per_entry(self):
+        """On criterion 1's instances every stack gradient_check passes to
+        the batched value_fn gives, row for row, the bits of a 2-D run with
+        that row alone. Every parameter array is covered; within an array
+        every fifth row and the last one are re-run."""
+        rows_checked = 0
+        for seed in range(20):
+            forward, mp, value = gradcheck_problem(8, seed)
+            params = mp.parameters()
+            calls = []
+
+            def recording(p, stack):
+                values = value(p, stack)
+                calls.append((p, stack.copy(), np.broadcast_to(values, (len(stack),)).copy()))
+                return values
+
+            gradient_check(forward, params, 1e-5, value_fn=recording)
+            assert {id(p) for p, _, _ in calls} == {id(p) for p in params}
+            for p, stack, values in calls:
+                for r in sorted({*range(0, len(stack), 5), len(stack) - 1}):
+                    single = value(p, stack[r])
+                    assert np.ndim(single) == 0
+                    assert single == values[r], (seed, p.name, r)
+                    rows_checked += 1
+        assert rows_checked > 10000
+
+    def test_batched_array_ops_match_row_loop_all_variants(self, rng):
+        """For every variant and both matmul kernels, a (K, *shape) stack
+        substituted for one parameter gives, in each output field, what a
+        loop of 2-D runs over the stack rows gives, within 1e-12 relative."""
+        samples = [
+            make_sample(int(rng.integers(1, 5)), int(rng.integers(1, 5)),
+                        vals=list(rng.uniform(-2.0, 2.0, size=8)), id_offset=8 * k)
+            for k in range(3)
+        ]
+        fields = ("nodes", "messages", "matches", "fused", "user_repr", "item_repr", "scores")
+        checked = set()
+        for variant, row_local in itertools.product(all_variants(), (False, True)):
+            mp = make_model(samples, seed=11, variant=variant)
+            plan = build_plan(samples, mp.table, variant)
+            for name in ("emb", "inner_mlp.w_in", "gru.b_update", "fuse_mlp.w_in"):
+                owner, _, attr = name.rpartition(".")
+                part = getattr(mp, owner) if owner else mp
+                if part is None:
+                    continue
+                p = getattr(part, attr)
+                stack = p.values + rng.normal(scale=0.1, size=(3,) + p.shape)
+                batched = _forward(ArrayOps({p: stack}), plan, mp, variant, row_local)
+                for r in range(len(stack)):
+                    single = _forward(ArrayOps({p: stack[r]}), plan, mp, variant, row_local)
+                    for field in fields:
+                        expected = getattr(single, field)
+                        got = np.broadcast_to(getattr(batched, field), (len(stack),) + expected.shape)[r]
+                        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0,
+                                                   err_msg=f"{variant} {row_local} {name} {field}")
+                checked.add(name)
+        assert checked == {"emb", "inner_mlp.w_in", "gru.b_update", "fuse_mlp.w_in"}
+
+    def test_gradient_check_leaves_recording_state_alone(self, monkeypatch):
+        """Neither the batched nor the in-place evaluator pushes the
+        process-wide recording switch."""
+
+        class Untouchable(list):
+            def append(self, _):
+                raise AssertionError("the grad-enabled stack was pushed")
+
+        monkeypatch.setattr(autodiff, "_GRAD_ENABLED", Untouchable([True]))
+        forward, mp, value = gradcheck_problem(3, 0)
+        assert gradient_check(forward, mp.parameters(), 1e-5, value_fn=value) < 1e-4
+        assert gradient_check(forward, mp.parameters(), 1e-5) < 1e-4
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_check_restores_parameters_bit_for_bit(self, batched):
+        """After a check every parameter holds the same array object with the
+        same bits, and the embedding parameter is still a view of the table."""
+        forward, mp, value = gradcheck_problem(4, 3)
+        params = mp.parameters()
+        arrays = [p.values for p in params]
+        before = [p.values.tobytes() for p in params]
+        worst = gradient_check(forward, params, 1e-5, value_fn=value if batched else None)
+        assert worst < 1e-4
+        assert all(p.values is a for p, a in zip(params, arrays))
+        assert [p.values.tobytes() for p in params] == before
+        assert np.shares_memory(mp.emb.values, mp.table.matrix)

@@ -5,7 +5,7 @@ import pytest
 
 from gmrec.autodiff import Parameter, Tape, gradient_check
 from gmrec.data import sample_user_key, universe_of
-from gmrec.errors import ContractError, SamplingError
+from gmrec.errors import ContractError, InvalidConfigError, SamplingError
 from gmrec.metrics import auc
 from gmrec.model import CANONICAL, init_model_params, score_samples
 from gmrec.training import (
@@ -225,6 +225,22 @@ class TestNegativeSample:
         pool = [positives[0].item_chars]
         with pytest.raises(SamplingError, match="user"):
             negative_sample(positives, pool, seed=0)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+        ("lam", math.nan), ("lam", math.inf), ("lam", -1e-9),
+        ("dim", 0), ("epochs", -1), ("batch_size", 0), ("patience", 0), ("seed", -1),
+    ])
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(InvalidConfigError, match=field) as info:
+            TrainConfig(**{field: value})
+        assert info.value.field == field
+
+    def test_defaults_and_edges_accepted(self):
+        TrainConfig()
+        TrainConfig(epochs=0, lam=0.0, seed=0, learning_rate=1e300)
 
 
 class TestTrain:
