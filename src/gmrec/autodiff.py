@@ -24,7 +24,8 @@ matters.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+import math
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,6 +116,11 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # bits are independent of every other row. Chunked to bound the temporary.
 _ROW_LOCAL_CHUNK_ELEMS = 1 << 21
 
+# pair_relu_sum works through a block a few graphs at a time, so that its
+# per-pair temporaries hold at most this many elements and are reused from
+# the allocator's free lists instead of being mapped afresh on every call.
+_PAIR_CHUNK_ELEMS = 1 << 16
+
 # gradient_check builds the perturbed copies of one parameter array in
 # chunks of at most this many elements, which bounds every batched forward.
 _FD_STACK_ELEMS = 1 << 16
@@ -140,6 +146,51 @@ def _segment_sum(m: np.ndarray, seg_ids, starts, out_rows, n_segments: int) -> n
     out = np.zeros(m.shape[:-2] + (n_segments, m.shape[-1]))
     if seg_ids.size:
         out[..., out_rows, :] = np.add.reduceat(m, starts, axis=-2)
+    return out
+
+
+class PairBlock(NamedTuple):
+    """S graphs that share one shape, as dense index arrays for pair_relu_sum.
+
+    Graph s is the last index of every array. Row rows[i, s] pairs with the
+    k neighbour rows nbrs[:, i, s], in that order. Those neighbours are
+    drawn from sources[:, s], and back[j] lists the flat positions t * m + i
+    of the (k, m) neighbour table that draw sources[j, s]; the backward pass
+    sums over them instead of scattering.
+    """
+
+    rows: np.ndarray  # (m, S)
+    nbrs: np.ndarray  # (k, m, S)
+    sources: np.ndarray  # (r, S)
+    back: np.ndarray  # (r, k * m // r)
+
+
+def _pair_relu_sum(a: np.ndarray, b: np.ndarray, blocks: Sequence[PairBlock], chunks: list | None = None) -> np.ndarray:
+    """Row i of the result is the sum over its neighbours j of relu(a[i] + b[j]).
+
+    Acts on the last two axes; leading axes broadcast. Rows in no block are
+    zero. The neighbour axis is outside the node and feature axes, so numpy
+    adds the k terms of a row in neighbour order whatever else is stacked.
+    When chunks is a list, each chunk of graphs worked on is appended to it
+    as (rows, sources, back, relu mask), the mask shaped (k, m, S, width).
+    """
+    lead = a.shape[:-2]
+    if b.shape[:-2] != lead:
+        lead = np.broadcast_shapes(lead, b.shape[:-2])
+    out = np.zeros(lead + a.shape[-2:])
+    graph_elems = math.prod(lead) * a.shape[-1]
+    for blk in blocks:
+        k, m, n_graphs = blk.nbrs.shape
+        step = max(1, _PAIR_CHUNK_ELEMS // (k * m * graph_elems))
+        for start in range(0, n_graphs, step):
+            graphs = slice(start, start + step)
+            rows = blk.rows[:, graphs]
+            h = b[..., blk.nbrs[:, :, graphs], :]
+            h = np.add(h, a[..., None, rows, :], out=h if b.shape[:-2] == lead else None)
+            np.maximum(h, 0.0, out=h)
+            out[..., rows, :] = h.sum(axis=-4)
+            if chunks is not None:
+                chunks.append((rows, blk.sources[:, graphs], blk.back, h > 0.0))
     return out
 
 
@@ -308,6 +359,46 @@ class Tape:
 
         return self._apply(md[idx], [(m, vjp)])
 
+    def slice_rows(self, m: Value, start: int, stop: int) -> Value:
+        """Rows start..stop-1 of m."""
+        md = m.data
+        if md.ndim != 2 or not 0 <= start <= stop <= md.shape[0]:
+            raise ShapeError(f"slice-rows: rows {start}:{stop} of shape {md.shape}")
+
+        def vjp(g):
+            acc = np.zeros_like(md)
+            acc[start:stop] = g
+            return acc
+
+        return self._apply(md[start:stop], [(m, vjp)])
+
+    def pair_relu_sum(self, a: Value, b: Value, blocks: Sequence[PairBlock]) -> Value:
+        """Row i is the sum over the neighbours j of node i of relu(a[i] + b[j]).
+
+        blocks (see PairBlock) name the neighbours; rows in no block are
+        zero and get zero gradient. relu's derivative at 0 is 0.
+        """
+        if a.data.ndim != 2 or a.data.shape != b.data.shape:
+            raise ShapeError(f"pair-relu-sum: shapes {a.data.shape} vs {b.data.shape}")
+        chunks: list[tuple[np.ndarray, ...]] = []
+        out = _pair_relu_sum(a.data, b.data, blocks, chunks)
+
+        def vjp_a(g):
+            acc = np.zeros_like(g)
+            for rows, _, _, mask in chunks:
+                acc[rows] = g[rows] * mask.sum(axis=0)
+            return acc
+
+        def vjp_b(g):
+            acc = np.zeros_like(g)
+            for rows, sources, back, mask in chunks:
+                per_pair = g[rows] * mask
+                flat = per_pair.reshape((-1,) + per_pair.shape[2:])
+                acc[sources] = flat[back].sum(axis=1)
+            return acc
+
+        return self._apply(out, [(a, vjp_a), (b, vjp_b)])
+
     def scale_rows(self, m: Value, c: np.ndarray) -> Value:
         """Multiply row i by the constant scalar c[i]."""
         c = _as_array(c)
@@ -323,6 +414,15 @@ class Tape:
         return self._apply(
             m.data + v.data[None, :],
             [(m, lambda g: g), (v, lambda g: g.sum(axis=0))],
+        )
+
+    def add_scaled_rowvec(self, m: Value, v: Value, c: np.ndarray) -> Value:
+        """Add c[i] times vector v to row i of m, for constant scalars c."""
+        if m.data.ndim != 2 or v.data.shape != (m.data.shape[1],) or c.shape != (m.data.shape[0],):
+            raise ShapeError(f"add-scaled-rowvec: shapes {m.data.shape}, {v.data.shape}, {c.shape}")
+        return self._apply(
+            m.data + c[:, None] * v.data[None, :],
+            [(m, lambda g: g), (v, lambda g: c @ g)],
         )
 
     def mul_rowvec(self, m: Value, v: Value) -> Value:
@@ -451,6 +551,7 @@ class ArrayOps:
     sigmoid = staticmethod(stable_sigmoid)
     tanh = staticmethod(np.tanh)
     segment_sum_prepared = staticmethod(_segment_sum)
+    pair_relu_sum = staticmethod(_pair_relu_sum)
 
     def __init__(self, substitutes: dict[Parameter, np.ndarray] | None = None):
         self._substitutes = substitutes or {}
@@ -489,11 +590,17 @@ class ArrayOps:
     def gather_rows(self, m, idx, checked: bool = True):
         return m[..., idx, :]
 
+    def slice_rows(self, m, start: int, stop: int):
+        return m[..., start:stop, :]
+
     def scale_rows(self, m, c):
         return m * _as_array(c)[:, None]
 
     def add_rowvec(self, m, v):
         return m + v[..., None, :]
+
+    def add_scaled_rowvec(self, m, v, c):
+        return m + c[:, None] * v[..., None, :]
 
 
 def _evaluate_in_place(forward: Callable[[], Value]) -> Callable[[Parameter, np.ndarray], np.ndarray]:

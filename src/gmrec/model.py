@@ -5,6 +5,16 @@ Forward pass for one sample:
   2. Same-side interactions: each ordered node pair (i, j) of one graph is
      fed through a shared two-layer MLP (2d -> 4d hidden with relu -> d
      linear), and node i sums its pair outputs into a message vector z_i.
+     The MLP and its weights are as stated; only the order of evaluation
+     differs. The first layer is linear in each half of its input and the
+     output layer commutes with the sum, so with W_a, W_b the top and
+     bottom d rows of w_in,
+       z_i = (sum_{j != i} relu(u_i W_a + u_j W_b + b_hidden)) w_out
+             + (p - 1) b_out
+     for a p-node graph. The three matrix products run once per node; only
+     the add, relu and neighbour sum run per pair, over dense blocks of
+     the graphs that share a size. The MLP cross kinds are evaluated the
+     same way over user-item pairs.
   3. Cross-side interactions: node i elementwise-multiplies its
      representation with every node of the opposite graph and sums,
      s_i = u_i * (sum of opposite nodes).
@@ -18,7 +28,8 @@ nodes of all samples form one matrix, pair and segment index arrays keep
 each sample's graphs separate. Inside a sample, nodes are processed in
 ascending attribute-id order, so reordering the input attributes cannot
 change any bit of the output. With row_local=True all matrix products use
-the row-local kernel, making per-row results independent of what else is
+the row-local kernel, and the pair sums always add a node's terms in
+neighbour order, making per-row results independent of what else is
 stacked; predict() relies on this for its exact structural identities.
 
 The engine is written once, against an ops object. Training runs it on a
@@ -38,11 +49,12 @@ to the factorization-machine formula.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import ArrayOps, Parameter, Tape, Value, segment_boundaries
+from .autodiff import ArrayOps, PairBlock, Parameter, Tape, Value, segment_boundaries
 from .data import (
     AttributeId,
     AttributeValuePair,
@@ -268,6 +280,14 @@ class _SegIndex:
 
 
 @dataclass
+class _Neighbourhoods:
+    """Whom each node pairs with, as the dense blocks of pair_relu_sum."""
+
+    blocks: list[PairBlock]
+    counts: np.ndarray  # (n_nodes,) neighbours per node, as floats
+
+
+@dataclass
 class _Plan:
     n_samples: int
     n_nodes: int
@@ -279,12 +299,11 @@ class _Plan:
     opp_seg: np.ndarray  # (n_nodes,) opposite side segment per node
     user_seg: np.ndarray  # (n_samples,)
     item_seg: np.ndarray  # (n_samples,)
-    pair_a: np.ndarray  # same-side ordered pairs: first element
-    pair_b: np.ndarray
-    by_pair_target: _SegIndex  # pair -> target node, sorted
-    cross_a: np.ndarray  # cross pairs, only filled for MLP cross kinds
-    cross_b: np.ndarray
-    by_cross_target: _SegIndex
+    pair_a: np.ndarray  # same-side ordered pairs: first element, ascending; graph mode
+    pair_b: np.ndarray  # second element, ascending per first; inner=bi only
+    by_pair_target: _SegIndex | None  # pair -> target node; inner=bi only
+    same_side: _Neighbourhoods | None  # every other node of the side; graph mode only
+    cross_side: _Neighbourhoods | None  # every node of the opposite side; MLP cross kinds only
     sort_user: list[np.ndarray] = field(default_factory=list)  # input order -> sorted rank
     sort_item: list[np.ndarray] = field(default_factory=list)
 
@@ -294,15 +313,57 @@ def _sorted_order(chars: tuple[AttributeValuePair, ...]) -> np.ndarray:
     return np.argsort(ids, kind="stable")
 
 
+@functools.lru_cache(maxsize=64)
+def _block_tables(m: int, r: int, same_side: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour slots (k, m) and PairBlock.back for a graph shape.
+
+    Same side (r == m): slot i pairs with every other slot, ascending.
+    Otherwise each of m slots pairs with all r slots of the other side.
+    The arrays are shared between plans, so they are read-only.
+    """
+    if same_side:
+        t = np.arange(m - 1)[:, None]
+        loc = t + (t >= np.arange(m))
+    else:
+        loc = np.repeat(np.arange(r)[:, None], m, axis=1)
+    back = np.argsort(loc.reshape(-1), kind="stable").reshape(r, -1)
+    loc.flags.writeable = back.flags.writeable = False
+    return loc, back
+
+
+def _block(rows: np.ndarray, sources: np.ndarray, same_side: bool) -> PairBlock:
+    loc, back = _block_tables(len(rows), len(sources), same_side)
+    return PairBlock(rows=rows, nbrs=sources[loc], sources=sources, back=back)
+
+
+def _same_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
+    """Sides given by first node and size, one block per size of at least 2."""
+    blocks = []
+    for m in sorted(set(sizes.tolist()) - {0, 1}):
+        rows = np.arange(m)[:, None] + starts[sizes == m]
+        blocks.append(_block(rows, rows, same_side=True))
+    return _Neighbourhoods(blocks, np.repeat(sizes - 1.0, sizes))
+
+
+def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
+    """Sides given by first node and size, user and item side of each sample
+    in turn. Samples are grouped by (p, q); a group has one block for its
+    user nodes and one for its item nodes."""
+    p, q = sizes[0::2], sizes[1::2]
+    blocks = []
+    for p_k, q_k in sorted(set(zip(p.tolist(), q.tolist()))):
+        sel = (p == p_k) & (q == q_k)
+        users = np.arange(p_k)[:, None] + starts[0::2][sel]
+        items = np.arange(q_k)[:, None] + starts[1::2][sel]
+        blocks += [_block(users, items, same_side=False), _block(items, users, same_side=False)]
+    opposite = sizes.reshape(-1, 2)[:, ::-1].reshape(-1)
+    return _Neighbourhoods(blocks, np.repeat(opposite.astype(np.float64), sizes))
+
+
 def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICAL) -> _Plan:
-    need_cross_pairs = variant.mode == "graph" and variant.cross in ("mlp_shared", "mlp_separate")
-    need_inner_pairs = variant.mode == "graph"
     attr_rows, vals = [], []
     node_side_seg, node_sample_seg, opp_seg = [], [], []
-    user_seg, item_seg = [], []
-    pair_a, pair_b, pair_seg = [], [], []
-    cross_a, cross_b, cross_seg = [], [], []
-    sort_user, sort_item = [], []
+    sizes, sort_user, sort_item = [], [], []
     base = 0
     for b, sample in enumerate(samples):
         order_u = _sorted_order(sample.user_chars)
@@ -310,7 +371,6 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
         sort_user.append(order_u)
         sort_item.append(order_i)
         p, q = len(order_u), len(order_i)
-        base_u, base_i = base, base + p
         for k in order_u:
             pair = sample.user_chars[k]
             attr_rows.append(table.row(pair.att))
@@ -322,30 +382,25 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
         node_side_seg.extend([2 * b] * p + [2 * b + 1] * q)
         node_sample_seg.extend([b] * (p + q))
         opp_seg.extend([2 * b + 1] * p + [2 * b] * q)
-        user_seg.append(2 * b)
-        item_seg.append(2 * b + 1)
-        if need_inner_pairs:
-            for side_base, count in ((base_u, p), (base_i, q)):
-                for i in range(count):
-                    for j in range(count):
-                        if i != j:
-                            pair_a.append(side_base + i)
-                            pair_b.append(side_base + j)
-                            pair_seg.append(side_base + i)
-        if need_cross_pairs:
-            for i in range(p):
-                for j in range(q):
-                    cross_a.append(base_u + i)
-                    cross_b.append(base_i + j)
-                    cross_seg.append(base_u + i)
-            for j in range(q):
-                for i in range(p):
-                    cross_a.append(base_i + j)
-                    cross_b.append(base_u + i)
-                    cross_seg.append(base_i + j)
+        sizes += [p, q]
         base += p + q
     as_idx = lambda xs: np.asarray(xs, dtype=np.intp)
-    n_samples = len(user_seg)
+    n_samples = len(samples)
+    sizes = as_idx(sizes)
+    starts = np.cumsum(sizes) - sizes
+    same_side = cross_side = by_pair_target = None
+    pair_a = pair_b = as_idx([])
+    if variant.mode == "graph":
+        same_side = _same_side(starts, sizes)
+        pair_a = np.repeat(np.arange(base), np.repeat(sizes - 1, sizes))
+        if variant.inner == "bi" and same_side.blocks:
+            blocks = same_side.blocks
+            targets = np.concatenate([np.broadcast_to(blk.rows, blk.nbrs.shape).reshape(-1) for blk in blocks])
+            partners = np.concatenate([blk.nbrs.reshape(-1) for blk in blocks])
+            pair_b = partners[np.argsort(targets, kind="stable")]
+            by_pair_target = _SegIndex.build(pair_a, base)
+        if variant.cross in ("mlp_shared", "mlp_separate"):
+            cross_side = _cross_side(starts, sizes)
     return _Plan(
         n_samples=n_samples,
         n_nodes=base,
@@ -355,14 +410,13 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
         by_side=_SegIndex.build(as_idx(node_side_seg), 2 * n_samples),
         by_sample=_SegIndex.build(as_idx(node_sample_seg), n_samples),
         opp_seg=as_idx(opp_seg),
-        user_seg=as_idx(user_seg),
-        item_seg=as_idx(item_seg),
-        pair_a=as_idx(pair_a),
-        pair_b=as_idx(pair_b),
-        by_pair_target=_SegIndex.build(as_idx(pair_seg), base),
-        cross_a=as_idx(cross_a),
-        cross_b=as_idx(cross_b),
-        by_cross_target=_SegIndex.build(as_idx(cross_seg), base),
+        user_seg=2 * np.arange(n_samples),
+        item_seg=2 * np.arange(n_samples) + 1,
+        pair_a=pair_a,
+        pair_b=pair_b,
+        by_pair_target=by_pair_target,
+        same_side=same_side,
+        cross_side=cross_side,
         sort_user=sort_user,
         sort_item=sort_item,
     )
@@ -389,6 +443,23 @@ class _EngineOut:
 def _mlp_apply(ops: Tape | ArrayOps, w: MlpWeights, x: Value, row_local: bool) -> Value:
     hidden = ops.relu(ops.add_rowvec(ops.matmul(x, ops.param(w.w_in), row_local), ops.param(w.b_hidden)))
     return ops.add_rowvec(ops.matmul(hidden, ops.param(w.w_out), row_local), ops.param(w.b_out))
+
+
+def _pair_mlp_sums(
+    ops: Tape | ArrayOps, w: MlpWeights, nodes: Value, pairs: _Neighbourhoods, d: int, row_local: bool
+) -> Value:
+    """Row i is the sum of MLP(concat(u_i, u_j)) over the neighbours j of node i.
+
+    The MLP is evaluated per node (step 2 of the module docstring): the
+    top and bottom d rows of w_in project every node once, only the add,
+    relu and neighbour sum run per pair, and w_out acts on the sums.
+    """
+    w_in = ops.param(w.w_in)
+    first = ops.add_rowvec(ops.matmul(nodes, ops.slice_rows(w_in, 0, d), row_local), ops.param(w.b_hidden))
+    second = ops.matmul(nodes, ops.slice_rows(w_in, d, 2 * d), row_local)
+    hidden_sums = ops.pair_relu_sum(first, second, pairs.blocks)
+    out = ops.matmul(hidden_sums, ops.param(w.w_out), row_local)
+    return ops.add_scaled_rowvec(out, ops.param(w.b_out), pairs.counts)
 
 
 def _gru_sequence(ops: Tape | ArrayOps, w: GruWeights, steps: list[Value], row_local: bool) -> Value:
@@ -445,27 +516,22 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
     nodes = ops.scale_rows(ops.gather_rows(emb, plan.attr_rows), plan.vals)
 
     if variant.mode == "graph":
-        if plan.pair_a.size:
+        if not plan.pair_a.size:
+            messages = ops.constant(np.zeros((plan.n_nodes, d)))
+        elif variant.inner == "mlp":
+            messages = _pair_mlp_sums(ops, mp.inner_mlp, nodes, plan.same_side, d, row_local)
+        else:
             first = ops.gather_rows(nodes, plan.pair_a, checked=False)
             second = ops.gather_rows(nodes, plan.pair_b, checked=False)
-            if variant.inner == "mlp":
-                pair_out = _mlp_apply(ops, mp.inner_mlp, ops.concat_cols(first, second), row_local)
-            else:
-                pair_out = ops.mul(first, second)
-            messages = _segsum(ops, pair_out, plan.by_pair_target)
-        else:
-            messages = ops.constant(np.zeros((plan.n_nodes, d)))
+            messages = _segsum(ops, ops.mul(first, second), plan.by_pair_target)
         if variant.cross == "none":
             matches = ops.constant(np.zeros((plan.n_nodes, d)))
         elif variant.cross == "bi":
             side_sums = _segsum(ops, nodes, plan.by_side)
             matches = ops.mul(nodes, ops.gather_rows(side_sums, plan.opp_seg, checked=False))
         else:
-            first = ops.gather_rows(nodes, plan.cross_a, checked=False)
-            second = ops.gather_rows(nodes, plan.cross_b, checked=False)
             weights = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
-            pair_out = _mlp_apply(ops, weights, ops.concat_cols(first, second), row_local)
-            matches = _segsum(ops, pair_out, plan.by_cross_target)
+            matches = _pair_mlp_sums(ops, weights, nodes, plan.cross_side, d, row_local)
     else:
         # Union wiring: every other node of the same sample, either side,
         # is a cross partner: s_i = u_i * (sum over sample - u_i).

@@ -34,6 +34,11 @@ from .model import (
 
 LOSS_EPS = 1e-12
 
+# Largest embedding dimension a TrainConfig accepts. The inner MLP alone
+# holds 8 * dim**2 weights, 64 MB at this bound; a larger dim would try to
+# allocate tables of many gigabytes before training starts.
+MAX_DIM = 1024
+
 
 @dataclass
 class TrainConfig:
@@ -50,6 +55,8 @@ class TrainConfig:
         for name, low in (("dim", 1), ("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise InvalidConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}", name)
+        if self.dim > MAX_DIM:
+            raise InvalidConfigError(f"dim must be <= {MAX_DIM}, got {self.dim!r}", "dim")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidConfigError(
                 f"learning_rate must be finite and positive, got {self.learning_rate!r}", "learning_rate"

@@ -12,8 +12,12 @@ from gmrec.autodiff import (
     no_grad,
     stable_sigmoid,
 )
+from gmrec.data import universe_of
 from gmrec.errors import ContractError, NumericError, ShapeError
+from gmrec.model import _cross_side, _same_side, init_model_params
+from gmrec.training import regularized_risk
 
+from conftest import all_variants, make_sample
 from oracles import finite_difference
 
 
@@ -146,9 +150,16 @@ class TestBackward:
         gb = p.grad.copy()
         assert np.allclose(grad_sum, ga + gb, rtol=0, atol=1e-15)
 
-    def test_tape_freed_without_cycle_collector(self):
-        """A tape and its graph are freed by reference counting alone."""
+    def test_tape_freed_without_cycle_collector(self, rng):
+        """A tape and its graph are freed by reference counting alone: for a
+        single product, and for the full training risk and its backward pass
+        of every variant, on a batch that mixes side sizes."""
         p = Parameter([1.0, 2.0])
+        samples = [
+            make_sample(int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+                        vals=list(rng.uniform(0.5, 1.5, size=10)), id_offset=10 * k)
+            for k in range(6)
+        ]
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -158,6 +169,14 @@ class TestBackward:
             ref = weakref.ref(tape)
             del tape, out
             assert ref() is None
+            for variant in all_variants():
+                mp = init_model_params(universe_of(samples), 4, 0, variant)
+                tape = Tape()
+                risk = regularized_risk(samples, mp, 1e-3, variant, tape=tape)
+                tape.backward(risk)
+                ref = weakref.ref(tape)
+                del tape, risk
+                assert ref() is None, variant
         finally:
             if was_enabled:
                 gc.enable()
@@ -204,6 +223,8 @@ PRIMITIVE_CASES = [
     ("relu", lambda t, a: t.relu(a), 1, (4,)),
     ("add_rowvec", lambda t, a, b: t.add_rowvec(a, b), 2, [(3, 4), (4,)]),
     ("mul_rowvec", lambda t, a, b: t.mul_rowvec(a, b), 2, [(3, 4), (4,)]),
+    ("add_scaled_rowvec", lambda t, a, b: t.add_scaled_rowvec(a, b, np.array([2.0, 0.0, -1.5])), 2, [(3, 4), (4,)]),
+    ("slice_rows", lambda t, a: t.slice_rows(a, 1, 3), 1, [(4, 3)]),
 ]
 
 
@@ -276,6 +297,62 @@ class TestStructuredPrimitives:
         tape = Tape()
         with pytest.raises(ShapeError):
             tape.segment_sum(tape.param(p), np.array([1, 0, 2]), 3)
+
+    @pytest.mark.parametrize("kind", ["same_side", "cross_side"])
+    def test_pair_relu_sum_values_and_gradient(self, kind, rng, monkeypatch):
+        """Against a loop over the pairs: the values bit for bit, and both
+        gradients to central differences. Sides of one node have no same-side
+        neighbours, so their rows and gradient rows are exactly zero. Working
+        through the blocks one graph at a time changes no bit."""
+        sizes = np.array([1, 3, 2, 1, 3, 4, 1, 2])  # user, item, user, item, ...
+        starts = np.cumsum(sizes) - sizes
+        n, width = int(sizes.sum()), 5
+        sides = [range(s, s + m) for s, m in zip(starts, sizes)]
+        if kind == "same_side":
+            pairs = _same_side(starts, sizes)
+            partners = {i: [j for j in side if j != i] for side in sides for i in side}
+        else:
+            pairs = _cross_side(starts, sizes)
+            partners = {i: list(sides[k ^ 1]) for k, side in enumerate(sides) for i in side}
+        assert [pairs.counts[i] for i in range(n)] == [len(partners[i]) for i in range(n)]
+        a = Parameter(rng.normal(size=(n, width)))
+        b = Parameter(rng.normal(size=(n, width)))
+        weights = rng.normal(size=(n, width))
+
+        def reference():
+            out = np.zeros((n, width))
+            for i in range(n):
+                for j in partners[i]:
+                    out[i] = out[i] + np.maximum(b.values[j] + a.values[i], 0.0)
+            return out
+
+        def run():
+            a.zero_grad()
+            b.zero_grad()
+            tape = Tape()
+            out = tape.pair_relu_sum(tape.param(a), tape.param(b), pairs.blocks)
+            tape.backward(tape.sum_reduce(tape.mul(out, tape.constant(weights))))
+            return out.data, a.grad.copy(), b.grad.copy()
+
+        pre = [a.values[i] + b.values[j] for i in range(n) for j in partners[i]]
+        assert np.abs(pre).min() > 1e-3  # no kink within the difference step
+        out, grad_a, grad_b = run()
+        assert np.array_equal(out, reference())
+        numeric = finite_difference(lambda: float((reference() * weights).sum()), [a, b], step=1e-6)
+        for analytic, fd in zip((grad_a, grad_b), numeric):
+            assert np.abs(analytic - fd).max() < 1e-8
+        if kind == "same_side":
+            lonely = [i for i in range(n) if not partners[i]]
+            assert lonely == [0, 6, 14]
+            assert not out[lonely].any() and not grad_a[lonely].any() and not grad_b[lonely].any()
+        monkeypatch.setattr(autodiff, "_PAIR_CHUNK_ELEMS", 1)
+        for got, want in zip(run(), (out, grad_a, grad_b)):
+            assert np.array_equal(got, want)
+
+    def test_pair_relu_sum_shape_mismatch(self):
+        tape = Tape()
+        with pytest.raises(ShapeError, match="pair-relu-sum"):
+            tape.pair_relu_sum(tape.constant(np.ones((3, 2))), tape.constant(np.ones((3, 4))), [])
 
     def test_scale_rows(self):
         p = Parameter([[1.0, 2.0], [3.0, 4.0]])

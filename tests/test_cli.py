@@ -73,6 +73,7 @@ class TestConfigRangeErrors:
         (("ablate", "--variants", "inner=attention"), "--variants"),
         (("ablate", "--variants", "mode=fm", "--seeds", "-1"), "--seeds"),
         (("ablate", "--variants", "mode=fm", "--patience", "0"), "--patience"),
+        (("train", "--dim", "100000000000"), "--dim"),
     ])
     def test_train_flag(self, capsys, tmp_path, argv, flag):
         missing = str(tmp_path / "never-read.tsv")

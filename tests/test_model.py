@@ -10,6 +10,7 @@ from gmrec.errors import ContractError, ShapeError
 from gmrec.graphs import build_graphs
 from gmrec.model import (
     CANONICAL,
+    VariantConfig,
     _forward,
     build_plan,
     fuse,
@@ -432,3 +433,74 @@ class TestBatchedFiniteDifferences:
         assert all(p.values is a for p, a in zip(params, arrays))
         assert [p.values.tobytes() for p in params] == before
         assert np.shares_memory(mp.emb.values, mp.table.matrix)
+
+
+class TestNodeLevelMessagePassing:
+    """The engine evaluates the pair MLPs per node (first layer split into the
+    halves of w_in, output layer after the neighbour sum). Its messages and
+    matches must agree with the per-pair spec on batches that mix side
+    sizes, for every variant with a pair MLP and both matmul kernels."""
+
+    @staticmethod
+    def _mixed_batch(rng, n_samples=12):
+        return [
+            make_sample(int(rng.integers(1, 9)), int(rng.integers(1, 9)),
+                        vals=list(rng.uniform(-2.0, 2.0, size=16)), id_offset=16 * k)
+            for k in range(n_samples)
+        ]
+
+    @staticmethod
+    def _close(got, want):
+        """Within 1e-12 of the largest entry of the spec's vector."""
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale, (got, want)
+
+    def test_matches_per_pair_spec(self, rng):
+        samples = self._mixed_batch(rng)
+        sizes = {n for s in samples for n in (len(s.user_chars), len(s.item_chars))}
+        assert 1 in sizes and len(sizes) >= 5
+        variants = [v for v in all_variants() if v.mode == "graph"
+                    and (v.inner == "mlp" or v.cross in ("mlp_shared", "mlp_separate"))]
+        assert len(variants) == 15
+        for variant, row_local in itertools.product(variants, (False, True)):
+            mp = make_model(samples, seed=5, variant=variant)
+            for mlp in (mp.inner_mlp, mp.cross_mlp):
+                for p in (mlp.parameters() if mlp is not None else []):
+                    # Non-zero biases, and a cross MLP that differs from the inner one.
+                    p.values[...] = rng.normal(scale=0.5, size=p.shape)
+            plan = build_plan(samples, mp.table, variant)
+            out = _forward(ArrayOps(), plan, mp, variant, row_local)
+            cross = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
+            base = 0
+            for sample in samples:
+                user, item = build_graphs(sample, mp.table)
+                rows_u = range(base, base + user.n_nodes)
+                rows_i = range(base + user.n_nodes, base + user.n_nodes + item.n_nodes)
+                base += user.n_nodes + item.n_nodes
+                for graph, rows, opposite in ((user, rows_u, item), (item, rows_i, user)):
+                    assert np.array_equal(out.nodes[list(rows)], np.array(graph.nodes))
+                    if variant.inner == "mlp":
+                        for row, z in zip(rows, message_pass(graph, mp)):
+                            if graph.n_nodes == 1:
+                                assert np.array_equal(out.messages[row], np.zeros(8))
+                            else:
+                                self._close(out.messages[row], z)
+                    if variant.cross in ("mlp_shared", "mlp_separate"):
+                        for row, u in zip(rows, graph.nodes):
+                            s = sum(pair_message_oracle(u, v, cross) for v in opposite.nodes)
+                            self._close(out.matches[row], s)
+            assert base == plan.n_nodes
+
+    def test_pairs_match_per_pair_plan(self, rng):
+        """For the elementwise pair model, pair_a/pair_b list every ordered
+        same-side pair, grouped by target node in ascending order, each
+        target's partners ascending; the MLP model's plan has the same pair_a."""
+        samples = self._mixed_batch(rng)
+        plan = build_plan(samples, make_model(samples).table, VariantConfig(inner="bi"))
+        expected, base = [], 0
+        for s in samples:
+            for count in (len(s.user_chars), len(s.item_chars)):
+                expected += [(base + i, base + j) for i in range(count) for j in range(count) if i != j]
+                base += count
+        assert list(zip(plan.pair_a.tolist(), plan.pair_b.tolist())) == expected
+        assert np.array_equal(build_plan(samples, make_model(samples).table).pair_a, plan.pair_a)

@@ -10,6 +10,7 @@ from gmrec.metrics import auc
 from gmrec.model import CANONICAL, init_model_params, score_samples
 from gmrec.training import (
     AdamState,
+    MAX_DIM,
     SplitDataset,
     TrainConfig,
     adam_step,
@@ -231,7 +232,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
         ("lam", math.nan), ("lam", math.inf), ("lam", -1e-9),
-        ("dim", 0), ("epochs", -1), ("batch_size", 0), ("patience", 0), ("seed", -1),
+        ("dim", 0), ("dim", MAX_DIM + 1), ("dim", 10**11),
+        ("epochs", -1), ("batch_size", 0), ("patience", 0), ("seed", -1),
     ])
     def test_out_of_range_value_names_its_field(self, field, value):
         with pytest.raises(InvalidConfigError, match=field) as info:
@@ -241,6 +243,7 @@ class TestTrainConfig:
     def test_defaults_and_edges_accepted(self):
         TrainConfig()
         TrainConfig(epochs=0, lam=0.0, seed=0, learning_rate=1e300)
+        TrainConfig(dim=MAX_DIM)
 
 
 class TestTrain:
