@@ -34,7 +34,7 @@ from .metrics import (
 )
 from .model import predict
 from .selfcheck import run_fmcheck, run_gradcheck
-from .training import TrainConfig, split_per_user, train
+from .training import MAX_DIM, TrainConfig, split_per_user, train
 from .variants import format_variant, parse_variant
 
 
@@ -304,8 +304,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if min(args.d, args.instances) < 1 or args.seed < 0:
-        raise _UsageError("--d and --instances must be >= 1 and --seed >= 0")
+    if not 1 <= args.d <= MAX_DIM or args.instances < 1 or args.seed < 0:
+        raise _UsageError(f"--d must be in 1..{MAX_DIM}, --instances >= 1 and --seed >= 0")
     if not (math.isfinite(args.step) and args.step > 0):
         raise _UsageError(f"--step must be finite and positive, got {args.step!r}")
     worst = run_gradcheck(instances=args.instances, d=args.d, seed=args.seed, step=args.step)
@@ -317,8 +317,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_fmcheck(args) -> int:
-    if min(args.d, args.n) < 1 or args.seed < 0:
-        raise _UsageError("--d and --n must be >= 1 and --seed >= 0")
+    if not 1 <= args.d <= MAX_DIM or args.n < 1 or args.seed < 0:
+        raise _UsageError(f"--d must be in 1..{MAX_DIM}, --n >= 1 and --seed >= 0")
     worst = run_fmcheck(n=args.n, d_max=args.d, seed=args.seed)
     print(f"max_abs_deviation={worst!r}")
     if worst >= args.tol:

@@ -76,17 +76,34 @@ class EmbeddingTable:
     ids: tuple[AttributeId, ...]
     matrix: np.ndarray  # (len(ids), dim), float64
     _row_of: dict[int, int] = field(default_factory=dict, repr=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)  # ids ascending
+    _key_rows: np.ndarray = field(init=False, repr=False, compare=False)  # row of each key
 
     def __post_init__(self):
+        if not self.ids:
+            raise InvalidConfigError("attribute universe is empty")
         self._row_of = {att.id: row for row, att in enumerate(self.ids)}
         if len(self._row_of) != len(self.ids):
             raise InvalidConfigError("duplicate attribute ids in universe")
+        ids = np.array([att.id for att in self.ids])
+        self._key_rows = np.argsort(ids, kind="stable")
+        self._keys = ids[self._key_rows]
 
     def row(self, att: AttributeId) -> int:
         try:
             return self._row_of[att.id]
         except KeyError:
             raise MissingEmbeddingError(f"no embedding for attribute id {att.id}") from None
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The row of every id in a 1-D id array, by binary search over the
+        ids sorted once at construction; reads only, so concurrent callers
+        are safe. The first unknown id raises MissingEmbeddingError."""
+        pos = self._keys.searchsorted(ids)
+        known = self._keys.take(pos, mode="clip") == ids
+        if not known.all():
+            raise MissingEmbeddingError(f"no embedding for attribute id {ids[np.argmin(known)]}")
+        return self._key_rows[pos]
 
     def vector(self, att: AttributeId) -> np.ndarray:
         """View of the attribute's embedding row (shared, not a copy)."""
@@ -105,8 +122,6 @@ def init_embeddings(universe: Iterable[AttributeId], dim: int, seed: int) -> Emb
     ids = tuple(sorted(set(universe), key=lambda a: a.id))
     if dim < 1:
         raise InvalidConfigError(f"embedding dim must be >= 1, got {dim}")
-    if not ids:
-        raise InvalidConfigError("attribute universe is empty")
     bound = 1.0 / math.sqrt(dim)
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-bound, bound, size=(len(ids), dim))

@@ -25,7 +25,12 @@ Forward pass for one sample:
 
 The engine below runs any number of samples as one stacked computation:
 nodes of all samples form one matrix, pair and segment index arrays keep
-each sample's graphs separate. Inside a sample, nodes are processed in
+each sample's graphs separate. build_plan makes those arrays by numpy index
+arithmetic, with no Python loop per sample or per attribute: one flat pass
+collects side sizes, attribute ids and values, one lexsort by (side, id)
+orders the nodes, one binary search over the table's sorted ids finds the
+embedding rows, and the segment and pair arrays follow from repeat and
+cumsum over the side sizes. Inside a sample, nodes are processed in
 ascending attribute-id order, so reordering the input attributes cannot
 change any bit of the output. With row_local=True all matrix products use
 the row-local kernel, and the pair sums always add a node's terms in
@@ -50,7 +55,7 @@ to the factorization-machine formula.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -304,13 +309,7 @@ class _Plan:
     by_pair_target: _SegIndex | None  # pair -> target node; inner=bi only
     same_side: _Neighbourhoods | None  # every other node of the side; graph mode only
     cross_side: _Neighbourhoods | None  # every node of the opposite side; MLP cross kinds only
-    sort_user: list[np.ndarray] = field(default_factory=list)  # input order -> sorted rank
-    sort_item: list[np.ndarray] = field(default_factory=list)
-
-
-def _sorted_order(chars: tuple[AttributeValuePair, ...]) -> np.ndarray:
-    ids = np.array([p.att.id for p in chars])
-    return np.argsort(ids, kind="stable")
+    input_pos: np.ndarray  # (n_nodes,) node -> position in the batch's flat input order
 
 
 @functools.lru_cache(maxsize=64)
@@ -361,64 +360,50 @@ def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
 
 
 def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICAL) -> _Plan:
-    attr_rows, vals = [], []
-    node_side_seg, node_sample_seg, opp_seg = [], [], []
-    sizes, sort_user, sort_item = [], [], []
-    base = 0
-    for b, sample in enumerate(samples):
-        order_u = _sorted_order(sample.user_chars)
-        order_i = _sorted_order(sample.item_chars)
-        sort_user.append(order_u)
-        sort_item.append(order_i)
-        p, q = len(order_u), len(order_i)
-        for k in order_u:
-            pair = sample.user_chars[k]
-            attr_rows.append(table.row(pair.att))
-            vals.append(pair.val)
-        for k in order_i:
-            pair = sample.item_chars[k]
-            attr_rows.append(table.row(pair.att))
-            vals.append(pair.val)
-        node_side_seg.extend([2 * b] * p + [2 * b + 1] * q)
-        node_sample_seg.extend([b] * (p + q))
-        opp_seg.extend([2 * b + 1] * p + [2 * b] * q)
-        sizes += [p, q]
-        base += p + q
-    as_idx = lambda xs: np.asarray(xs, dtype=np.intp)
-    n_samples = len(samples)
-    sizes = as_idx(sizes)
-    starts = np.cumsum(sizes) - sizes
+    """The index plan of a batch, by numpy index arithmetic (see the module
+    docstring); input order is sample by sample, user side then item side."""
+    sides = [chars for sample in samples for chars in (sample.user_chars, sample.item_chars)]
+    pairs = [pair for chars in sides for pair in chars]
+    sizes = np.array([len(chars) for chars in sides], dtype=np.intp)
+    ids = np.array([pair[0][0] for pair in pairs])
+    rows = table.rows(ids)
+    n_samples, n_nodes = len(samples), len(pairs)
+    side_ids = np.arange(2 * n_samples)
+    side = np.repeat(side_ids, sizes)
+    order = np.lexsort((ids, side))
+    starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
     same_side = cross_side = by_pair_target = None
-    pair_a = pair_b = as_idx([])
+    pair_a = pair_b = np.empty(0, dtype=np.intp)
     if variant.mode == "graph":
         same_side = _same_side(starts, sizes)
-        pair_a = np.repeat(np.arange(base), np.repeat(sizes - 1, sizes))
-        if variant.inner == "bi" and same_side.blocks:
-            blocks = same_side.blocks
-            targets = np.concatenate([np.broadcast_to(blk.rows, blk.nbrs.shape).reshape(-1) for blk in blocks])
-            partners = np.concatenate([blk.nbrs.reshape(-1) for blk in blocks])
-            pair_b = partners[np.argsort(targets, kind="stable")]
-            by_pair_target = _SegIndex.build(pair_a, base)
+        degree = np.repeat(sizes - 1, sizes)
+        pair_a = np.repeat(np.arange(n_nodes), degree)
+        if variant.inner == "bi" and pair_a.size:
+            # Pair k is the r-th of its target i (local slot l in a side
+            # whose first node is f); its partner is slot r, or r + 1 from l on.
+            f = np.repeat(np.repeat(starts, sizes), degree)
+            r = np.arange(pair_a.size) - np.repeat(np.cumsum(degree) - degree, degree)
+            pair_b = f + r + (r >= pair_a - f)
+            by_pair_target = _SegIndex.build(pair_a, n_nodes)
         if variant.cross in ("mlp_shared", "mlp_separate"):
             cross_side = _cross_side(starts, sizes)
     return _Plan(
         n_samples=n_samples,
-        n_nodes=base,
+        n_nodes=n_nodes,
         n_sides=2 * n_samples,
-        attr_rows=as_idx(attr_rows),
-        vals=np.asarray(vals, dtype=np.float64),
-        by_side=_SegIndex.build(as_idx(node_side_seg), 2 * n_samples),
-        by_sample=_SegIndex.build(as_idx(node_sample_seg), n_samples),
-        opp_seg=as_idx(opp_seg),
-        user_seg=2 * np.arange(n_samples),
-        item_seg=2 * np.arange(n_samples) + 1,
+        attr_rows=rows[order],
+        vals=np.array([pair[1] for pair in pairs], dtype=np.float64)[order],
+        by_side=_SegIndex(ids=side, starts=starts, out_rows=side_ids, n=2 * n_samples),
+        by_sample=_SegIndex(ids=side >> 1, starts=starts[0::2], out_rows=np.arange(n_samples), n=n_samples),
+        opp_seg=side ^ 1,
+        user_seg=side_ids[0::2],
+        item_seg=side_ids[1::2],
         pair_a=pair_a,
         pair_b=pair_b,
         by_pair_target=by_pair_target,
         same_side=same_side,
         cross_side=cross_side,
-        sort_user=sort_user,
-        sort_item=sort_item,
+        input_pos=order,
     )
 
 
@@ -613,12 +598,6 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONI
     """
     plan = build_plan([sample], mp.table, variant)
     out = _forward(ArrayOps(), plan, mp, variant, row_local=True)
-    p = len(sample.user_chars)
-    rank_user = np.empty(p, dtype=np.intp)
-    rank_user[plan.sort_user[0]] = np.arange(p)
-    q = len(sample.item_chars)
-    rank_item = np.empty(q, dtype=np.intp)
-    rank_item[plan.sort_item[0]] = np.arange(q)
 
     def diag(att, row):
         return NodeDiagnostics(
@@ -629,8 +608,9 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONI
             fused=out.fused[row].copy(),
         )
 
-    user_nodes = tuple(diag(c.att, rank_user[k]) for k, c in enumerate(sample.user_chars))
-    item_nodes = tuple(diag(c.att, p + rank_item[k]) for k, c in enumerate(sample.item_chars))
+    chars = sample.user_chars + sample.item_chars
+    nodes = tuple(diag(c.att, row) for c, row in zip(chars, np.argsort(plan.input_pos)))
+    user_nodes, item_nodes = nodes[:len(sample.user_chars)], nodes[len(sample.user_chars):]
     user_repr = out.user_repr[0].copy()
     item_repr = out.item_repr[0].copy()
     if variant.mode in ("union", "fm"):

@@ -114,3 +114,71 @@ def finite_difference(f, params, step=1e-5):
             g[k] = (f_plus - f_minus) / (2.0 * step)
         grads.append(g.reshape(p.values.shape))
     return grads
+
+
+def plan_oracle(samples, table, variant):
+    """The batch plan by per-sample, per-attribute loops: the reference for
+    model.build_plan. Returns its fields by name as plain intp/float64
+    arrays; a segment index is (ids, starts, out_rows, n), a neighbourhood
+    is (blocks, counts) with each block a (rows, nbrs, sources, back) tuple,
+    in the plan's block order."""
+    idx = lambda xs: np.array(xs, dtype=np.intp)
+    attr_rows, vals, side_of, sample_of, opp, input_pos, firsts, sizes = [], [], [], [], [], [], [], []
+    for b, sample in enumerate(samples):
+        for side, other, chars in ((2 * b, 2 * b + 1, sample.user_chars), (2 * b + 1, 2 * b, sample.item_chars)):
+            firsts.append(len(attr_rows))
+            sizes.append(len(chars))
+            for k in np.argsort([p.att.id for p in chars], kind="stable"):
+                input_pos.append(firsts[-1] + k)
+                attr_rows.append(table.row(chars[k].att))
+                vals.append(chars[k].val)
+                side_of.append(side)
+                sample_of.append(b)
+                opp.append(other)
+
+    def segments(ids, n):
+        starts = [k for k in range(len(ids)) if k == 0 or ids[k] != ids[k - 1]]
+        return idx(ids), idx(starts), idx([ids[k] for k in starts]), n
+
+    def block(row_firsts, m, source_firsts, r, k, slot):
+        """m rows, r sources, k neighbours; slot(t, i) is the source slot of
+        neighbour t of row slot i."""
+        nbr_slot = [[slot(t, i) for i in range(m)] for t in range(k)]
+        rows = [[f + i for f in row_firsts] for i in range(m)]
+        nbrs = [[[f + nbr_slot[t][i] for f in source_firsts] for i in range(m)] for t in range(k)]
+        sources = [[f + j for f in source_firsts] for j in range(r)]
+        back = [[t * m + i for t in range(k) for i in range(m) if nbr_slot[t][i] == j] for j in range(r)]
+        return idx(rows), idx(nbrs), idx(sources), idx(back)
+
+    plan = {
+        "n_samples": len(samples), "n_nodes": len(attr_rows), "n_sides": 2 * len(samples),
+        "attr_rows": idx(attr_rows), "vals": np.array(vals, dtype=np.float64),
+        "by_side": segments(side_of, 2 * len(samples)), "by_sample": segments(sample_of, len(samples)),
+        "opp_seg": idx(opp), "user_seg": idx(range(0, 2 * len(samples), 2)),
+        "item_seg": idx(range(1, 2 * len(samples), 2)), "input_pos": idx(input_pos),
+        "pair_a": idx([]), "pair_b": idx([]), "by_pair_target": None, "same_side": None, "cross_side": None,
+    }
+    if variant.mode != "graph":
+        return plan
+    pairs = [(f + i, f + j) for f, m in zip(firsts, sizes) for i in range(m) for j in range(m) if j != i]
+    plan["pair_a"] = idx([a for a, _ in pairs])
+    if variant.inner == "bi" and pairs:
+        plan["pair_b"] = idx([b for _, b in pairs])
+        plan["by_pair_target"] = segments([a for a, _ in pairs], len(attr_rows))
+    blocks = []
+    for m in sorted(set(sizes) - {0, 1}):
+        group = [f for f, size in zip(firsts, sizes) if size == m]
+        blocks.append(block(group, m, group, m, m - 1, lambda t, i: t + (t >= i)))
+    counts = [float(m - 1) for m in sizes for _ in range(m)]
+    plan["same_side"] = (blocks, np.array(counts))
+    if variant.cross in ("mlp_shared", "mlp_separate"):
+        shapes = list(zip(sizes[0::2], sizes[1::2]))
+        blocks = []
+        for p, q in sorted(set(shapes)):
+            users = [firsts[2 * b] for b, shape in enumerate(shapes) if shape == (p, q)]
+            items = [firsts[2 * b + 1] for b, shape in enumerate(shapes) if shape == (p, q)]
+            blocks.append(block(users, p, items, q, q, lambda t, i: t))
+            blocks.append(block(items, q, users, p, p, lambda t, i: t))
+        counts = [float(other) for p, q in shapes for m, other in ((p, q), (q, p)) for _ in range(m)]
+        plan["cross_side"] = (blocks, np.array(counts))
+    return plan

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gmrec.cli import main
 from gmrec.dataio import SynthSpec, write_synthetic
+from gmrec.training import MAX_DIM
 
 
 @pytest.fixture
@@ -107,6 +108,8 @@ class TestConfigRangeErrors:
         ("gradcheck", "--step", "0"),
         ("fmcheck", "--d", "0"), ("fmcheck", "--n", "0"), ("fmcheck", "--seed", "-1"),
         ("evaluate", "--seed", "-1", "--split", "test", "--data", "never-read.tsv", "--ckpt", "never-read.ckpt"),
+        ("gradcheck", "--d", str(MAX_DIM + 1)), ("gradcheck", "--d", "100000000000"),
+        ("fmcheck", "--d", str(MAX_DIM + 1)), ("fmcheck", "--d", "100000000000"),
     ])
     def test_other_command_flag(self, capsys, argv):
         code, _, err = run(capsys, *argv)

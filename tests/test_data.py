@@ -6,6 +6,7 @@ from gmrec.data import (
     AttributeId,
     AttributeValuePair,
     DataSample,
+    EmbeddingTable,
     init_embeddings,
     node_representation,
     sample_user_key,
@@ -46,6 +47,17 @@ class TestInitEmbeddings:
     def test_empty_universe_rejected(self):
         with pytest.raises(InvalidConfigError):
             init_embeddings([], 4, seed=0)
+        with pytest.raises(InvalidConfigError):
+            EmbeddingTable(dim=4, ids=(), matrix=np.zeros((0, 4)))
+
+    def test_vectorised_rows_equal_row_for_non_ascending_ids(self, rng):
+        ids = tuple(AttributeId(i, USER) for i in (9, 2, 30, 4, 17, -3))
+        table = EmbeddingTable(dim=2, ids=ids, matrix=np.zeros((len(ids), 2)))
+        query = rng.choice([a.id for a in ids], size=40)
+        assert np.array_equal(table.rows(query), [table.row(AttributeId(int(i), USER)) for i in query])
+        for unknown in (-4, 3, 31, 2**70):  # below, between, above, beyond int64
+            with pytest.raises(MissingEmbeddingError, match=rf"attribute id {unknown}$"):
+                table.rows(np.array([9, unknown, 2]))
 
 
 class TestNodeRepresentation:

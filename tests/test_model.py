@@ -2,11 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmrec import autodiff
-from gmrec.autodiff import ArrayOps, Tape, gradient_check
-from gmrec.data import universe_of
-from gmrec.errors import ContractError, ShapeError
+from gmrec.autodiff import ArrayOps, PairBlock, Tape, gradient_check
+from gmrec.data import (
+    ITEM,
+    USER,
+    AttributeId,
+    AttributeValuePair,
+    DataSample,
+    EmbeddingTable,
+    init_embeddings,
+    universe_of,
+)
+from gmrec.errors import ContractError, MissingEmbeddingError, ShapeError
 from gmrec.graphs import build_graphs
 from gmrec.model import (
     CANONICAL,
@@ -25,9 +36,10 @@ from gmrec.model import (
 )
 
 from gmrec.selfcheck import gradcheck_problem, run_gradcheck
+from gmrec.training import regularized_risk
 
 from conftest import all_variants, make_sample
-from oracles import full_forward_oracle, gru_oracle, pair_message_oracle
+from oracles import full_forward_oracle, gru_oracle, pair_message_oracle, plan_oracle
 
 
 def make_model(sample_or_samples, dim=8, seed=7, variant=CANONICAL):
@@ -504,3 +516,143 @@ class TestNodeLevelMessagePassing:
                 base += count
         assert list(zip(plan.pair_a.tolist(), plan.pair_b.tolist())) == expected
         assert np.array_equal(build_plan(samples, make_model(samples).table).pair_a, plan.pair_a)
+
+
+# Ids with gaps, user ids below and above item ids, so ascending-id order
+# differs from pool order and the id lookup has holes to miss.
+_USER_POOL = [AttributeId(id_, USER) for id_ in (3, 5, 6, 11, 13, 17, 40, 41, 57, 90)]
+_ITEM_POOL = [AttributeId(id_, ITEM) for id_ in (1, 8, 9, 20, 22, 23, 31, 60, 70, 99)]
+_PLAN_KEY = lambda v: (v.mode, v.inner == "bi", v.cross in ("mlp_shared", "mlp_separate"))
+
+
+def _plan_batch(rng, n_samples):
+    """Side sizes 1-8, attributes in shuffled order, about a fifth of the
+    samples repeats of earlier ones (the same object)."""
+    samples = []
+    while len(samples) < n_samples:
+        if samples and rng.random() < 0.2:
+            samples.append(samples[int(rng.integers(len(samples)))])
+            continue
+        sides = []
+        for pool in (_USER_POOL, _ITEM_POOL):
+            picks = rng.permutation(len(pool))[: int(rng.integers(1, 9))]
+            sides.append([AttributeValuePair(pool[k], float(rng.uniform(-2.0, 2.0))) for k in picks])
+        samples.append(DataSample(sides[0], sides[1], float(rng.integers(0, 2))))
+    return samples
+
+
+def _shuffled_table(order):
+    """A table whose rows are not in ascending id order."""
+    ids = tuple((_USER_POOL + _ITEM_POOL)[k] for k in order)
+    return EmbeddingTable(dim=4, ids=ids, matrix=np.zeros((len(ids), 4)))
+
+
+def assert_plan_matches_oracle(plan, ref, where=""):
+    def same(got, want, name):
+        assert got.dtype == want.dtype and got.shape == want.shape, (where, name, got.dtype, got.shape, want.shape)
+        assert np.array_equal(got, want), (where, name)
+
+    for name in ("n_samples", "n_nodes", "n_sides"):
+        assert getattr(plan, name) == ref[name], (where, name)
+    for name in ("attr_rows", "vals", "opp_seg", "user_seg", "item_seg", "pair_a", "pair_b", "input_pos"):
+        same(getattr(plan, name), ref[name], name)
+    for name in ("by_side", "by_sample", "by_pair_target"):
+        seg, want = getattr(plan, name), ref[name]
+        assert (seg is None) == (want is None), (where, name)
+        if seg is not None:
+            for field, array in zip(("ids", "starts", "out_rows"), want):
+                same(getattr(seg, field), array, f"{name}.{field}")
+            assert seg.n == want[3], (where, name)
+    for name in ("same_side", "cross_side"):
+        got, want = getattr(plan, name), ref[name]
+        assert (got is None) == (want is None), (where, name)
+        if got is not None:
+            assert len(got.blocks) == len(want[0]), (where, name)
+            for k, (block, ref_block) in enumerate(zip(got.blocks, want[0])):
+                for field, array in zip(PairBlock._fields, ref_block):
+                    same(getattr(block, field), array, f"{name}.blocks[{k}].{field}")
+            same(got.counts, want[1], f"{name}.counts")
+
+
+class TestVectorisedPlan:
+    """build_plan's index arithmetic gives, array for array, the plan of
+    the per-sample loop builder in oracles.plan_oracle."""
+
+    def test_matches_loop_builder_all_variants(self, rng):
+        variants = all_variants()
+        assert len(variants) == 28
+        ascending = init_embeddings(_USER_POOL + _ITEM_POOL, 4, seed=0)
+        batches = [
+            ("empty", [], ascending),
+            ("one 1x1", [make_sample(1, 1)], init_embeddings(universe_of([make_sample(1, 1)]), 4, seed=0)),
+            ("one 8x8", _plan_batch(rng, 1), ascending),
+            ("64", _plan_batch(rng, 64), ascending),
+            ("64 shuffled table", _plan_batch(rng, 64), _shuffled_table(rng.permutation(20))),
+            ("300", _plan_batch(rng, 300), _shuffled_table(rng.permutation(20))),
+            ("2000", _plan_batch(rng, 2000), ascending),
+        ]
+        sizes = {len(chars) for _, samples, _ in batches for s in samples for chars in (s.user_chars, s.item_chars)}
+        assert sizes == set(range(1, 9))
+        for where, samples, table in batches:
+            refs = {}
+            for variant in variants:
+                key = _PLAN_KEY(variant)
+                if key not in refs:
+                    refs[key] = plan_oracle(samples, table, variant)
+                assert_plan_matches_oracle(build_plan(samples, table, variant), refs[key], (where, variant))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_batches_match_loop_builder(self, data):
+        def side(pool):
+            return st.lists(st.tuples(st.sampled_from(pool), st.floats(-4.0, 4.0)),
+                            min_size=1, max_size=8, unique_by=lambda t: t[0].id)
+
+        sample = st.builds(
+            lambda u, i, y: DataSample([AttributeValuePair(*t) for t in u], [AttributeValuePair(*t) for t in i], y),
+            side(_USER_POOL), side(_ITEM_POOL), st.sampled_from([0.0, 1.0]),
+        )
+        samples = data.draw(st.lists(sample, max_size=10))
+        if samples:
+            samples += data.draw(st.lists(st.sampled_from(samples), max_size=4))
+            samples = data.draw(st.permutations(samples))
+        table = _shuffled_table(data.draw(st.permutations(range(20))))
+        variant = data.draw(st.sampled_from(all_variants()))
+        assert_plan_matches_oracle(build_plan(samples, table, variant), plan_oracle(samples, table, variant))
+
+    def test_predict_maps_nodes_back_to_input_order(self, rng):
+        """Diagnostics come back in each side's input order whatever the
+        internal id order."""
+        sample = _plan_batch(rng, 1)[0]
+        mp = init_model_params(_USER_POOL + _ITEM_POOL, 4, seed=2)
+        res = predict(sample, mp)
+        for chars, nodes in ((sample.user_chars, res.user_nodes), (sample.item_chars, res.item_nodes)):
+            assert [n.att for n in nodes] == [c.att for c in chars]
+            for c, n in zip(chars, nodes):
+                assert np.array_equal(n.representation, c.val * mp.table.vector(c.att))
+
+
+class TestUnknownAttributes:
+    """An id the table lacks, below, between or above its ids, on either
+    side, is a MissingEmbeddingError naming the id at every entry point."""
+
+    @pytest.mark.parametrize("side, unknown", [(USER, 0), (USER, 4), (USER, 200), (ITEM, 2), (ITEM, 21), (ITEM, 100)])
+    def test_entry_points_reject(self, side, unknown):
+        mp = init_model_params(_USER_POOL + _ITEM_POOL, 4, seed=1)
+        good = DataSample([AttributeValuePair(_USER_POOL[0], 1.0), AttributeValuePair(_USER_POOL[3], 0.5)],
+                          [AttributeValuePair(_ITEM_POOL[2], 2.0)], 1.0)
+        extra = AttributeValuePair(AttributeId(unknown, side), 1.0)
+        if side == USER:
+            bad = DataSample(good.user_chars + (extra,), good.item_chars, 0.0)
+        else:
+            bad = DataSample(good.user_chars, (extra,) + good.item_chars, 0.0)
+        match = rf"attribute id {unknown}$"
+        for variant in (CANONICAL, VariantConfig(inner="bi", cross="mlp_separate"), VariantConfig(mode="fm")):
+            with pytest.raises(MissingEmbeddingError, match=match):
+                build_plan([good, bad], mp.table, variant)
+        with pytest.raises(MissingEmbeddingError, match=match):
+            score_samples([good, good, bad], mp)
+        with pytest.raises(MissingEmbeddingError, match=match):
+            predict(bad, mp)
+        with pytest.raises(MissingEmbeddingError, match=match):
+            regularized_risk([bad, good], mp, 0.1)
