@@ -7,7 +7,7 @@ signals per node and the two aggregated graph representations are matched
 by dot product to score the pair.
 """
 
-from .autodiff import ArrayOps, Parameter, Tape, Value, grad_enabled, gradient_check, no_grad
+from .autodiff import ArrayOps, Parameter, Tape, Value, gradient_check
 from .data import (
     ITEM,
     USER,

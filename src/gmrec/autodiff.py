@@ -23,29 +23,12 @@ matters.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
-
-_GRAD_ENABLED = [True]
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable recording: primitives compute values but append no nodes."""
-    _GRAD_ENABLED.append(False)
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED.pop()
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED[-1]
 
 
 class Parameter:
@@ -210,8 +193,6 @@ class Tape:
 
     def param(self, p: Parameter) -> Value:
         """Leaf value for a Parameter; backward accumulates into p.grad."""
-        if not grad_enabled():
-            return Value(p.values, None, self)
         node = self._leaves.get(id(p))
         if node is None:
             node = _Node((), (), param=p)
@@ -220,8 +201,6 @@ class Tape:
         return Value(p.values, node, self)
 
     def _apply(self, data: np.ndarray, deps: Sequence[tuple[Value, Callable]]) -> Value:
-        if not grad_enabled():
-            return Value(data, None, self)
         tracked = [(v.node, fn) for v, fn in deps if v.node is not None]
         if not tracked:
             return Value(data, None, self)
@@ -288,14 +267,6 @@ class Tape:
         ad = a.data
         return self._apply(ad.sum(axis=1), [(a, lambda g: np.broadcast_to(g[:, None], ad.shape))])
 
-    def dot(self, a: Value, b: Value) -> Value:
-        if a.data.ndim != 1 or a.data.shape != b.data.shape:
-            raise ShapeError(f"dot: shapes {a.data.shape} vs {b.data.shape}")
-        ad, bd = a.data, b.data
-        return self._apply(
-            np.asarray(np.dot(ad, bd)), [(a, lambda g: g * bd), (b, lambda g: g * ad)]
-        )
-
     def rowdot(self, a: Value, b: Value) -> Value:
         """Per-row dot product of two equal-shape matrices."""
         if a.data.ndim != 2 or a.data.shape != b.data.shape:
@@ -306,15 +277,6 @@ class Tape:
             [(a, lambda g: g[:, None] * bd), (b, lambda g: g[:, None] * ad)],
         )
 
-    def matvec(self, w: Value, x: Value) -> Value:
-        if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-            raise ShapeError(f"matrix-vector-product: shapes {w.data.shape} vs {x.data.shape}")
-        wd, xd = w.data, x.data
-        return self._apply(
-            (wd * xd).sum(axis=1),
-            [(w, lambda g: g[:, None] * xd[None, :]), (x, lambda g: g @ wd)],
-        )
-
     def matmul(self, a: Value, b: Value, row_local: bool = False) -> Value:
         if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
             raise ShapeError(f"matmul: shapes {a.data.shape} vs {b.data.shape}")
@@ -323,15 +285,6 @@ class Tape:
         return self._apply(out, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
     # -- structure -------------------------------------------------------------
-
-    def concat(self, a: Value, b: Value) -> Value:
-        if a.data.ndim != 1 or b.data.ndim != 1:
-            raise ShapeError(f"concatenate: expected vectors, got {a.data.shape}, {b.data.shape}")
-        na = a.data.shape[0]
-        return self._apply(
-            np.concatenate([a.data, b.data]),
-            [(a, lambda g: g[:na]), (b, lambda g: g[na:])],
-        )
 
     def concat_cols(self, a: Value, b: Value) -> Value:
         if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
@@ -462,33 +415,6 @@ class Tape:
         """segment_sum with precomputed boundaries (see segment_boundaries)."""
         out = _segment_sum(m.data, seg_ids, starts, out_rows, n_segments)
         return self._apply(out, [(m, lambda g: g[seg_ids])])
-
-    # -- recording by primitive name -------------------------------------------
-
-    _RECORD_DISPATCH = {
-        "add": "add",
-        "scale": "scale",
-        "elementwise-product": "mul",
-        "matrix-vector-product": "matvec",
-        "concatenate": "concat",
-        "sum-reduce": "sum_reduce",
-        "dot": "dot",
-        "sigmoid": "sigmoid",
-        "tanh": "tanh",
-        "relu": "relu",
-    }
-
-    def record(self, primitive: str, *inputs) -> Value:
-        """Apply a primitive by name, wrapping raw arrays as constants."""
-        try:
-            method = getattr(self, self._RECORD_DISPATCH[primitive])
-        except KeyError:
-            raise ContractError(f"unknown primitive {primitive!r}") from None
-        if primitive == "scale":  # second operand is a plain scalar factor
-            a, c = inputs
-            return self.scale(a if isinstance(a, Value) else self.constant(a), c)
-        args = [x if isinstance(x, Value) else self.constant(x) for x in inputs]
-        return method(*args)
 
     # -- reverse pass -----------------------------------------------------------
 

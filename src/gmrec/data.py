@@ -75,42 +75,41 @@ class EmbeddingTable:
     dim: int
     ids: tuple[AttributeId, ...]
     matrix: np.ndarray  # (len(ids), dim), float64
-    _row_of: dict[int, int] = field(default_factory=dict, repr=False)
     _keys: np.ndarray = field(init=False, repr=False, compare=False)  # ids ascending
     _key_rows: np.ndarray = field(init=False, repr=False, compare=False)  # row of each key
 
     def __post_init__(self):
         if not self.ids:
             raise InvalidConfigError("attribute universe is empty")
-        self._row_of = {att.id: row for row, att in enumerate(self.ids)}
-        if len(self._row_of) != len(self.ids):
-            raise InvalidConfigError("duplicate attribute ids in universe")
         ids = np.array([att.id for att in self.ids])
         self._key_rows = np.argsort(ids, kind="stable")
         self._keys = ids[self._key_rows]
+        if np.any(self._keys[1:] == self._keys[:-1]):
+            raise InvalidConfigError("duplicate attribute ids in universe")
 
-    def row(self, att: AttributeId) -> int:
-        try:
-            return self._row_of[att.id]
-        except KeyError:
-            raise MissingEmbeddingError(f"no embedding for attribute id {att.id}") from None
+    def _search(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Binary-search positions of ids among the sorted keys, and which
+        ids are there; reads only, so concurrent callers are safe."""
+        pos = self._keys.searchsorted(ids)
+        return pos, self._keys.take(pos, mode="clip") == ids
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
-        """The row of every id in a 1-D id array, by binary search over the
-        ids sorted once at construction; reads only, so concurrent callers
-        are safe. The first unknown id raises MissingEmbeddingError."""
-        pos = self._keys.searchsorted(ids)
-        known = self._keys.take(pos, mode="clip") == ids
+        """The row of every id in a 1-D id array. The first unknown id
+        raises MissingEmbeddingError."""
+        pos, known = self._search(ids)
         if not known.all():
             raise MissingEmbeddingError(f"no embedding for attribute id {ids[np.argmin(known)]}")
         return self._key_rows[pos]
+
+    def row(self, att: AttributeId) -> int:
+        return int(self.rows(np.array([att.id]))[0])
 
     def vector(self, att: AttributeId) -> np.ndarray:
         """View of the attribute's embedding row (shared, not a copy)."""
         return self.matrix[self.row(att)]
 
     def __contains__(self, att: AttributeId) -> bool:
-        return att.id in self._row_of
+        return bool(self._search(np.array([att.id]))[1][0])
 
 
 def init_embeddings(universe: Iterable[AttributeId], dim: int, seed: int) -> EmbeddingTable:

@@ -14,10 +14,16 @@ Forward pass for one sample:
      for a p-node graph. The three matrix products run once per node; only
      the add, relu and neighbour sum run per pair, over dense blocks of
      the graphs that share a size. The MLP cross kinds are evaluated the
-     same way over user-item pairs.
+     same way over user-item pairs. The elementwise pair model (inner=bi)
+     sums u_i * u_j over the other nodes j, computed from the side sum as
+       z_i = u_i * (sum of the side - u_i),
+     so no pair is formed. This is exactly 0 for a single-node side and
+     otherwise differs from the per-pair sum by rounding alone: each
+     element within a few eps of |u_i| * (sum over the side of |u_j|).
   3. Cross-side interactions: node i elementwise-multiplies its
      representation with every node of the opposite graph and sums,
-     s_i = u_i * (sum of opposite nodes).
+     s_i = u_i * (sum of opposite nodes). The union wiring below uses the
+     side-sum form of step 2 over the whole sample.
   4. A shared GRU cell consumes the sequence [u_i, z_i, s_i] from a zero
      hidden state; the final hidden state is the fused node u'_i.
   5. Each graph's fused nodes are summed into a graph representation and
@@ -59,7 +65,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import ArrayOps, PairBlock, Parameter, Tape, Value, segment_boundaries
+from .autodiff import ArrayOps, PairBlock, Parameter, Tape, Value
 from .data import (
     AttributeId,
     AttributeValuePair,
@@ -278,11 +284,6 @@ class _SegIndex:
     out_rows: np.ndarray
     n: int
 
-    @classmethod
-    def build(cls, ids: np.ndarray, n: int) -> "_SegIndex":
-        starts, out_rows = segment_boundaries(ids)
-        return cls(ids=ids, starts=starts, out_rows=out_rows, n=n)
-
 
 @dataclass
 class _Neighbourhoods:
@@ -304,9 +305,10 @@ class _Plan:
     opp_seg: np.ndarray  # (n_nodes,) opposite side segment per node
     user_seg: np.ndarray  # (n_samples,)
     item_seg: np.ndarray  # (n_samples,)
-    pair_a: np.ndarray  # same-side ordered pairs: first element, ascending; graph mode
-    pair_b: np.ndarray  # second element, ascending per first; inner=bi only
-    by_pair_target: _SegIndex | None  # pair -> target node; inner=bi only
+    # First node of each same-side ordered pair, ascending; graph mode.
+    # _forward reads only its size (zero: every side is a single node); the
+    # benchmark's pair counts read the array.
+    pair_a: np.ndarray
     same_side: _Neighbourhoods | None  # every other node of the side; graph mode only
     cross_side: _Neighbourhoods | None  # every node of the opposite side; MLP cross kinds only
     input_pos: np.ndarray  # (n_nodes,) node -> position in the batch's flat input order
@@ -372,19 +374,11 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
     side = np.repeat(side_ids, sizes)
     order = np.lexsort((ids, side))
     starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
-    same_side = cross_side = by_pair_target = None
-    pair_a = pair_b = np.empty(0, dtype=np.intp)
+    same_side = cross_side = None
+    pair_a = np.empty(0, dtype=np.intp)
     if variant.mode == "graph":
         same_side = _same_side(starts, sizes)
-        degree = np.repeat(sizes - 1, sizes)
-        pair_a = np.repeat(np.arange(n_nodes), degree)
-        if variant.inner == "bi" and pair_a.size:
-            # Pair k is the r-th of its target i (local slot l in a side
-            # whose first node is f); its partner is slot r, or r + 1 from l on.
-            f = np.repeat(np.repeat(starts, sizes), degree)
-            r = np.arange(pair_a.size) - np.repeat(np.cumsum(degree) - degree, degree)
-            pair_b = f + r + (r >= pair_a - f)
-            by_pair_target = _SegIndex.build(pair_a, n_nodes)
+        pair_a = np.repeat(np.arange(n_nodes), np.repeat(sizes - 1, sizes))
         if variant.cross in ("mlp_shared", "mlp_separate"):
             cross_side = _cross_side(starts, sizes)
     return _Plan(
@@ -399,8 +393,6 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
         user_seg=side_ids[0::2],
         item_seg=side_ids[1::2],
         pair_a=pair_a,
-        pair_b=pair_b,
-        by_pair_target=by_pair_target,
         same_side=same_side,
         cross_side=cross_side,
         input_pos=order,
@@ -495,6 +487,13 @@ def _segsum(ops: Tape | ArrayOps, m: Value, seg: _SegIndex) -> Value:
     return ops.segment_sum_prepared(m, seg.ids, seg.starts, seg.out_rows, seg.n)
 
 
+def _others_product(ops: Tape | ArrayOps, nodes: Value, seg: _SegIndex) -> Value:
+    """Row i is u_i * (sum of its segment - u_i): the sum of u_i * u_j over
+    the other nodes j of its segment, zero for a node alone in it."""
+    sums = _segsum(ops, nodes, seg)
+    return ops.mul(nodes, ops.sub(ops.gather_rows(sums, seg.ids, checked=False), nodes))
+
+
 def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: VariantConfig, row_local: bool) -> _EngineOut:
     d = mp.dim
     emb = ops.param(mp.emb)
@@ -506,9 +505,7 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
         elif variant.inner == "mlp":
             messages = _pair_mlp_sums(ops, mp.inner_mlp, nodes, plan.same_side, d, row_local)
         else:
-            first = ops.gather_rows(nodes, plan.pair_a, checked=False)
-            second = ops.gather_rows(nodes, plan.pair_b, checked=False)
-            messages = _segsum(ops, ops.mul(first, second), plan.by_pair_target)
+            messages = _others_product(ops, nodes, plan.by_side)
         if variant.cross == "none":
             matches = ops.constant(np.zeros((plan.n_nodes, d)))
         elif variant.cross == "bi":
@@ -519,10 +516,8 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
             matches = _pair_mlp_sums(ops, weights, nodes, plan.cross_side, d, row_local)
     else:
         # Union wiring: every other node of the same sample, either side,
-        # is a cross partner: s_i = u_i * (sum over sample - u_i).
-        sample_sums = _segsum(ops, nodes, plan.by_sample)
-        others = ops.sub(ops.gather_rows(sample_sums, plan.by_sample.ids, checked=False), nodes)
-        matches = ops.mul(nodes, others)
+        # is a cross partner.
+        matches = _others_product(ops, nodes, plan.by_sample)
         messages = ops.constant(np.zeros((plan.n_nodes, d)))
 
     if variant.mode == "fm":

@@ -156,15 +156,11 @@ def plan_oracle(samples, table, variant):
         "by_side": segments(side_of, 2 * len(samples)), "by_sample": segments(sample_of, len(samples)),
         "opp_seg": idx(opp), "user_seg": idx(range(0, 2 * len(samples), 2)),
         "item_seg": idx(range(1, 2 * len(samples), 2)), "input_pos": idx(input_pos),
-        "pair_a": idx([]), "pair_b": idx([]), "by_pair_target": None, "same_side": None, "cross_side": None,
+        "pair_a": idx([]), "same_side": None, "cross_side": None,
     }
     if variant.mode != "graph":
         return plan
-    pairs = [(f + i, f + j) for f, m in zip(firsts, sizes) for i in range(m) for j in range(m) if j != i]
-    plan["pair_a"] = idx([a for a, _ in pairs])
-    if variant.inner == "bi" and pairs:
-        plan["pair_b"] = idx([b for _, b in pairs])
-        plan["by_pair_target"] = segments([a for a, _ in pairs], len(attr_rows))
+    plan["pair_a"] = idx([f + i for f, m in zip(firsts, sizes) for i in range(m) for j in range(m) if j != i])
     blocks = []
     for m in sorted(set(sizes) - {0, 1}):
         group = [f for f, size in zip(firsts, sizes) if size == m]

@@ -9,7 +9,6 @@ from gmrec.autodiff import (
     Parameter,
     Tape,
     gradient_check,
-    no_grad,
     stable_sigmoid,
 )
 from gmrec.data import universe_of
@@ -24,59 +23,47 @@ from oracles import finite_difference
 class TestRecordedPrimitives:
     def test_elementwise_product(self):
         tape = Tape()
-        out = tape.record("elementwise-product", [1.0, 2.0], [3.0, 4.0])
+        out = tape.mul(tape.constant([1.0, 2.0]), tape.constant([3.0, 4.0]))
         assert np.array_equal(out.data, [3.0, 8.0])
 
     def test_sigmoid_at_zero(self):
         tape = Tape()
-        assert float(tape.record("sigmoid", np.zeros(1)).data[0]) == 0.5
+        assert float(tape.sigmoid(tape.constant(np.zeros(1))).data[0]) == 0.5
 
     def test_dot_orthogonal(self):
         tape = Tape()
-        assert float(tape.record("dot", [1.0, 0.0], [0.0, 1.0]).data) == 0.0
+        assert float(tape.rowdot(tape.constant([[1.0, 0.0]]), tape.constant([[0.0, 1.0]])).data[0]) == 0.0
 
     def test_every_listed_primitive_is_recordable(self, rng):
-        tape = Tape()
-        v4 = rng.normal(size=4)
-        m34 = rng.normal(size=(3, 4))
-        cases = {
-            "add": (v4, v4),
-            "scale": (v4, 2.5),
-            "elementwise-product": (v4, v4),
-            "matrix-vector-product": (m34, v4),
-            "concatenate": (v4, v4),
-            "sum-reduce": (v4,),
-            "dot": (v4, v4),
-            "sigmoid": (v4,),
-            "tanh": (v4,),
-            "relu": (v4,),
-        }
-        for name, args in cases.items():
-            out = tape.record(name, *args)
+        """Each primitive of PRIMITIVE_CASES, applied to tracked inputs,
+        appends exactly one node to the tape and gives finite values."""
+        for name, apply, arity, shapes in PRIMITIVE_CASES:
+            shapes = [shapes] * arity if isinstance(shapes, tuple) else shapes
+            tape = Tape()
+            args = [tape.param(Parameter(rng.uniform(0.5, 1.5, size=s))) for s in shapes]
+            leaves = len(tape.nodes)
+            out = apply(tape, *args)
+            assert out.node is tape.nodes[-1] and len(tape.nodes) == leaves + 1, name
             assert np.all(np.isfinite(out.data)), name
-
-    def test_unknown_primitive(self):
-        with pytest.raises(ContractError):
-            Tape().record("convolve", [1.0])
 
     def test_shape_error_names_primitive(self):
         tape = Tape()
-        with pytest.raises(ShapeError, match="matrix-vector-product"):
-            tape.record("matrix-vector-product", np.ones((2, 3)), np.ones(2))
+        with pytest.raises(ShapeError, match="matmul"):
+            tape.matmul(tape.constant(np.ones((2, 3))), tape.constant(np.ones((2, 3))))
         with pytest.raises(ShapeError, match="elementwise-product"):
-            tape.record("elementwise-product", np.ones(2), np.ones(3))
+            tape.mul(tape.constant(np.ones(2)), tape.constant(np.ones(3)))
         with pytest.raises(ShapeError, match="add"):
-            tape.record("add", np.ones(2), np.ones(3))
+            tape.add(tape.constant(np.ones(2)), tape.constant(np.ones(3)))
 
 
 class TestBackward:
     def test_dot_self_gradient(self):
-        p = Parameter([1.0, 2.0])
+        p = Parameter([[1.0, 2.0]])
         tape = Tape()
         v = tape.param(p)
-        out = tape.dot(v, v)
+        out = tape.sum_reduce(tape.rowdot(v, v))
         tape.backward(out)
-        assert np.array_equal(p.grad, [2.0, 4.0])
+        assert np.array_equal(p.grad, [[2.0, 4.0]])
 
     def test_sigmoid_gradient_at_zero(self):
         p = Parameter(np.zeros(()))
@@ -93,12 +80,12 @@ class TestBackward:
             tape.backward(tape.add(v, v))
 
     def test_accumulation_without_zeroing(self):
-        p = Parameter([1.0, 2.0])
+        p = Parameter([[1.0, 2.0]])
         tape = Tape()
-        out = tape.dot(tape.param(p), tape.param(p))
+        out = tape.sum_reduce(tape.rowdot(tape.param(p), tape.param(p)))
         tape.backward(out)
         tape.backward(out)
-        assert np.array_equal(p.grad, [4.0, 8.0])
+        assert np.array_equal(p.grad, [[4.0, 8.0]])
 
     def test_untracked_output_rejected(self):
         tape = Tape()
@@ -106,16 +93,16 @@ class TestBackward:
             tape.backward(tape.constant(1.0))
 
     def test_three_layer_random_composition_matches_fd(self, rng):
-        w1 = Parameter(rng.normal(size=(5, 4)) * 0.5)
+        w1 = Parameter(rng.normal(size=(4, 5)) * 0.5)
         b1 = Parameter(rng.normal(size=5) * 0.1)
-        w2 = Parameter(rng.normal(size=(3, 5)) * 0.5)
-        x = rng.normal(size=4)
+        w2 = Parameter(rng.normal(size=(5, 3)) * 0.5)
+        x = rng.normal(size=(2, 4))
         params = [w1, b1, w2]
 
         def run():
             tape = Tape()
-            h = tape.tanh(tape.add(tape.matvec(tape.param(w1), tape.constant(x)), tape.param(b1)))
-            out = tape.sigmoid(tape.matvec(tape.param(w2), h))
+            h = tape.tanh(tape.add_rowvec(tape.matmul(tape.constant(x), tape.param(w1)), tape.param(b1)))
+            out = tape.sigmoid(tape.matmul(h, tape.param(w2)))
             return tape.sum_reduce(out)
 
         for p in params:
@@ -129,10 +116,11 @@ class TestBackward:
             assert rel.max() < 1e-6
 
     def test_adjoint_linearity(self, rng):
-        p = Parameter(rng.normal(size=4))
+        p = Parameter(rng.normal(size=(1, 4)))
+        weights = np.array([[1.0, 2.0, 3.0, 4.0]])
         tape = Tape()
         v = tape.param(p)
-        a = tape.dot(v, tape.constant(np.array([1.0, 2.0, 3.0, 4.0])))
+        a = tape.sum_reduce(tape.rowdot(v, tape.constant(weights)))
         b = tape.sum_reduce(tape.mul(v, v))
         total = tape.add(a, b)
         tape.backward(total)
@@ -141,7 +129,7 @@ class TestBackward:
         p.zero_grad()
         tape2 = Tape()
         v2 = tape2.param(p)
-        tape2.backward(tape2.dot(v2, tape2.constant(np.array([1.0, 2.0, 3.0, 4.0]))))
+        tape2.backward(tape2.sum_reduce(tape2.rowdot(v2, tape2.constant(weights))))
         ga = p.grad.copy()
         p.zero_grad()
         tape3 = Tape()
@@ -154,7 +142,7 @@ class TestBackward:
         """A tape and its graph are freed by reference counting alone: for a
         single product, and for the full training risk and its backward pass
         of every variant, on a batch that mixes side sizes."""
-        p = Parameter([1.0, 2.0])
+        p = Parameter([[1.0, 2.0]])
         samples = [
             make_sample(int(rng.integers(1, 6)), int(rng.integers(1, 6)),
                         vals=list(rng.uniform(0.5, 1.5, size=10)), id_offset=10 * k)
@@ -164,7 +152,7 @@ class TestBackward:
         gc.disable()
         try:
             tape = Tape()
-            out = tape.dot(tape.param(p), tape.param(p))
+            out = tape.sum_reduce(tape.rowdot(tape.param(p), tape.param(p)))
             tape.backward(out)
             ref = weakref.ref(tape)
             del tape, out
@@ -180,7 +168,7 @@ class TestBackward:
         finally:
             if was_enabled:
                 gc.enable()
-        assert np.array_equal(p.grad, [2.0, 4.0])
+        assert np.array_equal(p.grad, [[2.0, 4.0]])
 
     def test_replay_bit_identical(self, rng):
         p = Parameter(rng.normal(size=6))
@@ -207,11 +195,8 @@ PRIMITIVE_CASES = [
     ("one_minus", lambda t, a: t.one_minus(a), 1, (4,)),
     ("mul", lambda t, a, b: t.mul(a, b), 2, (4,)),
     ("scale", lambda t, a: t.scale(a, -1.3), 1, (4,)),
-    ("dot", lambda t, a, b: t.dot(a, b), 2, (4,)),
-    ("matvec", lambda t, a, b: t.matvec(a, b), 2, [(3, 4), (4,)]),
     ("matmul", lambda t, a, b: t.matmul(a, b), 2, [(3, 4), (4, 2)]),
     ("matmul_rl", lambda t, a, b: t.matmul(a, b, row_local=True), 2, [(3, 4), (4, 2)]),
-    ("concat", lambda t, a, b: t.concat(a, b), 2, (4,)),
     ("concat_cols", lambda t, a, b: t.concat_cols(a, b), 2, [(3, 2), (3, 4)]),
     ("sum_reduce", lambda t, a: t.sum_reduce(a), 1, (4,)),
     ("row_sums", lambda t, a: t.row_sums(a), 1, [(3, 4)]),
@@ -359,17 +344,6 @@ class TestStructuredPrimitives:
         tape = Tape()
         out = tape.scale_rows(tape.param(p), np.array([2.0, -1.0]))
         assert np.array_equal(out.data, [[2.0, 4.0], [-3.0, -4.0]])
-
-
-class TestNoGrad:
-    def test_no_nodes_recorded(self):
-        p = Parameter([1.0, 2.0])
-        tape = Tape()
-        with no_grad():
-            out = tape.dot(tape.param(p), tape.param(p))
-        assert out.node is None
-        assert tape.nodes == []
-        assert float(out.data) == 5.0
 
 
 class TestGradientCheck:

@@ -50,14 +50,26 @@ class TestInitEmbeddings:
         with pytest.raises(InvalidConfigError):
             EmbeddingTable(dim=4, ids=(), matrix=np.zeros((0, 4)))
 
+    def test_duplicate_ids_rejected(self):
+        """Also when the duplicates are not adjacent in row order."""
+        ids = tuple(AttributeId(i, USER) for i in (9, 2, 30, 2))
+        with pytest.raises(InvalidConfigError, match="duplicate"):
+            EmbeddingTable(dim=2, ids=ids, matrix=np.zeros((len(ids), 2)))
+
     def test_vectorised_rows_equal_row_for_non_ascending_ids(self, rng):
         ids = tuple(AttributeId(i, USER) for i in (9, 2, 30, 4, 17, -3))
         table = EmbeddingTable(dim=2, ids=ids, matrix=np.zeros((len(ids), 2)))
         query = rng.choice([a.id for a in ids], size=40)
-        assert np.array_equal(table.rows(query), [table.row(AttributeId(int(i), USER)) for i in query])
+        scan = [[a.id for a in table.ids].index(i) for i in query]
+        assert np.array_equal(table.rows(query), scan)
+        assert [table.row(AttributeId(int(i), USER)) for i in query] == scan
+        assert all(AttributeId(int(i), USER) in table for i in query)
         for unknown in (-4, 3, 31, 2**70):  # below, between, above, beyond int64
             with pytest.raises(MissingEmbeddingError, match=rf"attribute id {unknown}$"):
                 table.rows(np.array([9, unknown, 2]))
+            with pytest.raises(MissingEmbeddingError, match=rf"attribute id {unknown}$"):
+                table.row(AttributeId(unknown, USER))
+            assert AttributeId(unknown, USER) not in table
 
 
 class TestNodeRepresentation:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmrec import autodiff
 from gmrec.autodiff import ArrayOps, PairBlock, Tape, gradient_check
 from gmrec.data import (
     ITEM,
@@ -35,7 +34,7 @@ from gmrec.model import (
     swap_roles,
 )
 
-from gmrec.selfcheck import gradcheck_problem, run_gradcheck
+from gmrec.selfcheck import gradcheck_problem
 from gmrec.training import regularized_risk
 
 from conftest import all_variants, make_sample
@@ -318,23 +317,6 @@ class TestEngineConsistency:
             for name in fields:
                 assert np.array_equal(getattr(tracked, name).data, getattr(plain, name)), (variant, row_local, name)
 
-    def test_untracked_forwards_leave_recording_state_alone(self, rng, monkeypatch):
-        """Scoring, prediction and the spec functions never touch the
-        process-wide recording switch, so they are safe beside training."""
-
-        class Untouchable(list):
-            def append(self, _):
-                raise AssertionError("the grad-enabled stack was pushed")
-
-        monkeypatch.setattr(autodiff, "_GRAD_ENABLED", Untouchable([True]))
-        samples = [make_sample(2, 3), make_sample(1, 2)]
-        mp = make_model(samples)
-        score_samples(samples, mp)
-        predict(samples[0], mp)
-        inner_message(np.ones(8), np.zeros(8), mp)
-        fuse(np.ones(8), np.ones(8), np.ones(8), mp)
-        run_gradcheck(instances=1, d=3)
-
     def test_batched_scores_match_predict(self, rng):
         samples = [
             make_sample(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
@@ -419,19 +401,6 @@ class TestBatchedFiniteDifferences:
                 checked.add(name)
         assert checked == {"emb", "inner_mlp.w_in", "gru.b_update", "fuse_mlp.w_in"}
 
-    def test_gradient_check_leaves_recording_state_alone(self, monkeypatch):
-        """Neither the batched nor the in-place evaluator pushes the
-        process-wide recording switch."""
-
-        class Untouchable(list):
-            def append(self, _):
-                raise AssertionError("the grad-enabled stack was pushed")
-
-        monkeypatch.setattr(autodiff, "_GRAD_ENABLED", Untouchable([True]))
-        forward, mp, value = gradcheck_problem(3, 0)
-        assert gradient_check(forward, mp.parameters(), 1e-5, value_fn=value) < 1e-4
-        assert gradient_check(forward, mp.parameters(), 1e-5) < 1e-4
-
     @pytest.mark.parametrize("batched", [True, False])
     def test_check_restores_parameters_bit_for_bit(self, batched):
         """After a check every parameter holds the same array object with the
@@ -504,25 +473,51 @@ class TestNodeLevelMessagePassing:
             assert base == plan.n_nodes
 
     def test_pairs_match_per_pair_plan(self, rng):
-        """For the elementwise pair model, pair_a/pair_b list every ordered
-        same-side pair, grouped by target node in ascending order, each
-        target's partners ascending; the MLP model's plan has the same pair_a."""
+        """pair_a lists the first node of every ordered same-side pair,
+        grouped by target node in ascending order, for either pair model."""
         samples = self._mixed_batch(rng)
-        plan = build_plan(samples, make_model(samples).table, VariantConfig(inner="bi"))
         expected, base = [], 0
         for s in samples:
             for count in (len(s.user_chars), len(s.item_chars)):
-                expected += [(base + i, base + j) for i in range(count) for j in range(count) if i != j]
+                expected += [base + i for i in range(count) for j in range(count) if i != j]
                 base += count
-        assert list(zip(plan.pair_a.tolist(), plan.pair_b.tolist())) == expected
-        assert np.array_equal(build_plan(samples, make_model(samples).table).pair_a, plan.pair_a)
+        for variant in (CANONICAL, VariantConfig(inner="bi")):
+            assert build_plan(samples, make_model(samples).table, variant).pair_a.tolist() == expected
+
+    @pytest.mark.parametrize("row_local", [False, True])
+    def test_elementwise_messages_within_rounding_of_pair_loop(self, rng, row_local):
+        """inner=bi computes z_i = u_i * (side sum - u_i). Against a loop that
+        adds u_i * u_j over the other nodes j in ascending order, every
+        element is within 8 eps |u_i| * (sum over the side of |u_j|), on
+        signed values with side sizes 1-8; a single-node side gets exactly 0."""
+        variant = VariantConfig(inner="bi")
+        mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=3, variant=variant)
+        eps = np.finfo(np.float64).eps
+        sizes = set()
+        for _ in range(20):
+            plan = build_plan(_plan_batch(rng, 64), mp.table, variant)
+            out = _forward(ArrayOps(), plan, mp, variant, row_local)
+            u, z = out.nodes, out.messages
+            for first, size in zip(plan.by_side.starts, np.diff(np.append(plan.by_side.starts, plan.n_nodes))):
+                side = u[first:first + size]
+                sizes.add(int(size))
+                for i in range(size):
+                    z_pair = np.zeros(u.shape[1])
+                    for j in range(size):
+                        if j != i:
+                            z_pair = z_pair + side[i] * side[j]
+                    bound = 8 * eps * np.abs(side[i]) * np.abs(side).sum(axis=0)
+                    assert np.all(np.abs(z[first + i] - z_pair) <= bound), (size, i)
+                if size == 1:
+                    assert not z[first].any()
+        assert sizes == set(range(1, 9))
 
 
 # Ids with gaps, user ids below and above item ids, so ascending-id order
 # differs from pool order and the id lookup has holes to miss.
 _USER_POOL = [AttributeId(id_, USER) for id_ in (3, 5, 6, 11, 13, 17, 40, 41, 57, 90)]
 _ITEM_POOL = [AttributeId(id_, ITEM) for id_ in (1, 8, 9, 20, 22, 23, 31, 60, 70, 99)]
-_PLAN_KEY = lambda v: (v.mode, v.inner == "bi", v.cross in ("mlp_shared", "mlp_separate"))
+_PLAN_KEY = lambda v: (v.mode, v.cross in ("mlp_shared", "mlp_separate"))
 
 
 def _plan_batch(rng, n_samples):
@@ -554,15 +549,13 @@ def assert_plan_matches_oracle(plan, ref, where=""):
 
     for name in ("n_samples", "n_nodes", "n_sides"):
         assert getattr(plan, name) == ref[name], (where, name)
-    for name in ("attr_rows", "vals", "opp_seg", "user_seg", "item_seg", "pair_a", "pair_b", "input_pos"):
+    for name in ("attr_rows", "vals", "opp_seg", "user_seg", "item_seg", "pair_a", "input_pos"):
         same(getattr(plan, name), ref[name], name)
-    for name in ("by_side", "by_sample", "by_pair_target"):
+    for name in ("by_side", "by_sample"):
         seg, want = getattr(plan, name), ref[name]
-        assert (seg is None) == (want is None), (where, name)
-        if seg is not None:
-            for field, array in zip(("ids", "starts", "out_rows"), want):
-                same(getattr(seg, field), array, f"{name}.{field}")
-            assert seg.n == want[3], (where, name)
+        for field, array in zip(("ids", "starts", "out_rows"), want):
+            same(getattr(seg, field), array, f"{name}.{field}")
+        assert seg.n == want[3], (where, name)
     for name in ("same_side", "cross_side"):
         got, want = getattr(plan, name), ref[name]
         assert (got is None) == (want is None), (where, name)
