@@ -14,12 +14,16 @@ records it for the backward pass, while ArrayOps computes the same arrays,
 bit for bit, and records nothing.
 
 Matrix products come in two flavours. `matmul(..., row_local=True)` computes
-each output row with an expand-multiply-reduce kernel whose bits do not
-depend on how many rows are stacked together; the per-sample prediction
-path uses it so that structural identities (node reordering, role swap,
-single-node graphs) hold exactly. The default BLAS path is much faster and
-is used by the batched training loop, where only run-to-run determinism
-matters.
+each output row as its own (1, k) @ (k, n) product: numpy's stacked matmul
+over a per-row axis, which hands every row to BLAS separately, so a row's
+bits do not depend on how many rows are stacked with it or where it sits.
+The per-sample prediction path uses it so that structural identities (node
+reordering, role swap, single-node graphs) hold exactly. The left operand
+is made C-contiguous first: numpy passes a row to BLAS only when its
+elements are adjacent, and otherwise falls back to its own loop, which sums
+in another order. The default path is one BLAS product over all rows; it
+is faster and is used by the batched training loop and batch scoring,
+where only run-to-run determinism matters.
 """
 from __future__ import annotations
 
@@ -94,11 +98,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Row-local matmul: out[i, j] = sum_k a[i, k] * b[k, j], reduced over the
-# contiguous last axis of the expanded temporary so that each output row's
-# bits are independent of every other row. Chunked to bound the temporary.
-_ROW_LOCAL_CHUNK_ELEMS = 1 << 21
-
 # pair_relu_sum works through a block a few graphs at a time, so that its
 # per-pair temporaries hold at most this many elements and are reused from
 # the allocator's free lists instead of being mapped afresh on every call.
@@ -110,19 +109,15 @@ _FD_STACK_ELEMS = 1 << 16
 
 
 def _mm_row_local(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-local product over the last two axes; leading axes broadcast."""
-    m, k = a.shape[-2:]
-    n = b.shape[-1]
-    bt = np.swapaxes(b, -1, -2)[..., None, :, :]  # (..., 1, n, k) view; strides do not affect bits
-    lead = max(a.size // max(m * k, 1), b.size // max(k * n, 1))
-    chunk = max(1, _ROW_LOCAL_CHUNK_ELEMS // max(lead * k * n, 1))
-    if m <= chunk:
-        return (a[..., :, None, :] * bt).sum(axis=-1)
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n))
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        out[..., start:stop, :] = (a[..., start:stop, None, :] * bt).sum(axis=-1)
-    return out
+    """Row-local product over the last two axes; leading axes broadcast.
+
+    Each row of a is its own (1, k) @ (k, n) matmul. a is made C-contiguous
+    so that numpy can pass each row to BLAS: a row whose elements are not
+    adjacent (a Fortran-ordered or transposed a) goes through numpy's own
+    loop instead, whose bits differ from those of the same row alone.
+    """
+    a = np.ascontiguousarray(a)
+    return np.matmul(a[..., :, None, :], b[..., None, :, :])[..., 0, :]
 
 
 def _segment_sum(m: np.ndarray, seg_ids, starts, out_rows, n_segments: int) -> np.ndarray:
@@ -306,8 +301,11 @@ class Tape:
                 raise ShapeError(f"gather-rows: index out of range for {md.shape[0]} rows")
 
         def vjp(g):
+            # Scatter-add over the flat buffer: numpy's fast path for 1-D
+            # ufunc.at, adding in the same order as np.add.at over rows.
             acc = np.zeros_like(md)
-            np.add.at(acc, idx, g)
+            cols = md.shape[1]
+            np.add.at(acc.reshape(-1), (idx[:, None] * cols + np.arange(cols)).reshape(-1), g.reshape(-1))
             return acc
 
         return self._apply(md[idx], [(m, vjp)])

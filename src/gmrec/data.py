@@ -108,6 +108,11 @@ class EmbeddingTable:
         """View of the attribute's embedding row (shared, not a copy)."""
         return self.matrix[self.row(att)]
 
+    def vectors(self, atts: Sequence[AttributeId]) -> np.ndarray:
+        """The attributes' embedding rows, stacked in order (a copy), by one
+        id search."""
+        return self.matrix[self.rows(np.array([att.id for att in atts], dtype=np.int64))]
+
     def __contains__(self, att: AttributeId) -> bool:
         return bool(self._search(np.array([att.id]))[1][0])
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AttributeId, DataSample, EmbeddingTable, node_representation
+from .data import AttributeId, DataSample, EmbeddingTable
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,9 @@ def build_graphs(sample: DataSample, table: EmbeddingTable) -> tuple[AttributeGr
     Node order follows the sample's attribute order; a pure function of
     (sample, table).
     """
-    user = AttributeGraph(
-        atts=tuple(p.att for p in sample.user_chars),
-        nodes=tuple(node_representation(p, table) for p in sample.user_chars),
-    )
-    item = AttributeGraph(
-        atts=tuple(p.att for p in sample.item_chars),
-        nodes=tuple(node_representation(p, table) for p in sample.item_chars),
-    )
-    return user, item
+
+    def graph(chars) -> AttributeGraph:
+        vectors = table.vectors([p.att for p in chars])
+        return AttributeGraph(atts=tuple(p.att for p in chars), nodes=tuple(p.val * v for p, v in zip(chars, vectors)))
+
+    return graph(sample.user_chars), graph(sample.item_chars)

@@ -164,8 +164,8 @@ def export_matrices(table: EmbeddingTable, group_a, group_b):
     """
     if not group_a or not group_b:
         raise UndefinedMetricError("attribute groups must be nonempty")
-    va = np.stack([table.vector(a) for a in group_a])
-    vb = np.stack([table.vector(b) for b in group_b])
+    va = table.vectors(group_a)
+    vb = table.vectors(group_b)
     norms = np.linalg.norm(va, axis=1)
     sim = va @ va.T
     with np.errstate(invalid="ignore", divide="ignore"):

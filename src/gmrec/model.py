@@ -43,6 +43,15 @@ the row-local kernel, and the pair sums always add a node's terms in
 neighbour order, making per-row results independent of what else is
 stacked; predict() relies on this for its exact structural identities.
 
+Only step 3's node matching needs the pair. build_plan also finds the
+batch's distinct sides (equal id-sorted embedding rows and value bytes),
+and the engine runs the stages that depend on one side alone once per
+distinct side: the nodes of step 1, the messages of step 2, the side sums,
+and GRU steps 1-2 of step 4 (over u and z). It gathers their rows to the
+samples for node matching, GRU step 3 (over s) and the readout. A batch
+with no repeated side has no gather, so a single sample's arrays are those
+of a forward without the dedupe.
+
 The engine is written once, against an ops object. Training runs it on a
 Tape, which records it for the backward pass; scoring, predict(), the
 spec-level functions and the difference quotients of the gradient check run
@@ -295,23 +304,37 @@ class _Neighbourhoods:
 
 @dataclass
 class _Plan:
+    """Index arrays of a batch over two layouts of its nodes.
+
+    Sample nodes are every node of every sample: sample by sample, user
+    side then item side, each side in ascending attribute-id order. Side
+    nodes are the nodes of the batch's distinct sides only, in order of
+    first appearance; a side that repeats an earlier one (the same
+    id-sorted embedding rows and value bytes) has no side nodes of its own.
+    The stages that depend on one side alone run over side nodes, the rest
+    over sample nodes.
+    """
+
     n_samples: int
-    n_nodes: int
+    n_nodes: int  # sample nodes
     n_sides: int
-    attr_rows: np.ndarray  # (n_nodes,) embedding rows
-    vals: np.ndarray  # (n_nodes,)
-    by_side: _SegIndex  # node -> side segment (2*b user, 2*b+1 item)
-    by_sample: _SegIndex  # node -> sample
-    opp_seg: np.ndarray  # (n_nodes,) opposite side segment per node
+    side_map: np.ndarray  # (n_sides,) side -> distinct side
+    attr_rows: np.ndarray  # (side nodes,) embedding rows
+    vals: np.ndarray  # (side nodes,)
+    by_distinct: _SegIndex  # side node -> distinct side
+    node_src: np.ndarray | None  # (n_nodes,) sample node -> side node; None when every side is distinct
+    by_side: _SegIndex  # sample node -> side segment (2*b user, 2*b+1 item)
+    by_sample: _SegIndex  # sample node -> sample
+    opp_seg: np.ndarray  # (n_nodes,) distinct side opposite each sample node
     user_seg: np.ndarray  # (n_samples,)
     item_seg: np.ndarray  # (n_samples,)
-    # First node of each same-side ordered pair, ascending; graph mode.
-    # _forward reads only its size (zero: every side is a single node); the
-    # benchmark's pair counts read the array.
+    # First sample node of each same-side ordered pair, ascending; graph
+    # mode. _forward reads only its size (zero: every side is a single
+    # node); the benchmark's pair counts read the array.
     pair_a: np.ndarray
-    same_side: _Neighbourhoods | None  # every other node of the side; graph mode only
-    cross_side: _Neighbourhoods | None  # every node of the opposite side; MLP cross kinds only
-    input_pos: np.ndarray  # (n_nodes,) node -> position in the batch's flat input order
+    same_side: _Neighbourhoods | None  # every other side node of the side; graph mode only
+    cross_side: _Neighbourhoods | None  # every sample node of the opposite side; MLP cross kinds only
+    input_pos: np.ndarray  # (n_nodes,) sample node -> position in the batch's flat input order
 
 
 @functools.lru_cache(maxsize=64)
@@ -361,6 +384,45 @@ def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
     return _Neighbourhoods(blocks, np.repeat(opposite.astype(np.float64), sizes))
 
 
+# Odd 64-bit constants (from splitmix64) that mix a node's row and value
+# bits into one word of its side's signature.
+_MIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], dtype=np.uint64).view(np.int64)
+
+
+def _distinct_sides(rows: np.ndarray, vals: np.ndarray, side: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+    """The distinct side of every side, numbered in order of first
+    appearance, and the first side of each distinct side.
+
+    rows and vals hold the nodes side by side, each side id-sorted; side is
+    the side of each node. Two sides are the same when their sizes, rows
+    and the bytes of their values are equal, so values that differ in the
+    last bit or in the sign of a zero keep sides apart. Sides are grouped by
+    a signature, the wrapping sum of one mixed word per node; every side is
+    then compared node by node with the first side of its group and kept
+    apart if it differs, so a signature collision costs reuse, never
+    correctness.
+    """
+    bits = vals.view(np.int64)
+    word = rows * _MIX[0] ^ bits
+    word *= _MIX[1]
+    word ^= word >> 29
+    signature = np.add.reduceat(word, starts) + sizes * _MIX[0]
+    order = signature.argsort(kind="stable")
+    ordered = signature[order]
+    new = np.ones(len(sizes), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    own = np.arange(len(sizes))
+    if new.all():  # equal sides have equal signatures, so all sides differ
+        return own, own
+    first = np.empty(len(sizes), dtype=np.intp)  # first side of each side's group: never after it
+    first[order] = order[new][np.cumsum(new) - 1]
+    src = np.arange(len(rows)) + (starts[first] - starts)[side]  # in range, as first[s] <= s
+    same = np.logical_and.reduceat((rows[src] == rows) & (bits[src] == bits), starts) & (sizes[first] == sizes)
+    first = np.where(same, first, own)
+    is_first = first == own
+    return (np.cumsum(is_first) - 1)[first], np.flatnonzero(is_first)
+
+
 def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICAL) -> _Plan:
     """The index plan of a batch, by numpy index arithmetic (see the module
     docstring); input order is sample by sample, user side then item side."""
@@ -373,11 +435,26 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
     side_ids = np.arange(2 * n_samples)
     side = np.repeat(side_ids, sizes)
     order = np.lexsort((ids, side))
+    rows = rows[order]
+    vals = np.array([pair[1] for pair in pairs], dtype=np.float64)[order]
     starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
+    side_map, firsts = _distinct_sides(rows, vals, side, starts, sizes)
+    by_side = _SegIndex(ids=side, starts=starts, out_rows=side_ids, n=2 * n_samples)
+    by_distinct, distinct_starts, distinct_sizes, node_src = by_side, starts, sizes, None
+    if len(firsts) < 2 * n_samples:
+        distinct_sizes = sizes[firsts]
+        distinct_starts = np.cumsum(distinct_sizes) - distinct_sizes
+        distinct_ids = np.arange(len(firsts))
+        by_distinct = _SegIndex(
+            ids=np.repeat(distinct_ids, distinct_sizes), starts=distinct_starts, out_rows=distinct_ids, n=len(firsts)
+        )
+        node_src = np.arange(n_nodes) + np.repeat(distinct_starts[side_map] - starts, sizes)
+        keep = np.arange(distinct_sizes.sum()) + np.repeat(starts[firsts] - distinct_starts, distinct_sizes)
+        rows, vals = rows[keep], vals[keep]
     same_side = cross_side = None
     pair_a = np.empty(0, dtype=np.intp)
     if variant.mode == "graph":
-        same_side = _same_side(starts, sizes)
+        same_side = _same_side(distinct_starts, distinct_sizes)
         pair_a = np.repeat(np.arange(n_nodes), np.repeat(sizes - 1, sizes))
         if variant.cross in ("mlp_shared", "mlp_separate"):
             cross_side = _cross_side(starts, sizes)
@@ -385,11 +462,14 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
         n_samples=n_samples,
         n_nodes=n_nodes,
         n_sides=2 * n_samples,
-        attr_rows=rows[order],
-        vals=np.array([pair[1] for pair in pairs], dtype=np.float64)[order],
-        by_side=_SegIndex(ids=side, starts=starts, out_rows=side_ids, n=2 * n_samples),
+        side_map=side_map,
+        attr_rows=rows,
+        vals=vals,
+        by_distinct=by_distinct,
+        node_src=node_src,
+        by_side=by_side,
         by_sample=_SegIndex(ids=side >> 1, starts=starts[0::2], out_rows=np.arange(n_samples), n=n_samples),
-        opp_seg=side ^ 1,
+        opp_seg=side_map[side ^ 1],
         user_seg=side_ids[0::2],
         item_seg=side_ids[1::2],
         pair_a=pair_a,
@@ -439,25 +519,26 @@ def _pair_mlp_sums(
     return ops.add_scaled_rowvec(out, ops.param(w.b_out), pairs.counts)
 
 
-def _gru_sequence(ops: Tape | ArrayOps, w: GruWeights, steps: list[Value], row_local: bool) -> Value:
-    """Run the GRU over the step inputs from a zero hidden state.
+def _gru_sequence(ops: Tape | ArrayOps, w: GruWeights, steps: list[Value], row_local: bool, h: Value | None = None) -> Value:
+    """Run the GRU over the step inputs from hidden state h, zero if None.
 
     Gate equations, per row:
       update = sigmoid(x W_z + h U_z + b_z)
       reset  = sigmoid(x W_r + h U_r + b_r)
       cand   = tanh(x W_h + (reset * h) U_h + b_h)
       h'     = (1 - update) * h + update * cand
-    The first step is specialized for h = 0, where the reset gate has no
-    effect and h' reduces to update * cand.
+    The step from h = 0 is specialized: the reset gate has no effect there
+    and h' reduces to update * cand.
     """
-    first = steps[0]
     w_update, u_update, b_update = ops.param(w.w_update), ops.param(w.u_update), ops.param(w.b_update)
     w_reset, u_reset, b_reset = ops.param(w.w_reset), ops.param(w.u_reset), ops.param(w.b_reset)
     w_cand, u_cand, b_cand = ops.param(w.w_cand), ops.param(w.u_cand), ops.param(w.b_cand)
-    update = ops.sigmoid(ops.add_rowvec(ops.matmul(first, w_update, row_local), b_update))
-    cand = ops.tanh(ops.add_rowvec(ops.matmul(first, w_cand, row_local), b_cand))
-    h = ops.mul(update, cand)
-    for x in steps[1:]:
+    if h is None:
+        first, steps = steps[0], steps[1:]
+        update = ops.sigmoid(ops.add_rowvec(ops.matmul(first, w_update, row_local), b_update))
+        cand = ops.tanh(ops.add_rowvec(ops.matmul(first, w_cand, row_local), b_cand))
+        h = ops.mul(update, cand)
+    for x in steps:
         update = ops.sigmoid(
             ops.add_rowvec(
                 ops.add(ops.matmul(x, w_update, row_local), ops.matmul(h, u_update, row_local)),
@@ -487,45 +568,58 @@ def _segsum(ops: Tape | ArrayOps, m: Value, seg: _SegIndex) -> Value:
     return ops.segment_sum_prepared(m, seg.ids, seg.starts, seg.out_rows, seg.n)
 
 
-def _others_product(ops: Tape | ArrayOps, nodes: Value, seg: _SegIndex) -> Value:
+def _others_product(ops: Tape | ArrayOps, nodes: Value, sums: Value, seg_ids: np.ndarray) -> Value:
     """Row i is u_i * (sum of its segment - u_i): the sum of u_i * u_j over
-    the other nodes j of its segment, zero for a node alone in it."""
-    sums = _segsum(ops, nodes, seg)
-    return ops.mul(nodes, ops.sub(ops.gather_rows(sums, seg.ids, checked=False), nodes))
+    the other nodes j of its segment, zero for a node alone in it. sums
+    holds the segment sums and seg_ids the segment of each row."""
+    return ops.mul(nodes, ops.sub(ops.gather_rows(sums, seg_ids, checked=False), nodes))
+
+
+def _to_samples(ops: Tape | ArrayOps, side_rows: Value, plan: _Plan) -> Value:
+    """Side-node rows gathered to sample-node rows."""
+    if plan.node_src is None:
+        return side_rows
+    return ops.gather_rows(side_rows, plan.node_src, checked=False)
 
 
 def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: VariantConfig, row_local: bool) -> _EngineOut:
     d = mp.dim
     emb = ops.param(mp.emb)
-    nodes = ops.scale_rows(ops.gather_rows(emb, plan.attr_rows), plan.vals)
-
-    if variant.mode == "graph":
-        if not plan.pair_a.size:
-            messages = ops.constant(np.zeros((plan.n_nodes, d)))
-        elif variant.inner == "mlp":
-            messages = _pair_mlp_sums(ops, mp.inner_mlp, nodes, plan.same_side, d, row_local)
-        else:
-            messages = _others_product(ops, nodes, plan.by_side)
-        if variant.cross == "none":
-            matches = ops.constant(np.zeros((plan.n_nodes, d)))
-        elif variant.cross == "bi":
-            side_sums = _segsum(ops, nodes, plan.by_side)
-            matches = ops.mul(nodes, ops.gather_rows(side_sums, plan.opp_seg, checked=False))
-        else:
-            weights = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
-            matches = _pair_mlp_sums(ops, weights, nodes, plan.cross_side, d, row_local)
+    # Once per distinct side (side nodes): nodes, messages, side sums and
+    # GRU steps 1-2. Node matching, GRU step 3 and the readout run per sample.
+    side_nodes = ops.scale_rows(ops.gather_rows(emb, plan.attr_rows), plan.vals)
+    nodes = _to_samples(ops, side_nodes, plan)
+    side_sums = None
+    if variant.mode != "graph" or not plan.pair_a.size:
+        side_messages = ops.constant(np.zeros((len(plan.attr_rows), d)))
+    elif variant.inner == "mlp":
+        side_messages = _pair_mlp_sums(ops, mp.inner_mlp, side_nodes, plan.same_side, d, row_local)
     else:
+        side_sums = _segsum(ops, side_nodes, plan.by_distinct)
+        side_messages = _others_product(ops, side_nodes, side_sums, plan.by_distinct.ids)
+    messages = _to_samples(ops, side_messages, plan)
+
+    if variant.mode != "graph":
         # Union wiring: every other node of the same sample, either side,
         # is a cross partner.
-        matches = _others_product(ops, nodes, plan.by_sample)
-        messages = ops.constant(np.zeros((plan.n_nodes, d)))
+        matches = _others_product(ops, nodes, _segsum(ops, nodes, plan.by_sample), plan.by_sample.ids)
+    elif variant.cross == "none":
+        matches = ops.constant(np.zeros((plan.n_nodes, d)))
+    elif variant.cross == "bi":
+        if side_sums is None:
+            side_sums = _segsum(ops, side_nodes, plan.by_distinct)
+        matches = ops.mul(nodes, ops.gather_rows(side_sums, plan.opp_seg, checked=False))
+    else:
+        weights = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
+        matches = _pair_mlp_sums(ops, weights, nodes, plan.cross_side, d, row_local)
 
     if variant.mode == "fm":
         fused = ops.add(nodes, ops.scale(matches, 0.5))
     elif variant.fuse == "gru":
-        fused = _gru_sequence(ops, mp.gru, [nodes, messages, matches], row_local)
+        h = _gru_sequence(ops, mp.gru, [side_nodes, side_messages], row_local)
+        fused = _gru_sequence(ops, mp.gru, [matches], row_local, _to_samples(ops, h, plan))
     elif variant.fuse == "sum":
-        fused = ops.add(ops.add(nodes, messages), matches)
+        fused = ops.add(_to_samples(ops, ops.add(side_nodes, side_messages), plan), matches)
     else:
         stacked = ops.concat_cols(ops.concat_cols(nodes, messages), matches)
         fused = _mlp_apply(ops, mp.fuse_mlp, stacked, row_local)

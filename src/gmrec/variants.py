@@ -51,7 +51,7 @@ def fm_predict(
     the bias term is omitted.
     """
     pairs = sample.user_chars + sample.item_chars
-    vectors = [table.vector(p.att) for p in pairs]
+    vectors = table.vectors([p.att for p in pairs])
     total = 0.0
     for p, v in zip(pairs, vectors):
         w = weights[p.att.id] if weights is not None else float(v.sum())

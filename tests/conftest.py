@@ -37,6 +37,13 @@ def all_variants():
     return sorted(out, key=repr)
 
 
+def pytest_report_header(config):
+    """numpy and the BLAS its matmul calls: the exact identities of the
+    row-local kernel are stated for the backend that ran them."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

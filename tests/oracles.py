@@ -121,20 +121,40 @@ def plan_oracle(samples, table, variant):
     model.build_plan. Returns its fields by name as plain intp/float64
     arrays; a segment index is (ids, starts, out_rows, n), a neighbourhood
     is (blocks, counts) with each block a (rows, nbrs, sources, back) tuple,
-    in the plan's block order."""
+    in the plan's block order. Sides are deduplicated with a dict keyed by
+    the bytes of each side's id-sorted rows and values; node_src is None
+    when no side repeats."""
     idx = lambda xs: np.array(xs, dtype=np.intp)
-    attr_rows, vals, side_of, sample_of, opp, input_pos, firsts, sizes = [], [], [], [], [], [], [], []
+    side_rows, side_vals, side_of, sample_of, other_of, input_pos, firsts, sizes = [], [], [], [], [], [], [], []
     for b, sample in enumerate(samples):
         for side, other, chars in ((2 * b, 2 * b + 1, sample.user_chars), (2 * b + 1, 2 * b, sample.item_chars)):
-            firsts.append(len(attr_rows))
+            firsts.append(len(side_of))
             sizes.append(len(chars))
-            for k in np.argsort([p.att.id for p in chars], kind="stable"):
+            order = np.argsort([p.att.id for p in chars], kind="stable")
+            side_rows.append([table.row(chars[k].att) for k in order])
+            side_vals.append([chars[k].val for k in order])
+            for k in order:
                 input_pos.append(firsts[-1] + k)
-                attr_rows.append(table.row(chars[k].att))
-                vals.append(chars[k].val)
                 side_of.append(side)
                 sample_of.append(b)
-                opp.append(other)
+                other_of.append(other)
+
+    distinct, side_map, distinct_first = {}, [], []
+    for s, (rows, vals) in enumerate(zip(side_rows, side_vals)):
+        key = (idx(rows).tobytes(), np.array(vals, dtype=np.float64).tobytes())
+        if key not in distinct:
+            distinct[key] = len(distinct)
+            distinct_first.append(s)
+        side_map.append(distinct[key])
+    attr_rows, vals, distinct_of, distinct_firsts = [], [], [], []
+    for e, s in enumerate(distinct_first):
+        distinct_firsts.append(len(attr_rows))
+        attr_rows += side_rows[s]
+        vals += side_vals[s]
+        distinct_of += [e] * sizes[s]
+    node_src = None
+    if len(distinct) < len(sizes):
+        node_src = idx([distinct_firsts[side_map[s]] + i for s, m in enumerate(sizes) for i in range(m)])
 
     def segments(ids, n):
         starts = [k for k in range(len(ids)) if k == 0 or ids[k] != ids[k - 1]]
@@ -151,21 +171,23 @@ def plan_oracle(samples, table, variant):
         return idx(rows), idx(nbrs), idx(sources), idx(back)
 
     plan = {
-        "n_samples": len(samples), "n_nodes": len(attr_rows), "n_sides": 2 * len(samples),
-        "attr_rows": idx(attr_rows), "vals": np.array(vals, dtype=np.float64),
+        "n_samples": len(samples), "n_nodes": len(side_of), "n_sides": 2 * len(samples),
+        "side_map": idx(side_map), "attr_rows": idx(attr_rows), "vals": np.array(vals, dtype=np.float64),
+        "by_distinct": segments(distinct_of, len(distinct)), "node_src": node_src,
         "by_side": segments(side_of, 2 * len(samples)), "by_sample": segments(sample_of, len(samples)),
-        "opp_seg": idx(opp), "user_seg": idx(range(0, 2 * len(samples), 2)),
+        "opp_seg": idx([side_map[o] for o in other_of]), "user_seg": idx(range(0, 2 * len(samples), 2)),
         "item_seg": idx(range(1, 2 * len(samples), 2)), "input_pos": idx(input_pos),
         "pair_a": idx([]), "same_side": None, "cross_side": None,
     }
     if variant.mode != "graph":
         return plan
     plan["pair_a"] = idx([f + i for f, m in zip(firsts, sizes) for i in range(m) for j in range(m) if j != i])
+    distinct_sizes = [sizes[s] for s in distinct_first]
     blocks = []
-    for m in sorted(set(sizes) - {0, 1}):
-        group = [f for f, size in zip(firsts, sizes) if size == m]
+    for m in sorted(set(distinct_sizes) - {0, 1}):
+        group = [f for f, size in zip(distinct_firsts, distinct_sizes) if size == m]
         blocks.append(block(group, m, group, m, m - 1, lambda t, i: t + (t >= i)))
-    counts = [float(m - 1) for m in sizes for _ in range(m)]
+    counts = [float(m - 1) for m in distinct_sizes for _ in range(m)]
     plan["same_side"] = (blocks, np.array(counts))
     if variant.cross in ("mlp_shared", "mlp_separate"):
         shapes = list(zip(sizes[0::2], sizes[1::2]))

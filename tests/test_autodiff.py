@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmrec import autodiff
 from gmrec.autodiff import (
@@ -257,6 +259,21 @@ class TestStructuredPrimitives:
         )[0]
         assert np.abs(p.grad - numeric).max() < 1e-6
 
+    def test_gather_rows_gradient_adds_like_row_add_at(self, rng):
+        """The gradient of a gather with repeated, unsorted indices has the
+        bits of np.add.at over rows, which adds each row's terms in index
+        order."""
+        for rows, n, cols in ((1, 5, 1), (7, 40, 3), (30, 200, 16)):
+            p = Parameter(rng.normal(size=(rows, cols)))
+            idx = rng.integers(0, rows, size=n)
+            g = rng.normal(size=(n, cols)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+            tape = Tape()
+            out = tape.gather_rows(tape.param(p), idx)
+            tape.backward(tape.sum_reduce(tape.mul(out, tape.constant(g))))
+            want = np.zeros((rows, cols))
+            np.add.at(want, idx, g)
+            assert p.grad.tobytes() == want.tobytes()
+
     def test_gather_rows_out_of_range(self):
         p = Parameter(np.zeros((2, 2)))
         tape = Tape()
@@ -479,3 +496,50 @@ def test_stable_sigmoid_extremes():
     assert s[0] == 0.0 or s[0] < 1e-300
     assert s[2] == 0.5
     assert s[4] == 1.0 or s[4] > 1.0 - 1e-9
+
+
+def _row_alone(a_row: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One row of a row-local product, computed from a fresh 1-row array."""
+    return autodiff._mm_row_local(np.array(a_row)[None, :], b)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_local_rows_do_not_depend_on_the_stack(data):
+    """Every row of _mm_row_local's result has the bits of that row computed
+    alone, and keeps them inside a larger stack at any position, for m, k
+    and n in 1-300, with or without a leading K axis, with a C-ordered,
+    Fortran-ordered or 8-byte-misaligned left operand, and with the right
+    operand a row and column slice of a larger matrix."""
+    m, k, n = (data.draw(st.integers(1, 300), label=name) for name in "mkn")
+    lead = data.draw(st.sampled_from([(), (1,), (3,)]), label="lead")
+    b_lead = data.draw(st.sampled_from([(), lead]), label="b_lead")
+    layout = data.draw(st.sampled_from(["C", "F", "misaligned"]), label="layout")
+    wider = data.draw(st.booleans(), label="b sliced from a wider matrix")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    a = rng.normal(size=lead + (m, k))
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "misaligned":
+        buf = np.empty(a.size + 1)
+        shifted = buf[1:].reshape(a.shape)  # 8 bytes past the buffer's start
+        shifted[...] = a
+        a = shifted
+    if wider:
+        r0, c0 = (int(x) for x in rng.integers(0, 5, size=2))
+        big = rng.normal(size=b_lead + (k + r0 + 3, n + c0 + 2))
+        b = big[..., r0:r0 + k, c0:c0 + n]
+    else:
+        b = rng.normal(size=b_lead + (k, n))
+
+    out = autodiff._mm_row_local(a, b)
+    assert out.shape == lead + (m, n)
+    before = int(rng.integers(0, 4))
+    stack = np.concatenate([rng.normal(size=lead + (before, k)), a, rng.normal(size=lead + (2, k))], axis=-2)
+    in_stack = autodiff._mm_row_local(stack, b)[..., before:before + m, :]
+    assert np.array_equal(in_stack, out)
+    for j in np.ndindex(*lead):
+        b_j = b[j] if b_lead else b
+        for i in range(m):
+            assert np.array_equal(out[j + (i,)], _row_alone(a[j + (i,)], b_j)), (j, i)

@@ -17,6 +17,7 @@ from gmrec.data import (
     universe_of,
 )
 from gmrec.errors import ContractError, MissingEmbeddingError, ShapeError
+from gmrec import model
 from gmrec.graphs import build_graphs
 from gmrec.model import (
     CANONICAL,
@@ -549,9 +550,12 @@ def assert_plan_matches_oracle(plan, ref, where=""):
 
     for name in ("n_samples", "n_nodes", "n_sides"):
         assert getattr(plan, name) == ref[name], (where, name)
-    for name in ("attr_rows", "vals", "opp_seg", "user_seg", "item_seg", "pair_a", "input_pos"):
+    for name in ("side_map", "attr_rows", "vals", "opp_seg", "user_seg", "item_seg", "pair_a", "input_pos"):
         same(getattr(plan, name), ref[name], name)
-    for name in ("by_side", "by_sample"):
+    assert (plan.node_src is None) == (ref["node_src"] is None), where
+    if plan.node_src is not None:
+        same(plan.node_src, ref["node_src"], "node_src")
+    for name in ("by_distinct", "by_side", "by_sample"):
         seg, want = getattr(plan, name), ref[name]
         for field, array in zip(("ids", "starts", "out_rows"), want):
             same(getattr(seg, field), array, f"{name}.{field}")
@@ -623,6 +627,101 @@ class TestVectorisedPlan:
             assert [n.att for n in nodes] == [c.att for c in chars]
             for c, n in zip(chars, nodes):
                 assert np.array_equal(n.representation, c.val * mp.table.vector(c.att))
+
+
+def _side(pool_ids, vals, side):
+    return [AttributeValuePair(AttributeId(i, side), float(v)) for i, v in zip(pool_ids, vals)]
+
+
+class TestDistinctSides:
+    """build_plan finds the batch's distinct sides, and _forward runs the
+    per-side stages once per distinct side and gathers to sample rows."""
+
+    def test_distinct_side_map_matches_loop_builder(self):
+        x = 0.7
+        user = _side((3, 5, 11), (1.0, -0.5, 2.0), USER)
+        item_a, item_b = _side((1, 9), (1.0, 1.0), ITEM), _side((8,), (x,), ITEM)
+        shuffled = [user[2], user[0], user[1]]
+        cases = [
+            ("no repeat", [DataSample(user, item_a, 1.0), DataSample(_side((3,), (1.0,), USER), item_b, 0.0)],
+             [0, 1, 2, 3]),
+            ("repeated samples", [DataSample(user, item_a, 1.0), DataSample(user, item_b, 0.0),
+                                  DataSample(user, item_a, 0.0)], [0, 1, 0, 2, 0, 1]),
+            ("shuffled attributes", [DataSample(user, item_a, 1.0), DataSample(shuffled, item_b, 0.0)], [0, 1, 0, 2]),
+            ("last bit", [DataSample(user, item_b, 1.0),
+                          DataSample(user, _side((8,), (np.nextafter(x, 1.0),), ITEM), 0.0)], [0, 1, 0, 2]),
+            ("sign of zero", [DataSample(user, _side((8,), (0.0,), ITEM), 1.0),
+                              DataSample(user, _side((8,), (-0.0,), ITEM), 0.0)], [0, 1, 0, 2]),
+        ]
+        table = init_embeddings(_USER_POOL + _ITEM_POOL, 4, seed=0)
+        for where, samples, side_map in cases:
+            for variant in all_variants():
+                plan = build_plan(samples, table, variant)
+                assert plan.side_map.tolist() == side_map, where
+                assert (plan.node_src is None) == (where == "no repeat"), where
+                assert_plan_matches_oracle(plan, plan_oracle(samples, table, variant), (where, variant))
+
+    def test_signature_collisions_never_merge_unequal_sides(self, rng, monkeypatch):
+        """With every side given the same signature, every sample node still
+        gathers its own embedding row and value bits, fewer sides are
+        merged (only repeats of the batch's first side), and the row-local
+        scores keep their bits."""
+        samples = _plan_batch(rng, 64)
+        user, item = samples[0].user_chars, samples[0].item_chars
+        nudged = (user[0]._replace(val=np.nextafter(user[0].val, np.inf)),) + user[1:]
+        samples += [samples[0], DataSample(nudged, item, 0.0)]
+        mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4)
+        want = _forward(ArrayOps(), build_plan(samples, mp.table), mp, CANONICAL, row_local=True).scores
+        ref = plan_oracle(samples, mp.table, CANONICAL)
+        monkeypatch.setattr(model, "_MIX", np.zeros(2, dtype=np.int64))
+        plan = build_plan(samples, mp.table)
+        assert np.array_equal(plan.attr_rows[plan.node_src], ref["attr_rows"][ref["node_src"]])
+        assert plan.vals[plan.node_src].tobytes() == ref["vals"][ref["node_src"]].tobytes()
+        assert len(ref["by_distinct"][1]) < len(plan.by_distinct.starts) < plan.n_sides
+        got = _forward(ArrayOps(), plan, mp, CANONICAL, row_local=True).scores
+        assert np.array_equal(got, want)
+
+    @staticmethod
+    def _repeated_batch(rng):
+        """One user against ten items, as a rank request, then a mixed batch
+        with repeated samples."""
+        user = _plan_batch(rng, 1)[0].user_chars
+        items = [s.item_chars for s in _plan_batch(rng, 10)]
+        return [DataSample(user, item, 0.0) for item in items] + _plan_batch(rng, 30)
+
+    def test_scores_match_each_sample_alone(self, rng):
+        """score_samples on a batch with repeated sides is within 1e-12
+        relative of scoring each sample on its own, for every variant."""
+        samples = self._repeated_batch(rng)
+        for variant in all_variants():
+            mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4, variant=variant)
+            plan = build_plan(samples, mp.table, variant)
+            assert plan.node_src is not None and len(plan.attr_rows) < plan.n_nodes
+            batched = score_samples(samples, mp, variant)
+            alone = np.array([score_samples([s], mp, variant)[0] for s in samples])
+            np.testing.assert_allclose(batched, alone, rtol=1e-12, atol=0, err_msg=str(variant))
+
+    def test_tape_gradients_are_the_sum_of_per_sample_tapes(self, rng):
+        """The Tape gradients of the summed scores of a batch with repeated
+        sides equal the sum of each sample's own tape gradients, within
+        1e-12 of each array's largest entry, for every variant."""
+        samples = self._repeated_batch(rng)
+        for variant in all_variants():
+            mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4, variant=variant)
+            params = mp.parameters()
+
+            def gradients(batch):
+                for p in params:
+                    p.zero_grad()
+                tape = Tape()
+                out = _forward(tape, build_plan(batch, mp.table, variant), mp, variant, row_local=False)
+                tape.backward(tape.sum_reduce(out.scores))
+                return [p.grad.copy() for p in params]
+
+            batched = gradients(samples)
+            summed = [sum(gs) for gs in zip(*(gradients([s]) for s in samples))]
+            for p, got, want in zip(params, batched, summed):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (variant, p.name)
 
 
 class TestUnknownAttributes:
