@@ -7,7 +7,7 @@ signals per node and the two aggregated graph representations are matched
 by dot product to score the pair.
 """
 
-from .autodiff import ArrayOps, Parameter, Tape, Value, gradient_check
+from .autodiff import ArrayOps, Parameter, RowLocalOps, Tape, Value, gradient_check
 from .data import (
     ITEM,
     USER,

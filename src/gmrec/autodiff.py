@@ -13,17 +13,18 @@ The model's forward pass is written once, against an ops object: a Tape
 records it for the backward pass, while ArrayOps computes the same arrays,
 bit for bit, and records nothing.
 
-Matrix products come in two flavours. `matmul(..., row_local=True)` computes
+The ops object also chooses the matrix-product kernel, so the forward
+only states what to compute. Tape and ArrayOps run one BLAS product over
+all rows: the batched training loop, batch scoring and the gradient check
+use it, where only run-to-run determinism matters. RowLocalOps computes
 each output row as its own (1, k) @ (k, n) product: numpy's stacked matmul
 over a per-row axis, which hands every row to BLAS separately, so a row's
 bits do not depend on how many rows are stacked with it or where it sits.
-The per-sample prediction path uses it so that structural identities (node
-reordering, role swap, single-node graphs) hold exactly. The left operand
-is made C-contiguous first: numpy passes a row to BLAS only when its
-elements are adjacent, and otherwise falls back to its own loop, which sums
-in another order. The default path is one BLAS product over all rows; it
-is faster and is used by the batched training loop and batch scoring,
-where only run-to-run determinism matters.
+The per-sample prediction path runs on it so that structural identities
+(node reordering, role swap, single-node graphs) hold exactly. The left
+operand is made C-contiguous first: numpy passes a row to BLAS only when
+its elements are adjacent, and otherwise falls back to its own loop, which
+sums in another order.
 """
 from __future__ import annotations
 
@@ -272,12 +273,11 @@ class Tape:
             [(a, lambda g: g[:, None] * bd), (b, lambda g: g[:, None] * ad)],
         )
 
-    def matmul(self, a: Value, b: Value, row_local: bool = False) -> Value:
+    def matmul(self, a: Value, b: Value) -> Value:
         if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
             raise ShapeError(f"matmul: shapes {a.data.shape} vs {b.data.shape}")
         ad, bd = a.data, b.data
-        out = _mm_row_local(ad, bd) if row_local else ad @ bd
-        return self._apply(out, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
+        return self._apply(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
     # -- structure -------------------------------------------------------------
 
@@ -290,15 +290,14 @@ class Tape:
             [(a, lambda g: g[:, :na]), (b, lambda g: g[:, na:])],
         )
 
-    def gather_rows(self, m: Value, idx: np.ndarray, checked: bool = True) -> Value:
+    def gather_rows(self, m: Value, idx: np.ndarray) -> Value:
         """Select rows by a constant index array."""
         md = m.data
-        if checked:
-            if md.ndim != 2:
-                raise ShapeError(f"gather-rows: expected matrix, got shape {md.shape}")
-            idx = np.asarray(idx, dtype=np.intp)
-            if idx.size and (idx.min() < 0 or idx.max() >= md.shape[0]):
-                raise ShapeError(f"gather-rows: index out of range for {md.shape[0]} rows")
+        if md.ndim != 2:
+            raise ShapeError(f"gather-rows: expected matrix, got shape {md.shape}")
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= md.shape[0]):
+            raise ShapeError(f"gather-rows: index out of range for {md.shape[0]} rows")
 
         def vjp(g):
             # Scatter-add over the flat buffer: numpy's fast path for 1-D
@@ -472,6 +471,7 @@ class ArrayOps:
     add = staticmethod(np.add)
     sub = staticmethod(np.subtract)
     mul = staticmethod(np.multiply)
+    matmul = staticmethod(np.matmul)
     sigmoid = staticmethod(stable_sigmoid)
     tanh = staticmethod(np.tanh)
     segment_sum_prepared = staticmethod(_segment_sum)
@@ -501,9 +501,6 @@ class ArrayOps:
     def rowdot(self, a, b):
         return (a * b).sum(axis=-1)
 
-    def matmul(self, a, b, row_local: bool = False):
-        return _mm_row_local(a, b) if row_local else a @ b
-
     def concat_cols(self, a, b):
         if a.shape[:-2] != b.shape[:-2]:
             lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -511,7 +508,7 @@ class ArrayOps:
             b = np.broadcast_to(b, lead + b.shape[-2:])
         return np.concatenate([a, b], axis=-1)
 
-    def gather_rows(self, m, idx, checked: bool = True):
+    def gather_rows(self, m, idx):
         return m[..., idx, :]
 
     def slice_rows(self, m, start: int, stop: int):
@@ -525,6 +522,13 @@ class ArrayOps:
 
     def add_scaled_rowvec(self, m, v, c):
         return m + c[:, None] * v[..., None, :]
+
+
+class RowLocalOps(ArrayOps):
+    """ArrayOps whose matrix products are row-local (see the module
+    docstring): each output row has the bits of that row computed alone."""
+
+    matmul = staticmethod(_mm_row_local)
 
 
 def _evaluate_in_place(forward: Callable[[], Value]) -> Callable[[Parameter, np.ndarray], np.ndarray]:

@@ -67,14 +67,22 @@ def _usage_errors(flag: str | None = None):
         raise _UsageError(f"--{name}: {exc}") from None
 
 
+# A field whose flag and config key are both unset keeps its dataclass default.
+_TRAIN_FIELDS = {
+    "dim": int, "learning_rate": float, "lam": float, "epochs": int, "batch_size": int, "seed": int,
+    "variant": str, "patience": int,
+}
+_PARSE_FIELDS = {"threshold": float, "min_positives": int}
+
+
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dim", type=int, default=None, help="embedding dimension (default 64)")
-    p.add_argument("--lr", type=float, default=None, help="learning rate (default 1e-3)")
-    p.add_argument("--lam", type=float, default=None, help="L2 weight (default 1e-5)")
+    p.add_argument("--dim", type=int, default=None, help=f"embedding dimension (default {TrainConfig.dim})")
+    p.add_argument("--lr", type=float, default=None, help=f"learning rate (default {TrainConfig.learning_rate})")
+    p.add_argument("--lam", type=float, default=None, help=f"L2 weight (default {TrainConfig.lam})")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--patience", type=int, default=None, help="early-stop patience on validation AUC")
-    p.add_argument("--variant", default=None, help='e.g. "inner=mlp,cross=bi,fuse=gru" or "mode=fm"')
+    p.add_argument("--variant", default=None, help=f'e.g. "{format_variant(TrainConfig.variant)}" or "mode=fm"')
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -84,11 +92,14 @@ def _add_data_flags(p: argparse.ArgumentParser):
                    help="drop users with fewer positive samples")
 
 
-_TRAIN_DEFAULTS = {
-    "dim": 64, "lr": 1e-3, "lam": 1e-5, "epochs": 50, "batch_size": 256,
-    "patience": 5, "variant": "inner=mlp,cross=bi,fuse=gru", "seed": 0,
-    "threshold": None, "min_positives": 0,
-}
+def _finite_positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _seed_list(text: str) -> list[int]:
@@ -138,14 +149,14 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--step", type=_finite_positive, default=1e-5)
+    p.add_argument("--tol", type=_finite_positive, default=1e-4)
 
     p = sub.add_parser("fmcheck", help="reduced pipeline vs the analytic FM formula")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_positive, default=1e-9)
 
     p = sub.add_parser("synth", help="generate a planted-rule synthetic dataset")
     p.add_argument("--out", required=True)
@@ -173,19 +184,23 @@ def build_parser() -> _Parser:
 def _read_config_file(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise EngineError(f"config file: bad line {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError:
+            raise EngineError(f"config file: {path!r} is not valid UTF-8") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise EngineError(f"config file: bad line {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
-def _effective(args, key: str, cast=None):
-    """CLI flag > config file > default."""
+def _effective(args, key: str, cast):
+    """CLI flag > config file > None, for the dataclass default."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
@@ -193,35 +208,34 @@ def _effective(args, key: str, cast=None):
     if key in config:
         raw = config[key]
         try:
-            return cast(raw) if cast else raw
+            return cast(raw)
         except ValueError:
             raise _UsageError(f"config file: {key} = {raw!r} is not a valid {cast.__name__}") from None
-    return _TRAIN_DEFAULTS.get(key)
+    return None
+
+
+def _given(args, fields: dict) -> dict:
+    """The fields whose flag or config key holds a value, cast."""
+    values = {}
+    for name, cast in fields.items():
+        value = _effective(args, _FLAG_OF.get(name, name).replace("-", "_"), cast)
+        if value is not None:
+            values[name] = value
+    return values
 
 
 def _train_config(args) -> TrainConfig:
-    with _usage_errors("variant"):
-        variant = parse_variant(str(_effective(args, "variant", str)))
+    values = _given(args, _TRAIN_FIELDS)
+    if "variant" in values:
+        with _usage_errors("variant"):
+            values["variant"] = parse_variant(values["variant"])
     with _usage_errors():
-        return TrainConfig(
-            dim=int(_effective(args, "dim", int)),
-            learning_rate=float(_effective(args, "lr", float)),
-            lam=float(_effective(args, "lam", float)),
-            epochs=int(_effective(args, "epochs", int)),
-            batch_size=int(_effective(args, "batch_size", int)),
-            seed=int(_effective(args, "seed", int)),
-            variant=variant,
-            patience=int(_effective(args, "patience", int)),
-        )
+        return TrainConfig(**values)
 
 
 def _parse_options(args) -> ParseOptions:
-    threshold = _effective(args, "threshold", float)
-    min_positives = _effective(args, "min_positives", int)
-    return ParseOptions(
-        threshold=None if threshold is None else float(threshold),
-        min_positives=int(min_positives or 0),
-    )
+    with _usage_errors():
+        return ParseOptions(**_given(args, _PARSE_FIELDS))
 
 
 def _cmd_train(args) -> int:
@@ -244,8 +258,9 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
+    options = _parse_options(args)
     mp, variant, vocab = load_checkpoint(args.ckpt)
-    dataset = parse_dataset(args.data, _parse_options(args), vocab)
+    dataset = parse_dataset(args.data, options, vocab)
     samples = dataset.samples
     if args.split == "test":
         seed = int(args.seed if args.seed is not None else 0)
@@ -306,8 +321,6 @@ def _cmd_ablate(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not 1 <= args.d <= MAX_DIM or args.instances < 1 or args.seed < 0:
         raise _UsageError(f"--d must be in 1..{MAX_DIM}, --instances >= 1 and --seed >= 0")
-    if not (math.isfinite(args.step) and args.step > 0):
-        raise _UsageError(f"--step must be finite and positive, got {args.step!r}")
     worst = run_gradcheck(instances=args.instances, d=args.d, seed=args.seed, step=args.step)
     print(f"max_relative_error={worst!r}")
     if worst >= args.tol:

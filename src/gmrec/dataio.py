@@ -103,6 +103,12 @@ class ParseOptions:
     threshold: float | None = None  # ratings above this are positive
     min_positives: int = 0  # drop users with fewer positives
 
+    def __post_init__(self):
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise InvalidConfigError(f"threshold must be finite, got {self.threshold!r}", "threshold")
+        if self.min_positives < 0:
+            raise InvalidConfigError(f"min_positives must be >= 0, got {self.min_positives!r}", "min_positives")
+
 
 @dataclass
 class ParseReport:
@@ -219,8 +225,22 @@ def parse_dataset(
     options: ParseOptions | None = None,
     vocab: Vocabulary | None = None,
 ) -> Dataset:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_dataset_lines(handle, options, vocab)
+    """parse_dataset_lines over a UTF-8 file; a byte that is not valid
+    UTF-8 is a ParseError naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_dataset_lines(handle, options, vocab)
+    except UnicodeDecodeError:
+        pass
+    # Count the line of the first bad byte as the text reader splits lines:
+    # at "\n", "\r\n" or a lone "\r".
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:exc.start]
+    raise ParseError("not valid UTF-8", data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1)
 
 
 def _format_value(val: float) -> str:

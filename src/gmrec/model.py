@@ -38,10 +38,10 @@ orders the nodes, one binary search over the table's sorted ids finds the
 embedding rows, and the segment and pair arrays follow from repeat and
 cumsum over the side sizes. Inside a sample, nodes are processed in
 ascending attribute-id order, so reordering the input attributes cannot
-change any bit of the output. With row_local=True all matrix products use
-the row-local kernel, and the pair sums always add a node's terms in
-neighbour order, making per-row results independent of what else is
-stacked; predict() relies on this for its exact structural identities.
+change any bit of the output. The pair sums always add a node's terms in
+neighbour order, and on RowLocalOps every matrix product is row-local, so
+per-row results do not depend on what else is stacked; predict() runs on
+it for its exact structural identities.
 
 Only step 3's node matching needs the pair. build_plan also finds the
 batch's distinct sides (equal id-sorted embedding rows and value bytes),
@@ -52,11 +52,11 @@ samples for node matching, GRU step 3 (over s) and the readout. A batch
 with no repeated side has no gather, so a single sample's arrays are those
 of a forward without the dedupe.
 
-The engine is written once, against an ops object. Training runs it on a
-Tape, which records it for the backward pass; scoring, predict(), the
-spec-level functions and the difference quotients of the gradient check run
-it on ArrayOps, which computes the same arrays bit for bit and records
-nothing.
+The engine is written once, against an ops object, which also chooses the
+matrix-product kernel. Training runs it on a Tape, which records it for the
+backward pass; scoring and the difference quotients of the gradient check
+run it on ArrayOps, which computes the same arrays bit for bit and records
+nothing; predict() and the spec-level functions run it on RowLocalOps.
 
 Ablation switches (VariantConfig) swap the pair model (mlp or elementwise
 product), the cross model (elementwise product, shared or separate MLP,
@@ -74,7 +74,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import ArrayOps, PairBlock, Parameter, Tape, Value
+from .autodiff import ArrayOps, PairBlock, Parameter, RowLocalOps, Tape, Value, stable_sigmoid
 from .data import (
     AttributeId,
     AttributeValuePair,
@@ -497,14 +497,12 @@ class _EngineOut:
     scores: Value  # (n_samples,)
 
 
-def _mlp_apply(ops: Tape | ArrayOps, w: MlpWeights, x: Value, row_local: bool) -> Value:
-    hidden = ops.relu(ops.add_rowvec(ops.matmul(x, ops.param(w.w_in), row_local), ops.param(w.b_hidden)))
-    return ops.add_rowvec(ops.matmul(hidden, ops.param(w.w_out), row_local), ops.param(w.b_out))
+def _mlp_apply(ops: Tape | ArrayOps, w: MlpWeights, x: Value) -> Value:
+    hidden = ops.relu(ops.add_rowvec(ops.matmul(x, ops.param(w.w_in)), ops.param(w.b_hidden)))
+    return ops.add_rowvec(ops.matmul(hidden, ops.param(w.w_out)), ops.param(w.b_out))
 
 
-def _pair_mlp_sums(
-    ops: Tape | ArrayOps, w: MlpWeights, nodes: Value, pairs: _Neighbourhoods, d: int, row_local: bool
-) -> Value:
+def _pair_mlp_sums(ops: Tape | ArrayOps, w: MlpWeights, nodes: Value, pairs: _Neighbourhoods, d: int) -> Value:
     """Row i is the sum of MLP(concat(u_i, u_j)) over the neighbours j of node i.
 
     The MLP is evaluated per node (step 2 of the module docstring): the
@@ -512,14 +510,14 @@ def _pair_mlp_sums(
     relu and neighbour sum run per pair, and w_out acts on the sums.
     """
     w_in = ops.param(w.w_in)
-    first = ops.add_rowvec(ops.matmul(nodes, ops.slice_rows(w_in, 0, d), row_local), ops.param(w.b_hidden))
-    second = ops.matmul(nodes, ops.slice_rows(w_in, d, 2 * d), row_local)
+    first = ops.add_rowvec(ops.matmul(nodes, ops.slice_rows(w_in, 0, d)), ops.param(w.b_hidden))
+    second = ops.matmul(nodes, ops.slice_rows(w_in, d, 2 * d))
     hidden_sums = ops.pair_relu_sum(first, second, pairs.blocks)
-    out = ops.matmul(hidden_sums, ops.param(w.w_out), row_local)
+    out = ops.matmul(hidden_sums, ops.param(w.w_out))
     return ops.add_scaled_rowvec(out, ops.param(w.b_out), pairs.counts)
 
 
-def _gru_sequence(ops: Tape | ArrayOps, w: GruWeights, steps: list[Value], row_local: bool, h: Value | None = None) -> Value:
+def _gru_sequence(ops: Tape | ArrayOps, w: GruWeights, steps: list[Value], h: Value | None = None) -> Value:
     """Run the GRU over the step inputs from hidden state h, zero if None.
 
     Gate equations, per row:
@@ -535,30 +533,14 @@ def _gru_sequence(ops: Tape | ArrayOps, w: GruWeights, steps: list[Value], row_l
     w_cand, u_cand, b_cand = ops.param(w.w_cand), ops.param(w.u_cand), ops.param(w.b_cand)
     if h is None:
         first, steps = steps[0], steps[1:]
-        update = ops.sigmoid(ops.add_rowvec(ops.matmul(first, w_update, row_local), b_update))
-        cand = ops.tanh(ops.add_rowvec(ops.matmul(first, w_cand, row_local), b_cand))
+        update = ops.sigmoid(ops.add_rowvec(ops.matmul(first, w_update), b_update))
+        cand = ops.tanh(ops.add_rowvec(ops.matmul(first, w_cand), b_cand))
         h = ops.mul(update, cand)
     for x in steps:
-        update = ops.sigmoid(
-            ops.add_rowvec(
-                ops.add(ops.matmul(x, w_update, row_local), ops.matmul(h, u_update, row_local)),
-                b_update,
-            )
-        )
-        reset = ops.sigmoid(
-            ops.add_rowvec(
-                ops.add(ops.matmul(x, w_reset, row_local), ops.matmul(h, u_reset, row_local)),
-                b_reset,
-            )
-        )
+        update = ops.sigmoid(ops.add_rowvec(ops.add(ops.matmul(x, w_update), ops.matmul(h, u_update)), b_update))
+        reset = ops.sigmoid(ops.add_rowvec(ops.add(ops.matmul(x, w_reset), ops.matmul(h, u_reset)), b_reset))
         cand = ops.tanh(
-            ops.add_rowvec(
-                ops.add(
-                    ops.matmul(x, w_cand, row_local),
-                    ops.matmul(ops.mul(reset, h), u_cand, row_local),
-                ),
-                b_cand,
-            )
+            ops.add_rowvec(ops.add(ops.matmul(x, w_cand), ops.matmul(ops.mul(reset, h), u_cand)), b_cand)
         )
         h = ops.add(ops.mul(ops.one_minus(update), h), ops.mul(update, cand))
     return h
@@ -572,17 +554,17 @@ def _others_product(ops: Tape | ArrayOps, nodes: Value, sums: Value, seg_ids: np
     """Row i is u_i * (sum of its segment - u_i): the sum of u_i * u_j over
     the other nodes j of its segment, zero for a node alone in it. sums
     holds the segment sums and seg_ids the segment of each row."""
-    return ops.mul(nodes, ops.sub(ops.gather_rows(sums, seg_ids, checked=False), nodes))
+    return ops.mul(nodes, ops.sub(ops.gather_rows(sums, seg_ids), nodes))
 
 
 def _to_samples(ops: Tape | ArrayOps, side_rows: Value, plan: _Plan) -> Value:
     """Side-node rows gathered to sample-node rows."""
     if plan.node_src is None:
         return side_rows
-    return ops.gather_rows(side_rows, plan.node_src, checked=False)
+    return ops.gather_rows(side_rows, plan.node_src)
 
 
-def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: VariantConfig, row_local: bool) -> _EngineOut:
+def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: VariantConfig) -> _EngineOut:
     d = mp.dim
     emb = ops.param(mp.emb)
     # Once per distinct side (side nodes): nodes, messages, side sums and
@@ -593,7 +575,7 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
     if variant.mode != "graph" or not plan.pair_a.size:
         side_messages = ops.constant(np.zeros((len(plan.attr_rows), d)))
     elif variant.inner == "mlp":
-        side_messages = _pair_mlp_sums(ops, mp.inner_mlp, side_nodes, plan.same_side, d, row_local)
+        side_messages = _pair_mlp_sums(ops, mp.inner_mlp, side_nodes, plan.same_side, d)
     else:
         side_sums = _segsum(ops, side_nodes, plan.by_distinct)
         side_messages = _others_product(ops, side_nodes, side_sums, plan.by_distinct.ids)
@@ -608,25 +590,25 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
     elif variant.cross == "bi":
         if side_sums is None:
             side_sums = _segsum(ops, side_nodes, plan.by_distinct)
-        matches = ops.mul(nodes, ops.gather_rows(side_sums, plan.opp_seg, checked=False))
+        matches = ops.mul(nodes, ops.gather_rows(side_sums, plan.opp_seg))
     else:
         weights = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
-        matches = _pair_mlp_sums(ops, weights, nodes, plan.cross_side, d, row_local)
+        matches = _pair_mlp_sums(ops, weights, nodes, plan.cross_side, d)
 
     if variant.mode == "fm":
         fused = ops.add(nodes, ops.scale(matches, 0.5))
     elif variant.fuse == "gru":
-        h = _gru_sequence(ops, mp.gru, [side_nodes, side_messages], row_local)
-        fused = _gru_sequence(ops, mp.gru, [matches], row_local, _to_samples(ops, h, plan))
+        h = _gru_sequence(ops, mp.gru, [side_nodes, side_messages])
+        fused = _gru_sequence(ops, mp.gru, [matches], _to_samples(ops, h, plan))
     elif variant.fuse == "sum":
         fused = ops.add(_to_samples(ops, ops.add(side_nodes, side_messages), plan), matches)
     else:
         stacked = ops.concat_cols(ops.concat_cols(nodes, messages), matches)
-        fused = _mlp_apply(ops, mp.fuse_mlp, stacked, row_local)
+        fused = _mlp_apply(ops, mp.fuse_mlp, stacked)
 
     graph_reprs = _segsum(ops, fused, plan.by_side)
-    user_repr = ops.gather_rows(graph_reprs, plan.user_seg, checked=False)
-    item_repr = ops.gather_rows(graph_reprs, plan.item_seg, checked=False)
+    user_repr = ops.gather_rows(graph_reprs, plan.user_seg)
+    item_repr = ops.gather_rows(graph_reprs, plan.item_seg)
     if variant.mode in ("union", "fm"):
         scores = ops.add(ops.row_sums(user_repr), ops.row_sums(item_repr))
     else:
@@ -637,13 +619,17 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
     )
 
 
-def score_samples(samples, mp: ModelParams, variant: VariantConfig = CANONICAL, batch_size: int = 2048) -> np.ndarray:
+# score_samples runs at most this many samples per forward.
+SCORE_BATCH = 2048
+
+
+def score_samples(samples, mp: ModelParams, variant: VariantConfig = CANONICAL) -> np.ndarray:
     """Untracked scores, batched; safe to call concurrently over read-only params."""
     out = np.empty(len(samples))
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
+    for start in range(0, len(samples), SCORE_BATCH):
+        chunk = samples[start:start + SCORE_BATCH]
         plan = build_plan(chunk, mp.table, variant)
-        out[start:start + len(chunk)] = _forward(ArrayOps(), plan, mp, variant, row_local=False).scores
+        out[start:start + len(chunk)] = _forward(ArrayOps(), plan, mp, variant).scores
     return out
 
 
@@ -672,21 +658,18 @@ class ForwardResult:
     @property
     def probability(self) -> float:
         """Sigmoid link from the raw matching score."""
-        if self.score >= 0:
-            return float(1.0 / (1.0 + np.exp(-self.score)))
-        e = np.exp(self.score)
-        return float(e / (1.0 + e))
+        return float(stable_sigmoid(self.score))
 
 
 def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONICAL) -> ForwardResult:
     """Forward one sample, keeping per-node diagnostics.
 
-    Internally nodes are processed in ascending attribute-id order with
-    row-local kernels, so the score is bit-identical under any reordering
-    of the input attributes and under swapping the user and item roles.
+    Internally nodes are processed in ascending attribute-id order on
+    RowLocalOps, so the score is bit-identical under any reordering of the
+    input attributes and under swapping the user and item roles.
     """
     plan = build_plan([sample], mp.table, variant)
-    out = _forward(ArrayOps(), plan, mp, variant, row_local=True)
+    out = _forward(RowLocalOps(), plan, mp, variant)
 
     def diag(att, row):
         return NodeDiagnostics(
@@ -733,7 +716,7 @@ def inner_message(u_i, u_j, mp: ModelParams) -> np.ndarray:
     u_i = _check_dim(u_i, d, "inner_message u_i")
     u_j = _check_dim(u_j, d, "inner_message u_j")
     x = np.concatenate([u_i, u_j])[None, :]
-    return _mlp_apply(ArrayOps(), mp.inner_mlp, x, row_local=True)[0].copy()
+    return _mlp_apply(RowLocalOps(), mp.inner_mlp, x)[0].copy()
 
 
 def message_pass(graph: AttributeGraph, mp: ModelParams) -> list[np.ndarray]:
@@ -769,8 +752,8 @@ def node_match(u_i, other_nodes) -> np.ndarray:
 def fuse(u_i, z_i, s_i, mp: ModelParams) -> np.ndarray:
     """GRU over the sequence [u_i, z_i, s_i] from a zero hidden state.
 
-    Runs the same row-local kernel as predict(), so fusing a node alone
-    gives exactly the bits it gets inside a full forward pass.
+    Runs on RowLocalOps like predict(), so fusing a node alone gives
+    exactly the bits it gets inside a full forward pass.
     """
     d = mp.dim
     rows = [
@@ -778,7 +761,7 @@ def fuse(u_i, z_i, s_i, mp: ModelParams) -> np.ndarray:
         _check_dim(z_i, d, "fuse z_i")[None, :],
         _check_dim(s_i, d, "fuse s_i")[None, :],
     ]
-    return _gru_sequence(ArrayOps(), mp.gru, rows, row_local=True)[0].copy()
+    return _gru_sequence(RowLocalOps(), mp.gru, rows)[0].copy()
 
 
 def graph_representation(graph: AttributeGraph, opposite_nodes, mp: ModelParams) -> np.ndarray:

@@ -124,7 +124,7 @@ def regularized_risk(
         raise ContractError("regularized_risk: batch is empty")
     tape = tape if tape is not None else Tape()
     plan = build_plan(batch, mp.table, variant)
-    out = _forward(tape, plan, mp, variant, row_local=False)
+    out = _forward(tape, plan, mp, variant)
     labels = tape.constant(np.array([s.label for s in batch], dtype=np.float64))
     per_sample = tape.sub(tape.softplus(out.scores), tape.mul(out.scores, labels))
     risk = tape.scale(tape.sum_reduce(per_sample), 1.0 / len(batch))

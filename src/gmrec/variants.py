@@ -25,7 +25,7 @@ from .model import (
     VariantConfig,
     format_variant,
     parse_variant,
-    predict,
+    score_samples,
 )
 
 __all__ = [
@@ -67,7 +67,9 @@ def fm_reduction_predict(sample: DataSample, table: EmbeddingTable) -> float:
 
     Runs the real engine in its fm mode (union-set elementwise products,
     linear fusing, element-sum match) rather than re-deriving the closed
-    form, so the identity actually exercises the model path.
+    form, so the identity actually exercises the model path. fm mode has
+    no matrix product, so this is predict()'s score without its per-node
+    diagnostics.
     """
     mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"))
-    return predict(sample, mp, FM_REDUCTION).score
+    return float(score_samples([sample], mp, FM_REDUCTION)[0])

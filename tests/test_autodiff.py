@@ -198,7 +198,6 @@ PRIMITIVE_CASES = [
     ("mul", lambda t, a, b: t.mul(a, b), 2, (4,)),
     ("scale", lambda t, a: t.scale(a, -1.3), 1, (4,)),
     ("matmul", lambda t, a, b: t.matmul(a, b), 2, [(3, 4), (4, 2)]),
-    ("matmul_rl", lambda t, a, b: t.matmul(a, b, row_local=True), 2, [(3, 4), (4, 2)]),
     ("concat_cols", lambda t, a, b: t.concat_cols(a, b), 2, [(3, 2), (3, 4)]),
     ("sum_reduce", lambda t, a: t.sum_reduce(a), 1, (4,)),
     ("row_sums", lambda t, a: t.row_sums(a), 1, [(3, 4)]),
@@ -543,3 +542,13 @@ def test_row_local_rows_do_not_depend_on_the_stack(data):
         b_j = b[j] if b_lead else b
         for i in range(m):
             assert np.array_equal(out[j + (i,)], _row_alone(a[j + (i,)], b_j)), (j, i)
+
+
+def test_row_local_ops_differ_from_array_ops_in_matmul_only():
+    """RowLocalOps is ArrayOps with the row-local kernel as its matmul, and
+    ArrayOps' matmul is numpy's, the same bits as a @ b."""
+    own = {name for name in vars(autodiff.RowLocalOps) if not name.startswith("__")}
+    assert own == {"matmul"}
+    a, b = np.random.default_rng(3).normal(size=(2, 37, 37))
+    assert np.array_equal(autodiff.RowLocalOps.matmul(a, b), autodiff._mm_row_local(a, b))
+    assert np.array_equal(autodiff.ArrayOps.matmul(a, b), a @ b)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmrec import cli
 from gmrec.cli import main
-from gmrec.dataio import SynthSpec, write_synthetic
-from gmrec.training import MAX_DIM
+from gmrec.dataio import ParseOptions, SynthSpec, parse_dataset, write_synthetic
+from gmrec.errors import EngineError
+from gmrec.training import MAX_DIM, TrainConfig
 
 
 @pytest.fixture
@@ -59,6 +61,32 @@ class TestUsage:
         assert code == 2
 
 
+class TestUndecodableInput:
+    """A data or config file that is not valid UTF-8 is a data error (exit
+    2) naming its line or file, not a traceback."""
+
+    @pytest.mark.parametrize("body, line", [
+        (b"\xff", 1),
+        (b"1\tuid=u0\tiid=i0\n0\tuid=u1 ua=\xe9\tiid=i0\n", 2),
+        (b"1\tuid=u0\tiid=i0\r\n\r\n0\tuid=u1\tiid=i1\r0\tuid=u2\tiid=\xc3(\n", 4),
+    ])
+    def test_data_file(self, capsys, tmp_path, body, line):
+        data = tmp_path / "data.tsv"
+        data.write_bytes(body)
+        code, _, err = run(capsys, "train", "--data", str(data), "--dim", "2", "--epochs", "1")
+        assert code == 2, err
+        assert f"line {line}:" in err and "UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_config_file(self, capsys, tmp_path, synth_file):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"dim = 4\nepochs = \xff\n")
+        code, _, err = run(capsys, "train", "--data", synth_file, "--config", str(config))
+        assert code == 2, err
+        assert str(config) in err and "UTF-8" in err
+        assert "Traceback" not in err
+
+
 class TestConfigRangeErrors:
     """An out-of-range flag or config value is a usage error (exit 1) that
     names the flag, and it fails before the data file is read."""
@@ -75,6 +103,12 @@ class TestConfigRangeErrors:
         (("ablate", "--variants", "mode=fm", "--seeds", "-1"), "--seeds"),
         (("ablate", "--variants", "mode=fm", "--patience", "0"), "--patience"),
         (("train", "--dim", "100000000000"), "--dim"),
+        (("train", "--threshold", "nan"), "--threshold"),
+        (("train", "--threshold", "-inf"), "--threshold"),
+        (("train", "--min-positives", "-3"), "--min-positives"),
+        (("evaluate", "--ckpt", "never-read.ckpt", "--threshold", "nan"), "--threshold"),
+        (("evaluate", "--ckpt", "never-read.ckpt", "--min-positives", "-1"), "--min-positives"),
+        (("ablate", "--variants", "mode=fm", "--threshold", "inf"), "--threshold"),
     ])
     def test_train_flag(self, capsys, tmp_path, argv, flag):
         missing = str(tmp_path / "never-read.tsv")
@@ -88,6 +122,13 @@ class TestConfigRangeErrors:
         code, _, err = run(capsys, "train", "--data", synth_file, "--config", str(config))
         assert code == 1
         assert "--dim" in err
+
+    def test_config_file_threshold(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("threshold = nan\n")
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "never-read.tsv"), "--config", str(config))
+        assert code == 1
+        assert "--threshold" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (("--users", "0"), "--users"),
@@ -110,6 +151,8 @@ class TestConfigRangeErrors:
         ("evaluate", "--seed", "-1", "--split", "test", "--data", "never-read.tsv", "--ckpt", "never-read.ckpt"),
         ("gradcheck", "--d", str(MAX_DIM + 1)), ("gradcheck", "--d", "100000000000"),
         ("fmcheck", "--d", str(MAX_DIM + 1)), ("fmcheck", "--d", "100000000000"),
+        ("gradcheck", "--tol", "nan"), ("gradcheck", "--tol", "0"), ("gradcheck", "--tol", "inf"),
+        ("fmcheck", "--tol", "nan"), ("fmcheck", "--tol", "-1e-9"),
     ])
     def test_other_command_flag(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -122,13 +165,20 @@ _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["", "1e400", "-0", "0x10", "1_000", "nan", "-inf"]),
 )
-# --dim and --epochs stay small (or out of range), so a valid draw trains
-# a tiny model; every other numeric flag takes any value.
-_FLAG_VALUES = {
-    "--dim": st.integers(-2, 3).map(str),
+# --dim, --epochs, --d, --n and --instances stay small (or out of range),
+# so a valid draw runs a tiny model; every other numeric flag takes any value.
+_SMALL = st.integers(-2, 3).map(str)
+_TRAIN_FLAG_VALUES = {
+    "--dim": _SMALL,
     "--epochs": st.integers(-2, 2).map(str),
     **{flag: _NUMBERS for flag in ("--lr", "--lam", "--batch-size", "--patience", "--seed",
                                    "--threshold", "--min-positives")},
+}
+_FLAG_VALUES = {
+    "train": _TRAIN_FLAG_VALUES,
+    "ablate": _TRAIN_FLAG_VALUES,
+    "gradcheck": {"--d": _SMALL, "--instances": _SMALL, **{flag: _NUMBERS for flag in ("--seed", "--step", "--tol")}},
+    "fmcheck": {"--d": _SMALL, "--n": _SMALL, **{flag: _NUMBERS for flag in ("--seed", "--tol")}},
 }
 
 
@@ -139,15 +189,18 @@ def small_data(tmp_path_factory):
     return path
 
 
-@settings(max_examples=60, deadline=None)
-@given(command=st.sampled_from(["train", "ablate"]),
-       flags=st.lists(st.sampled_from(sorted(_FLAG_VALUES)), min_size=1, max_size=4, unique=True),
-       data=st.data())
-def test_random_numeric_flags_exit_0_1_or_2(small_data, command, flags, data):
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_FLAG_VALUES)), data=st.data())
+def test_random_numeric_flags_exit_0_1_or_2(small_data, command, data):
     """Any numeric flag values end in exit 0, 1 (bad flag) or 2 (data or
     numeric failure), never in an exception out of main()."""
-    argv = [command, "--data", small_data, "--dim=2", "--epochs=1"]
-    argv += [f"{flag}={data.draw(_FLAG_VALUES[flag], label=flag)}" for flag in flags]
+    values = _FLAG_VALUES[command]
+    flags = data.draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=4, unique=True), label="flags")
+    argv = {
+        "gradcheck": ["gradcheck", "--d=2", "--instances=1"],
+        "fmcheck": ["fmcheck", "--d=2", "--n=2"],
+    }.get(command, [command, "--data", small_data, "--dim=2", "--epochs=1"])
+    argv += [f"{flag}={data.draw(values[flag], label=flag)}" for flag in flags]
     if command == "ablate":
         argv += ["--variants", "mode=fm"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
@@ -285,6 +338,25 @@ class TestTrainEvaluatePredict:
                            "--line", "unseen_attribute\tiid=i0")
         assert code == 2
         assert "embedding" in err
+
+    def test_defaults_come_from_the_dataclasses(self, capsys, monkeypatch, synth_file):
+        """train with no flags and no config file builds TrainConfig() and
+        ParseOptions()."""
+        seen = {}
+
+        def stop(split, config):
+            seen["config"] = config
+            raise EngineError("stop")
+
+        def parse(path, options=None, vocab=None):
+            seen["options"] = options
+            return parse_dataset(path, options, vocab)
+
+        monkeypatch.setattr(cli, "train", stop)
+        monkeypatch.setattr(cli, "parse_dataset", parse)
+        code, _, _ = run(capsys, "train", "--data", synth_file)
+        assert code == 2
+        assert seen == {"config": TrainConfig(), "options": ParseOptions()}
 
     def test_config_file_precedence(self, capsys, tmp_path, synth_file):
         config = tmp_path / "run.conf"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmrec.autodiff import ArrayOps, PairBlock, Tape, gradient_check
+from gmrec.autodiff import ArrayOps, PairBlock, RowLocalOps, Tape, gradient_check
 from gmrec.data import (
     ITEM,
     USER,
@@ -299,7 +299,7 @@ class TestStructuralInvariances:
 class TestEngineConsistency:
     def test_array_ops_bit_identical_to_tape(self, rng):
         """The untracked run of the one engine computes the tracked run's
-        arrays bit for bit, for every variant and both matmul kernels."""
+        arrays bit for bit, for every variant."""
         batches = [
             [make_sample(int(rng.integers(1, 5)), int(rng.integers(1, 5)),
                          vals=list(rng.uniform(-2.0, 2.0, size=8)), id_offset=8 * k)
@@ -309,14 +309,14 @@ class TestEngineConsistency:
         fields = ("nodes", "messages", "matches", "fused", "user_repr", "item_repr", "scores")
         variants = all_variants()
         assert len(variants) == 28
-        for variant, row_local, samples in itertools.product(variants, (False, True), batches):
+        for variant, samples in itertools.product(variants, batches):
             mp = make_model(samples, seed=11, variant=variant)
             plan = build_plan(samples, mp.table, variant)
-            tracked = _forward(Tape(), plan, mp, variant, row_local)
-            plain = _forward(ArrayOps(), plan, mp, variant, row_local)
+            tracked = _forward(Tape(), plan, mp, variant)
+            plain = _forward(ArrayOps(), plan, mp, variant)
             assert tracked.scores.node is not None
             for name in fields:
-                assert np.array_equal(getattr(tracked, name).data, getattr(plain, name)), (variant, row_local, name)
+                assert np.array_equal(getattr(tracked, name).data, getattr(plain, name)), (variant, name)
 
     def test_batched_scores_match_predict(self, rng):
         samples = [
@@ -335,9 +335,30 @@ class TestEngineConsistency:
 
         def forward():
             tape = Tape()
-            return tape.sum_reduce(_forward(tape, plan, mp, CANONICAL, row_local=False).scores)
+            return tape.sum_reduce(_forward(tape, plan, mp, CANONICAL).scores)
 
         assert gradient_check(forward, mp.parameters(), step=1e-5) < 1e-4
+
+    def test_predict_fuses_each_node_as_fuse_alone(self, rng):
+        """predict() fuses every node with the bits fuse() gives that node
+        alone, for every variant with fuse=gru in graph and union mode, at
+        d=8 and d=64, on sides of 1-7 nodes with signed values. Products on
+        any kernel but the ops object's would change the bits."""
+        variants = [v for v in all_variants() if v.fuse == "gru" and v.mode != "fm"]
+        assert len(variants) == 9
+        nodes = 0
+        for variant, dim in itertools.product(variants, (8, 64)):
+            mp = init_model_params(_USER_POOL + _ITEM_POOL, dim, seed=dim, variant=variant)
+            for p in mp.parameters()[1:]:
+                p.values[...] = rng.normal(scale=0.5, size=p.shape)  # biases too
+            for sample in _plan_batch(rng, 8):
+                sample = DataSample(sample.user_chars[:7], sample.item_chars[:7], sample.label)
+                res = predict(sample, mp, variant)
+                for node in res.user_nodes + res.item_nodes:
+                    alone = fuse(node.representation, node.message, node.match, mp)
+                    assert alone.tobytes() == node.fused.tobytes(), (variant, dim, node.att)
+                    nodes += 1
+        assert nodes > 1000
 
 
 class TestBatchedFiniteDifferences:
@@ -371,7 +392,7 @@ class TestBatchedFiniteDifferences:
         assert rows_checked > 10000
 
     def test_batched_array_ops_match_row_loop_all_variants(self, rng):
-        """For every variant and both matmul kernels, a (K, *shape) stack
+        """For every variant on both matmul kernels, a (K, *shape) stack
         substituted for one parameter gives, in each output field, what a
         loop of 2-D runs over the stack rows gives, within 1e-12 relative."""
         samples = [
@@ -381,7 +402,7 @@ class TestBatchedFiniteDifferences:
         ]
         fields = ("nodes", "messages", "matches", "fused", "user_repr", "item_repr", "scores")
         checked = set()
-        for variant, row_local in itertools.product(all_variants(), (False, True)):
+        for variant, ops in itertools.product(all_variants(), (ArrayOps, RowLocalOps)):
             mp = make_model(samples, seed=11, variant=variant)
             plan = build_plan(samples, mp.table, variant)
             for name in ("emb", "inner_mlp.w_in", "gru.b_update", "fuse_mlp.w_in"):
@@ -391,14 +412,14 @@ class TestBatchedFiniteDifferences:
                     continue
                 p = getattr(part, attr)
                 stack = p.values + rng.normal(scale=0.1, size=(3,) + p.shape)
-                batched = _forward(ArrayOps({p: stack}), plan, mp, variant, row_local)
+                batched = _forward(ops({p: stack}), plan, mp, variant)
                 for r in range(len(stack)):
-                    single = _forward(ArrayOps({p: stack[r]}), plan, mp, variant, row_local)
+                    single = _forward(ops({p: stack[r]}), plan, mp, variant)
                     for field in fields:
                         expected = getattr(single, field)
                         got = np.broadcast_to(getattr(batched, field), (len(stack),) + expected.shape)[r]
                         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0,
-                                                   err_msg=f"{variant} {row_local} {name} {field}")
+                                                   err_msg=f"{variant} {ops.__name__} {name} {field}")
                 checked.add(name)
         assert checked == {"emb", "inner_mlp.w_in", "gru.b_update", "fuse_mlp.w_in"}
 
@@ -444,14 +465,14 @@ class TestNodeLevelMessagePassing:
         variants = [v for v in all_variants() if v.mode == "graph"
                     and (v.inner == "mlp" or v.cross in ("mlp_shared", "mlp_separate"))]
         assert len(variants) == 15
-        for variant, row_local in itertools.product(variants, (False, True)):
+        for variant, ops in itertools.product(variants, (ArrayOps(), RowLocalOps())):
             mp = make_model(samples, seed=5, variant=variant)
             for mlp in (mp.inner_mlp, mp.cross_mlp):
                 for p in (mlp.parameters() if mlp is not None else []):
                     # Non-zero biases, and a cross MLP that differs from the inner one.
                     p.values[...] = rng.normal(scale=0.5, size=p.shape)
             plan = build_plan(samples, mp.table, variant)
-            out = _forward(ArrayOps(), plan, mp, variant, row_local)
+            out = _forward(ops, plan, mp, variant)
             cross = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
             base = 0
             for sample in samples:
@@ -485,19 +506,19 @@ class TestNodeLevelMessagePassing:
         for variant in (CANONICAL, VariantConfig(inner="bi")):
             assert build_plan(samples, make_model(samples).table, variant).pair_a.tolist() == expected
 
-    @pytest.mark.parametrize("row_local", [False, True])
-    def test_elementwise_messages_within_rounding_of_pair_loop(self, rng, row_local):
+    def test_elementwise_messages_within_rounding_of_pair_loop(self, rng):
         """inner=bi computes z_i = u_i * (side sum - u_i). Against a loop that
         adds u_i * u_j over the other nodes j in ascending order, every
         element is within 8 eps |u_i| * (sum over the side of |u_j|), on
-        signed values with side sizes 1-8; a single-node side gets exactly 0."""
+        signed values with side sizes 1-8, on both matmul kernels; a
+        single-node side gets exactly 0."""
         variant = VariantConfig(inner="bi")
         mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=3, variant=variant)
         eps = np.finfo(np.float64).eps
         sizes = set()
-        for _ in range(20):
+        for ops in (ArrayOps(), RowLocalOps()) * 10:
             plan = build_plan(_plan_batch(rng, 64), mp.table, variant)
-            out = _forward(ArrayOps(), plan, mp, variant, row_local)
+            out = _forward(ops, plan, mp, variant)
             u, z = out.nodes, out.messages
             for first, size in zip(plan.by_side.starts, np.diff(np.append(plan.by_side.starts, plan.n_nodes))):
                 side = u[first:first + size]
@@ -671,14 +692,14 @@ class TestDistinctSides:
         nudged = (user[0]._replace(val=np.nextafter(user[0].val, np.inf)),) + user[1:]
         samples += [samples[0], DataSample(nudged, item, 0.0)]
         mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4)
-        want = _forward(ArrayOps(), build_plan(samples, mp.table), mp, CANONICAL, row_local=True).scores
+        want = _forward(RowLocalOps(), build_plan(samples, mp.table), mp, CANONICAL).scores
         ref = plan_oracle(samples, mp.table, CANONICAL)
         monkeypatch.setattr(model, "_MIX", np.zeros(2, dtype=np.int64))
         plan = build_plan(samples, mp.table)
         assert np.array_equal(plan.attr_rows[plan.node_src], ref["attr_rows"][ref["node_src"]])
         assert plan.vals[plan.node_src].tobytes() == ref["vals"][ref["node_src"]].tobytes()
         assert len(ref["by_distinct"][1]) < len(plan.by_distinct.starts) < plan.n_sides
-        got = _forward(ArrayOps(), plan, mp, CANONICAL, row_local=True).scores
+        got = _forward(RowLocalOps(), plan, mp, CANONICAL).scores
         assert np.array_equal(got, want)
 
     @staticmethod
@@ -714,7 +735,7 @@ class TestDistinctSides:
                 for p in params:
                     p.zero_grad()
                 tape = Tape()
-                out = _forward(tape, build_plan(batch, mp.table, variant), mp, variant, row_local=False)
+                out = _forward(tape, build_plan(batch, mp.table, variant), mp, variant)
                 tape.backward(tape.sum_reduce(out.scores))
                 return [p.grad.copy() for p in params]
 

@@ -193,6 +193,19 @@ class TestFmReduction:
         res = predict(sample, mp, FM_REDUCTION)
         assert abs(res.score - fm_reduction_predict(sample, table)) < 1e-12
 
+    def test_same_bits_as_predict(self, rng):
+        """fm_reduction_predict scores without predict()'s diagnostics; fm
+        mode has no matrix product, so the score keeps predict()'s bits."""
+        for k in range(40):
+            p, q = (int(n) for n in rng.integers(1, 6, size=2))
+            sample = make_sample(p, q, vals=list(rng.uniform(-2, 2, size=p + q)))
+            table = init_embeddings(universe_of([sample]), int(rng.integers(1, 9)), k)
+            mp = init_model_params(universe_of([sample]), table.dim, k, FM_REDUCTION)
+            mp.table.matrix[...] = table.matrix
+            got = fm_reduction_predict(sample, table)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(predict(sample, mp, FM_REDUCTION).score).tobytes()
+
 
 def test_every_variant_gradient_passes_finite_differences():
     """Criterion 1's twenty instances, for each of the 28 variants.
