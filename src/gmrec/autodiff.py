@@ -60,17 +60,16 @@ class Parameter:
 
 
 class _Node:
-    __slots__ = ("parents", "pvjps", "param", "grad")
+    __slots__ = ("edges", "grad")
 
-    def __init__(self, parents, pvjps, param=None):
-        self.parents = parents  # tuple[_Node]
-        self.pvjps = pvjps  # tuple[g -> array], aligned with parents
-        self.param = param  # Parameter for leaves, else None
+    def __init__(self, edges):
+        self.edges = edges  # list of (parent, g -> array); parent a _Node or Parameter
         self.grad = None
 
 
 class Value:
-    """An array tracked on a tape (node is None for constants)."""
+    """An array tracked on a tape: node is the _Node that recorded it, the
+    Parameter it reads, or None for constants."""
 
     __slots__ = ("data", "node", "tape")
 
@@ -174,13 +173,10 @@ def _pair_relu_sum(a: np.ndarray, b: np.ndarray, blocks: Sequence[PairBlock], ch
 
 
 class Tape:
-    """Recorded differentiable computation with parameter leaves."""
+    """Recorded differentiable computation whose leaves are Parameters."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        # Leaf nodes, not Values: a Value points back at its tape, so holding
-        # one here would make every tape a reference cycle.
-        self._leaves: dict[int, _Node] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -188,19 +184,15 @@ class Tape:
         return Value(_as_array(x), None, self)
 
     def param(self, p: Parameter) -> Value:
-        """Leaf value for a Parameter; backward accumulates into p.grad."""
-        node = self._leaves.get(id(p))
-        if node is None:
-            node = _Node((), (), param=p)
-            self.nodes.append(node)
-            self._leaves[id(p)] = node
-        return Value(p.values, node, self)
+        """p's values, tracked with p itself as the leaf; records nothing.
+        backward accumulates into p.grad."""
+        return Value(p.values, p, self)
 
     def _apply(self, data: np.ndarray, deps: Sequence[tuple[Value, Callable]]) -> Value:
-        tracked = [(v.node, fn) for v, fn in deps if v.node is not None]
-        if not tracked:
+        edges = [(v.node, fn) for v, fn in deps if v.node is not None]
+        if not edges:
             return Value(data, None, self)
-        node = _Node(tuple(n for n, _ in tracked), tuple(fn for _, fn in tracked))
+        node = _Node(edges)
         self.nodes.append(node)
         return Value(data, node, self)
 
@@ -418,7 +410,11 @@ class Tape:
     def backward(self, output: Value) -> None:
         """Accumulate d(output)/d(parameter) into every Parameter's grad.
 
-        Repeated calls without zeroing the parameters accumulate.
+        A node's gradient is the sum of its contributions; a Parameter adds
+        each contribution into p.grad in place as it arrives, so p.grad
+        stays the same-shape array. From zeroed grads the result has the
+        bits of summing the contributions first; repeated calls without
+        zeroing still accumulate, but round in another order.
         """
         if np.ndim(output.data) != 0:
             raise ContractError(
@@ -426,18 +422,21 @@ class Tape:
             )
         if output.node is None:
             raise ContractError("backward: output is not tracked on a tape")
+        if isinstance(output.node, Parameter):
+            output.node.grad += 1.0
+            return
         output.node.grad = np.asarray(1.0)
         for node in reversed(self.nodes):
             g = node.grad
             if g is None:
                 continue
             node.grad = None
-            if node.param is not None:
-                node.param.grad += g
-                continue
-            for parent, fn in zip(node.parents, node.pvjps):
-                contribution = fn(g)
-                parent.grad = contribution if parent.grad is None else parent.grad + contribution
+            for parent, fn in node.edges:
+                c = fn(g)
+                if isinstance(parent, Parameter):
+                    parent.grad += c
+                else:
+                    parent.grad = c if parent.grad is None else parent.grad + c
 
 
 def segment_boundaries(seg_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -102,12 +102,28 @@ def _finite_positive(text: str) -> float:
     return value
 
 
+def _int_in(low: int, high: float = math.inf):
+    """An argparse type for an integer in low..high, so that a bad value is
+    reported against its own flag alone."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer in {low}..{high}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _seed_list(text: str) -> list[int]:
     try:
         seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         seeds = None
-    if seeds is None or any(s < 0 for s in seeds):
+    if not seeds or any(s < 0 for s in seeds):
         raise argparse.ArgumentTypeError(f"expected comma-separated non-negative integers, got {text!r}")
     return seeds
 
@@ -128,7 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", choices=("all", "test"), default="all")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_in(0), default=None)
     p.add_argument("--per-user", default=None, help="write a per-user breakdown file")
     _add_data_flags(p)
 
@@ -146,16 +162,16 @@ def build_parser() -> _Parser:
     _add_data_flags(p)
 
     p = sub.add_parser("gradcheck", help="gradients vs central finite differences")
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--d", type=_int_in(1, MAX_DIM), default=8)
+    p.add_argument("--seed", type=_int_in(0), default=0)
+    p.add_argument("--instances", type=_int_in(1), default=20)
     p.add_argument("--step", type=_finite_positive, default=1e-5)
     p.add_argument("--tol", type=_finite_positive, default=1e-4)
 
     p = sub.add_parser("fmcheck", help="reduced pipeline vs the analytic FM formula")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_in(1), default=50)
+    p.add_argument("--d", type=_int_in(1, MAX_DIM), default=8)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--tol", type=_finite_positive, default=1e-9)
 
     p = sub.add_parser("synth", help="generate a planted-rule synthetic dataset")
@@ -256,8 +272,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     options = _parse_options(args)
     mp, variant, vocab = load_checkpoint(args.ckpt)
     dataset = parse_dataset(args.data, options, vocab)
@@ -291,14 +305,13 @@ def _cmd_ablate(args) -> int:
     _train_config(args)  # a bad flag fails before the data is read
     with _usage_errors("variants"):
         variants = [parse_variant(v) for v in args.variants.split(";") if v.strip()]
-    seeds = args.seeds
-    if not variants or not seeds:
-        raise EngineError("ablate needs at least one variant and one seed")
+        if not variants:
+            raise InvalidConfigError(f"expected at least one variant, got {args.variants!r}")
     dataset = parse_dataset(args.data, _parse_options(args))
     rows = []
     for variant in variants:
         metrics_per_seed = []
-        for seed in seeds:
+        for seed in args.seeds:
             config = _train_config(args)
             config.seed = seed
             config.variant = variant
@@ -319,8 +332,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if not 1 <= args.d <= MAX_DIM or args.instances < 1 or args.seed < 0:
-        raise _UsageError(f"--d must be in 1..{MAX_DIM}, --instances >= 1 and --seed >= 0")
     worst = run_gradcheck(instances=args.instances, d=args.d, seed=args.seed, step=args.step)
     print(f"max_relative_error={worst!r}")
     if worst >= args.tol:
@@ -330,8 +341,6 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_fmcheck(args) -> int:
-    if not 1 <= args.d <= MAX_DIM or args.n < 1 or args.seed < 0:
-        raise _UsageError(f"--d must be in 1..{MAX_DIM}, --n >= 1 and --seed >= 0")
     worst = run_fmcheck(n=args.n, d_max=args.d, seed=args.seed)
     print(f"max_abs_deviation={worst!r}")
     if worst >= args.tol:

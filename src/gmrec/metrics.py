@@ -48,19 +48,10 @@ def auc(scored: Sequence[ScoredSample]) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    ranks_sorted = np.empty(scores.size, dtype=np.float64)
-    start = 0
-    while start < scores.size:
-        stop = start
-        while stop + 1 < scores.size and sorted_scores[stop + 1] == sorted_scores[start]:
-            stop += 1
-        # average of ranks start+1 .. stop+1, an exact multiple of 1/2
-        ranks_sorted[start:stop + 1] = (start + stop + 2) / 2.0
-        start = stop + 1
-    ranks = np.empty_like(ranks_sorted)
-    ranks[order] = ranks_sorted
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # A tie group of c scores ending at rank r holds ranks r-c+1 .. r: their
+    # average, r - (c-1)/2, is an exact multiple of 1/2.
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum = float(ranks[labels == 1.0].sum())
     numerator = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(numerator / (n_pos * n_neg))

@@ -239,11 +239,11 @@ def parameter_layout(variant: VariantConfig, dim: int) -> list[tuple[str, list[t
     layout = []
     if variant.mode == "graph" and (variant.inner == "mlp" or variant.cross in ("mlp_shared", "mlp_separate")):
         layout.append(("inner_mlp", mlp(2 * dim)))
-    if variant.mode != "fm" and variant.fuse == "gru":
+    if variant.fuse == "gru":
         layout.append(("gru", [(dim, dim), (dim, dim), (dim,)] * 3))
     if variant.mode == "graph" and variant.cross == "mlp_separate":
         layout.append(("cross_mlp", mlp(2 * dim)))
-    if variant.mode != "fm" and variant.fuse == "mlp":
+    if variant.fuse == "mlp":
         layout.append(("fuse_mlp", mlp(3 * dim)))
     return layout
 

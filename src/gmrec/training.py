@@ -34,6 +34,9 @@ from .model import (
 
 LOSS_EPS = 1e-12
 
+# Adam's moment decay rates and the denominator's guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 # Largest embedding dimension a TrainConfig accepts. The inner MLP alone
 # holds 8 * dim**2 weights, 64 MB at this bound; a larger dim would try to
 # allocate tables of many gigabytes before training starts.
@@ -117,12 +120,12 @@ def regularized_risk(
     mp: ModelParams,
     lam: float,
     variant: VariantConfig = CANONICAL,
-    tape: Tape | None = None,
 ) -> Value:
-    """Tracked mean BCE plus the squared-L2 penalty for one mini-batch."""
+    """Tracked mean BCE plus the squared-L2 penalty for one mini-batch, on
+    a new tape (risk.tape)."""
     if not batch:
         raise ContractError("regularized_risk: batch is empty")
-    tape = tape if tape is not None else Tape()
+    tape = Tape()
     plan = build_plan(batch, mp.table, variant)
     out = _forward(tape, plan, mp, variant)
     labels = tape.constant(np.array([s.label for s in batch], dtype=np.float64))
@@ -145,34 +148,22 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(
-    params: Sequence[Parameter],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    gradients: Sequence[np.ndarray] | None = None,
-) -> None:
-    """One bias-corrected Adam update, in place.
-
-    Gradients default to each parameter's accumulated grad buffer.
-    """
-    if gradients is None:
-        gradients = [p.grad for p in params]
-    if len(gradients) != len(params) or len(state.m) != len(params):
+def adam_step(params: Sequence[Parameter], state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update from each parameter's grad, in place."""
+    if len(state.m) != len(params):
         raise ContractError("adam_step: state does not match parameters")
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
-    for p, g, m, v in zip(params, gradients, state.m, state.v):
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad
         if g.shape != p.values.shape:
             raise ContractError(f"adam_step: gradient shape {g.shape} vs {p.values.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.values -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.values -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def split_per_user(samples: Sequence[DataSample], seed: int) -> SplitDataset:
@@ -269,14 +260,13 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
             batch = [train_samples[k] for k in order[start:start + config.batch_size]]
             for p in params:
                 p.zero_grad()
-            tape = Tape()
-            risk = regularized_risk(batch, mp, config.lam, config.variant, tape)
+            risk = regularized_risk(batch, mp, config.lam, config.variant)
             value = float(risk.data)
             if not np.isfinite(value):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch starting at {start}"
                 )
-            tape.backward(risk)
+            risk.tape.backward(risk)
             adam_step(params, state, config.learning_rate)
             loss_sum += value * len(batch)
             seen += len(batch)
@@ -304,6 +294,6 @@ def _validation_metrics(valid: Sequence[DataSample], mp, variant) -> tuple[float
     labels = {s.label for s in valid}
     scored = score_dataset(list(valid), mp, variant)
     ll = logloss(scored)
-    if labels == {0.0, 1.0} or labels == {0, 1}:
+    if labels == {0.0, 1.0}:
         return auc(scored), ll
     return float("nan"), ll

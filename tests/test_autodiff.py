@@ -89,6 +89,44 @@ class TestBackward:
         tape.backward(out)
         assert np.array_equal(p.grad, [[4.0, 8.0]])
 
+    def test_scalar_parameter_grad_stays_its_array(self):
+        """A 0-d parameter's grad is accumulated in place: it is the same
+        ndarray after backward, and a second gradient check, which zeroes
+        it again, passes."""
+        p = Parameter(0.7)
+        grad = p.grad
+
+        def forward():
+            tape = Tape()
+            v = tape.param(p)
+            return tape.add(tape.mul(v, v), tape.tanh(v))
+
+        for _ in range(2):
+            assert gradient_check(forward, [p]) < 1e-8
+            assert p.grad is grad and isinstance(p.grad, np.ndarray) and p.grad.shape == ()
+
+    def test_backward_of_a_parameter_adds_one(self):
+        p = Parameter(2.0)
+        p.grad[...] = 0.375
+        tape = Tape()
+        tape.backward(tape.param(p))
+        assert isinstance(p.grad, np.ndarray) and float(p.grad) == 1.375
+        assert tape.nodes == []
+
+    def test_only_primitive_applications_are_recorded(self):
+        """param() records nothing; each primitive call on a tracked input
+        records one node, and a call on constants alone records none."""
+        p, q = Parameter([1.0, 2.0]), Parameter(3.0)
+        tape = Tape()
+        a, b, c = tape.param(p), tape.param(p), tape.param(q)
+        assert tape.nodes == []
+        x = tape.mul(a, b)
+        tape.scale(tape.constant([1.0, 1.0]), 2.0)
+        y = tape.add(tape.sum_reduce(x), c)
+        assert len(tape.nodes) == 3
+        tape.backward(y)
+        assert np.array_equal(p.grad, [2.0, 4.0]) and float(q.grad) == 1.0
+
     def test_untracked_output_rejected(self):
         tape = Tape()
         with pytest.raises(ContractError):
@@ -161,8 +199,8 @@ class TestBackward:
             assert ref() is None
             for variant in all_variants():
                 mp = init_model_params(universe_of(samples), 4, 0, variant)
-                tape = Tape()
-                risk = regularized_risk(samples, mp, 1e-3, variant, tape=tape)
+                risk = regularized_risk(samples, mp, 1e-3, variant)
+                tape = risk.tape
                 tape.backward(risk)
                 ref = weakref.ref(tape)
                 del tape, risk

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +111,8 @@ class TestConfigRangeErrors:
         (("evaluate", "--ckpt", "never-read.ckpt", "--threshold", "nan"), "--threshold"),
         (("evaluate", "--ckpt", "never-read.ckpt", "--min-positives", "-1"), "--min-positives"),
         (("ablate", "--variants", "mode=fm", "--threshold", "inf"), "--threshold"),
+        (("ablate", "--variants", ";"), "--variants"),
+        (("ablate", "--variants", "mode=fm", "--seeds", ""), "--seeds"),
     ])
     def test_train_flag(self, capsys, tmp_path, argv, flag):
         missing = str(tmp_path / "never-read.tsv")
@@ -144,7 +148,7 @@ class TestConfigRangeErrors:
         assert flag in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
+    _OTHER_COMMAND_FLAGS = [
         ("gradcheck", "--d", "0"), ("gradcheck", "--seed", "-1"), ("gradcheck", "--step", "nan"),
         ("gradcheck", "--step", "0"),
         ("fmcheck", "--d", "0"), ("fmcheck", "--n", "0"), ("fmcheck", "--seed", "-1"),
@@ -153,11 +157,24 @@ class TestConfigRangeErrors:
         ("fmcheck", "--d", str(MAX_DIM + 1)), ("fmcheck", "--d", "100000000000"),
         ("gradcheck", "--tol", "nan"), ("gradcheck", "--tol", "0"), ("gradcheck", "--tol", "inf"),
         ("fmcheck", "--tol", "nan"), ("fmcheck", "--tol", "-1e-9"),
-    ])
+        ("gradcheck", "--instances", "0"), ("fmcheck", "--n", "-2"),
+    ]
+
+    @pytest.mark.parametrize("argv", _OTHER_COMMAND_FLAGS)
     def test_other_command_flag(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert argv[1] in err
+
+    @pytest.mark.parametrize("argv", _OTHER_COMMAND_FLAGS)
+    def test_other_command_flag_blames_no_other_flag(self, capsys, argv):
+        """The error names the bad flag and no other flag of the command."""
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {f for a in commands.choices[argv[0]]._actions for f in a.option_strings if f.startswith("--")}
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert flags & set(re.findall(r"--[a-z][a-z-]*", err)) == {argv[1]}
 
 
 _NUMBERS = st.one_of(

@@ -250,7 +250,6 @@ class TestCheckpoint:
         assert predict(sample, loaded, variant).score == predict(sample, mp, variant).score
 
     def test_loaded_params_remain_trainable(self, tmp_path):
-        from gmrec.autodiff import Tape
         from gmrec.training import AdamState, adam_step, regularized_risk
 
         ds, mp = _dataset_and_params()
@@ -260,9 +259,8 @@ class TestCheckpoint:
         params = loaded.parameters()
         for p in params:
             p.zero_grad()
-        tape = Tape()
-        risk = regularized_risk(ds.samples[:16], loaded, 1e-5, variant, tape)
-        tape.backward(risk)
+        risk = regularized_risk(ds.samples[:16], loaded, 1e-5, variant)
+        risk.tape.backward(risk)
         adam_step(params, AdamState(params), 1e-3)  # must not hit read-only arrays
 
     def test_truncated_file_rejected_without_partial_params(self, tmp_path):
