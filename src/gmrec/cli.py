@@ -2,13 +2,20 @@
 
 Subcommands: train, evaluate, predict, ablate, gradcheck, fmcheck, synth,
 export-matrices. Exit codes: 0 success, 1 usage error, 2 data or numeric
-error. Flags override values from a `key = value` config file (--config),
-which override built-in defaults.
+error. Flags match by their full name only.
+
+A flag that sets a TrainConfig, ParseOptions or SynthSpec field has no
+default of its own: the dataclass is built from the fields whose flag was
+given, so every default lives in the dataclass. Each `key = value` line of
+a config file (--config, on train and ablate) becomes the flag
+`--key=value`, placed after the command name and before the command line's
+own flags: argparse casts it and rejects an unknown key, and a flag given
+on the command line wins.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import math
 import sys
 
@@ -32,22 +39,35 @@ from .metrics import (
     per_user_report,
     score_dataset,
 )
-from .model import predict
+from .model import VariantConfig, format_variant, parse_variant, predict
 from .selfcheck import run_fmcheck, run_gradcheck
 from .training import MAX_DIM, TrainConfig, split_per_user, train
-from .variants import format_variant, parse_variant
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None):
+        super().__init__(message)
+        self.parser = parser  # whose usage to print; None: the command's
 
 
 class _Parser(argparse.ArgumentParser):
+    """Matches flags by full name only, and reports a bad or unknown flag
+    as a _UsageError that carries the parser of the command that failed."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
-# Config fields whose flag is not the field name with dashes for underscores.
+# Fields whose flag is not the field name with dashes, to name it in errors.
 _FLAG_OF = {
     "learning_rate": "lr",
     "user_attr_card": "user-card",
@@ -56,40 +76,46 @@ _FLAG_OF = {
 }
 
 
-@contextlib.contextmanager
-def _usage_errors(flag: str | None = None):
-    """Report a config-range error as a usage error naming its flag: `flag`,
-    or else the flag of the field the error names."""
+def _settings(cls, args):
+    """A `cls` dataclass from the fields whose flag was given (their flags
+    default to None); a range error is a usage error naming the flag."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if getattr(args, f.name, None) is not None}
     try:
-        yield
+        return cls(**given)
     except InvalidConfigError as exc:
-        name = flag or _FLAG_OF.get(exc.field, str(exc.field).replace("_", "-"))
-        raise _UsageError(f"--{name}: {exc}") from None
-
-
-# A field whose flag and config key are both unset keeps its dataclass default.
-_TRAIN_FIELDS = {
-    "dim": int, "learning_rate": float, "lam": float, "epochs": int, "batch_size": int, "seed": int,
-    "variant": str, "patience": int,
-}
-_PARSE_FIELDS = {"threshold": float, "min_positives": int}
+        flag = _FLAG_OF.get(exc.field, str(exc.field).replace("_", "-"))
+        raise _UsageError(f"--{flag}: {exc}") from None
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dim", type=int, default=None, help=f"embedding dimension (default {TrainConfig.dim})")
-    p.add_argument("--lr", type=float, default=None, help=f"learning rate (default {TrainConfig.learning_rate})")
-    p.add_argument("--lam", type=float, default=None, help=f"L2 weight (default {TrainConfig.lam})")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None, help="early-stop patience on validation AUC")
-    p.add_argument("--variant", default=None, help=f'e.g. "{format_variant(TrainConfig.variant)}" or "mode=fm"')
+    p.add_argument("--config", help="key = value lines, each read as the flag --key=value")
+    p.add_argument("--dim", type=int, help=f"embedding dimension (default {TrainConfig.dim})")
+    p.add_argument("--lr", dest="learning_rate", type=float, help=f"learning rate (default {TrainConfig.learning_rate})")
+    p.add_argument("--lam", type=float, help=f"L2 weight (default {TrainConfig.lam})")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--patience", type=int, help="early-stop patience on validation AUC")
+    p.add_argument("--variant", type=_variant, help=f'e.g. "{format_variant(TrainConfig.variant)}" or "mode=fm"')
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
-    p.add_argument("--threshold", type=float, default=None,
-                   help="treat labels as ratings; ratings above this are positive")
-    p.add_argument("--min-positives", type=int, default=None,
-                   help="drop users with fewer positive samples")
+    p.add_argument("--threshold", type=float, help="treat labels as ratings; ratings above this are positive")
+    p.add_argument("--min-positives", type=int, help="drop users with fewer positive samples")
+
+
+def _variant(text: str) -> VariantConfig:
+    try:
+        return parse_variant(text)
+    except InvalidConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _variant_list(text: str) -> list[VariantConfig]:
+    variants = [_variant(v) for v in text.split(";") if v.strip()]
+    if not variants:
+        raise argparse.ArgumentTypeError(f"expected at least one variant, got {text!r}")
+    return variants
 
 
 def _finite_positive(text: str) -> float:
@@ -131,12 +157,12 @@ def _seed_list(text: str) -> list[int]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="gmrec", description=__doc__)
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None, help="checkpoint path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="key = value config file")
+    p.add_argument("--seed", type=int)
     _add_train_flags(p)
     _add_data_flags(p)
 
@@ -144,7 +170,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", choices=("all", "test"), default="all")
-    p.add_argument("--seed", type=_int_in(0), default=None)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--per-user", default=None, help="write a per-user breakdown file")
     _add_data_flags(p)
 
@@ -155,9 +181,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="train and compare several variants")
     p.add_argument("--data", required=True)
-    p.add_argument("--variants", required=True, help="semicolon-separated variant strings")
+    p.add_argument("--variants", type=_variant_list, required=True, help="semicolon-separated variant strings")
     p.add_argument("--seeds", type=_seed_list, default="0", help="comma-separated seeds")
-    p.add_argument("--config", default=None)
     _add_train_flags(p)
     _add_data_flags(p)
 
@@ -176,17 +201,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a planted-rule synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--users", type=int, default=200)
-    p.add_argument("--items", type=int, default=120)
-    p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--rule", choices=("xor_cross", "cross", "random"), default="xor_cross")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--attrs", choices=("both", "user", "item", "none"), default="both")
-    p.add_argument("--user-card", type=int, default=12)
-    p.add_argument("--second-user-card", type=int, default=8)
-    p.add_argument("--item-card", type=int, default=12)
-    p.add_argument("--affinity-rank", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--users", type=int)
+    p.add_argument("--items", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--rule", choices=("xor_cross", "cross", "random"))
+    p.add_argument("--noise", type=float)
+    p.add_argument("--attrs", choices=("both", "user", "item", "none"))
+    p.add_argument("--user-card", dest="user_attr_card", type=int)
+    p.add_argument("--second-user-card", dest="second_user_attr_card", type=int)
+    p.add_argument("--item-card", dest="item_attr_card", type=int)
+    p.add_argument("--affinity-rank", type=int)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("export-matrices", help="attribute similarity and matching grids")
     p.add_argument("--ckpt", required=True)
@@ -197,8 +222,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_flags(path: str) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags; a
+    key may spell the flag's dashes as underscores."""
+    flags = []
     with open(path, "r", encoding="utf-8") as handle:
         try:
             lines = handle.readlines()
@@ -211,52 +238,13 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise EngineError(f"config file: bad line {raw.strip()!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _effective(args, key: str, cast):
-    """CLI flag > config file > None, for the dataclass default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    config = getattr(args, "_config_values", {})
-    if key in config:
-        raw = config[key]
-        try:
-            return cast(raw)
-        except ValueError:
-            raise _UsageError(f"config file: {key} = {raw!r} is not a valid {cast.__name__}") from None
-    return None
-
-
-def _given(args, fields: dict) -> dict:
-    """The fields whose flag or config key holds a value, cast."""
-    values = {}
-    for name, cast in fields.items():
-        value = _effective(args, _FLAG_OF.get(name, name).replace("-", "_"), cast)
-        if value is not None:
-            values[name] = value
-    return values
-
-
-def _train_config(args) -> TrainConfig:
-    values = _given(args, _TRAIN_FIELDS)
-    if "variant" in values:
-        with _usage_errors("variant"):
-            values["variant"] = parse_variant(values["variant"])
-    with _usage_errors():
-        return TrainConfig(**values)
-
-
-def _parse_options(args) -> ParseOptions:
-    with _usage_errors():
-        return ParseOptions(**_given(args, _PARSE_FIELDS))
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _cmd_train(args) -> int:
-    config = _train_config(args)  # a bad flag fails before the data is read
-    dataset = parse_dataset(args.data, _parse_options(args))
+    config = _settings(TrainConfig, args)  # a bad flag fails before the data is read
+    dataset = parse_dataset(args.data, _settings(ParseOptions, args))
     print(f"# parsed {dataset.report}")
     split = split_per_user(dataset.samples, config.seed)
     result = train(split, config)
@@ -272,13 +260,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    options = _parse_options(args)
+    options = _settings(ParseOptions, args)
     mp, variant, vocab = load_checkpoint(args.ckpt)
     dataset = parse_dataset(args.data, options, vocab)
     samples = dataset.samples
     if args.split == "test":
-        seed = int(args.seed if args.seed is not None else 0)
-        samples = split_per_user(samples, seed).test
+        samples = split_per_user(samples, args.seed).test
     if not samples:
         raise UndefinedMetricError("no samples in the requested split")
     report = evaluate_model(samples, mp, variant)
@@ -302,19 +289,13 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _train_config(args)  # a bad flag fails before the data is read
-    with _usage_errors("variants"):
-        variants = [parse_variant(v) for v in args.variants.split(";") if v.strip()]
-        if not variants:
-            raise InvalidConfigError(f"expected at least one variant, got {args.variants!r}")
-    dataset = parse_dataset(args.data, _parse_options(args))
+    base = _settings(TrainConfig, args)  # a bad flag fails before the data is read
+    dataset = parse_dataset(args.data, _settings(ParseOptions, args))
     rows = []
-    for variant in variants:
+    for variant in args.variants:
         metrics_per_seed = []
         for seed in args.seeds:
-            config = _train_config(args)
-            config.seed = seed
-            config.variant = variant
+            config = dataclasses.replace(base, seed=seed, variant=variant)
             split = split_per_user(dataset.samples, seed)
             result = train(split, config)
             metrics_per_seed.append(evaluate_model(split.test, result.params, variant))
@@ -350,21 +331,7 @@ def _cmd_fmcheck(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with _usage_errors():
-        spec = SynthSpec(
-            users=args.users,
-            items=args.items,
-            samples=args.samples,
-            rule=args.rule,
-            user_attr_card=args.user_card,
-            second_user_attr_card=args.second_user_card,
-            item_attr_card=args.item_card,
-            affinity_rank=args.affinity_rank,
-            noise=args.noise,
-            attrs=args.attrs,
-            seed=args.seed,
-        )
-    write_synthetic(spec, args.out)
+    write_synthetic(_settings(SynthSpec, args), args.out)
     print(f"# wrote {args.out} and {args.out}.rule.json")
     return 0
 
@@ -415,17 +382,24 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        config_path = getattr(args, "config", None)
-        args._config_values = _read_config_file(config_path) if config_path else {}
+        command = parser.commands[args.command]
+        if getattr(args, "config", None):
+            at = argv.index(args.command) + 1
+            try:
+                args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+            except _UsageError as exc:  # the command line alone parsed
+                raise _UsageError(f"config file {args.config}: {exc}", exc.parser) from None
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        (exc.parser or command).print_usage(sys.stderr)
         return 1
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

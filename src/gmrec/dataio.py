@@ -9,13 +9,13 @@ first-appearance order; an attribute may appear on one side only.
 
 Checkpoints are a single binary blob: the 8-byte magic "GMCFCKP1", a
 fixed header (dim, attribute count, variant string length, counts of MLP
-and GRU arrays), the variant string, the attribute vocabulary as
-length-prefixed UTF-8 names (each followed by a side byte) in id order,
-then every parameter array as little-endian 64-bit floats in registry
-order, as model.parameter_layout lists them. Loading validates the magic,
-the vocabulary (UTF-8, unique names, side byte 0 or 1), the counts and the
-exact byte size before it allocates any parameter; a round trip is
-bit-exact. Saving renames a finished temporary file over the target.
+and GRU arrays), the variant string, the names of the embedding table's
+attributes as length-prefixed UTF-8 names (each followed by a side byte)
+in row order, then every parameter array as little-endian 64-bit floats
+in registry order, as model.parameter_layout lists them. Loading validates
+the magic, the vocabulary (UTF-8, unique names, side byte 0 or 1), the
+counts and the exact byte size before it allocates any parameter; a round
+trip is bit-exact. Saving renames a finished temporary file over the target.
 """
 from __future__ import annotations
 
@@ -266,6 +266,16 @@ def serialize_dataset(samples: Sequence[DataSample], vocab: Vocabulary) -> str:
 # Synthetic data with a planted rule
 # --------------------------------------------------------------------------
 
+# Largest users, items or samples count a SynthSpec accepts. The dataset has
+# at most max(users, samples) lines, which peak at about 200 bytes each while
+# the text is built (about 200 MB at this bound); the per-user and per-item
+# attribute arrays take 8 bytes an entry.
+MAX_SYNTH_COUNT = 1_000_000
+# Largest attribute cardinality or affinity rank a SynthSpec accepts. The
+# affinity table and its two rank factors are float64 arrays of at most
+# this bound squared entries, 32 MB each.
+MAX_SYNTH_CARD = 2048
+
 
 @dataclass
 class SynthSpec:
@@ -299,11 +309,16 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("users", "items", "samples", "user_attr_card", "second_user_attr_card", "item_attr_card"):
-            if getattr(self, name) < 1:
-                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}", name)
-        if self.affinity_rank is not None and self.affinity_rank < 1:
-            raise InvalidConfigError(f"affinity_rank must be >= 1, got {self.affinity_rank!r}", "affinity_rank")
+        bounds = {"users": MAX_SYNTH_COUNT, "items": MAX_SYNTH_COUNT, "samples": MAX_SYNTH_COUNT,
+                  "user_attr_card": MAX_SYNTH_CARD, "second_user_attr_card": MAX_SYNTH_CARD,
+                  "item_attr_card": MAX_SYNTH_CARD}
+        for name, high in bounds.items():
+            if not 1 <= getattr(self, name) <= high:
+                raise InvalidConfigError(f"{name} must be in 1..{high}, got {getattr(self, name)!r}", name)
+        if self.affinity_rank is not None and not 1 <= self.affinity_rank <= MAX_SYNTH_CARD:
+            raise InvalidConfigError(
+                f"affinity_rank must be in 1..{MAX_SYNTH_CARD}, got {self.affinity_rank!r}", "affinity_rank"
+            )
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed!r}", "seed")
         if self.rule not in ("xor_cross", "cross", "random"):
@@ -412,18 +427,23 @@ def _checkpoint_layout(variant: VariantConfig, dim: int, n_attrs: int) -> tuple[
 
 
 def save_checkpoint(mp: ModelParams, variant: VariantConfig, path: str, vocab: Vocabulary) -> None:
+    """Write the model with the vocabulary names of its embedding rows, in
+    row order. A vocabulary name with no row (an attribute seen only in
+    samples that were dropped) is not written."""
     variant_bytes = format_variant(variant).encode("utf-8")
-    if len(vocab) != len(mp.table.ids):
-        raise CheckpointError("vocabulary size does not match the embedding table")
-    shapes, n_mlp, n_gru = _checkpoint_layout(variant, mp.dim, len(vocab))
+    atts = mp.table.ids
+    for att in atts:
+        if not (0 <= att.id < len(vocab) and vocab.ids[att.id] == att):
+            raise CheckpointError(f"embedding row for attribute id {att.id} has no name in the vocabulary")
+    shapes, n_mlp, n_gru = _checkpoint_layout(variant, mp.dim, len(atts))
     if [p.shape for p in mp.parameters()] != shapes:
         raise CheckpointError("model components do not match the declared variant")
     blob = bytearray()
     blob += MAGIC
-    blob += _HEADER.pack(mp.dim, len(vocab), len(variant_bytes), n_mlp, n_gru)
+    blob += _HEADER.pack(mp.dim, len(atts), len(variant_bytes), n_mlp, n_gru)
     blob += variant_bytes
-    for name, att in zip(vocab.names, vocab.ids):
-        encoded = name.encode("utf-8")
+    for att in atts:
+        encoded = vocab.name_of(att).encode("utf-8")
         blob += _U32.pack(len(encoded))
         blob += encoded
         blob.append(0 if att.side == USER else 1)

@@ -1,4 +1,4 @@
-"""Ablation variants and the analytic factorization-machine reduction.
+"""The analytic factorization-machine reduction of the model.
 
 The FM identity used as a correctness oracle: when every interaction is an
 elementwise product over the union of both node sets, the fused node is
@@ -18,25 +18,9 @@ import numpy as np
 
 from .autodiff import Parameter
 from .data import DataSample, EmbeddingTable
-from .model import (
-    CANONICAL,
-    FM_REDUCTION,
-    ModelParams,
-    VariantConfig,
-    format_variant,
-    parse_variant,
-    score_samples,
-)
+from .model import FM_REDUCTION, ModelParams, score_samples
 
-__all__ = [
-    "VariantConfig",
-    "CANONICAL",
-    "FM_REDUCTION",
-    "parse_variant",
-    "format_variant",
-    "fm_predict",
-    "fm_reduction_predict",
-]
+__all__ = ["fm_predict", "fm_reduction_predict"]
 
 
 def fm_predict(

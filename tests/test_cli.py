@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gmrec import cli
 from gmrec.cli import main
-from gmrec.dataio import ParseOptions, SynthSpec, parse_dataset, write_synthetic
+from gmrec.dataio import MAX_SYNTH_CARD, MAX_SYNTH_COUNT, ParseOptions, SynthSpec, parse_dataset, write_synthetic
 from gmrec.errors import EngineError
 from gmrec.training import MAX_DIM, TrainConfig
 
@@ -28,6 +28,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error_line(err):
+    return next(line for line in err.splitlines() if line.startswith("usage error:"))
 
 
 class TestUsage:
@@ -56,6 +60,28 @@ class TestUsage:
                            "--seeds", "a")
         assert code == 1
         assert "--seeds" in err
+
+    @pytest.mark.parametrize("line, flag", [("learning_rate = 0.5", "--learning-rate"), ("bogus = 1", "--bogus")])
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path, line, flag):
+        """A config key is a flag name; any other key is a usage error,
+        raised before the data file is read."""
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n")
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "never-read.tsv"), "--config", str(config))
+        assert code == 1, err
+        assert str(config) in usage_error_line(err) and flag in usage_error_line(err)
+
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_seed_does_not_abbreviate_seeds(self, capsys, tmp_path, in_config):
+        """ablate has --seeds and no --seed: flags and config keys match by
+        their full name only."""
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 4\n")
+        extra = ["--config", str(config)] if in_config else ["--seed", "4"]
+        code, _, err = run(capsys, "ablate", "--data", str(tmp_path / "never-read.tsv"), "--variants", "mode=fm",
+                           *extra)
+        assert code == 1, err
+        assert "--seed" in usage_error_line(err)
 
     def test_missing_data_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "evaluate", "--data", str(tmp_path / "nope.tsv"),
@@ -93,7 +119,7 @@ class TestConfigRangeErrors:
     """An out-of-range flag or config value is a usage error (exit 1) that
     names the flag, and it fails before the data file is read."""
 
-    @pytest.mark.parametrize("argv, flag", [
+    _TRAIN_FLAG_ERRORS = [
         (("train", "--variant", "bogus"), "--variant"),
         (("train", "--dim", "0"), "--dim"),
         (("train", "--batch-size", "0"), "--batch-size"),
@@ -113,7 +139,9 @@ class TestConfigRangeErrors:
         (("ablate", "--variants", "mode=fm", "--threshold", "inf"), "--threshold"),
         (("ablate", "--variants", ";"), "--variants"),
         (("ablate", "--variants", "mode=fm", "--seeds", ""), "--seeds"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv, flag", _TRAIN_FLAG_ERRORS)
     def test_train_flag(self, capsys, tmp_path, argv, flag):
         missing = str(tmp_path / "never-read.tsv")
         code, _, err = run(capsys, argv[0], "--data", missing, *argv[1:])
@@ -134,19 +162,39 @@ class TestConfigRangeErrors:
         assert code == 1
         assert "--threshold" in err
 
-    @pytest.mark.parametrize("argv, flag", [
+    _SYNTH_FLAG_ERRORS = [
         (("--users", "0"), "--users"),
         (("--item-card", "0"), "--item-card"),
         (("--affinity-rank", "0"), "--affinity-rank"),
         (("--noise", "nan"), "--noise"),
         (("--seed", "-3"), "--seed"),
-    ])
+        (("--users", "100000000000"), "--users"),
+        (("--users", str(MAX_SYNTH_COUNT + 1)), "--users"),
+        (("--items", "100000000000"), "--items"),
+        (("--samples", str(MAX_SYNTH_COUNT + 1)), "--samples"),
+        (("--user-card", str(MAX_SYNTH_CARD + 1)), "--user-card"),
+        (("--second-user-card", "100000000000"), "--second-user-card"),
+        (("--item-card", str(MAX_SYNTH_CARD + 1)), "--item-card"),
+        (("--affinity-rank", str(MAX_SYNTH_CARD + 1)), "--affinity-rank"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", _SYNTH_FLAG_ERRORS)
     def test_synth_flag(self, capsys, tmp_path, argv, flag):
         out = tmp_path / "never-written.tsv"
         code, _, err = run(capsys, "synth", "--out", str(out), *argv)
         assert code == 1, err
         assert flag in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", _TRAIN_FLAG_ERRORS + [(("synth", *a), f) for a, f in _SYNTH_FLAG_ERRORS])
+    def test_usage_error_line_names_the_flag(self, capsys, tmp_path, argv, flag):
+        """The flag is named by the error itself, not only by the usage of
+        the command printed under it."""
+        path = str(tmp_path / "never-touched.tsv")
+        code, _, err = run(capsys, argv[0], "--out" if argv[0] == "synth" else "--data", path, *argv[1:])
+        assert code == 1, err
+        assert flag in usage_error_line(err)
+        assert not os.path.exists(path)
 
     _OTHER_COMMAND_FLAGS = [
         ("gradcheck", "--d", "0"), ("gradcheck", "--seed", "-1"), ("gradcheck", "--step", "nan"),
@@ -168,13 +216,17 @@ class TestConfigRangeErrors:
 
     @pytest.mark.parametrize("argv", _OTHER_COMMAND_FLAGS)
     def test_other_command_flag_blames_no_other_flag(self, capsys, argv):
-        """The error names the bad flag and no other flag of the command."""
+        """The error names the bad flag and no other flag of the command,
+        and the usage of that command follows it."""
         parser = cli.build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         flags = {f for a in commands.choices[argv[0]]._actions for f in a.option_strings if f.startswith("--")}
         code, _, err = run(capsys, *argv)
         assert code == 1
-        assert flags & set(re.findall(r"--[a-z][a-z-]*", err)) == {argv[1]}
+        lines = err.splitlines()
+        at = lines.index(usage_error_line(err))
+        assert flags & set(re.findall(r"--[a-z][a-z-]*", lines[at])) == {argv[1]}
+        assert lines[at + 1].startswith(f"usage: gmrec {argv[0]} ")
 
 
 _NUMBERS = st.one_of(
@@ -210,14 +262,24 @@ def small_data(tmp_path_factory):
 @given(command=st.sampled_from(sorted(_FLAG_VALUES)), data=st.data())
 def test_random_numeric_flags_exit_0_1_or_2(small_data, command, data):
     """Any numeric flag values end in exit 0, 1 (bad flag) or 2 (data or
-    numeric failure), never in an exception out of main()."""
+    numeric failure), never in an exception out of main(), whether train's
+    and ablate's flags are given on the command line or in a config file."""
     values = _FLAG_VALUES[command]
     flags = data.draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=4, unique=True), label="flags")
     argv = {
         "gradcheck": ["gradcheck", "--d=2", "--instances=1"],
         "fmcheck": ["fmcheck", "--d=2", "--n=2"],
     }.get(command, [command, "--data", small_data, "--dim=2", "--epochs=1"])
-    argv += [f"{flag}={data.draw(values[flag], label=flag)}" for flag in flags]
+    drawn = {flag: data.draw(values[flag], label=flag) for flag in flags}
+    in_file = []
+    if command in ("train", "ablate"):
+        in_file = data.draw(st.lists(st.sampled_from(flags), unique=True), label="in config file")
+    argv += [f"{flag}={value}" for flag, value in drawn.items() if flag not in in_file]
+    if in_file:
+        config = os.path.join(os.path.dirname(small_data), "run.conf")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{flag[2:]} = {drawn[flag]}\n" for flag in in_file)
+        argv += ["--config", config]
     if command == "ablate":
         argv += ["--variants", "mode=fm"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
@@ -356,10 +418,26 @@ class TestTrainEvaluatePredict:
         assert code == 2
         assert "embedding" in err
 
-    def test_defaults_come_from_the_dataclasses(self, capsys, monkeypatch, synth_file):
+    def test_checkpoint_after_dropping_users(self, capsys, tmp_path):
+        """--min-positives drops users whose attribute names stay in the
+        vocabulary; the checkpoint holds the names of its embedding rows."""
+        data, ckpt = str(tmp_path / "d.tsv"), str(tmp_path / "m.ckpt")
+        assert run(capsys, "synth", "--out", data, "--users", "30", "--items", "20", "--samples", "300")[0] == 0
+        flags = ["--data", data, "--min-positives", "6"]
+        code, _, err = run(capsys, "train", *flags, "--epochs", "1", "--dim", "4", "--out", ckpt)
+        assert code == 0, err
+        code, out, err = run(capsys, "evaluate", *flags, "--ckpt", ckpt)
+        assert code == 0, err
+        assert out.startswith("auc=")
+
+    def test_defaults_come_from_the_dataclasses(self, capsys, monkeypatch, tmp_path, synth_file):
         """train with no flags and no config file builds TrainConfig() and
-        ParseOptions()."""
+        ParseOptions(), and synth with --out alone builds SynthSpec()."""
         seen = {}
+
+        def write(spec, path):
+            seen["spec"] = spec
+            raise EngineError("stop")
 
         def stop(split, config):
             seen["config"] = config
@@ -371,9 +449,12 @@ class TestTrainEvaluatePredict:
 
         monkeypatch.setattr(cli, "train", stop)
         monkeypatch.setattr(cli, "parse_dataset", parse)
+        monkeypatch.setattr(cli, "write_synthetic", write)
         code, _, _ = run(capsys, "train", "--data", synth_file)
         assert code == 2
-        assert seen == {"config": TrainConfig(), "options": ParseOptions()}
+        code, _, _ = run(capsys, "synth", "--out", str(tmp_path / "never-written.tsv"))
+        assert code == 2
+        assert seen == {"config": TrainConfig(), "options": ParseOptions(), "spec": SynthSpec()}
 
     def test_config_file_precedence(self, capsys, tmp_path, synth_file):
         config = tmp_path / "run.conf"

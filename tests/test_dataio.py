@@ -14,8 +14,11 @@ from gmrec.cli import main
 from gmrec.data import ITEM, USER, universe_of
 from gmrec.dataio import (
     MAGIC,
+    MAX_SYNTH_CARD,
+    MAX_SYNTH_COUNT,
     ParseOptions,
     SynthSpec,
+    Vocabulary,
     generate_synthetic,
     load_checkpoint,
     parse_dataset_lines,
@@ -23,7 +26,7 @@ from gmrec.dataio import (
     serialize_dataset,
     write_synthetic,
 )
-from gmrec.errors import CheckpointError, EmptyDatasetError, ParseError
+from gmrec.errors import CheckpointError, EmptyDatasetError, InvalidConfigError, ParseError
 from gmrec.model import (
     CANONICAL,
     VariantConfig,
@@ -101,6 +104,17 @@ class TestParsing:
 
 
 class TestSynthetic:
+    @pytest.mark.parametrize("field, high", [
+        ("users", MAX_SYNTH_COUNT), ("items", MAX_SYNTH_COUNT), ("samples", MAX_SYNTH_COUNT),
+        ("user_attr_card", MAX_SYNTH_CARD), ("second_user_attr_card", MAX_SYNTH_CARD),
+        ("item_attr_card", MAX_SYNTH_CARD), ("affinity_rank", MAX_SYNTH_CARD),
+    ])
+    def test_sizes_bounded(self, field, high):
+        SynthSpec(**{field: high})
+        with pytest.raises(InvalidConfigError) as info:
+            SynthSpec(**{field: high + 1})
+        assert info.value.field == field
+
     def test_deterministic(self):
         spec = SynthSpec(users=20, items=15, samples=100, seed=9)
         a, side_a = generate_synthetic(spec)
@@ -262,6 +276,28 @@ class TestCheckpoint:
         risk = regularized_risk(ds.samples[:16], loaded, 1e-5, variant)
         risk.tape.backward(risk)
         adam_step(params, AdamState(params), 1e-3)  # must not hit read-only arrays
+
+    def test_names_without_an_embedding_row_are_not_written(self, tmp_path):
+        """A model trained on part of a dataset keeps the names of its own
+        rows; the other names of the vocabulary are dropped on save."""
+        ds, _ = _dataset_and_params()
+        kept = ds.samples[len(ds.samples) // 2:]
+        mp = init_model_params(universe_of(kept), 6, 4, CANONICAL)
+        assert len(mp.table.ids) < len(ds.vocab)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(mp, CANONICAL, path, ds.vocab)
+        loaded, variant, vocab = load_checkpoint(path)
+        assert vocab.names == [ds.vocab.name_of(att) for att in mp.table.ids]
+        assert np.array_equal(loaded.emb.values, mp.emb.values)
+        reparsed = parse_dataset_lines(serialize_dataset(kept, ds.vocab).splitlines(), None, vocab)
+        for before, after in zip(kept, reparsed.samples):
+            assert predict(after, loaded, variant).score == predict(before, mp).score
+
+    def test_embedding_row_without_a_name_rejected(self, tmp_path):
+        _, mp = _dataset_and_params()
+        with pytest.raises(CheckpointError, match="no name"):
+            save_checkpoint(mp, CANONICAL, str(tmp_path / "model.ckpt"), Vocabulary())
+        assert os.listdir(tmp_path) == []
 
     def test_truncated_file_rejected_without_partial_params(self, tmp_path):
         ds, mp = _dataset_and_params()
