@@ -9,9 +9,13 @@ Design rules:
     each node exactly once.
   * relu's derivative at exactly 0 is 0.
 
-The model's forward pass is written once, against an ops object: a Tape
-records it for the backward pass, while ArrayOps computes the same arrays,
-bit for bit, and records nothing.
+Each primitive is one row of PRIMITIVES: its forward on arrays, its shape
+rule and its VJP maker. One function builds every row's Tape method: check
+the shapes, run the forward on the operands' data, record one node whose
+edges are the VJPs of the tracked operands. ArrayOps exposes the forwards
+themselves, so the model's forward pass, written once against an ops
+object, computes the same arrays bit for bit on a Tape, which records it
+for the backward pass, and on ArrayOps, which records nothing.
 
 The ops object also chooses the matrix-product kernel, so the forward
 only states what to compute. Tape and ArrayOps run one BLAS product over
@@ -172,13 +176,198 @@ def _pair_relu_sum(a: np.ndarray, b: np.ndarray, blocks: Sequence[PairBlock], ch
     return out
 
 
+class Primitive(NamedTuple):
+    """One row of PRIMITIVES (see the module docstring)."""
+
+    forward: Callable  # (*operands, *constants) -> array, by ArrayOps' leading-axis rule
+    vjps: Callable  # (out, *operands, *constants) -> one g -> array per operand
+    operands: int = 1  # the arguments after them are constants
+    check: Callable | None = None  # (*2-D operands, *constants) -> whether the shapes fit
+    expects: str = ""  # what check asks, for the ShapeError
+    saves: bool = False  # on a Tape, forward and vjps get one more constant: a fresh list
+
+
+def _same_shape(a, b):
+    return a.shape == b.shape
+
+
+def _same_matrix(a, b, *_):
+    return a.ndim == 2 and a.shape == b.shape
+
+
+def _is_rowvec(m, v, *_):
+    return m.ndim == 2 and v.shape == (m.shape[1],)
+
+
+def _concat_cols(a, b):
+    if a.shape[:-2] != b.shape[:-2]:
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        a = np.broadcast_to(a, lead + a.shape[-2:])
+        b = np.broadcast_to(b, lead + b.shape[-2:])
+    return np.concatenate([a, b], axis=-1)
+
+
+def _gather_rows_vjps(out, m, idx):
+    idx = np.asarray(idx, dtype=np.intp)
+
+    def vjp(g):
+        # Scatter-add over the flat buffer: numpy's fast path for 1-D
+        # ufunc.at, adding in the same order as np.add.at over rows.
+        acc = np.zeros_like(m)
+        cols = m.shape[1]
+        np.add.at(acc.reshape(-1), (idx[:, None] * cols + np.arange(cols)).reshape(-1), g.reshape(-1))
+        return acc
+
+    return (vjp,)
+
+
+def _slice_rows_vjps(out, m, start, stop):
+    def vjp(g):
+        acc = np.zeros_like(m)
+        acc[start:stop] = g
+        return acc
+
+    return (vjp,)
+
+
+def _pair_relu_sum_vjps(out, a, b, blocks, chunks):
+    """The VJPs of _pair_relu_sum, from the relu masks its forward kept in chunks."""
+
+    def vjp_a(g):
+        acc = np.zeros_like(g)
+        for rows, _, _, mask in chunks:
+            acc[rows] = g[rows] * mask.sum(axis=0)
+        return acc
+
+    def vjp_b(g):
+        acc = np.zeros_like(g)
+        for rows, sources, back, mask in chunks:
+            per_pair = g[rows] * mask
+            flat = per_pair.reshape((-1,) + per_pair.shape[2:])
+            acc[sources] = flat[back].sum(axis=1)
+        return acc
+
+    return vjp_a, vjp_b
+
+
+# Every differentiable primitive, once. The forwards act on the last two
+# axes (the vector ones on the last axis) and broadcast leading axes, except
+# sum_reduce, which sums every entry.
+PRIMITIVES: dict[str, Primitive] = {
+    "add": Primitive(np.add, lambda out, a, b: (lambda g: g, lambda g: g), 2, _same_shape, "one shape"),
+    "sub": Primitive(np.subtract, lambda out, a, b: (lambda g: g, np.negative), 2, _same_shape, "one shape"),
+    "mul": Primitive(np.multiply, lambda out, a, b: (lambda g: g * b, lambda g: g * a), 2, _same_shape,
+                     "one shape for an elementwise-product"),
+    "one_minus": Primitive(lambda a: 1.0 - a, lambda out, a: (np.negative,)),
+    "scale": Primitive(lambda a, c: a * float(c), lambda out, a, c: (lambda g: g * float(c),)),
+    "sigmoid": Primitive(stable_sigmoid, lambda s, a: (lambda g: g * s * (1.0 - s),)),
+    "tanh": Primitive(np.tanh, lambda t, a: (lambda g: g * (1.0 - t * t),)),
+    "relu": Primitive(lambda a: np.maximum(a, 0.0), lambda out, a: (lambda g: g * (a > 0.0),)),
+    "log": Primitive(np.log, lambda out, a: (lambda g: g / a,)),
+    # log(1 + exp(x)), computed stably; its derivative is sigmoid(x).
+    "softplus": Primitive(lambda a: np.logaddexp(0.0, a), lambda out, a: (lambda g: g * stable_sigmoid(a),)),
+    "sum_reduce": Primitive(lambda a: np.asarray(a.sum()), lambda out, a: (lambda g: np.full_like(a, float(g)),)),
+    "row_sums": Primitive(lambda a: a.sum(axis=-1), lambda out, a: (lambda g: np.broadcast_to(g[:, None], a.shape),),
+                          1, lambda a: a.ndim == 2, "a matrix"),
+    # Per-row dot product.
+    "rowdot": Primitive(lambda a, b: (a * b).sum(axis=-1),
+                        lambda out, a, b: (lambda g: g[:, None] * b, lambda g: g[:, None] * a),
+                        2, _same_matrix, "two matrices of one shape"),
+    "matmul": Primitive(np.matmul, lambda out, a, b: (lambda g: g @ b.T, lambda g: a.T @ g), 2,
+                        lambda a, b: a.ndim == 2 == b.ndim and a.shape[1] == b.shape[0], "(m, k) and (k, n) matrices"),
+    "concat_cols": Primitive(_concat_cols, lambda out, a, b: (lambda g, n=a.shape[1]: g[:, :n],
+                                                              lambda g, n=a.shape[1]: g[:, n:]), 2,
+                             lambda a, b: a.ndim == 2 == b.ndim and a.shape[0] == b.shape[0],
+                             "two matrices with one row count"),
+    # The rows of m at the constant indices idx.
+    "gather_rows": Primitive(lambda m, idx: m[..., idx, :], _gather_rows_vjps, 1,
+                             lambda m, idx: m.ndim == 2 and (not np.size(idx) or 0 <= np.min(idx)
+                                                             and np.max(idx) < m.shape[0]),
+                             "a matrix and row indices in range"),
+    # Rows start..stop-1 of m.
+    "slice_rows": Primitive(lambda m, start, stop: m[..., start:stop, :], _slice_rows_vjps, 1,
+                            lambda m, start, stop: m.ndim == 2 and 0 <= start <= stop <= m.shape[0],
+                            "a matrix and rows 0 <= start <= stop <= its rows"),
+    # Row i is the sum over the neighbours j of node i of relu(a[i] + b[j]).
+    # The blocks (see PairBlock) name the neighbours; rows in no block are
+    # zero and get zero gradient.
+    "pair_relu_sum": Primitive(_pair_relu_sum, _pair_relu_sum_vjps, 2, _same_matrix, "two matrices of one shape",
+                               saves=True),
+    # Row i of m times the constant scalar c[i].
+    "scale_rows": Primitive(lambda m, c: m * _as_array(c)[:, None],
+                            lambda out, m, c: (lambda g: g * _as_array(c)[:, None],),
+                            1, lambda m, c: m.ndim == 2 and np.shape(c) == (m.shape[0],),
+                            "a matrix and one scalar per row"),
+    # Vector v added to every row of m.
+    "add_rowvec": Primitive(lambda m, v: m + v[..., None, :], lambda out, m, v: (lambda g: g, lambda g: g.sum(axis=0)),
+                            2, _is_rowvec, "a matrix and a vector of its width"),
+    # c[i] times vector v added to row i of m, for constant scalars c.
+    "add_scaled_rowvec": Primitive(lambda m, v, c: m + c[:, None] * v[..., None, :],
+                                   lambda out, m, v, c: (lambda g: g, lambda g: c @ g),
+                                   2, lambda m, v, c: _is_rowvec(m, v) and np.shape(c) == (m.shape[0],),
+                                   "a matrix, a vector of its width and one scalar per row"),
+    # Every row of m times vector v, elementwise.
+    "mul_rowvec": Primitive(lambda m, v: m * v[..., None, :],
+                            lambda out, m, v: (lambda g: g * v[None, :], lambda g: (g * m).sum(axis=0)),
+                            2, _is_rowvec, "a matrix and a vector of its width"),
+    # segment_sum with precomputed boundaries (see segment_boundaries).
+    "segment_sum_prepared": Primitive(_segment_sum, lambda out, m, seg_ids, *_: (lambda g: g[seg_ids],)),
+}
+
+
+def _shape_error(name: str, row: Primitive, args) -> ShapeError:
+    got = ", ".join(str(x.shape) if isinstance(x, np.ndarray) else repr(x) if np.isscalar(x) else "..." for x in args)
+    return ShapeError(f"{name.replace('_', '-')}: expected {row.expects}, got {got}")
+
+
+def _tape_method(name: str, row: Primitive) -> Callable:
+    """tape.<name>(operands..., constants...): check the operands' shapes,
+    run the row's forward on their data and, when an operand is tracked,
+    record one node with an edge per tracked operand."""
+    forward, vjps, check, saves = row.forward, row.vjps, row.check, row.saves
+
+    if row.operands == 1:
+        def method(self, a: Value, *consts) -> Value:
+            ad = a.data
+            if check is not None and not check(ad, *consts):
+                raise _shape_error(name, row, (ad,) + consts)
+            if saves:
+                consts += ([],)
+            out = forward(ad, *consts)
+            if a.node is None:
+                return Value(out, None, self)
+            node = _Node([(a.node, vjps(out, ad, *consts)[0])])
+            self.nodes.append(node)
+            return Value(out, node, self)
+    else:
+        def method(self, a: Value, b: Value, *consts) -> Value:
+            ad, bd = a.data, b.data
+            if check is not None and not check(ad, bd, *consts):
+                raise _shape_error(name, row, (ad, bd) + consts)
+            if saves:
+                consts += ([],)
+            out = forward(ad, bd, *consts)
+            na, nb = a.node, b.node
+            if na is None and nb is None:
+                return Value(out, None, self)
+            fa, fb = vjps(out, ad, bd, *consts)
+            node = _Node([(nb, fb)] if na is None else [(na, fa)] if nb is None else [(na, fa), (nb, fb)])
+            self.nodes.append(node)
+            return Value(out, node, self)
+
+    method.__name__, method.__qualname__ = name, f"Tape.{name}"
+    return method
+
+
 class Tape:
-    """Recorded differentiable computation whose leaves are Parameters."""
+    """Recorded differentiable computation whose leaves are Parameters.
+
+    Every row of PRIMITIVES is a method of the same name, built by
+    _tape_method; the methods below are the rest.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-
-    # -- construction helpers -------------------------------------------------
 
     def constant(self, x) -> Value:
         return Value(_as_array(x), None, self)
@@ -187,195 +376,6 @@ class Tape:
         """p's values, tracked with p itself as the leaf; records nothing.
         backward accumulates into p.grad."""
         return Value(p.values, p, self)
-
-    def _apply(self, data: np.ndarray, deps: Sequence[tuple[Value, Callable]]) -> Value:
-        edges = [(v.node, fn) for v, fn in deps if v.node is not None]
-        if not edges:
-            return Value(data, None, self)
-        node = _Node(edges)
-        self.nodes.append(node)
-        return Value(data, node, self)
-
-    # -- elementwise and scalar primitives ------------------------------------
-
-    def add(self, a: Value, b: Value) -> Value:
-        if a.data.shape != b.data.shape:
-            raise ShapeError(f"add: shapes {a.data.shape} vs {b.data.shape}")
-        return self._apply(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
-
-    def sub(self, a: Value, b: Value) -> Value:
-        if a.data.shape != b.data.shape:
-            raise ShapeError(f"sub: shapes {a.data.shape} vs {b.data.shape}")
-        return self._apply(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
-
-    def one_minus(self, a: Value) -> Value:
-        return self._apply(1.0 - a.data, [(a, lambda g: -g)])
-
-    def scale(self, a: Value, c: float) -> Value:
-        c = float(c)
-        return self._apply(a.data * c, [(a, lambda g: g * c)])
-
-    def mul(self, a: Value, b: Value) -> Value:
-        """Elementwise product of two same-shape arrays."""
-        if a.data.shape != b.data.shape:
-            raise ShapeError(f"elementwise-product: shapes {a.data.shape} vs {b.data.shape}")
-        ad, bd = a.data, b.data
-        return self._apply(ad * bd, [(a, lambda g: g * bd), (b, lambda g: g * ad)])
-
-    def sigmoid(self, a: Value) -> Value:
-        s = stable_sigmoid(a.data)
-        return self._apply(s, [(a, lambda g: g * s * (1.0 - s))])
-
-    def tanh(self, a: Value) -> Value:
-        t = np.tanh(a.data)
-        return self._apply(t, [(a, lambda g: g * (1.0 - t * t))])
-
-    def relu(self, a: Value) -> Value:
-        ad = a.data
-        return self._apply(np.maximum(ad, 0.0), [(a, lambda g: g * (ad > 0.0))])
-
-    def log(self, a: Value) -> Value:
-        ad = a.data
-        return self._apply(np.log(ad), [(a, lambda g: g / ad)])
-
-    def softplus(self, a: Value) -> Value:
-        """log(1 + exp(x)), computed stably; derivative is sigmoid(x)."""
-        ad = a.data
-        return self._apply(np.logaddexp(0.0, ad), [(a, lambda g: g * stable_sigmoid(ad))])
-
-    # -- reductions and contractions -------------------------------------------
-
-    def sum_reduce(self, a: Value) -> Value:
-        ad = a.data
-        return self._apply(np.asarray(ad.sum()), [(a, lambda g: np.full_like(ad, float(g)))])
-
-    def row_sums(self, a: Value) -> Value:
-        if a.data.ndim != 2:
-            raise ShapeError(f"row-sums: expected matrix, got shape {a.data.shape}")
-        ad = a.data
-        return self._apply(ad.sum(axis=1), [(a, lambda g: np.broadcast_to(g[:, None], ad.shape))])
-
-    def rowdot(self, a: Value, b: Value) -> Value:
-        """Per-row dot product of two equal-shape matrices."""
-        if a.data.ndim != 2 or a.data.shape != b.data.shape:
-            raise ShapeError(f"rowdot: shapes {a.data.shape} vs {b.data.shape}")
-        ad, bd = a.data, b.data
-        return self._apply(
-            (ad * bd).sum(axis=1),
-            [(a, lambda g: g[:, None] * bd), (b, lambda g: g[:, None] * ad)],
-        )
-
-    def matmul(self, a: Value, b: Value) -> Value:
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-            raise ShapeError(f"matmul: shapes {a.data.shape} vs {b.data.shape}")
-        ad, bd = a.data, b.data
-        return self._apply(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
-
-    # -- structure -------------------------------------------------------------
-
-    def concat_cols(self, a: Value, b: Value) -> Value:
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
-            raise ShapeError(f"concat-cols: shapes {a.data.shape} vs {b.data.shape}")
-        na = a.data.shape[1]
-        return self._apply(
-            np.concatenate([a.data, b.data], axis=1),
-            [(a, lambda g: g[:, :na]), (b, lambda g: g[:, na:])],
-        )
-
-    def gather_rows(self, m: Value, idx: np.ndarray) -> Value:
-        """Select rows by a constant index array."""
-        md = m.data
-        if md.ndim != 2:
-            raise ShapeError(f"gather-rows: expected matrix, got shape {md.shape}")
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= md.shape[0]):
-            raise ShapeError(f"gather-rows: index out of range for {md.shape[0]} rows")
-
-        def vjp(g):
-            # Scatter-add over the flat buffer: numpy's fast path for 1-D
-            # ufunc.at, adding in the same order as np.add.at over rows.
-            acc = np.zeros_like(md)
-            cols = md.shape[1]
-            np.add.at(acc.reshape(-1), (idx[:, None] * cols + np.arange(cols)).reshape(-1), g.reshape(-1))
-            return acc
-
-        return self._apply(md[idx], [(m, vjp)])
-
-    def slice_rows(self, m: Value, start: int, stop: int) -> Value:
-        """Rows start..stop-1 of m."""
-        md = m.data
-        if md.ndim != 2 or not 0 <= start <= stop <= md.shape[0]:
-            raise ShapeError(f"slice-rows: rows {start}:{stop} of shape {md.shape}")
-
-        def vjp(g):
-            acc = np.zeros_like(md)
-            acc[start:stop] = g
-            return acc
-
-        return self._apply(md[start:stop], [(m, vjp)])
-
-    def pair_relu_sum(self, a: Value, b: Value, blocks: Sequence[PairBlock]) -> Value:
-        """Row i is the sum over the neighbours j of node i of relu(a[i] + b[j]).
-
-        blocks (see PairBlock) name the neighbours; rows in no block are
-        zero and get zero gradient. relu's derivative at 0 is 0.
-        """
-        if a.data.ndim != 2 or a.data.shape != b.data.shape:
-            raise ShapeError(f"pair-relu-sum: shapes {a.data.shape} vs {b.data.shape}")
-        chunks: list[tuple[np.ndarray, ...]] = []
-        out = _pair_relu_sum(a.data, b.data, blocks, chunks)
-
-        def vjp_a(g):
-            acc = np.zeros_like(g)
-            for rows, _, _, mask in chunks:
-                acc[rows] = g[rows] * mask.sum(axis=0)
-            return acc
-
-        def vjp_b(g):
-            acc = np.zeros_like(g)
-            for rows, sources, back, mask in chunks:
-                per_pair = g[rows] * mask
-                flat = per_pair.reshape((-1,) + per_pair.shape[2:])
-                acc[sources] = flat[back].sum(axis=1)
-            return acc
-
-        return self._apply(out, [(a, vjp_a), (b, vjp_b)])
-
-    def scale_rows(self, m: Value, c: np.ndarray) -> Value:
-        """Multiply row i by the constant scalar c[i]."""
-        c = _as_array(c)
-        if m.data.ndim != 2 or c.shape != (m.data.shape[0],):
-            raise ShapeError(f"scale-rows: shapes {m.data.shape} vs {c.shape}")
-        col = c[:, None]
-        return self._apply(m.data * col, [(m, lambda g: g * col)])
-
-    def add_rowvec(self, m: Value, v: Value) -> Value:
-        """Add vector v to every row of m."""
-        if m.data.ndim != 2 or v.data.shape != (m.data.shape[1],):
-            raise ShapeError(f"add-rowvec: shapes {m.data.shape} vs {v.data.shape}")
-        return self._apply(
-            m.data + v.data[None, :],
-            [(m, lambda g: g), (v, lambda g: g.sum(axis=0))],
-        )
-
-    def add_scaled_rowvec(self, m: Value, v: Value, c: np.ndarray) -> Value:
-        """Add c[i] times vector v to row i of m, for constant scalars c."""
-        if m.data.ndim != 2 or v.data.shape != (m.data.shape[1],) or c.shape != (m.data.shape[0],):
-            raise ShapeError(f"add-scaled-rowvec: shapes {m.data.shape}, {v.data.shape}, {c.shape}")
-        return self._apply(
-            m.data + c[:, None] * v.data[None, :],
-            [(m, lambda g: g), (v, lambda g: c @ g)],
-        )
-
-    def mul_rowvec(self, m: Value, v: Value) -> Value:
-        """Multiply every row of m elementwise by vector v."""
-        if m.data.ndim != 2 or v.data.shape != (m.data.shape[1],):
-            raise ShapeError(f"mul-rowvec: shapes {m.data.shape} vs {v.data.shape}")
-        md, vd = m.data, v.data
-        return self._apply(
-            md * vd[None, :],
-            [(m, lambda g: g * vd[None, :]), (v, lambda g: (g * md).sum(axis=0))],
-        )
 
     def segment_sum(self, m: Value, seg_ids: np.ndarray, n_segments: int) -> Value:
         """Sum rows of m into n_segments buckets; seg_ids must be sorted.
@@ -392,20 +392,6 @@ class Tape:
             raise ShapeError("segment-sum: segment ids must be sorted ascending")
         starts, out_rows = segment_boundaries(seg_ids)
         return self.segment_sum_prepared(m, seg_ids, starts, out_rows, n_segments)
-
-    def segment_sum_prepared(
-        self,
-        m: Value,
-        seg_ids: np.ndarray,
-        starts: np.ndarray,
-        out_rows: np.ndarray,
-        n_segments: int,
-    ) -> Value:
-        """segment_sum with precomputed boundaries (see segment_boundaries)."""
-        out = _segment_sum(m.data, seg_ids, starts, out_rows, n_segments)
-        return self._apply(out, [(m, lambda g: g[seg_ids])])
-
-    # -- reverse pass -----------------------------------------------------------
 
     def backward(self, output: Value) -> None:
         """Accumulate d(output)/d(parameter) into every Parameter's grad.
@@ -450,12 +436,13 @@ def segment_boundaries(seg_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ArrayOps:
-    """The Tape primitives the model's forward pass calls, on plain arrays.
+    """The model's ops object on plain arrays: each row of PRIMITIVES is a
+    staticmethod that is the row's forward.
 
-    Each one returns the array its Tape namesake stores in Value.data, by
-    the same numpy operations. Nothing is recorded and nothing is mutated, so
-    concurrent runs are safe. Operands are not shape-checked; a Tape run of
-    the same forward checks them.
+    So every primitive returns the array its Tape namesake stores in
+    Value.data, by the same numpy operations. Nothing is recorded and
+    nothing is mutated, so concurrent runs are safe. Operands are not
+    shape-checked; a Tape run of the same forward checks them.
 
     Leading-axis rule: the matrix primitives act on the last two axes (the
     vector ones on the last axis) and any leading axes broadcast. On 2-D
@@ -464,17 +451,6 @@ class ArrayOps:
     its values, e.g. a (K, *shape) stack of perturbed copies: only the
     results downstream of that parameter then carry the K axis.
     """
-
-    # Primitives that are a single numpy function are that function: no
-    # extra Python frame per call on the finite-difference path.
-    add = staticmethod(np.add)
-    sub = staticmethod(np.subtract)
-    mul = staticmethod(np.multiply)
-    matmul = staticmethod(np.matmul)
-    sigmoid = staticmethod(stable_sigmoid)
-    tanh = staticmethod(np.tanh)
-    segment_sum_prepared = staticmethod(_segment_sum)
-    pair_relu_sum = staticmethod(_pair_relu_sum)
 
     def __init__(self, substitutes: dict[Parameter, np.ndarray] | None = None):
         self._substitutes = substitutes or {}
@@ -485,42 +461,10 @@ class ArrayOps:
     def param(self, p: Parameter) -> np.ndarray:
         return self._substitutes.get(p, p.values)
 
-    def one_minus(self, a):
-        return 1.0 - a
 
-    def scale(self, a, c: float):
-        return a * float(c)
-
-    def relu(self, a):
-        return np.maximum(a, 0.0)
-
-    def row_sums(self, a):
-        return a.sum(axis=-1)
-
-    def rowdot(self, a, b):
-        return (a * b).sum(axis=-1)
-
-    def concat_cols(self, a, b):
-        if a.shape[:-2] != b.shape[:-2]:
-            lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-            a = np.broadcast_to(a, lead + a.shape[-2:])
-            b = np.broadcast_to(b, lead + b.shape[-2:])
-        return np.concatenate([a, b], axis=-1)
-
-    def gather_rows(self, m, idx):
-        return m[..., idx, :]
-
-    def slice_rows(self, m, start: int, stop: int):
-        return m[..., start:stop, :]
-
-    def scale_rows(self, m, c):
-        return m * _as_array(c)[:, None]
-
-    def add_rowvec(self, m, v):
-        return m + v[..., None, :]
-
-    def add_scaled_rowvec(self, m, v, c):
-        return m + c[:, None] * v[..., None, :]
+for _name, _row in PRIMITIVES.items():
+    setattr(Tape, _name, _tape_method(_name, _row))
+    setattr(ArrayOps, _name, staticmethod(_row.forward))
 
 
 class RowLocalOps(ArrayOps):

@@ -10,7 +10,8 @@ given, so every default lives in the dataclass. Each `key = value` line of
 a config file (--config, on train and ablate) becomes the flag
 `--key=value`, placed after the command name and before the command line's
 own flags: argparse casts it and rejects an unknown key, and a flag given
-on the command line wins.
+on the command line wins. A key naming a flag that the command line always
+gives (the command's required flags, and --config) is a usage error.
 """
 from __future__ import annotations
 
@@ -78,14 +79,16 @@ _FLAG_OF = {
 
 def _settings(cls, args):
     """A `cls` dataclass from the fields whose flag was given (their flags
-    default to None); a range error is a usage error naming the flag."""
+    default to None); a range error is a usage error naming the flag, and
+    the config file when the value came from there (args.from_config)."""
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
              if getattr(args, f.name, None) is not None}
     try:
         return cls(**given)
     except InvalidConfigError as exc:
         flag = _FLAG_OF.get(exc.field, str(exc.field).replace("_", "-"))
-        raise _UsageError(f"--{flag}: {exc}") from None
+        where = f"config file {args.config}: " if exc.field in getattr(args, "from_config", ()) else ""
+        raise _UsageError(f"{where}--{flag}: {exc}") from None
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -222,9 +225,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_flags(path: str) -> list[str]:
+def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
     """The `key = value` lines of a config file as `--key=value` flags; a
     key may spell the flag's dashes as underscores."""
+    # The command line always gives these flags.
+    fixed = {f for a in command._actions if a.required or a.dest == "config" for f in a.option_strings}
     flags = []
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -238,7 +243,10 @@ def _config_flags(path: str) -> list[str]:
         if "=" not in line:
             raise EngineError(f"config file: bad line {raw.strip()!r}")
         key, _, value = line.partition("=")
-        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+        flag = f"--{key.strip().replace('_', '-')}"
+        if flag in fixed:
+            raise _UsageError(f"key {key.strip()!r} is not allowed; give {flag} on the command line")
+        flags.append(f"{flag}={value.strip()}")
     return flags
 
 
@@ -393,9 +401,11 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "config", None):
             at = argv.index(args.command) + 1
             try:
-                args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+                merged = parser.parse_args(argv[:at] + _config_flags(args.config, command) + argv[at:])
             except _UsageError as exc:  # the command line alone parsed
                 raise _UsageError(f"config file {args.config}: {exc}", exc.parser) from None
+            merged.from_config = {k for k, v in vars(args).items() if v is None and getattr(merged, k) is not None}
+            args = merged
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -489,7 +489,7 @@ class _EngineOut:
     """Forward outputs: tracked Values on a Tape, plain arrays on ArrayOps."""
 
     nodes: Value  # (n_nodes, d) representations u
-    messages: Value  # (n_nodes, d) z
+    messages: Value  # (side nodes, d) z; sample node r reads row plan.node_src[r] when that is not None
     matches: Value  # (n_nodes, d) s
     fused: Value  # (n_nodes, d) u'
     user_repr: Value  # (n_samples, d)
@@ -579,7 +579,6 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
     else:
         side_sums = _segsum(ops, side_nodes, plan.by_distinct)
         side_messages = _others_product(ops, side_nodes, side_sums, plan.by_distinct.ids)
-    messages = _to_samples(ops, side_messages, plan)
 
     if variant.mode != "graph":
         # Union wiring: every other node of the same sample, either side,
@@ -603,7 +602,7 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
     elif variant.fuse == "sum":
         fused = ops.add(_to_samples(ops, ops.add(side_nodes, side_messages), plan), matches)
     else:
-        stacked = ops.concat_cols(ops.concat_cols(nodes, messages), matches)
+        stacked = ops.concat_cols(ops.concat_cols(nodes, _to_samples(ops, side_messages, plan)), matches)
         fused = _mlp_apply(ops, mp.fuse_mlp, stacked)
 
     graph_reprs = _segsum(ops, fused, plan.by_side)
@@ -614,7 +613,7 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
     else:
         scores = ops.rowdot(user_repr, item_repr)
     return _EngineOut(
-        nodes=nodes, messages=messages, matches=matches, fused=fused,
+        nodes=nodes, messages=side_messages, matches=matches, fused=fused,
         user_repr=user_repr, item_repr=item_repr, scores=scores,
     )
 
@@ -675,7 +674,7 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONI
         return NodeDiagnostics(
             att=att,
             representation=out.nodes[row].copy(),
-            message=out.messages[row].copy(),
+            message=out.messages[row if plan.node_src is None else plan.node_src[row]].copy(),
             match=out.matches[row].copy(),
             fused=out.fused[row].copy(),
         )

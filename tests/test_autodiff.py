@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -56,6 +57,30 @@ class TestRecordedPrimitives:
             tape.mul(tape.constant(np.ones(2)), tape.constant(np.ones(3)))
         with pytest.raises(ShapeError, match="add"):
             tape.add(tape.constant(np.ones(2)), tape.constant(np.ones(3)))
+        # Every row with a shape rule, on operands that break it.
+        assert set(SHAPE_MISMATCHES) == {n for n, row in autodiff.PRIMITIVES.items() if row.check is not None}
+        for name, (shapes, consts) in SHAPE_MISMATCHES.items():
+            operands = [tape.param(Parameter(np.ones(shape))) for shape in shapes]
+            with pytest.raises(ShapeError, match=f"^{name.replace('_', '-')}:"):
+                getattr(tape, name)(*operands, *consts)
+        assert tape.nodes == []
+
+    def test_each_primitive_is_one_table_row(self):
+        """ArrayOps' primitives are the rows' forwards themselves and Tape's
+        are functions in Tape's own dict; besides them, ArrayOps has only
+        constant and param, and Tape only constant, param, segment_sum and
+        backward."""
+        for name, row in autodiff.PRIMITIVES.items():
+            assert getattr(autodiff.ArrayOps, name) is row.forward, name
+            method = Tape.__dict__[name]
+            assert inspect.isfunction(method) and getattr(Tape, name) is method, name
+
+        def own(cls):
+            return {n for n in vars(cls) if not (n.startswith("__") and n.endswith("__"))}
+
+        assert "__init__" in vars(autodiff.ArrayOps)
+        assert own(autodiff.ArrayOps) == set(autodiff.PRIMITIVES) | {"constant", "param"}
+        assert own(Tape) == set(autodiff.PRIMITIVES) | {"constant", "param", "segment_sum", "backward"}
 
 
 class TestBackward:
@@ -229,6 +254,9 @@ class TestBackward:
         assert np.array_equal(g1, g2)
 
 
+_SEG_IDS = np.array([0, 0, 2, 2, 2])  # segments 1 and 3 are empty
+_PAIRS = _same_side(np.array([0, 3]), np.array([3, 2]))  # sides of 3 and 2 nodes
+
 PRIMITIVE_CASES = [
     ("add", lambda t, a, b: t.add(a, b), 2, (4,)),
     ("sub", lambda t, a, b: t.sub(a, b), 2, (4,)),
@@ -249,7 +277,34 @@ PRIMITIVE_CASES = [
     ("mul_rowvec", lambda t, a, b: t.mul_rowvec(a, b), 2, [(3, 4), (4,)]),
     ("add_scaled_rowvec", lambda t, a, b: t.add_scaled_rowvec(a, b, np.array([2.0, 0.0, -1.5])), 2, [(3, 4), (4,)]),
     ("slice_rows", lambda t, a: t.slice_rows(a, 1, 3), 1, [(4, 3)]),
+    ("gather_rows", lambda t, a: t.gather_rows(a, np.array([2, 0, 2, 1])), 1, [(3, 4)]),
+    ("scale_rows", lambda t, a: t.scale_rows(a, np.array([2.0, 0.0, -1.5])), 1, [(3, 4)]),
+    ("segment_sum_prepared",
+     lambda t, a: t.segment_sum_prepared(a, _SEG_IDS, *autodiff.segment_boundaries(_SEG_IDS), 4), 1, [(5, 3)]),
+    ("pair_relu_sum", lambda t, a, b: t.pair_relu_sum(a, b, _PAIRS.blocks), 2, (5, 3)),
 ]
+
+# Per primitive with a shape rule: operand shapes and constants that break it.
+SHAPE_MISMATCHES = {
+    "add": ([(2,), (3,)], ()),
+    "sub": ([(2,), (3,)], ()),
+    "mul": ([(2, 3), (3, 2)], ()),
+    "row_sums": ([(3,)], ()),
+    "rowdot": ([(2, 3), (3, 2)], ()),
+    "matmul": ([(2, 3), (2, 3)], ()),
+    "concat_cols": ([(2, 3), (3, 3)], ()),
+    "gather_rows": ([(2, 2)], (np.array([0, 2]),)),
+    "slice_rows": ([(3, 2)], (2, 1)),
+    "pair_relu_sum": ([(3, 2), (3, 4)], ([],)),
+    "scale_rows": ([(3, 2)], (np.ones(2),)),
+    "add_rowvec": ([(3, 2), (3,)], ()),
+    "add_scaled_rowvec": ([(3, 2), (2,)], (np.ones(2),)),
+    "mul_rowvec": ([(3, 2), (3,)], ()),
+}
+
+
+def test_every_primitive_has_a_gradient_case():
+    assert sorted(case[0] for case in PRIMITIVE_CASES) == sorted(autodiff.PRIMITIVES)
 
 
 @pytest.mark.parametrize("name,apply,arity,shapes", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
@@ -262,6 +317,11 @@ def test_primitive_gradients_match_fd(name, apply, arity, shapes, rng):
     elif name == "relu":
         # keep entries away from the kink at 0
         params = [Parameter(np.sign(rng.normal(size=s)) * rng.uniform(0.5, 1.5, size=s)) for s in shapes]
+    elif name == "pair_relu_sum":
+        # |a[i] + b[j]| >= 0.2 for every pair: away from the kink at 0
+        a, b = shapes
+        params = [Parameter(np.sign(rng.normal(size=a)) * rng.uniform(0.5, 1.5, size=a)),
+                  Parameter(rng.uniform(-0.3, 0.3, size=b))]
     else:
         params = [Parameter(rng.normal(size=s)) for s in shapes]
 

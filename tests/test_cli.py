@@ -71,6 +71,19 @@ class TestUsage:
         assert code == 1, err
         assert str(config) in usage_error_line(err) and flag in usage_error_line(err)
 
+    @pytest.mark.parametrize("argv, key", [(("train",), "data"), (("train",), "config"),
+                                           (("ablate", "--variants", "mode=fm"), "variants")])
+    def test_config_key_of_a_command_line_flag_is_usage_error(self, capsys, tmp_path, argv, key):
+        """A key for a flag that the command line always gives (a required
+        flag, or --config) is a usage error naming the file and the key,
+        raised before the data file is read."""
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {tmp_path / 'other'}\n")
+        code, _, err = run(capsys, argv[0], "--data", str(tmp_path / "never-read.tsv"), *argv[1:],
+                           "--config", str(config))
+        assert code == 1, err
+        assert str(config) in usage_error_line(err) and repr(key) in usage_error_line(err)
+
     @pytest.mark.parametrize("in_config", [False, True])
     def test_seed_does_not_abbreviate_seeds(self, capsys, tmp_path, in_config):
         """ablate has --seeds and no --seed: flags and config keys match by
@@ -154,6 +167,19 @@ class TestConfigRangeErrors:
         code, _, err = run(capsys, "train", "--data", synth_file, "--config", str(config))
         assert code == 1
         assert "--dim" in err
+
+    @pytest.mark.parametrize("where", ["config file", "command line", "both"])
+    def test_range_error_names_the_config_file_it_came_from(self, capsys, tmp_path, where):
+        """A range error names the config file only when the bad value came
+        from it; a value on the command line wins over the file's."""
+        config = tmp_path / "run.conf"
+        config.write_text("epochs = 1\n" if where == "command line" else "dim = 0\n")
+        flags = [] if where == "config file" else ["--dim", "0"]
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "never-read.tsv"), "--config", str(config),
+                           *flags)
+        assert code == 1, err
+        prefix = f"usage error: config file {config}: " if where == "config file" else "usage error: "
+        assert usage_error_line(err) == prefix + "--dim: dim must be >= 1, got 0"
 
     def test_config_file_threshold(self, capsys, tmp_path):
         config = tmp_path / "run.conf"

@@ -473,6 +473,7 @@ class TestNodeLevelMessagePassing:
                     p.values[...] = rng.normal(scale=0.5, size=p.shape)
             plan = build_plan(samples, mp.table, variant)
             out = _forward(ops, plan, mp, variant)
+            messages = out.messages if plan.node_src is None else out.messages[plan.node_src]  # sample rows
             cross = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
             base = 0
             for sample in samples:
@@ -485,9 +486,9 @@ class TestNodeLevelMessagePassing:
                     if variant.inner == "mlp":
                         for row, z in zip(rows, message_pass(graph, mp)):
                             if graph.n_nodes == 1:
-                                assert np.array_equal(out.messages[row], np.zeros(8))
+                                assert np.array_equal(messages[row], np.zeros(8))
                             else:
-                                self._close(out.messages[row], z)
+                                self._close(messages[row], z)
                     if variant.cross in ("mlp_shared", "mlp_separate"):
                         for row, u in zip(rows, graph.nodes):
                             s = sum(pair_message_oracle(u, v, cross) for v in opposite.nodes)
@@ -519,7 +520,8 @@ class TestNodeLevelMessagePassing:
         for ops in (ArrayOps(), RowLocalOps()) * 10:
             plan = build_plan(_plan_batch(rng, 64), mp.table, variant)
             out = _forward(ops, plan, mp, variant)
-            u, z = out.nodes, out.messages
+            u = out.nodes
+            z = out.messages if plan.node_src is None else out.messages[plan.node_src]  # sample rows
             for first, size in zip(plan.by_side.starts, np.diff(np.append(plan.by_side.starts, plan.n_nodes))):
                 side = u[first:first + size]
                 sizes.add(int(size))
