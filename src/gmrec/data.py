@@ -146,15 +146,16 @@ def universe_of(samples: Sequence[DataSample]) -> tuple[AttributeId, ...]:
     return tuple(sorted(seen.values(), key=lambda a: a.id))
 
 
-def sample_user_key(sample: DataSample) -> tuple:
-    """Hashable identity of the user in a sample: its full characteristic.
+def side_key(chars: Sequence[AttributeValuePair]) -> tuple:
+    """Hashable value of a side, equal exactly for sides with the same (id, value) pairs."""
+    return tuple(sorted((p.att.id, p.val) for p in chars))
 
-    Two samples describe the same user exactly when their user sides carry
-    the same attribute-value pairs.
-    """
-    return tuple(sorted((p.att.id, p.val) for p in sample.user_chars))
+
+def sample_user_key(sample: DataSample) -> tuple:
+    """Hashable identity of the user in a sample: side_key of its user side."""
+    return side_key(sample.user_chars)
 
 
 def sample_item_key(sample: DataSample) -> tuple:
     """Hashable identity of the item characteristic in a sample."""
-    return tuple(sorted((p.att.id, p.val) for p in sample.item_chars))
+    return side_key(sample.item_chars)

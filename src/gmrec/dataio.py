@@ -173,6 +173,7 @@ def parse_dataset_lines(
     options = options or ParseOptions()
     vocab = vocab if vocab is not None else Vocabulary()
     samples: list[DataSample] = []
+    parsed = {}  # (side, text) -> its tuple, parsed at its first line and shared by every later one
     report = ParseReport()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -186,15 +187,19 @@ def parse_dataset_lines(
         try:
             raw_label = float(label_text)
         except ValueError:
-            raise ParseError(f"bad label {label_text!r}", lineno) from None
+            raw_label = math.nan
+        if not math.isfinite(raw_label):
+            raise ParseError(f"bad label {label_text!r}", lineno)
         if options.threshold is not None:
             label = 1.0 if raw_label > options.threshold else 0.0
         else:
             if raw_label not in (0.0, 1.0):
                 raise ParseError(f"label must be 0 or 1, got {label_text!r}", lineno)
             label = raw_label
-        user_chars = _parse_fields(user_text, USER, vocab, lineno)
-        item_chars = _parse_fields(item_text, ITEM, vocab, lineno)
+        user_chars, item_chars = (
+            parsed.get((side, text)) or parsed.setdefault((side, text), _parse_fields(text, side, vocab, lineno))
+            for side, text in ((USER, user_text), (ITEM, item_text))
+        )
         try:
             samples.append(DataSample(user_chars, item_chars, label))
         except ContractError as exc:

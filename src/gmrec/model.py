@@ -44,13 +44,14 @@ per-row results do not depend on what else is stacked; predict() runs on
 it for its exact structural identities.
 
 Only step 3's node matching needs the pair. build_plan also finds the
-batch's distinct sides (equal id-sorted embedding rows and value bytes),
-and the engine runs the stages that depend on one side alone once per
-distinct side: the nodes of step 1, the messages of step 2, the side sums,
-and GRU steps 1-2 of step 4 (over u and z). It gathers their rows to the
-samples for node matching, GRU step 3 (over s) and the readout. A batch
-with no repeated side has no gather, so a single sample's arrays are those
-of a forward without the dedupe.
+batch's distinct sides: sides are the same exactly when they are the same
+tuple object, as the sides of a parsed dataset that share a text are. The
+engine runs the stages that depend on one side alone once per distinct
+side: the nodes of step 1, the messages of step 2, the side sums, and GRU
+steps 1-2 of step 4 (over u and z). It gathers their rows to the samples
+for node matching, GRU step 3 (over s) and the readout. A batch with no
+repeated side has no gather, so a single sample's arrays are those of a
+forward without the dedupe.
 
 The engine is written once, against an ops object, which also chooses the
 matrix-product kernel. Training runs it on a Tape, which records it for the
@@ -309,8 +310,8 @@ class _Plan:
     Sample nodes are every node of every sample: sample by sample, user
     side then item side, each side in ascending attribute-id order. Side
     nodes are the nodes of the batch's distinct sides only, in order of
-    first appearance; a side that repeats an earlier one (the same
-    id-sorted embedding rows and value bytes) has no side nodes of its own.
+    first appearance; a side that is the same tuple object as an earlier
+    one has no side nodes of its own.
     The stages that depend on one side alone run over side nodes, the rest
     over sample nodes.
     """
@@ -384,45 +385,6 @@ def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
     return _Neighbourhoods(blocks, np.repeat(opposite.astype(np.float64), sizes))
 
 
-# Odd 64-bit constants (from splitmix64) that mix a node's row and value
-# bits into one word of its side's signature.
-_MIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], dtype=np.uint64).view(np.int64)
-
-
-def _distinct_sides(rows: np.ndarray, vals: np.ndarray, side: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
-    """The distinct side of every side, numbered in order of first
-    appearance, and the first side of each distinct side.
-
-    rows and vals hold the nodes side by side, each side id-sorted; side is
-    the side of each node. Two sides are the same when their sizes, rows
-    and the bytes of their values are equal, so values that differ in the
-    last bit or in the sign of a zero keep sides apart. Sides are grouped by
-    a signature, the wrapping sum of one mixed word per node; every side is
-    then compared node by node with the first side of its group and kept
-    apart if it differs, so a signature collision costs reuse, never
-    correctness.
-    """
-    bits = vals.view(np.int64)
-    word = rows * _MIX[0] ^ bits
-    word *= _MIX[1]
-    word ^= word >> 29
-    signature = np.add.reduceat(word, starts) + sizes * _MIX[0]
-    order = signature.argsort(kind="stable")
-    ordered = signature[order]
-    new = np.ones(len(sizes), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    own = np.arange(len(sizes))
-    if new.all():  # equal sides have equal signatures, so all sides differ
-        return own, own
-    first = np.empty(len(sizes), dtype=np.intp)  # first side of each side's group: never after it
-    first[order] = order[new][np.cumsum(new) - 1]
-    src = np.arange(len(rows)) + (starts[first] - starts)[side]  # in range, as first[s] <= s
-    same = np.logical_and.reduceat((rows[src] == rows) & (bits[src] == bits), starts) & (sizes[first] == sizes)
-    first = np.where(same, first, own)
-    is_first = first == own
-    return (np.cumsum(is_first) - 1)[first], np.flatnonzero(is_first)
-
-
 def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICAL) -> _Plan:
     """The index plan of a batch, by numpy index arithmetic (see the module
     docstring); input order is sample by sample, user side then item side."""
@@ -438,7 +400,9 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
     rows = rows[order]
     vals = np.array([pair[1] for pair in pairs], dtype=np.float64)[order]
     starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
-    side_map, firsts = _distinct_sides(rows, vals, side, starts, sizes)
+    distinct: dict[int, int] = {}  # id of a side's tuple -> its number, in order of first appearance
+    side_map = np.array([distinct.setdefault(id(chars), len(distinct)) for chars in sides], dtype=np.intp)
+    firsts = np.unique(side_map, return_index=True)[1]  # the first side of each distinct side
     by_side = _SegIndex(ids=side, starts=starts, out_rows=side_ids, n=2 * n_samples)
     by_distinct, distinct_starts, distinct_sizes, node_src = by_side, starts, sizes, None
     if len(firsts) < 2 * n_samples:

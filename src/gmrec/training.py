@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Parameter, Tape, Value
-from .data import DataSample, sample_item_key, sample_user_key, universe_of
+from .data import DataSample, sample_item_key, sample_user_key, side_key, universe_of
 from .errors import ContractError, InvalidConfigError, SamplingError, TrainingError
 from .metrics import auc, logloss, score_dataset
 from .model import (
@@ -216,7 +216,7 @@ def negative_sample(
     by_user: dict = {}
     for s in positives:
         by_user.setdefault(sample_user_key(s), []).append(s)
-    pool_keys = [tuple(sorted((p.att.id, p.val) for p in chars)) for chars in item_pool]
+    pool_keys = [side_key(chars) for chars in item_pool]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     out: list[DataSample] = []
     for key, items in by_user.items():

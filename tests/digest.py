@@ -1,0 +1,116 @@
+"""Hash digests of the program's outputs, for checking that a refactor keeps
+every bit.
+
+Run as `python tests/digest.py` (pytest does not collect it). It prints one
+sha256 per group; two commits that print the same lines give bit-identical
+results on:
+
+  variants     for each of the 28 variants, on two fixed batches (one that
+               repeats side tuples as shared objects, one with +0, -0 and
+               last-bit values): regularized_risk values and Tape gradients,
+               score_samples, and predict scores and diagnostics;
+  train-small  epoch logs and final parameters of train() on the bench
+  train-wide   generators' seed-2001 inputs, with the bench's first config;
+  criterion-1  the worst relative error of acceptance criterion 1, which is
+               also printed as a number.
+"""
+import hashlib
+import io
+import os
+import sys
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(HERE, "..", "src"), os.path.join(HERE, "..", "bench")]
+
+import inputs  # noqa: E402  (bench/inputs.py)
+from conftest import all_variants  # noqa: E402
+from gmrec.data import ITEM, USER, AttributeId, AttributeValuePair, DataSample  # noqa: E402
+from gmrec.dataio import parse_dataset_lines  # noqa: E402
+from gmrec.model import init_model_params, predict, score_samples  # noqa: E402
+from gmrec.selfcheck import run_gradcheck  # noqa: E402
+from gmrec.training import TrainConfig, regularized_risk, split_per_user, train  # noqa: E402
+
+SEED = 2001
+
+
+class Digest:
+    def __init__(self):
+        self._hash = hashlib.sha256()
+
+    def add(self, *items) -> None:
+        for item in items:
+            if isinstance(item, np.ndarray):
+                self._hash.update(f"{item.dtype}{item.shape}".encode())
+                self._hash.update(np.ascontiguousarray(item).tobytes())
+            else:
+                self._hash.update(repr(item).encode())
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def _side(ids, vals, side):
+    return tuple(AttributeValuePair(AttributeId(i, side), float(v)) for i, v in zip(ids, vals))
+
+
+def fixed_batches():
+    """Two batches over user ids 0-9 and item ids 10-19. Every side that
+    repeats is one shared tuple, so no two separate tuples are equal."""
+    rng = np.random.default_rng(7)
+    users = [_side(rng.permutation(10)[:n], rng.uniform(-2, 2, n), USER) for n in (1, 2, 3, 5)]
+    items = [_side(10 + rng.permutation(10)[:n], rng.uniform(-2, 2, n), ITEM) for n in (1, 2, 4, 6)]
+    shared = [DataSample(u, i, float((a + b) % 2)) for a, u in enumerate(users) for b, i in enumerate(items)]
+    shared += [shared[3], shared[0], shared[9]]
+    x = 0.7
+    bits = [
+        DataSample(_side((0, 1), (0.0, x), USER), _side((10,), (0.0,), ITEM), 1.0),
+        DataSample(_side((0, 1), (-0.0, x), USER), _side((10,), (-0.0,), ITEM), 0.0),
+        DataSample(_side((0, 1), (0.0, np.nextafter(x, 1.0)), USER), _side((10, 11), (x, 1.0), ITEM), 1.0),
+        DataSample(_side((1,), (np.nextafter(x, 0.0),), USER), _side((10, 11), (np.nextafter(x, 1.0), 1.0), ITEM), 0.0),
+    ]
+    universe = [AttributeId(i, USER) for i in range(10)] + [AttributeId(i, ITEM) for i in range(10, 20)]
+    return universe, [shared, bits]
+
+
+def variants_digest() -> str:
+    out = Digest()
+    universe, batches = fixed_batches()
+    for variant in all_variants():
+        for batch in batches:
+            mp = init_model_params(universe, 8, seed=4, variant=variant)
+            risk = regularized_risk(batch, mp, 0.1, variant)
+            risk.tape.backward(risk)
+            out.add(repr(variant), float(risk.data), *(p.grad for p in mp.parameters()))
+            out.add(score_samples(batch, mp, variant))
+            for sample in batch:
+                res = predict(sample, mp, variant)
+                out.add(res.score, res.user_repr, res.item_repr)
+                for node in res.user_nodes + res.item_nodes:
+                    out.add(node.att, node.representation, node.message, node.match, node.fused)
+    return out.hexdigest()
+
+
+def train_digest(text: str, dim: int) -> str:
+    dataset = parse_dataset_lines(io.StringIO(text))
+    split = split_per_user(dataset.samples, SEED)
+    config = TrainConfig(dim=dim, learning_rate=3e-3, epochs=2, batch_size=64, seed=1000 * SEED, patience=2)
+    result = train(split, config)
+    out = Digest()
+    out.add("\n".join(map(str, result.logs)), result.best_epoch, *(p.values for p in result.params.parameters()))
+    return out.hexdigest()
+
+
+def main() -> None:
+    print("variants   ", variants_digest())
+    print("train-small", train_digest(inputs.train_small_text(SEED), 16))
+    print("train-wide ", train_digest(inputs.train_wide_text(SEED), 64))
+    worst = run_gradcheck(instances=20, d=8, seed=0, step=1e-5, max_attrs=4)
+    out = Digest()
+    out.add(worst)
+    print("criterion-1", out.hexdigest(), repr(worst))
+
+
+if __name__ == "__main__":
+    main()

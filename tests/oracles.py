@@ -116,18 +116,35 @@ def finite_difference(f, params, step=1e-5):
     return grads
 
 
+def value_side_map(samples, table):
+    """The distinct side of every side (user side, then item side, of each
+    sample), numbered in order of first appearance, where two sides are the
+    same exactly when their id-sorted embedding rows and the bytes of their
+    values are equal. A value that differs in its last bit or in the sign of
+    a zero keeps sides apart."""
+    distinct, side_map = {}, []
+    for sample in samples:
+        for chars in (sample.user_chars, sample.item_chars):
+            ordered = sorted(chars, key=lambda p: p.att.id)
+            key = (np.array([table.row(p.att) for p in ordered], dtype=np.intp).tobytes(),
+                   np.array([p.val for p in ordered], dtype=np.float64).tobytes())
+            side_map.append(distinct.setdefault(key, len(distinct)))
+    return np.array(side_map, dtype=np.intp)
+
+
 def plan_oracle(samples, table, variant):
     """The batch plan by per-sample, per-attribute loops: the reference for
     model.build_plan. Returns its fields by name as plain intp/float64
     arrays; a segment index is (ids, starts, out_rows, n), a neighbourhood
     is (blocks, counts) with each block a (rows, nbrs, sources, back) tuple,
     in the plan's block order. Sides are deduplicated with a dict keyed by
-    the bytes of each side's id-sorted rows and values; node_src is None
-    when no side repeats."""
+    the id() of each side's tuple; node_src is None when no side repeats."""
     idx = lambda xs: np.array(xs, dtype=np.intp)
     side_rows, side_vals, side_of, sample_of, other_of, input_pos, firsts, sizes = [], [], [], [], [], [], [], []
+    tuple_ids = []
     for b, sample in enumerate(samples):
         for side, other, chars in ((2 * b, 2 * b + 1, sample.user_chars), (2 * b + 1, 2 * b, sample.item_chars)):
+            tuple_ids.append(id(chars))
             firsts.append(len(side_of))
             sizes.append(len(chars))
             order = np.argsort([p.att.id for p in chars], kind="stable")
@@ -140,8 +157,7 @@ def plan_oracle(samples, table, variant):
                 other_of.append(other)
 
     distinct, side_map, distinct_first = {}, [], []
-    for s, (rows, vals) in enumerate(zip(side_rows, side_vals)):
-        key = (idx(rows).tobytes(), np.array(vals, dtype=np.float64).tobytes())
+    for s, key in enumerate(tuple_ids):
         if key not in distinct:
             distinct[key] = len(distinct)
             distinct_first.append(s)

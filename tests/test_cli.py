@@ -102,6 +102,16 @@ class TestUsage:
         assert code == 2
 
 
+def test_non_finite_rating_is_data_error(capsys, tmp_path):
+    """A rating of nan is not turned into a label by --threshold: exit 2,
+    naming its line."""
+    data = tmp_path / "data.tsv"
+    data.write_text("4\tuid=u0\tiid=i0\nnan\tuid=u1\tiid=i0\n")
+    code, _, err = run(capsys, "train", "--data", str(data), "--threshold", "2.5", "--dim", "2", "--epochs", "1")
+    assert code == 2, err
+    assert "line 2: bad label 'nan'" in err and "Traceback" not in err
+
+
 class TestUndecodableInput:
     """A data or config file that is not valid UTF-8 is a data error (exit
     2) naming its line or file, not a traceback."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import gmrec.dataio
 from gmrec.cli import main
-from gmrec.data import ITEM, USER, universe_of
+from gmrec.data import ITEM, USER, side_key, universe_of
 from gmrec.dataio import (
     MAGIC,
     MAX_SYNTH_CARD,
@@ -63,6 +63,32 @@ class TestParsing:
     def test_duplicate_attribute_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_dataset_lines(["1\tu1\ti1", "1\tu2 u2\ti1"])
+
+    @pytest.mark.parametrize("threshold", [None, 2.5])
+    @pytest.mark.parametrize("label", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_label_rejected_with_line_number(self, threshold, label):
+        first = "1\tu1\ti1" if threshold is None else "4\tu1\ti1"
+        with pytest.raises(ParseError, match=rf"^line 2: bad label '{label}'$"):
+            parse_dataset_lines([first, f"{label}\tu1\ti2"], ParseOptions(threshold=threshold))
+
+    def test_equal_side_texts_share_one_tuple(self):
+        """A side text is parsed once per side: every line with that text
+        gets the same tuple. The same attributes in another token order are
+        an equal side in another tuple."""
+        ds = parse_dataset_lines(["1\tu1 a=2\ti1 c", "0\tu1 a=2\ti2", "1\ta=2 u1\ti1 c"])
+        first, second, third = ds.samples
+        assert second.user_chars is first.user_chars and third.item_chars is first.item_chars
+        assert third.user_chars is not first.user_chars
+        assert side_key(third.user_chars) == side_key(first.user_chars)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["1\tu1\ti1", "0\tu2 u2\ti1", "1\tu2 u2\ti1"], "line 2: duplicate attribute 'u2' on the user side"),
+        (["1\tx\ti1", "0\tu1\tx", "1\tu1\tx"], "line 2: attribute 'x' used on both sides"),
+        (["1\tu1\ti1 w=nan", "1\tu1\ti1 w=nan"], "line 1: non-finite value for attribute id 2"),
+    ])
+    def test_repeated_bad_text_fails_at_its_first_line(self, lines, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_dataset_lines(lines)
 
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match="line 1"):

@@ -17,7 +17,6 @@ from gmrec.data import (
     universe_of,
 )
 from gmrec.errors import ContractError, MissingEmbeddingError, ShapeError
-from gmrec import model
 from gmrec.graphs import build_graphs
 from gmrec.model import (
     CANONICAL,
@@ -35,11 +34,12 @@ from gmrec.model import (
     swap_roles,
 )
 
+from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines
 from gmrec.selfcheck import gradcheck_problem
-from gmrec.training import regularized_risk
+from gmrec.training import item_pool_of, regularized_risk
 
 from conftest import all_variants, make_sample
-from oracles import full_forward_oracle, gru_oracle, pair_message_oracle, plan_oracle
+from oracles import full_forward_oracle, gru_oracle, pair_message_oracle, plan_oracle, value_side_map
 
 
 def make_model(sample_or_samples, dim=8, seed=7, variant=CANONICAL):
@@ -653,24 +653,25 @@ class TestVectorisedPlan:
 
 
 def _side(pool_ids, vals, side):
-    return [AttributeValuePair(AttributeId(i, side), float(v)) for i, v in zip(pool_ids, vals)]
+    return tuple(AttributeValuePair(AttributeId(i, side), float(v)) for i, v in zip(pool_ids, vals))
 
 
 class TestDistinctSides:
-    """build_plan finds the batch's distinct sides, and _forward runs the
-    per-side stages once per distinct side and gathers to sample rows."""
+    """build_plan finds the batch's distinct sides (sides that are the same
+    tuple object), and _forward runs the per-side stages once per distinct
+    side and gathers to sample rows."""
 
     def test_distinct_side_map_matches_loop_builder(self):
         x = 0.7
         user = _side((3, 5, 11), (1.0, -0.5, 2.0), USER)
         item_a, item_b = _side((1, 9), (1.0, 1.0), ITEM), _side((8,), (x,), ITEM)
-        shuffled = [user[2], user[0], user[1]]
+        shuffled = (user[2], user[0], user[1])
         cases = [
             ("no repeat", [DataSample(user, item_a, 1.0), DataSample(_side((3,), (1.0,), USER), item_b, 0.0)],
              [0, 1, 2, 3]),
             ("repeated samples", [DataSample(user, item_a, 1.0), DataSample(user, item_b, 0.0),
                                   DataSample(user, item_a, 0.0)], [0, 1, 0, 2, 0, 1]),
-            ("shuffled attributes", [DataSample(user, item_a, 1.0), DataSample(shuffled, item_b, 0.0)], [0, 1, 0, 2]),
+            ("shuffled attributes", [DataSample(user, item_a, 1.0), DataSample(shuffled, item_b, 0.0)], [0, 1, 2, 3]),
             ("last bit", [DataSample(user, item_b, 1.0),
                           DataSample(user, _side((8,), (np.nextafter(x, 1.0),), ITEM), 0.0)], [0, 1, 0, 2]),
             ("sign of zero", [DataSample(user, _side((8,), (0.0,), ITEM), 1.0),
@@ -681,28 +682,48 @@ class TestDistinctSides:
             for variant in all_variants():
                 plan = build_plan(samples, table, variant)
                 assert plan.side_map.tolist() == side_map, where
-                assert (plan.node_src is None) == (where == "no repeat"), where
+                assert (plan.node_src is None) == (max(side_map) == 3), where
                 assert_plan_matches_oracle(plan, plan_oracle(samples, table, variant), (where, variant))
 
-    def test_signature_collisions_never_merge_unequal_sides(self, rng, monkeypatch):
-        """With every side given the same signature, every sample node still
-        gathers its own embedding row and value bits, fewer sides are
-        merged (only repeats of the batch's first side), and the row-local
-        scores keep their bits."""
-        samples = _plan_batch(rng, 64)
-        user, item = samples[0].user_chars, samples[0].item_chars
-        nudged = (user[0]._replace(val=np.nextafter(user[0].val, np.inf)),) + user[1:]
-        samples += [samples[0], DataSample(nudged, item, 0.0)]
-        mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4)
-        want = _forward(RowLocalOps(), build_plan(samples, mp.table), mp, CANONICAL).scores
-        ref = plan_oracle(samples, mp.table, CANONICAL)
-        monkeypatch.setattr(model, "_MIX", np.zeros(2, dtype=np.int64))
-        plan = build_plan(samples, mp.table)
-        assert np.array_equal(plan.attr_rows[plan.node_src], ref["attr_rows"][ref["node_src"]])
-        assert plan.vals[plan.node_src].tobytes() == ref["vals"][ref["node_src"]].tobytes()
-        assert len(ref["by_distinct"][1]) < len(plan.by_distinct.starts) < plan.n_sides
-        got = _forward(RowLocalOps(), plan, mp, CANONICAL).scores
-        assert np.array_equal(got, want)
+    def test_equal_sides_as_separate_tuples_get_their_own_side_nodes(self, rng):
+        """The same batch with every side rebuilt as a new, value-equal tuple:
+        each side is then distinct, with its own side nodes, and for every
+        variant the row-local scores equal those of the shared tuples bit
+        for bit."""
+        shared = _plan_batch(rng, 64)
+        shared += [DataSample(shared[0].user_chars, s.item_chars, 0.0) for s in shared[1:20]]
+        apart = [DataSample(list(s.user_chars), list(s.item_chars), s.label) for s in shared]
+        for variant in all_variants():
+            mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4, variant=variant)
+            one, own = build_plan(shared, mp.table, variant), build_plan(apart, mp.table, variant)
+            assert one.node_src is not None and one.by_distinct.n < one.n_sides
+            assert own.node_src is None and own.side_map.tolist() == list(range(own.n_sides))
+            assert np.array_equal(own.attr_rows, one.attr_rows[one.node_src])
+            assert own.vals.tobytes() == one.vals[one.node_src].tobytes()
+            want = _forward(RowLocalOps(), one, mp, variant).scores
+            assert np.array_equal(_forward(RowLocalOps(), own, mp, variant).scores, want), variant
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_parsed_data_loses_no_reuse(self, data):
+        """On batches drawn from a parsed synthetic dataset, and on a rank
+        request of one user against the item pool, the sides that are one
+        tuple are exactly the sides with equal id-sorted rows and value bytes."""
+        attrs = data.draw(st.sampled_from(["both", "user", "item", "none"]))
+        spec = SynthSpec(
+            users=data.draw(st.integers(1, 40)), items=data.draw(st.integers(1, 30)),
+            samples=data.draw(st.integers(1, 300)), rule=data.draw(st.sampled_from(["xor_cross", "cross", "random"])),
+            user_attr_card=data.draw(st.integers(1, 6)), second_user_attr_card=data.draw(st.integers(1, 4)),
+            item_attr_card=data.draw(st.integers(1, 6)), noise=data.draw(st.sampled_from([0.0, 0.3])), attrs=attrs,
+            ids=attrs != "both" or data.draw(st.booleans()), seed=data.draw(st.integers(0, 2**16)),
+        )
+        samples = parse_dataset_lines(generate_synthetic(spec)[0].splitlines()).samples
+        table = init_embeddings(universe_of(samples), 4, seed=0)
+        picks = data.draw(st.lists(st.integers(0, len(samples) - 1), min_size=1, max_size=128))
+        user = samples[picks[0]].user_chars
+        for batch in ([samples[k] for k in picks], [DataSample(user, item, 0.0) for item in item_pool_of(samples)]):
+            plan = build_plan(batch, table)
+            assert np.array_equal(plan.side_map, value_side_map(batch, table))
 
     @staticmethod
     def _repeated_batch(rng):
