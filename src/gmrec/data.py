@@ -147,15 +147,16 @@ def universe_of(samples: Sequence[DataSample]) -> tuple[AttributeId, ...]:
 
 
 def side_key(chars: Sequence[AttributeValuePair]) -> tuple:
-    """Hashable value of a side, equal exactly for sides with the same (id, value) pairs."""
+    """Hashable value of a side: its (id, value) pairs in any order, values
+    equal as numbers (0, -0) equal. The parser interns sides by it."""
     return tuple(sorted((p.att.id, p.val) for p in chars))
 
 
 def sample_user_key(sample: DataSample) -> tuple:
-    """Hashable identity of the user in a sample: side_key of its user side."""
+    """side_key of a sample's user side: its user's value, whatever tuple holds it."""
     return side_key(sample.user_chars)
 
 
 def sample_item_key(sample: DataSample) -> tuple:
-    """Hashable identity of the item characteristic in a sample."""
+    """side_key of a sample's item side."""
     return side_key(sample.item_chars)

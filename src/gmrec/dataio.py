@@ -24,6 +24,7 @@ import math
 import os
 import struct
 import threading
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -35,7 +36,7 @@ from .data import (
     AttributeId,
     AttributeValuePair,
     DataSample,
-    sample_user_key,
+    side_key,
 )
 from .errors import (
     CheckpointError,
@@ -57,6 +58,12 @@ MAGIC = b"GMCFCKP1"
 _HEADER = struct.Struct("<IIIII")  # dim, n_attrs, variant_len, n_mlp_arrays, n_gru_arrays
 _U32 = struct.Struct("<I")
 _SIDES = (USER, ITEM)  # indexed by the side byte
+
+# Most attributes a side of a data line may have. pair_relu_sum keeps at
+# least one whole m-node graph per chunk: (m-1) * m * 4d float64 values
+# plus a one-byte relu mask each. At MAX_DIM (1024) that must stay under
+# 1 GiB; m = 128 keeps it at about 570 MiB.
+MAX_SIDE_ATTRS = 128
 
 
 class Vocabulary:
@@ -148,6 +155,8 @@ def _parse_fields(text: str, side: str, vocab: Vocabulary, lineno: int) -> tuple
     tokens = text.split()
     if not tokens:
         raise ParseError("empty attribute list", lineno)
+    if len(tokens) > MAX_SIDE_ATTRS:
+        raise ParseError(f"{len(tokens)} attributes on the {side} side, at most {MAX_SIDE_ATTRS}", lineno)
     pairs = []
     seen = set()
     for token in tokens:
@@ -169,11 +178,17 @@ def parse_dataset_lines(
     vocab: Vocabulary | None = None,
 ) -> Dataset:
     """Parse dataset lines; a pre-existing vocabulary (e.g. from a
-    checkpoint) keeps attribute ids aligned with it."""
+    checkpoint) keeps attribute ids aligned with it.
+
+    Each side text is parsed once, and sides equal by side_key share the
+    first tuple parsed with that value: on parsed data, identity, tuple
+    equality and value equality agree, and the plan dedupe and every
+    per-user grouping key on the side tuple itself."""
     options = options or ParseOptions()
     vocab = vocab if vocab is not None else Vocabulary()
     samples: list[DataSample] = []
-    parsed = {}  # (side, text) -> its tuple, parsed at its first line and shared by every later one
+    parsed = {}  # (side, text) -> its tuple, filled only once the text parses
+    interned = {}  # side_key -> first tuple with that value; user and item ids never overlap
     report = ParseReport()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -196,30 +211,24 @@ def parse_dataset_lines(
             if raw_label not in (0.0, 1.0):
                 raise ParseError(f"label must be 0 or 1, got {label_text!r}", lineno)
             label = raw_label
-        user_chars, item_chars = (
-            parsed.get((side, text)) or parsed.setdefault((side, text), _parse_fields(text, side, vocab, lineno))
-            for side, text in ((USER, user_text), (ITEM, item_text))
-        )
+        for side, text in ((USER, user_text), (ITEM, item_text)):
+            if (side, text) not in parsed:
+                chars = _parse_fields(text, side, vocab, lineno)
+                parsed[side, text] = interned.setdefault(side_key(chars), chars)
+        user_chars, item_chars = parsed[USER, user_text], parsed[ITEM, item_text]
         try:
             samples.append(DataSample(user_chars, item_chars, label))
         except ContractError as exc:
             raise ParseError(str(exc), lineno) from None
     if options.min_positives > 0:
-        positives: dict = {}
-        for s in samples:
-            if s.label == 1.0:
-                key = sample_user_key(s)
-                positives[key] = positives.get(key, 0) + 1
-        keys_before = {sample_user_key(s) for s in samples}
-        samples = [
-            s for s in samples if positives.get(sample_user_key(s), 0) >= options.min_positives
-        ]
-        keys_after = {sample_user_key(s) for s in samples}
-        report.n_dropped_users = len(keys_before) - len(keys_after)
+        positives = Counter(s.user_chars for s in samples if s.label == 1.0)
+        dropped = {s.user_chars for s in samples if positives[s.user_chars] < options.min_positives}
+        samples = [s for s in samples if s.user_chars not in dropped]
+        report.n_dropped_users = len(dropped)
     if not samples:
         raise EmptyDatasetError("no usable samples after parsing and filtering")
     report.n_samples = len(samples)
-    report.n_users = len({sample_user_key(s) for s in samples})
+    report.n_users = len({s.user_chars for s in samples})
     report.n_user_attrs = sum(1 for a in vocab.ids if a.side == USER)
     report.n_item_attrs = sum(1 for a in vocab.ids if a.side == ITEM)
     return Dataset(samples=samples, vocab=vocab, report=report)

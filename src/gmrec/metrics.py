@@ -14,7 +14,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .autodiff import stable_sigmoid
-from .data import EmbeddingTable, sample_user_key
+from .data import EmbeddingTable, side_key
 from .errors import UndefinedMetricError
 from .model import CANONICAL, ModelParams, VariantConfig, score_samples
 
@@ -23,7 +23,7 @@ PROB_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ScoredSample:
-    user: Hashable
+    user: Hashable  # groups the per-user metrics; score_dataset gives the user side tuple
     score: float
     label: float
 
@@ -100,7 +100,7 @@ def probability_from_score(score: np.ndarray) -> np.ndarray:
 
 
 def score_dataset(samples, mp: ModelParams, variant: VariantConfig = CANONICAL) -> list[ScoredSample]:
-    """Score samples with the model and wrap them with their user keys.
+    """Score samples with the model and wrap them with their user side tuples.
 
     The stored score is the sigmoid probability; AUC and NDCG are invariant
     under the monotone link and logloss needs the probability anyway.
@@ -108,7 +108,7 @@ def score_dataset(samples, mp: ModelParams, variant: VariantConfig = CANONICAL) 
     raw = score_samples(samples, mp, variant)
     probs = probability_from_score(raw)
     return [
-        ScoredSample(user=sample_user_key(s), score=float(p), label=float(s.label))
+        ScoredSample(user=s.user_chars, score=float(p), label=float(s.label))
         for s, p in zip(samples, probs)
     ]
 
@@ -126,14 +126,15 @@ def format_metric_report(report: dict) -> str:
 
 
 def per_user_report(scored: Sequence[ScoredSample], ks=(5, 10)) -> str:
-    """One line per user: sample count, positives, and per-user NDCG values."""
+    """One line per user of score_dataset's output, labelled by its side_key:
+    sample count, positives, and per-user NDCG values."""
     by_user: dict[Hashable, list[ScoredSample]] = {}
     for s in scored:
         by_user.setdefault(s.user, []).append(s)
     lines = []
     for user, items in by_user.items():
         n_pos = sum(1 for s in items if s.label == 1.0)
-        parts = [f"user={user!r}", f"n={len(items)}", f"positives={n_pos}"]
+        parts = [f"user={side_key(user)!r}", f"n={len(items)}", f"positives={n_pos}"]
         if n_pos:
             for k in ks:
                 parts.append(f"ndcg@{k}={ndcg_at_k(items, k)!r}")

@@ -45,7 +45,8 @@ it for its exact structural identities.
 
 Only step 3's node matching needs the pair. build_plan also finds the
 batch's distinct sides: sides are the same exactly when they are the same
-tuple object, as the sides of a parsed dataset that share a text are. The
+tuple object. The parser interns sides by value, so on a parsed dataset
+every pair of equal sides is one tuple, whatever their token order. The
 engine runs the stages that depend on one side alone once per distinct
 side: the nodes of step 1, the messages of step 2, the side sums, and GRU
 steps 1-2 of step 4 (over u and z). It gathers their rows to the samples
@@ -333,7 +334,7 @@ class _Plan:
     # mode. _forward reads only its size (zero: every side is a single
     # node); the benchmark's pair counts read the array.
     pair_a: np.ndarray
-    same_side: _Neighbourhoods | None  # every other side node of the side; graph mode only
+    same_side: _Neighbourhoods | None  # every other side node of the side; graph mode with inner=mlp only
     cross_side: _Neighbourhoods | None  # every sample node of the opposite side; MLP cross kinds only
     input_pos: np.ndarray  # (n_nodes,) sample node -> position in the batch's flat input order
 
@@ -418,7 +419,8 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
     same_side = cross_side = None
     pair_a = np.empty(0, dtype=np.intp)
     if variant.mode == "graph":
-        same_side = _same_side(distinct_starts, distinct_sizes)
+        if variant.inner == "mlp":
+            same_side = _same_side(distinct_starts, distinct_sizes)
         pair_a = np.repeat(np.arange(n_nodes), np.repeat(sizes - 1, sizes))
         if variant.cross in ("mlp_shared", "mlp_separate"):
             cross_side = _cross_side(starts, sizes)

@@ -8,7 +8,9 @@ without the intermediate clamp. The embedding table enters the penalty
 only through the rows used by the current batch.
 
 Splits are per user: every user's samples are shuffled with the seeded
-generator and cut 60/20/20, rounding in favour of the training split.
+generator and cut 60/20/20, rounding in favour of the training split. A
+user is a user side tuple, grouped by tuple equality; the parser interns
+sides by value, so on parsed data that is the user's value (data.side_key).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Parameter, Tape, Value
-from .data import DataSample, sample_item_key, sample_user_key, side_key, universe_of
+from .data import DataSample, side_key, universe_of
 from .errors import ContractError, InvalidConfigError, SamplingError, TrainingError
 from .metrics import auc, logloss, score_dataset
 from .model import (
@@ -73,7 +75,7 @@ class SplitDataset:
     train: list[DataSample]
     valid: list[DataSample]
     test: list[DataSample]
-    by_user: dict = field(default_factory=dict)  # user key -> (n_train, n_valid, n_test)
+    by_user: dict = field(default_factory=dict)  # user side tuple -> (n_train, n_valid, n_test)
 
 
 @dataclass
@@ -173,37 +175,26 @@ def split_per_user(samples: Sequence[DataSample], seed: int) -> SplitDataset:
     """
     groups: dict = {}
     for s in samples:
-        groups.setdefault(sample_user_key(s), []).append(s)
+        groups.setdefault(s.user_chars, []).append(s)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     split = SplitDataset(train=[], valid=[], test=[])
-    short_users = 0
-    for key, items in groups.items():
-        n = len(items)
-        order = rng.permutation(n)
-        if n < 5:
-            split.train.extend(items[k] for k in order)
-            split.by_user[key] = (n, 0, 0)
-            short_users += 1
-            continue
-        n_valid = n // 5
-        n_test = n // 5
-        n_train = n - n_valid - n_test
-        shuffled = [items[k] for k in order]
+    for user, items in groups.items():
+        shuffled = [items[k] for k in rng.permutation(len(items))]
+        n_valid = n_test = len(items) // 5  # 0 below 5 samples
+        n_train = len(items) - n_valid - n_test
         split.train.extend(shuffled[:n_train])
         split.valid.extend(shuffled[n_train:n_train + n_valid])
         split.test.extend(shuffled[n_train + n_valid:])
-        split.by_user[key] = (n_train, n_valid, n_test)
+        split.by_user[user] = (n_train, n_valid, n_test)
+    short_users = sum(1 for items in groups.values() if len(items) < 5)
     if short_users:
         warnings.warn(f"{short_users} user(s) had fewer than 5 samples; all their samples went to train")
     return split
 
 
 def item_pool_of(samples: Sequence[DataSample]) -> list[tuple]:
-    """Distinct item characteristics in first-appearance order."""
-    seen = {}
-    for s in samples:
-        seen.setdefault(sample_item_key(s), s.item_chars)
-    return list(seen.values())
+    """Distinct item side tuples in first-appearance order."""
+    return list(dict.fromkeys(s.item_chars for s in samples))
 
 
 def negative_sample(
@@ -215,27 +206,19 @@ def negative_sample(
     replacement from the pool entries the user did not interact with."""
     by_user: dict = {}
     for s in positives:
-        by_user.setdefault(sample_user_key(s), []).append(s)
-    pool_keys = [side_key(chars) for chars in item_pool]
+        by_user.setdefault(s.user_chars, []).append(s)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     out: list[DataSample] = []
-    for key, items in by_user.items():
-        interacted = {sample_item_key(s) for s in items}
-        candidates = [i for i, k in enumerate(pool_keys) if k not in interacted]
+    for user, items in by_user.items():
+        interacted = {s.item_chars for s in items}
+        candidates = [i for i, chars in enumerate(item_pool) if chars not in interacted]
         if len(candidates) < len(items):
             raise SamplingError(
-                f"item pool exhausted for user {key!r}: "
+                f"item pool exhausted for user {side_key(user)!r}: "
                 f"{len(candidates)} candidates for {len(items)} positives"
             )
         chosen = rng.choice(len(candidates), size=len(items), replace=False)
-        for c in chosen:
-            out.append(
-                DataSample(
-                    user_chars=items[0].user_chars,
-                    item_chars=item_pool[candidates[c]],
-                    label=0.0,
-                )
-            )
+        out += [DataSample(user, item_pool[candidates[c]], 0.0) for c in chosen]
     return out
 
 

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gmrec.data import ITEM, USER, AttributeId, AttributeValuePair, DataSample
+from gmrec.dataio import SynthSpec
 from gmrec.errors import InvalidConfigError
 from gmrec.model import CROSS_KINDS, FUSE_KINDS, INNER_KINDS, MODES, VariantConfig
 
@@ -24,6 +26,27 @@ def make_sample(n_user: int, n_item: int, vals=None, label=1.0, id_offset: int =
         item_chars=tuple(AttributeValuePair(a, float(v)) for a, v in zip(items, vals[n_user:])),
         label=label,
     )
+
+
+def draw_synth_spec(data) -> SynthSpec:
+    """A small SynthSpec drawn from a hypothesis st.data() object."""
+    attrs = data.draw(st.sampled_from(["both", "user", "item", "none"]))
+    return SynthSpec(
+        users=data.draw(st.integers(1, 40)), items=data.draw(st.integers(1, 30)),
+        samples=data.draw(st.integers(1, 300)), rule=data.draw(st.sampled_from(["xor_cross", "cross", "random"])),
+        user_attr_card=data.draw(st.integers(1, 6)), second_user_attr_card=data.draw(st.integers(1, 4)),
+        item_attr_card=data.draw(st.integers(1, 6)), noise=data.draw(st.sampled_from([0.0, 0.3])), attrs=attrs,
+        ids=attrs != "both" or data.draw(st.booleans()), seed=data.draw(st.integers(0, 2**16)),
+    )
+
+
+def shuffle_tokens(lines, rng):
+    """Dataset lines with each line's user and item tokens in a random order."""
+    out = []
+    for line in lines:
+        label, *sides = line.split("\t")
+        out.append("\t".join([label] + [" ".join(rng.permutation(side.split())) for side in sides]))
+    return out
 
 
 def all_variants():

@@ -12,7 +12,12 @@ results on:
   train-small  epoch logs and final parameters of train() on the bench
   train-wide   generators' seed-2001 inputs, with the bench's first config;
   criterion-1  the worst relative error of acceptance criterion 1, which is
-               also printed as a number.
+               also printed as a number;
+  grouping     for both bench inputs and a copy with each line's tokens
+               shuffled (parsed with the inputs' vocabulary): the parse
+               reports, the splits as side keys and labels in order with
+               min_positives 0 and 6, and the per-user report of a fixed
+               model on each split's test part.
 """
 import hashlib
 import io
@@ -25,9 +30,19 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(HERE, "..", "src"), os.path.join(HERE, "..", "bench")]
 
 import inputs  # noqa: E402  (bench/inputs.py)
-from conftest import all_variants  # noqa: E402
-from gmrec.data import ITEM, USER, AttributeId, AttributeValuePair, DataSample  # noqa: E402
-from gmrec.dataio import parse_dataset_lines  # noqa: E402
+from conftest import all_variants, shuffle_tokens  # noqa: E402
+from gmrec.data import (  # noqa: E402
+    ITEM,
+    USER,
+    AttributeId,
+    AttributeValuePair,
+    DataSample,
+    sample_item_key,
+    sample_user_key,
+    universe_of,
+)
+from gmrec.dataio import ParseOptions, parse_dataset_lines  # noqa: E402
+from gmrec.metrics import per_user_report, score_dataset  # noqa: E402
 from gmrec.model import init_model_params, predict, score_samples  # noqa: E402
 from gmrec.selfcheck import run_gradcheck  # noqa: E402
 from gmrec.training import TrainConfig, regularized_risk, split_per_user, train  # noqa: E402
@@ -102,6 +117,23 @@ def train_digest(text: str, dim: int) -> str:
     return out.hexdigest()
 
 
+def grouping_digest() -> str:
+    out = Digest()
+    for text in (inputs.train_small_text(SEED), inputs.train_wide_text(SEED)):
+        lines = text.splitlines()
+        shuffled = shuffle_tokens(lines, np.random.default_rng(SEED))
+        for copy, vocab in ((lines, None), (shuffled, parse_dataset_lines(lines).vocab)):
+            for min_positives in (0, 6):
+                dataset = parse_dataset_lines(copy, ParseOptions(min_positives=min_positives), vocab)
+                split = split_per_user(dataset.samples, SEED)
+                out.add(str(dataset.report), list(split.by_user.values()))
+                for part in (split.train, split.valid, split.test):
+                    out.add([(sample_user_key(s), sample_item_key(s), s.label) for s in part])
+                mp = init_model_params(universe_of(dataset.samples), 8, seed=SEED)
+                out.add(per_user_report(score_dataset(split.test, mp)))
+    return out.hexdigest()
+
+
 def main() -> None:
     print("variants   ", variants_digest())
     print("train-small", train_digest(inputs.train_small_text(SEED), 16))
@@ -110,6 +142,7 @@ def main() -> None:
     out = Digest()
     out.add(worst)
     print("criterion-1", out.hexdigest(), repr(worst))
+    print("grouping   ", grouping_digest())
 
 
 if __name__ == "__main__":

@@ -204,7 +204,8 @@ def plan_oracle(samples, table, variant):
         group = [f for f, size in zip(distinct_firsts, distinct_sizes) if size == m]
         blocks.append(block(group, m, group, m, m - 1, lambda t, i: t + (t >= i)))
     counts = [float(m - 1) for m in distinct_sizes for _ in range(m)]
-    plan["same_side"] = (blocks, np.array(counts))
+    if variant.inner == "mlp":
+        plan["same_side"] = (blocks, np.array(counts))
     if variant.cross in ("mlp_shared", "mlp_separate"):
         shapes = list(zip(sizes[0::2], sizes[1::2]))
         blocks = []

@@ -112,6 +112,21 @@ def test_non_finite_rating_is_data_error(capsys, tmp_path):
     assert "line 2: bad label 'nan'" in err and "Traceback" not in err
 
 
+def test_side_over_max_attrs_is_data_error(capsys, tmp_path):
+    """A 2501-attribute side is rejected at parse, naming its line (exit 2),
+    in a data file and in predict's --line, before any pair block is built."""
+    data, ckpt = tmp_path / "data.tsv", str(tmp_path / "model.ckpt")
+    data.write_text("1\tuid=u0\tiid=i0\n0\t" + " ".join(f"a{k}" for k in range(2501)) + "\tiid=i1\n")
+    code, _, err = run(capsys, "train", "--data", str(data), "--dim", "2", "--epochs", "1")
+    assert code == 2, err
+    assert "line 2: 2501 attributes on the user side, at most 128" in err and "Traceback" not in err
+    data.write_text("1\tuid=u0\tiid=i0\n")
+    assert run(capsys, "train", "--data", str(data), "--dim", "2", "--epochs", "0", "--out", ckpt)[0] == 0
+    code, _, err = run(capsys, "predict", "--ckpt", ckpt, "--line", "uid=u0\t" + " ".join(["iid=i0"] * 129))
+    assert code == 2, err
+    assert "line 1: 129 attributes on the item side, at most 128" in err
+
+
 class TestUndecodableInput:
     """A data or config file that is not valid UTF-8 is a data error (exit
     2) naming its line or file, not a traceback."""

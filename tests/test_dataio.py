@@ -3,6 +3,7 @@ import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,12 +28,18 @@ from gmrec.dataio import (
     write_synthetic,
 )
 from gmrec.errors import CheckpointError, EmptyDatasetError, InvalidConfigError, ParseError
+from gmrec.metrics import per_user_report, score_dataset
 from gmrec.model import (
     CANONICAL,
     VariantConfig,
+    build_plan,
     init_model_params,
     predict,
 )
+from gmrec.training import split_per_user
+
+from conftest import draw_synth_spec, shuffle_tokens
+from oracles import value_side_map
 
 
 class TestParsing:
@@ -72,14 +79,34 @@ class TestParsing:
             parse_dataset_lines([first, f"{label}\tu1\ti2"], ParseOptions(threshold=threshold))
 
     def test_equal_side_texts_share_one_tuple(self):
-        """A side text is parsed once per side: every line with that text
-        gets the same tuple. The same attributes in another token order are
-        an equal side in another tuple."""
+        """Sides are interned by value: every line with an equal side, the
+        same attributes in another token order included, gets the first
+        tuple parsed with that value."""
         ds = parse_dataset_lines(["1\tu1 a=2\ti1 c", "0\tu1 a=2\ti2", "1\ta=2 u1\ti1 c"])
         first, second, third = ds.samples
         assert second.user_chars is first.user_chars and third.item_chars is first.item_chars
-        assert third.user_chars is not first.user_chars
-        assert side_key(third.user_chars) == side_key(first.user_chars)
+        assert third.user_chars is first.user_chars
+        assert ds.report.n_users == 1
+
+    def test_values_equal_as_numbers_are_one_side(self):
+        """a=0, a=-0 and a=0.0 are one side, and it keeps the first value."""
+        ds = parse_dataset_lines(["1\tu1 a=0\ti1", "0\ta=-0 u1\ti2", "1\tu1 a=0.0\ti3", "0\tu1 a=1e-300\ti1"])
+        first, second, third, fourth = (s.user_chars for s in ds.samples)
+        assert second is first and third is first and fourth is not first
+        assert math.copysign(1.0, second[1].val) == 1.0
+
+    def test_side_of_max_attrs_parses(self):
+        user = " ".join(f"u{k}" for k in range(gmrec.dataio.MAX_SIDE_ATTRS))
+        ds = parse_dataset_lines([f"1\t{user}\ti1"])
+        assert len(ds.samples[0].user_chars) == gmrec.dataio.MAX_SIDE_ATTRS
+
+    @pytest.mark.parametrize("side", [USER, ITEM])
+    def test_side_over_max_attrs_rejected(self, side):
+        big = " ".join(f"x{k}" for k in range(gmrec.dataio.MAX_SIDE_ATTRS + 1))
+        fields = f"{big}\ti1" if side == USER else f"u1\t{big}"
+        n = gmrec.dataio.MAX_SIDE_ATTRS + 1
+        with pytest.raises(ParseError, match=rf"^line 2: {n} attributes on the {side} side, at most {n - 1}$"):
+            parse_dataset_lines(["1\tu1\ti1", f"0\t{fields}"])
 
     @pytest.mark.parametrize("lines, message", [
         (["1\tu1\ti1", "0\tu2 u2\ti1", "1\tu2 u2\ti1"], "line 2: duplicate attribute 'u2' on the user side"),
@@ -127,6 +154,48 @@ class TestParsing:
         assert serialize_dataset(ds2.samples, ds2.vocab) == text
         assert ds2.vocab.names == ds1.vocab.names
         assert ds2.samples == ds1.samples
+
+
+def _grouping(dataset, seed):
+    """What grouping by user gives, in value terms: the splits as side keys
+    and labels in order, the per-user counts in order, and the per-user
+    report of a fixed model."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # users with fewer than 5 samples
+        split = split_per_user(dataset.samples, seed)
+    parts = [[(side_key(s.user_chars), side_key(s.item_chars), s.label) for s in part]
+             for part in (split.train, split.valid, split.test)]
+    mp = init_model_params(universe_of(dataset.samples), 4, seed=1)
+    return parts, list(split.by_user.values()), per_user_report(score_dataset(dataset.samples, mp))
+
+
+class TestSideInterning:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_token_order_changes_no_grouping(self, data):
+        """A file with each line's tokens shuffled gives the canonical
+        file's report, splits (by value) and per-user report, and its
+        plans share exactly the sides that are equal by value."""
+        lines = generate_synthetic(draw_synth_spec(data))[0].splitlines()
+        shuffled = shuffle_tokens(lines, np.random.default_rng(data.draw(st.integers(0, 2**16))))
+        seed = data.draw(st.integers(0, 100))
+        for min_positives in (0, data.draw(st.integers(1, 6))):
+            options = ParseOptions(min_positives=min_positives)
+            try:
+                canonical = parse_dataset_lines(lines, options)
+            except EmptyDatasetError:
+                with pytest.raises(EmptyDatasetError):
+                    parse_dataset_lines(shuffled, options)
+                continue
+            # The canonical vocabulary, so that attribute ids do not depend on token order.
+            reordered = parse_dataset_lines(shuffled, options, parse_dataset_lines(lines).vocab)
+            assert reordered.report == canonical.report
+            assert _grouping(reordered, seed) == _grouping(canonical, seed)
+            table = init_model_params(universe_of(reordered.samples), 4, seed=1).table
+            picks = data.draw(st.lists(st.integers(0, len(reordered.samples) - 1), max_size=64))
+            for batch in (reordered.samples, [reordered.samples[k] for k in picks]):
+                if batch:
+                    assert np.array_equal(build_plan(batch, table).side_map, value_side_map(batch, table))
 
 
 class TestSynthetic:

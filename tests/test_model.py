@@ -34,11 +34,11 @@ from gmrec.model import (
     swap_roles,
 )
 
-from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines
+from gmrec.dataio import generate_synthetic, parse_dataset_lines
 from gmrec.selfcheck import gradcheck_problem
 from gmrec.training import item_pool_of, regularized_risk
 
-from conftest import all_variants, make_sample
+from conftest import all_variants, draw_synth_spec, make_sample
 from oracles import full_forward_oracle, gru_oracle, pair_message_oracle, plan_oracle, value_side_map
 
 
@@ -541,7 +541,7 @@ class TestNodeLevelMessagePassing:
 # differs from pool order and the id lookup has holes to miss.
 _USER_POOL = [AttributeId(id_, USER) for id_ in (3, 5, 6, 11, 13, 17, 40, 41, 57, 90)]
 _ITEM_POOL = [AttributeId(id_, ITEM) for id_ in (1, 8, 9, 20, 22, 23, 31, 60, 70, 99)]
-_PLAN_KEY = lambda v: (v.mode, v.cross in ("mlp_shared", "mlp_separate"))
+_PLAN_KEY = lambda v: (v.mode, v.inner, v.cross in ("mlp_shared", "mlp_separate"))
 
 
 def _plan_batch(rng, n_samples):
@@ -640,6 +640,15 @@ class TestVectorisedPlan:
         variant = data.draw(st.sampled_from(all_variants()))
         assert_plan_matches_oracle(build_plan(samples, table, variant), plan_oracle(samples, table, variant))
 
+    def test_same_side_blocks_only_for_the_pair_mlp(self, rng):
+        """Only inner=mlp reads the same-side pair blocks, so only its plans
+        build them."""
+        samples = _plan_batch(rng, 16)
+        table = init_embeddings(_USER_POOL + _ITEM_POOL, 4, seed=0)
+        for variant in all_variants():
+            plan = build_plan(samples, table, variant)
+            assert (plan.same_side is not None) == (variant.mode == "graph" and variant.inner == "mlp"), variant
+
     def test_predict_maps_nodes_back_to_input_order(self, rng):
         """Diagnostics come back in each side's input order whatever the
         internal id order."""
@@ -709,15 +718,7 @@ class TestDistinctSides:
         """On batches drawn from a parsed synthetic dataset, and on a rank
         request of one user against the item pool, the sides that are one
         tuple are exactly the sides with equal id-sorted rows and value bytes."""
-        attrs = data.draw(st.sampled_from(["both", "user", "item", "none"]))
-        spec = SynthSpec(
-            users=data.draw(st.integers(1, 40)), items=data.draw(st.integers(1, 30)),
-            samples=data.draw(st.integers(1, 300)), rule=data.draw(st.sampled_from(["xor_cross", "cross", "random"])),
-            user_attr_card=data.draw(st.integers(1, 6)), second_user_attr_card=data.draw(st.integers(1, 4)),
-            item_attr_card=data.draw(st.integers(1, 6)), noise=data.draw(st.sampled_from([0.0, 0.3])), attrs=attrs,
-            ids=attrs != "both" or data.draw(st.booleans()), seed=data.draw(st.integers(0, 2**16)),
-        )
-        samples = parse_dataset_lines(generate_synthetic(spec)[0].splitlines()).samples
+        samples = parse_dataset_lines(generate_synthetic(draw_synth_spec(data))[0].splitlines()).samples
         table = init_embeddings(universe_of(samples), 4, seed=0)
         picks = data.draw(st.lists(st.integers(0, len(samples) - 1), min_size=1, max_size=128))
         user = samples[picks[0]].user_chars
