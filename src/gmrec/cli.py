@@ -37,6 +37,7 @@ from .metrics import (
     export_matrices,
     format_matrix,
     format_metric_report,
+    metric_report,
     per_user_report,
     score_dataset,
 )
@@ -276,10 +277,9 @@ def _cmd_evaluate(args) -> int:
         samples = split_per_user(samples, args.seed).test
     if not samples:
         raise UndefinedMetricError("no samples in the requested split")
-    report = evaluate_model(samples, mp, variant)
-    print(format_metric_report(report))
+    scored = score_dataset(samples, mp, variant)
+    print(format_metric_report(metric_report(scored)))
     if args.per_user:
-        scored = score_dataset(samples, mp, variant)
         with open(args.per_user, "w", encoding="utf-8") as handle:
             handle.write(per_user_report(scored))
     return 0

@@ -4,6 +4,8 @@ An attribute is identified by a dense integer id that indexes a global
 universe shared by both sides; the side (user or item) is fixed per id.
 The representation of an attribute-value pair is val * v, where v is the
 attribute's embedding vector.
+A Side is a characteristic checked once where it is built; pass one Side
+to many hand-built samples to share one checked side, as the parser does.
 """
 from __future__ import annotations
 
@@ -29,37 +31,59 @@ class AttributeValuePair(NamedTuple):
     val: float
 
 
+# Most attributes a side may have. pair_relu_sum keeps at least one whole
+# m-node graph per chunk: (m-1) * m * 4d float64 values plus a one-byte relu
+# mask each. At MAX_DIM (1024) that must stay under 1 GiB; m = 128 keeps it
+# at about 570 MiB.
+MAX_SIDE_ATTRS = 128
+
+
+class Side(tuple):
+    """A nonempty tuple of at most MAX_SIDE_ATTRS attribute-value pairs with
+    unique ids, one side tag (the first pair's) and finite values: checked
+    when built (copies and pickles too) and immutable, so it stays valid."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: Iterable[AttributeValuePair]):
+        self = super().__new__(cls, pairs)
+        if not self:
+            raise ContractError("empty attribute list")
+        tag = self[0].att.side
+        if len(self) > MAX_SIDE_ATTRS:
+            raise ContractError(f"{len(self)} attributes on the {tag} side, at most {MAX_SIDE_ATTRS}")
+        seen = set()
+        for att, val in self:
+            if att.side != tag:
+                raise ContractError(f"attribute id {att.id} is {att.side}-side, used on the {tag} side")
+            if att.id in seen:
+                raise ContractError(f"duplicate attribute id {att.id} on the {tag} side")
+            if not math.isfinite(val):
+                raise ContractError(f"non-finite value for attribute id {att.id}")
+            seen.add(att.id)
+        return self
+
+
 @dataclass(frozen=True)
 class DataSample:
-    """One observation: a user characteristic, an item characteristic, a label.
-
-    Both characteristics are nonempty (a bare id counts as one attribute)
-    and no attribute id repeats within a side.
-    """
+    """One observation: a user characteristic, an item characteristic, a
+    label of 0 or 1. A Side is kept after an O(1) check of its tag; pass one
+    Side to share one checked side across hand-built samples. Any other
+    sequence is checked as a Side and kept as a tuple, itself if it is one."""
 
     user_chars: tuple[AttributeValuePair, ...]
     item_chars: tuple[AttributeValuePair, ...]
     label: float
 
     def __post_init__(self):
-        object.__setattr__(self, "user_chars", tuple(self.user_chars))
-        object.__setattr__(self, "item_chars", tuple(self.item_chars))
-        for side_name, chars, side in (
-            ("user", self.user_chars, USER),
-            ("item", self.item_chars, ITEM),
-        ):
-            if not chars:
-                raise ContractError(f"{side_name} characteristic is empty")
-            ids = [p.att.id for p in chars]
-            if len(set(ids)) != len(ids):
-                raise ContractError(f"duplicate attribute id on the {side_name} side")
-            for p in chars:
-                if p.att.side != side:
-                    raise ContractError(
-                        f"attribute id {p.att.id} is {p.att.side}-side, used on the {side_name} side"
-                    )
-                if not math.isfinite(p.val):
-                    raise ContractError(f"non-finite value for attribute id {p.att.id}")
+        for name, side in (("user_chars", USER), ("item_chars", ITEM)):
+            chars = getattr(self, name)
+            if not isinstance(chars, Side):
+                Side(chars := tuple(chars))
+                object.__setattr__(self, name, chars)
+            first = chars[0].att
+            if first.side != side:
+                raise ContractError(f"attribute id {first.id} is {first.side}-side, used on the {side} side")
         if self.label not in (0.0, 1.0, 0, 1):
             raise ContractError(f"label must be 0 or 1, got {self.label!r}")
 

@@ -36,6 +36,7 @@ from .data import (
     AttributeId,
     AttributeValuePair,
     DataSample,
+    Side,
     side_key,
 )
 from .errors import (
@@ -58,12 +59,6 @@ MAGIC = b"GMCFCKP1"
 _HEADER = struct.Struct("<IIIII")  # dim, n_attrs, variant_len, n_mlp_arrays, n_gru_arrays
 _U32 = struct.Struct("<I")
 _SIDES = (USER, ITEM)  # indexed by the side byte
-
-# Most attributes a side of a data line may have. pair_relu_sum keeps at
-# least one whole m-node graph per chunk: (m-1) * m * 4d float64 values
-# plus a one-byte relu mask each. At MAX_DIM (1024) that must stay under
-# 1 GiB; m = 128 keeps it at about 570 MiB.
-MAX_SIDE_ATTRS = 128
 
 
 class Vocabulary:
@@ -151,27 +146,6 @@ def _parse_token(token: str) -> tuple[str, float]:
     return token, 1.0
 
 
-def _parse_fields(text: str, side: str, vocab: Vocabulary, lineno: int) -> tuple[AttributeValuePair, ...]:
-    tokens = text.split()
-    if not tokens:
-        raise ParseError("empty attribute list", lineno)
-    if len(tokens) > MAX_SIDE_ATTRS:
-        raise ParseError(f"{len(tokens)} attributes on the {side} side, at most {MAX_SIDE_ATTRS}", lineno)
-    pairs = []
-    seen = set()
-    for token in tokens:
-        name, val = _parse_token(token)
-        try:
-            att = vocab.intern(name, side)
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if att.id in seen:
-            raise ParseError(f"duplicate attribute {name!r} on the {side} side", lineno)
-        seen.add(att.id)
-        pairs.append(AttributeValuePair(att, val))
-    return tuple(pairs)
-
-
 def parse_dataset_lines(
     lines: Iterable[str],
     options: ParseOptions | None = None,
@@ -180,15 +154,15 @@ def parse_dataset_lines(
     """Parse dataset lines; a pre-existing vocabulary (e.g. from a
     checkpoint) keeps attribute ids aligned with it.
 
-    Each side text is parsed once, and sides equal by side_key share the
-    first tuple parsed with that value: on parsed data, identity, tuple
-    equality and value equality agree, and the plan dedupe and every
-    per-user grouping key on the side tuple itself."""
+    The parser checks the columns, the label's number and that a name keeps
+    one side; each distinct side text is built once as a data.Side, which
+    checks the side, and sides equal by side_key share the first Side with
+    that value, so the plan dedupe and every per-user grouping key on it."""
     options = options or ParseOptions()
     vocab = vocab if vocab is not None else Vocabulary()
     samples: list[DataSample] = []
-    parsed = {}  # (side, text) -> its tuple, filled only once the text parses
-    interned = {}  # side_key -> first tuple with that value; user and item ids never overlap
+    parsed = {}  # (side, text) -> its Side, filled only once the text parses
+    interned = {}  # side_key -> first Side with that value; user and item ids never overlap
     report = ParseReport()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -205,20 +179,15 @@ def parse_dataset_lines(
             raw_label = math.nan
         if not math.isfinite(raw_label):
             raise ParseError(f"bad label {label_text!r}", lineno)
-        if options.threshold is not None:
-            label = 1.0 if raw_label > options.threshold else 0.0
-        else:
-            if raw_label not in (0.0, 1.0):
-                raise ParseError(f"label must be 0 or 1, got {label_text!r}", lineno)
-            label = raw_label
-        for side, text in ((USER, user_text), (ITEM, item_text)):
-            if (side, text) not in parsed:
-                chars = _parse_fields(text, side, vocab, lineno)
-                parsed[side, text] = interned.setdefault(side_key(chars), chars)
-        user_chars, item_chars = parsed[USER, user_text], parsed[ITEM, item_text]
+        label = raw_label if options.threshold is None else float(raw_label > options.threshold)
         try:
-            samples.append(DataSample(user_chars, item_chars, label))
-        except ContractError as exc:
+            for side, text in ((USER, user_text), (ITEM, item_text)):
+                if (side, text) not in parsed:
+                    tokens = map(_parse_token, text.split())
+                    chars = Side(AttributeValuePair(vocab.intern(name, side), val) for name, val in tokens)
+                    parsed[side, text] = interned.setdefault(side_key(chars), chars)
+            samples.append(DataSample(parsed[USER, user_text], parsed[ITEM, item_text], label))
+        except (ContractError, ParseError) as exc:
             raise ParseError(str(exc), lineno) from None
     if options.min_positives > 0:
         positives = Counter(s.user_chars for s in samples if s.label == 1.0)

@@ -65,30 +65,42 @@ def logloss(scored: Sequence[ScoredSample]) -> float:
     return float(losses.mean())
 
 
+def _by_user(scored: Sequence[ScoredSample]) -> dict[Hashable, list[ScoredSample]]:
+    by_user: dict[Hashable, list[ScoredSample]] = {}
+    for s in scored:
+        by_user.setdefault(s.user, []).append(s)
+    return by_user
+
+
+def _user_ndcg(items: Sequence[ScoredSample], ks) -> list[float]:
+    """One user's NDCG at each cutoff in ks, ties broken by input order;
+    empty if the user has no relevant item."""
+    if min(ks, default=1) < 1:
+        raise UndefinedMetricError(f"k must be >= 1, got {min(ks)}")
+    labels = np.array([s.label for s in items], dtype=np.float64)
+    n_pos = int((labels == 1.0).sum())
+    if n_pos == 0:
+        return []
+    gains = labels[np.argsort(-np.array([s.score for s in items], dtype=np.float64), kind="stable")].tolist()
+    out = []
+    for k in ks:
+        dcg = sum(gains[r] / math.log2(r + 2) for r in range(min(k, len(items))))
+        ideal = sum(1.0 / math.log2(r + 2) for r in range(min(k, n_pos)))
+        out.append(dcg / ideal)
+    return out
+
+
 def ndcg_at_k(scored: Sequence[ScoredSample], k: int) -> float:
     """Mean per-user NDCG at cutoff k with binary relevance.
 
     Users without a relevant item are excluded; if no user qualifies the
     metric is undefined.
     """
-    if k < 1:
-        raise UndefinedMetricError(f"k must be >= 1, got {k}")
-    by_user: dict[Hashable, list[ScoredSample]] = {}
-    for s in scored:
-        by_user.setdefault(s.user, []).append(s)
     total, eligible = 0.0, 0
-    for items in by_user.values():
-        labels = np.array([s.label for s in items], dtype=np.float64)
-        n_pos = int((labels == 1.0).sum())
-        if n_pos == 0:
-            continue
-        scores = np.array([s.score for s in items], dtype=np.float64)
-        order = np.argsort(-scores, kind="stable")
-        cutoff = min(k, len(items))
-        dcg = sum(float(labels[order[r]]) / math.log2(r + 2) for r in range(cutoff))
-        ideal = sum(1.0 / math.log2(r + 2) for r in range(min(k, n_pos)))
-        total += dcg / ideal
-        eligible += 1
+    for items in _by_user(scored).values():
+        for value in _user_ndcg(items, (k,)):
+            total += value
+            eligible += 1
     if eligible == 0:
         raise UndefinedMetricError("NDCG needs at least one user with a relevant item")
     return float(total / eligible)
@@ -113,12 +125,16 @@ def score_dataset(samples, mp: ModelParams, variant: VariantConfig = CANONICAL) 
     ]
 
 
-def evaluate_model(samples, mp: ModelParams, variant: VariantConfig = CANONICAL, ks=(5, 10)) -> dict:
-    scored = score_dataset(samples, mp, variant)
+def metric_report(scored: Sequence[ScoredSample], ks=(5, 10)) -> dict:
+    """AUC, logloss and NDCG at each cutoff of score_dataset's output."""
     report = {"auc": auc(scored), "logloss": logloss(scored)}
     for k in ks:
         report[f"ndcg@{k}"] = ndcg_at_k(scored, k)
     return report
+
+
+def evaluate_model(samples, mp: ModelParams, variant: VariantConfig = CANONICAL, ks=(5, 10)) -> dict:
+    return metric_report(score_dataset(samples, mp, variant), ks)
 
 
 def format_metric_report(report: dict) -> str:
@@ -128,16 +144,11 @@ def format_metric_report(report: dict) -> str:
 def per_user_report(scored: Sequence[ScoredSample], ks=(5, 10)) -> str:
     """One line per user of score_dataset's output, labelled by its side_key:
     sample count, positives, and per-user NDCG values."""
-    by_user: dict[Hashable, list[ScoredSample]] = {}
-    for s in scored:
-        by_user.setdefault(s.user, []).append(s)
     lines = []
-    for user, items in by_user.items():
+    for user, items in _by_user(scored).items():
         n_pos = sum(1 for s in items if s.label == 1.0)
         parts = [f"user={side_key(user)!r}", f"n={len(items)}", f"positives={n_pos}"]
-        if n_pos:
-            for k in ks:
-                parts.append(f"ndcg@{k}={ndcg_at_k(items, k)!r}")
+        parts += [f"ndcg@{k}={value!r}" for k, value in zip(ks, _user_ndcg(items, ks))]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -16,6 +16,12 @@ from .model import (
 from .variants import fm_predict, fm_reduction_predict
 
 
+def _sample(user_ids, item_ids, vals) -> DataSample:
+    """A positive sample pairing the attributes, users then items, with vals."""
+    pairs = tuple(AttributeValuePair(a, float(v)) for a, v in zip(user_ids + item_ids, vals))
+    return DataSample(pairs[:len(user_ids)], pairs[len(user_ids):], 1.0)
+
+
 def random_instance(d: int, seed: int, max_attrs: int = 4):
     """A random sample plus seeded model parameters over a matching universe."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
@@ -24,11 +30,7 @@ def random_instance(d: int, seed: int, max_attrs: int = 4):
     user_ids = [AttributeId(i, USER) for i in range(p)]
     item_ids = [AttributeId(p + j, ITEM) for j in range(q)]
     vals = rng.uniform(0.5, 1.5, size=p + q)
-    sample = DataSample(
-        user_chars=tuple(AttributeValuePair(a, float(v)) for a, v in zip(user_ids, vals[:p])),
-        item_chars=tuple(AttributeValuePair(a, float(v)) for a, v in zip(item_ids, vals[p:])),
-        label=1.0,
-    )
+    sample = _sample(user_ids, item_ids, vals)
     init_seed = int(rng.integers(0, 2**31))
     return sample, user_ids + item_ids, init_seed
 
@@ -84,15 +86,7 @@ def run_fmcheck(n: int = 50, d_max: int = 8, seed: int = 0, max_attrs: int = 4) 
         item_ids = [AttributeId(p + j, ITEM) for j in range(q)]
         table = init_embeddings(user_ids + item_ids, d, int(rng.integers(0, 2**31)))
         vals = rng.uniform(-2.0, 2.0, size=p + q)
-        sample = DataSample(
-            user_chars=tuple(
-                AttributeValuePair(a, float(v)) for a, v in zip(user_ids, vals[:p])
-            ),
-            item_chars=tuple(
-                AttributeValuePair(a, float(v)) for a, v in zip(item_ids, vals[p:])
-            ),
-            label=1.0,
-        )
+        sample = _sample(user_ids, item_ids, vals)
         deviation = abs(fm_reduction_predict(sample, table) - fm_predict(sample, table))
         worst = max(worst, deviation)
     return float(worst)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,7 +122,8 @@ def test_side_over_max_attrs_is_data_error(capsys, tmp_path):
     assert code == 2, err
     assert "line 2: 2501 attributes on the user side, at most 128" in err and "Traceback" not in err
     data.write_text("1\tuid=u0\tiid=i0\n")
-    assert run(capsys, "train", "--data", str(data), "--dim", "2", "--epochs", "0", "--out", ckpt)[0] == 0
+    with pytest.warns(UserWarning, match="fewer than 5 samples"):
+        assert run(capsys, "train", "--data", str(data), "--dim", "2", "--epochs", "0", "--out", ckpt)[0] == 0
     code, _, err = run(capsys, "predict", "--ckpt", ckpt, "--line", "uid=u0\t" + " ".join(["iid=i0"] * 129))
     assert code == 2, err
     assert "line 1: 129 attributes on the item side, at most 128" in err
@@ -365,7 +367,7 @@ class TestSynth:
                          "--samples", "40", "--seed", "3")
         assert code == 0
         assert os.path.exists(out)
-        sidecar = json.loads(open(out + ".rule.json").read())
+        sidecar = json.loads(Path(out + ".rule.json").read_text())
         assert sidecar["spec"]["users"] == 10
 
     def test_same_seed_same_file(self, capsys, tmp_path):
@@ -373,7 +375,7 @@ class TestSynth:
         b = str(tmp_path / "b.tsv")
         run(capsys, "synth", "--out", a, "--seed", "3")
         run(capsys, "synth", "--out", b, "--seed", "3")
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
 
 class TestTrainEvaluatePredict:
@@ -395,7 +397,7 @@ class TestTrainEvaluatePredict:
         assert out.startswith("auc=")
         assert "ndcg@5=" in out and "ndcg@10=" in out
 
-        line = open(synth_file).readline().rstrip("\n")
+        line = Path(synth_file).read_text().split("\n", 1)[0]
         code, out, err = run(capsys, "predict", "--ckpt", ckpt, "--line", line)
         assert code == 0, err
         assert out.startswith("score=") and "prob=" in out

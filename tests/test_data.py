@@ -1,12 +1,21 @@
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmrec.data import (
+    ITEM,
+    MAX_SIDE_ATTRS,
     USER,
     AttributeId,
     AttributeValuePair,
     DataSample,
     EmbeddingTable,
+    Side,
     init_embeddings,
     node_representation,
     sample_user_key,
@@ -161,3 +170,79 @@ class TestDataSample:
             item_chars, 0.0,
         )
         assert sample_user_key(a) == sample_user_key(b)
+
+    def test_hand_built_side_over_max_attrs_rejected(self):
+        """The cap holds for every sample, not only for parsed ones."""
+        big = tuple(AttributeValuePair(AttributeId(k, USER), 1.0) for k in range(MAX_SIDE_ATTRS + 1))
+        item = (AttributeValuePair(AttributeId(10_000, ITEM), 1.0),)
+        n = MAX_SIDE_ATTRS + 1
+        with pytest.raises(ContractError, match=rf"^{n} attributes on the user side, at most {n - 1}$"):
+            DataSample(big, item, 1.0)
+        assert len(DataSample(big[:-1], item, 1.0).user_chars) == MAX_SIDE_ATTRS
+
+    def test_side_on_the_wrong_field_rejected(self):
+        users, items = make_ids(2, 1)
+        user = Side(AttributeValuePair(a, 1.0) for a in users)
+        item = Side([AttributeValuePair(items[0], 2.0)])
+        assert DataSample(user, item, 1.0).user_chars is user
+        with pytest.raises(ContractError, match="^attribute id 0 is user-side, used on the item side$"):
+            DataSample(user, user, 1.0)
+        with pytest.raises(ContractError, match="^attribute id 2 is item-side, used on the user side$"):
+            DataSample(item, item, 1.0)
+
+
+class TestSide:
+    def test_copies_are_checked_sides(self):
+        side = Side([AttributeValuePair(AttributeId(3, ITEM), 0.5), AttributeValuePair(AttributeId(1, ITEM), 2.0)])
+        for twin in (copy.copy(side), copy.deepcopy(side), pickle.loads(pickle.dumps(side))):
+            assert type(twin) is Side and twin == side
+        assert type(tuple(side)) is tuple and tuple(side) == side
+
+    @staticmethod
+    @st.composite
+    def pair_lists(draw):
+        """Pair lists that break each side rule, alone or together, or none."""
+        n = draw(st.one_of(st.integers(0, 5), st.integers(MAX_SIDE_ATTRS - 1, MAX_SIDE_ATTRS + 1)))
+        ids = list(draw(st.permutations(range(n))))
+        vals = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        tags = [draw(st.sampled_from([USER, ITEM]))] * n
+        if n:
+            spot = st.integers(0, n - 1)
+            if draw(st.booleans()):
+                ids[draw(spot)] = ids[draw(spot)]
+            if draw(st.booleans()):
+                tags[draw(spot)] = draw(st.sampled_from([USER, ITEM]))
+            vals[draw(spot)] = draw(st.sampled_from([vals[0], math.nan, math.inf, -math.inf]))
+        return [AttributeValuePair(AttributeId(i, t), v) for i, t, v in zip(ids, tags, vals)]
+
+    @given(pairs=pair_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_side_and_sample_share_one_statement(self, pairs):
+        """Side(pairs) and a DataSample given the pairs as a plain tuple
+        accept or reject together, with one message; an accepted plain
+        tuple is stored as itself."""
+        plain = tuple(pairs)
+        tag = plain[0].att.side if plain else USER
+        other = Side([AttributeValuePair(AttributeId(-1, ITEM if tag == USER else USER), 1.0)])
+
+        def outcome(build):
+            try:
+                return build(), None
+            except ContractError as exc:
+                return None, str(exc)
+
+        side, side_error = outcome(lambda: Side(pairs))
+        sample, sample_error = outcome(
+            lambda: DataSample(plain, other, 1.0) if tag == USER else DataSample(other, plain, 1.0)
+        )
+        assert side_error == sample_error
+        valid = (
+            0 < len(plain) <= MAX_SIDE_ATTRS
+            and len({p.att.id for p in plain}) == len(plain)
+            and {p.att.side for p in plain} == {tag}
+            and all(math.isfinite(p.val) for p in plain)
+        )
+        assert (side_error is None) == valid
+        if valid:
+            assert side == plain
+            assert (sample.user_chars if tag == USER else sample.item_chars) is plain

@@ -4,12 +4,14 @@ import math
 import os
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmrec.data
 import gmrec.dataio
 from gmrec.cli import main
 from gmrec.data import ITEM, USER, side_key, universe_of
@@ -88,6 +90,25 @@ class TestParsing:
         assert third.user_chars is first.user_chars
         assert ds.report.n_users == 1
 
+    def test_each_distinct_side_text_is_checked_once(self, monkeypatch):
+        """The parser builds one Side, and so checks the side rules once, per
+        distinct side text of a file, however many lines repeat it."""
+        built = []
+
+        class CountedSide(gmrec.data.Side):
+            __slots__ = ()
+
+            def __new__(cls, pairs):
+                built.append(1)
+                return super().__new__(cls, pairs)
+
+        monkeypatch.setattr(gmrec.dataio, "Side", CountedSide)
+        lines = generate_synthetic(SynthSpec(users=30, items=20, samples=240, seed=5))[0].splitlines()
+        ds = parse_dataset_lines(lines)
+        texts = {(k, line.split("\t")[k]) for line in lines for k in (1, 2)}
+        assert len(built) == len(texts) < 2 * len(ds.samples)
+        assert all(type(chars) is CountedSide for s in ds.samples for chars in (s.user_chars, s.item_chars))
+
     def test_values_equal_as_numbers_are_one_side(self):
         """a=0, a=-0 and a=0.0 are one side, and it keeps the first value."""
         ds = parse_dataset_lines(["1\tu1 a=0\ti1", "0\ta=-0 u1\ti2", "1\tu1 a=0.0\ti3", "0\tu1 a=1e-300\ti1"])
@@ -96,22 +117,24 @@ class TestParsing:
         assert math.copysign(1.0, second[1].val) == 1.0
 
     def test_side_of_max_attrs_parses(self):
-        user = " ".join(f"u{k}" for k in range(gmrec.dataio.MAX_SIDE_ATTRS))
+        user = " ".join(f"u{k}" for k in range(gmrec.data.MAX_SIDE_ATTRS))
         ds = parse_dataset_lines([f"1\t{user}\ti1"])
-        assert len(ds.samples[0].user_chars) == gmrec.dataio.MAX_SIDE_ATTRS
+        assert len(ds.samples[0].user_chars) == gmrec.data.MAX_SIDE_ATTRS
 
     @pytest.mark.parametrize("side", [USER, ITEM])
     def test_side_over_max_attrs_rejected(self, side):
-        big = " ".join(f"x{k}" for k in range(gmrec.dataio.MAX_SIDE_ATTRS + 1))
+        big = " ".join(f"x{k}" for k in range(gmrec.data.MAX_SIDE_ATTRS + 1))
         fields = f"{big}\ti1" if side == USER else f"u1\t{big}"
-        n = gmrec.dataio.MAX_SIDE_ATTRS + 1
+        n = gmrec.data.MAX_SIDE_ATTRS + 1
         with pytest.raises(ParseError, match=rf"^line 2: {n} attributes on the {side} side, at most {n - 1}$"):
             parse_dataset_lines(["1\tu1\ti1", f"0\t{fields}"])
 
     @pytest.mark.parametrize("lines, message", [
-        (["1\tu1\ti1", "0\tu2 u2\ti1", "1\tu2 u2\ti1"], "line 2: duplicate attribute 'u2' on the user side"),
+        (["1\tu1\ti1", "0\tu2 u2\ti1", "1\tu2 u2\ti1"], "line 2: duplicate attribute id 2 on the user side"),
         (["1\tx\ti1", "0\tu1\tx", "1\tu1\tx"], "line 2: attribute 'x' used on both sides"),
         (["1\tu1\ti1 w=nan", "1\tu1\ti1 w=nan"], "line 1: non-finite value for attribute id 2"),
+        (["1\tu1\ti1", "0\tu1\ti1 w=inf", "1\tu1\ti1 w=inf"], "line 2: non-finite value for attribute id 2"),
+        (["1\tu1\ti1", "0\tu1\t ", "1\tu1\t "], "line 2: empty attribute list"),
     ])
     def test_repeated_bad_text_fails_at_its_first_line(self, lines, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
@@ -398,7 +421,7 @@ class TestCheckpoint:
         ds, mp = _dataset_and_params()
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(mp, CANONICAL, path, ds.vocab)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as f:
             f.write(blob[:-16])
         with pytest.raises(CheckpointError, match="size"):
@@ -415,7 +438,7 @@ class TestCheckpoint:
         ds, mp = _dataset_and_params()
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(mp, CANONICAL, path, ds.vocab)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[7] = ord("2")
         with open(path, "wb") as f:
             f.write(bytes(blob))
@@ -426,7 +449,7 @@ class TestCheckpoint:
         ds, mp = _dataset_and_params()
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(mp, CANONICAL, path, ds.vocab)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         # n_mlp_arrays lives in the header after dim and n_attrs
         import struct
 
@@ -497,7 +520,7 @@ class TestCheckpointHardening:
         ds, mp = _dataset_and_params()
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(mp, CANONICAL, path, ds.vocab)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
 
         def no_rename(src, dst):
             raise OSError("disk full")
@@ -506,7 +529,7 @@ class TestCheckpointHardening:
         mp.emb.values[...] = 0.0
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(mp, CANONICAL, path, ds.vocab)
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
