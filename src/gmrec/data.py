@@ -162,10 +162,10 @@ def node_representation(pair: AttributeValuePair, table: EmbeddingTable) -> np.n
 
 
 def universe_of(samples: Sequence[DataSample]) -> tuple[AttributeId, ...]:
-    """All attribute ids appearing in the samples, ascending by id."""
+    """All attribute ids in the samples, ascending by id, walking each distinct side once."""
     seen: dict[int, AttributeId] = {}
-    for s in samples:
-        for p in s.user_chars + s.item_chars:
+    for chars in {id(chars): chars for s in samples for chars in (s.user_chars, s.item_chars)}.values():
+        for p in chars:
             seen.setdefault(p.att.id, p.att)
     return tuple(sorted(seen.values(), key=lambda a: a.id))
 

@@ -38,6 +38,7 @@ from .data import (
     DataSample,
     Side,
     side_key,
+    universe_of,
 )
 from .errors import (
     CheckpointError,
@@ -64,10 +65,11 @@ _SIDES = (USER, ITEM)  # indexed by the side byte
 class Vocabulary:
     """Attribute-name interning: names to dense ids, side fixed per name."""
 
-    def __init__(self):
-        self.names: list[str] = []
-        self.ids: list[AttributeId] = []
-        self._by_name: dict[str, AttributeId] = {}
+    def __init__(self, base: Vocabulary | None = None):
+        """An empty vocabulary, or a copy of base that interns on its own."""
+        self.names: list[str] = list(base.names) if base is not None else []
+        self.ids: list[AttributeId] = list(base.ids) if base is not None else []
+        self._by_name: dict[str, AttributeId] = dict(base._by_name) if base is not None else {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -151,15 +153,18 @@ def parse_dataset_lines(
     options: ParseOptions | None = None,
     vocab: Vocabulary | None = None,
 ) -> Dataset:
-    """Parse dataset lines; a pre-existing vocabulary (e.g. from a
-    checkpoint) keeps attribute ids aligned with it.
+    """Parse dataset lines. A given vocabulary (a checkpoint's) keeps
+    attribute ids aligned with it and is closed: it gains no names, and a
+    name outside it on a sample kept after min_positives is a ParseError at
+    the first line that uses the name, as the model has no embedding for it.
 
     The parser checks the columns, the label's number and that a name keeps
     one side; each distinct side text is built once as a data.Side, which
     checks the side, and sides equal by side_key share the first Side with
     that value, so the plan dedupe and every per-user grouping key on it."""
     options = options or ParseOptions()
-    vocab = vocab if vocab is not None else Vocabulary()
+    working = Vocabulary(vocab)
+    new_lines = []  # first line of each name outside the given vocabulary, in id order
     samples: list[DataSample] = []
     parsed = {}  # (side, text) -> its Side, filled only once the text parses
     interned = {}  # side_key -> first Side with that value; user and item ids never overlap
@@ -184,8 +189,10 @@ def parse_dataset_lines(
             for side, text in ((USER, user_text), (ITEM, item_text)):
                 if (side, text) not in parsed:
                     tokens = map(_parse_token, text.split())
-                    chars = Side(AttributeValuePair(vocab.intern(name, side), val) for name, val in tokens)
+                    chars = Side(AttributeValuePair(working.intern(name, side), val) for name, val in tokens)
                     parsed[side, text] = interned.setdefault(side_key(chars), chars)
+                    if vocab is not None:
+                        new_lines += [lineno] * (len(working) - len(vocab) - len(new_lines))
             samples.append(DataSample(parsed[USER, user_text], parsed[ITEM, item_text], label))
         except (ContractError, ParseError) as exc:
             raise ParseError(str(exc), lineno) from None
@@ -194,6 +201,10 @@ def parse_dataset_lines(
         dropped = {s.user_chars for s in samples if positives[s.user_chars] < options.min_positives}
         samples = [s for s in samples if s.user_chars not in dropped]
         report.n_dropped_users = len(dropped)
+    if new_lines and (new := [att.id for att in universe_of(samples) if att.id >= len(vocab)]):
+        name, lineno = working.names[new[0]], new_lines[new[0] - len(vocab)]
+        raise ParseError(f"unknown attribute {name!r}: the checkpoint has no embedding for it", lineno)
+    vocab = vocab if vocab is not None else working
     if not samples:
         raise EmptyDatasetError("no usable samples after parsing and filtering")
     report.n_samples = len(samples)

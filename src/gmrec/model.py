@@ -31,23 +31,23 @@ Forward pass for one sample:
 
 The engine below runs any number of samples as one stacked computation:
 nodes of all samples form one matrix, pair and segment index arrays keep
-each sample's graphs separate. build_plan makes those arrays by numpy index
-arithmetic, with no Python loop per sample or per attribute: one flat pass
-collects side sizes, attribute ids and values, one lexsort by (side, id)
-orders the nodes, one binary search over the table's sorted ids finds the
-embedding rows, and the segment and pair arrays follow from repeat and
-cumsum over the side sizes. Inside a sample, nodes are processed in
-ascending attribute-id order, so reordering the input attributes cannot
-change any bit of the output. The pair sums always add a node's terms in
-neighbour order, and on RowLocalOps every matrix product is row-local, so
-per-row results do not depend on what else is stacked; predict() runs on
-it for its exact structural identities.
+each sample's graphs separate. Only step 3's node matching needs the pair,
+so build_plan starts from the batch's distinct sides: sides are the same
+exactly when they are the same tuple object (the parser interns sides by
+value, so on a parsed dataset equal sides are one tuple). It numbers the
+sides by identity; then, over the distinct sides only, one flat pass
+collects sizes, attribute ids and values, one binary search over the
+table's sorted ids finds the embedding rows and one lexsort by (side, id)
+orders the nodes. The per-sample layout, segment and pair arrays follow by
+repeat and cumsum through the side map, with no Python loop per attribute.
+Inside a sample, nodes are processed in ascending attribute-id order, so
+reordering the input attributes cannot change any bit of the output. The
+pair sums always add a node's terms in neighbour order, and on RowLocalOps
+every matrix product is row-local, so per-row results do not depend on
+what else is stacked; predict() runs on it for its exact structural
+identities.
 
-Only step 3's node matching needs the pair. build_plan also finds the
-batch's distinct sides: sides are the same exactly when they are the same
-tuple object. The parser interns sides by value, so on a parsed dataset
-every pair of equal sides is one tuple, whatever their token order. The
-engine runs the stages that depend on one side alone once per distinct
+The engine runs the stages that depend on one side alone once per distinct
 side: the nodes of step 1, the messages of step 2, the side sums, and GRU
 steps 1-2 of step 4 (over u and z). It gathers their rows to the samples
 for node matching, GRU step 3 (over s) and the readout. A batch with no
@@ -141,8 +141,6 @@ def parse_variant(text: str) -> VariantConfig:
         if key not in ("inner", "cross", "fuse", "mode"):
             raise InvalidConfigError(f"unknown variant key {key!r}")
         fields[key] = value
-    if fields.get("mode") == "fm":
-        return FM_REDUCTION
     return VariantConfig(**fields)
 
 
@@ -308,19 +306,16 @@ class _Neighbourhoods:
 class _Plan:
     """Index arrays of a batch over two layouts of its nodes.
 
-    Sample nodes are every node of every sample: sample by sample, user
-    side then item side, each side in ascending attribute-id order. Side
-    nodes are the nodes of the batch's distinct sides only, in order of
-    first appearance; a side that is the same tuple object as an earlier
-    one has no side nodes of its own.
-    The stages that depend on one side alone run over side nodes, the rest
-    over sample nodes.
+    Side nodes, which build_plan makes first, are the nodes of the batch's
+    distinct sides, in order of first appearance, each side in ascending
+    attribute-id order. Sample nodes are every node of every sample: sample
+    by sample, user side then item side, each side laid out as its distinct
+    side. The stages that depend on one side alone run over side nodes, the
+    rest over sample nodes.
     """
 
-    n_samples: int
     n_nodes: int  # sample nodes
-    n_sides: int
-    side_map: np.ndarray  # (n_sides,) side -> distinct side
+    side_map: np.ndarray  # (2 * n_samples,) side -> distinct side
     attr_rows: np.ndarray  # (side nodes,) embedding rows
     vals: np.ndarray  # (side nodes,)
     by_distinct: _SegIndex  # side node -> distinct side
@@ -336,7 +331,7 @@ class _Plan:
     pair_a: np.ndarray
     same_side: _Neighbourhoods | None  # every other side node of the side; graph mode with inner=mlp only
     cross_side: _Neighbourhoods | None  # every sample node of the opposite side; MLP cross kinds only
-    input_pos: np.ndarray  # (n_nodes,) sample node -> position in the batch's flat input order
+    input_pos: np.ndarray  # (side nodes,) side node -> position among the distinct sides' pairs in input order
 
 
 @functools.lru_cache(maxsize=64)
@@ -387,35 +382,29 @@ def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
 
 
 def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICAL) -> _Plan:
-    """The index plan of a batch, by numpy index arithmetic (see the module
-    docstring); input order is sample by sample, user side then item side."""
+    """The index plan of a batch, by numpy index arithmetic over its distinct
+    sides (see the module docstring); sides are sample by sample, user side
+    then item side, and two are the same distinct side when they are one tuple."""
     sides = [chars for sample in samples for chars in (sample.user_chars, sample.item_chars)]
-    pairs = [pair for chars in sides for pair in chars]
-    sizes = np.array([len(chars) for chars in sides], dtype=np.intp)
+    distinct = {id(chars): chars for chars in sides}  # in order of first appearance
+    number = {key: k for k, key in enumerate(distinct)}
+    side_map = np.array([number[id(chars)] for chars in sides], dtype=np.intp)
+    pairs = [pair for chars in distinct.values() for pair in chars]
+    distinct_sizes = np.array([len(chars) for chars in distinct.values()], dtype=np.intp)
+    distinct_starts = np.cumsum(distinct_sizes) - distinct_sizes  # no side is empty, so each starts a segment
+    distinct_ids = np.arange(len(distinct))
+    by_distinct = _SegIndex(
+        ids=np.repeat(distinct_ids, distinct_sizes), starts=distinct_starts, out_rows=distinct_ids, n=len(distinct)
+    )
     ids = np.array([pair[0][0] for pair in pairs])
-    rows = table.rows(ids)
-    n_samples, n_nodes = len(samples), len(pairs)
+    order = np.lexsort((ids, by_distinct.ids))
+    n_samples = len(samples)
+    sizes = distinct_sizes[side_map]
+    starts = np.cumsum(sizes) - sizes
     side_ids = np.arange(2 * n_samples)
     side = np.repeat(side_ids, sizes)
-    order = np.lexsort((ids, side))
-    rows = rows[order]
-    vals = np.array([pair[1] for pair in pairs], dtype=np.float64)[order]
-    starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
-    distinct: dict[int, int] = {}  # id of a side's tuple -> its number, in order of first appearance
-    side_map = np.array([distinct.setdefault(id(chars), len(distinct)) for chars in sides], dtype=np.intp)
-    firsts = np.unique(side_map, return_index=True)[1]  # the first side of each distinct side
-    by_side = _SegIndex(ids=side, starts=starts, out_rows=side_ids, n=2 * n_samples)
-    by_distinct, distinct_starts, distinct_sizes, node_src = by_side, starts, sizes, None
-    if len(firsts) < 2 * n_samples:
-        distinct_sizes = sizes[firsts]
-        distinct_starts = np.cumsum(distinct_sizes) - distinct_sizes
-        distinct_ids = np.arange(len(firsts))
-        by_distinct = _SegIndex(
-            ids=np.repeat(distinct_ids, distinct_sizes), starts=distinct_starts, out_rows=distinct_ids, n=len(firsts)
-        )
-        node_src = np.arange(n_nodes) + np.repeat(distinct_starts[side_map] - starts, sizes)
-        keep = np.arange(distinct_sizes.sum()) + np.repeat(starts[firsts] - distinct_starts, distinct_sizes)
-        rows, vals = rows[keep], vals[keep]
+    n_nodes = len(side)
+    node_src = None if len(distinct) == len(sides) else np.arange(n_nodes) + (distinct_starts[side_map] - starts)[side]
     same_side = cross_side = None
     pair_a = np.empty(0, dtype=np.intp)
     if variant.mode == "graph":
@@ -425,15 +414,13 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
         if variant.cross in ("mlp_shared", "mlp_separate"):
             cross_side = _cross_side(starts, sizes)
     return _Plan(
-        n_samples=n_samples,
         n_nodes=n_nodes,
-        n_sides=2 * n_samples,
         side_map=side_map,
-        attr_rows=rows,
-        vals=vals,
+        attr_rows=table.rows(ids)[order],
+        vals=np.array([pair[1] for pair in pairs], dtype=np.float64)[order],
         by_distinct=by_distinct,
         node_src=node_src,
-        by_side=by_side,
+        by_side=_SegIndex(ids=side, starts=starts, out_rows=side_ids, n=2 * n_samples),
         by_sample=_SegIndex(ids=side >> 1, starts=starts[0::2], out_rows=np.arange(n_samples), n=n_samples),
         opp_seg=side_map[side ^ 1],
         user_seg=side_ids[0::2],
@@ -640,7 +627,7 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONI
         return NodeDiagnostics(
             att=att,
             representation=out.nodes[row].copy(),
-            message=out.messages[row if plan.node_src is None else plan.node_src[row]].copy(),
+            message=out.messages[row].copy(),
             match=out.matches[row].copy(),
             fused=out.fused[row].copy(),
         )

@@ -138,9 +138,11 @@ def plan_oracle(samples, table, variant):
     arrays; a segment index is (ids, starts, out_rows, n), a neighbourhood
     is (blocks, counts) with each block a (rows, nbrs, sources, back) tuple,
     in the plan's block order. Sides are deduplicated with a dict keyed by
-    the id() of each side's tuple; node_src is None when no side repeats."""
+    the id() of each side's tuple; node_src is None when no side repeats.
+    input_pos is over side nodes: each side node's position in the flat
+    input order of the distinct sides' pairs."""
     idx = lambda xs: np.array(xs, dtype=np.intp)
-    side_rows, side_vals, side_of, sample_of, other_of, input_pos, firsts, sizes = [], [], [], [], [], [], [], []
+    side_rows, side_vals, side_orders, side_of, sample_of, other_of, firsts, sizes = [], [], [], [], [], [], [], []
     tuple_ids = []
     for b, sample in enumerate(samples):
         for side, other, chars in ((2 * b, 2 * b + 1, sample.user_chars), (2 * b + 1, 2 * b, sample.item_chars)):
@@ -150,8 +152,8 @@ def plan_oracle(samples, table, variant):
             order = np.argsort([p.att.id for p in chars], kind="stable")
             side_rows.append([table.row(chars[k].att) for k in order])
             side_vals.append([chars[k].val for k in order])
+            side_orders.append(order)
             for k in order:
-                input_pos.append(firsts[-1] + k)
                 side_of.append(side)
                 sample_of.append(b)
                 other_of.append(other)
@@ -162,9 +164,10 @@ def plan_oracle(samples, table, variant):
             distinct[key] = len(distinct)
             distinct_first.append(s)
         side_map.append(distinct[key])
-    attr_rows, vals, distinct_of, distinct_firsts = [], [], [], []
+    attr_rows, vals, distinct_of, distinct_firsts, input_pos = [], [], [], [], []
     for e, s in enumerate(distinct_first):
         distinct_firsts.append(len(attr_rows))
+        input_pos += [len(attr_rows) + k for k in side_orders[s]]
         attr_rows += side_rows[s]
         vals += side_vals[s]
         distinct_of += [e] * sizes[s]
@@ -187,7 +190,7 @@ def plan_oracle(samples, table, variant):
         return idx(rows), idx(nbrs), idx(sources), idx(back)
 
     plan = {
-        "n_samples": len(samples), "n_nodes": len(side_of), "n_sides": 2 * len(samples),
+        "n_nodes": len(side_of),
         "side_map": idx(side_map), "attr_rows": idx(attr_rows), "vals": np.array(vals, dtype=np.float64),
         "by_distinct": segments(distinct_of, len(distinct)), "node_src": node_src,
         "by_side": segments(side_of, 2 * len(samples)), "by_sample": segments(sample_of, len(samples)),

@@ -471,6 +471,21 @@ class TestTrainEvaluatePredict:
         assert code == 2
         assert "embedding" in err
 
+    def test_unknown_attribute_is_named_with_its_line(self, capsys, tmp_path, synth_file):
+        """predict --line and evaluate name an attribute the checkpoint does
+        not know and the line that uses it (exit 2)."""
+        ckpt = str(tmp_path / "model.ckpt")
+        assert run(capsys, "train", "--data", synth_file, "--out", ckpt, "--dim", "4", "--epochs", "0")[0] == 0
+        code, _, err = run(capsys, "predict", "--ckpt", ckpt, "--line", "uid=nobody\tiid=i0")
+        assert code == 2
+        assert "line 1: unknown attribute 'uid=nobody'" in err and "embedding" in err
+        lines = Path(synth_file).read_text().splitlines()
+        data = tmp_path / "unknown.tsv"
+        data.write_text("\n".join(lines[:5] + ["1\tuid=u0\tiid=nowhere"] + lines[5:]) + "\n")
+        code, out, err = run(capsys, "evaluate", "--ckpt", ckpt, "--data", str(data))
+        assert code == 2 and out == ""
+        assert "line 6: unknown attribute 'iid=nowhere'" in err
+
     def test_checkpoint_after_dropping_users(self, capsys, tmp_path):
         """--min-positives drops users whose attribute names stay in the
         vocabulary; the checkpoint holds the names of its embedding rows."""

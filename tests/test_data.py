@@ -19,7 +19,9 @@ from gmrec.data import (
     init_embeddings,
     node_representation,
     sample_user_key,
+    universe_of,
 )
+from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines
 from gmrec.errors import ContractError, InvalidConfigError, MissingEmbeddingError
 
 from conftest import make_ids
@@ -79,6 +81,41 @@ class TestInitEmbeddings:
             with pytest.raises(MissingEmbeddingError, match=rf"attribute id {unknown}$"):
                 table.row(AttributeId(unknown, USER))
             assert AttributeId(unknown, USER) not in table
+
+
+def _universe_by_sample(samples):
+    """universe_of's result by walking every side of every sample."""
+    seen = {}
+    for s in samples:
+        for p in s.user_chars + s.item_chars:
+            seen.setdefault(p.att.id, p.att)
+    return tuple(sorted(seen.values(), key=lambda a: a.id))
+
+
+class TestUniverse:
+    def test_parsed_data_matches_walk_over_samples(self):
+        lines = generate_synthetic(SynthSpec(users=40, items=30, samples=400, seed=3))[0].splitlines()
+        samples = parse_dataset_lines(lines).samples
+        assert len({id(c) for s in samples for c in (s.user_chars, s.item_chars)}) < 2 * len(samples)
+        assert universe_of(samples) == _universe_by_sample(samples)
+        assert universe_of(samples[::-1]) == _universe_by_sample(samples[::-1])
+
+    def test_hand_built_data_matches_walk_over_samples(self):
+        """Shared tuples, equal tuples that are separate objects, and one id
+        tagged user in one sample and item in another: the first tag seen wins."""
+        def side(ids, tag):
+            return tuple(AttributeValuePair(AttributeId(i, tag), 1.0) for i in ids)
+
+        shared = side((5, 1), USER)
+        samples = [
+            DataSample(shared, side((2,), ITEM), 1.0),
+            DataSample(shared, side((7, 3), ITEM), 0.0),
+            DataSample(side((5, 1), USER), side((2,), ITEM), 0.0),
+            DataSample(side((3,), USER), side((9,), ITEM), 1.0),
+        ]
+        for batch in (samples, samples[::-1], []):
+            assert universe_of(batch) == _universe_by_sample(batch)
+        assert AttributeId(3, ITEM) in universe_of(samples)
 
 
 class TestNodeRepresentation:

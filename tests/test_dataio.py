@@ -148,6 +148,26 @@ class TestParsing:
         with pytest.raises(ParseError, match="both sides"):
             parse_dataset_lines(["1\tcommon\tother", "1\tu2\tcommon"])
 
+    def test_given_vocabulary_is_closed(self):
+        """A name outside a given vocabulary fails at the first line that
+        uses it once a kept sample uses it; samples dropped by min_positives
+        do not count, and the vocabulary is never extended."""
+        vocab = parse_dataset_lines(["1\tu1\ti1", "1\tu1 a=2\ti2"]).vocab
+        names = list(vocab.names)
+        lines = ["1\tu1\ti1", "0\tu1 a=2\tnew_item", "1\tnobody\ti1", "1\tu1\tnew_item"]
+        with pytest.raises(ParseError, match=r"^line 2: unknown attribute 'new_item': .*no embedding"):
+            parse_dataset_lines(lines, None, vocab)
+        with pytest.raises(ParseError, match=r"^line 3: unknown attribute 'nobody': .*no embedding"):
+            parse_dataset_lines([lines[0], "", lines[2]], None, vocab)
+        kept = parse_dataset_lines(["1\tu1\ti2", "1\tu1\ti1", "1\tnobody\ti1", "0\tnobody\ti2"],
+                                   ParseOptions(min_positives=2), vocab)
+        assert [s.user_chars[0].att for s in kept.samples] == [vocab.lookup("u1")] * 2
+        assert kept.vocab is vocab and vocab.names == names
+        lines = ["1\tu1\ti2", "1\tu1\ti1", "1\tnobody\tnew_item", "0\tu1\tnew_item"]
+        with pytest.raises(ParseError, match=r"^line 3: unknown attribute 'new_item'"):
+            parse_dataset_lines(lines, ParseOptions(min_positives=2), vocab)
+        assert vocab.names == names and vocab.lookup("new_item") is None
+
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):
             parse_dataset_lines([])

@@ -34,7 +34,7 @@ from gmrec.model import (
     swap_roles,
 )
 
-from gmrec.dataio import generate_synthetic, parse_dataset_lines
+from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines
 from gmrec.selfcheck import gradcheck_problem
 from gmrec.training import item_pool_of, regularized_risk
 
@@ -571,8 +571,7 @@ def assert_plan_matches_oracle(plan, ref, where=""):
         assert got.dtype == want.dtype and got.shape == want.shape, (where, name, got.dtype, got.shape, want.shape)
         assert np.array_equal(got, want), (where, name)
 
-    for name in ("n_samples", "n_nodes", "n_sides"):
-        assert getattr(plan, name) == ref[name], (where, name)
+    assert plan.n_nodes == ref["n_nodes"], where
     for name in ("side_map", "attr_rows", "vals", "opp_seg", "user_seg", "item_seg", "pair_a", "input_pos"):
         same(getattr(plan, name), ref[name], name)
     assert (plan.node_src is None) == (ref["node_src"] is None), where
@@ -705,8 +704,8 @@ class TestDistinctSides:
         for variant in all_variants():
             mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4, variant=variant)
             one, own = build_plan(shared, mp.table, variant), build_plan(apart, mp.table, variant)
-            assert one.node_src is not None and one.by_distinct.n < one.n_sides
-            assert own.node_src is None and own.side_map.tolist() == list(range(own.n_sides))
+            assert one.node_src is not None and one.by_distinct.n < len(one.side_map)
+            assert own.node_src is None and own.side_map.tolist() == list(range(2 * len(apart)))
             assert np.array_equal(own.attr_rows, one.attr_rows[one.node_src])
             assert own.vals.tobytes() == one.vals[one.node_src].tobytes()
             want = _forward(RowLocalOps(), one, mp, variant).scores
@@ -725,6 +724,37 @@ class TestDistinctSides:
         for batch in ([samples[k] for k in picks], [DataSample(user, item, 0.0) for item in item_pool_of(samples)]):
             plan = build_plan(batch, table)
             assert np.array_equal(plan.side_map, value_side_map(batch, table))
+
+    def test_each_distinct_side_is_looked_up_once(self, monkeypatch):
+        """build_plan searches the embedding rows of each distinct side's ids
+        once, however many samples hold the side: on a rank request of one
+        user against 300 items, a shuffled 64-sample batch and a whole
+        parsed dataset."""
+        lines = generate_synthetic(SynthSpec(users=60, items=300, samples=3000, seed=11))[0].splitlines()
+        samples = parse_dataset_lines(lines).samples
+        table = init_embeddings(universe_of(samples), 4, seed=0)
+        pool = item_pool_of(samples)
+        assert len(pool) == 300
+        batches = {
+            "rank": [DataSample(samples[0].user_chars, item, 0.0) for item in pool],
+            "batch": [samples[k] for k in np.random.default_rng(1).permutation(len(samples))[:64]],
+            "dataset": samples,
+        }
+        looked_up, rows = [], EmbeddingTable.rows
+
+        def recorded(table, ids):
+            looked_up.append(ids.tolist())
+            return rows(table, ids)
+
+        monkeypatch.setattr(EmbeddingTable, "rows", recorded)
+        for where, batch in batches.items():
+            distinct = {id(chars): chars for s in batch for chars in (s.user_chars, s.item_chars)}.values()
+            for variant in (CANONICAL, VariantConfig(inner="bi", cross="mlp_separate", fuse="mlp")):
+                looked_up.clear()
+                plan = build_plan(batch, table, variant)
+                assert len(looked_up) == 1, where
+                assert sorted(looked_up[0]) == sorted(p.att.id for chars in distinct for p in chars), where
+                assert plan.node_src is not None and len(plan.attr_rows) < plan.n_nodes, where
 
     @staticmethod
     def _repeated_batch(rng):

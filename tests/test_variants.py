@@ -31,6 +31,11 @@ class TestVariantConfig:
             v = parse_variant(text)
             assert parse_variant(format_variant(v)) == v
 
+    def test_fm_mode_fixes_the_other_fields(self):
+        for text in ("mode=fm", "inner=mlp,cross=mlp_separate,fuse=gru,mode=fm", "mode=fm,inner=bogus"):
+            assert parse_variant(text) == FM_REDUCTION
+            assert format_variant(parse_variant(text)) == "mode=fm"
+
     def test_defaults_are_canonical(self):
         assert parse_variant("") == CANONICAL
         assert VariantConfig() == CANONICAL
