@@ -119,6 +119,9 @@ def _variant_list(text: str) -> list[VariantConfig]:
     variants = [_variant(v) for v in text.split(";") if v.strip()]
     if not variants:
         raise argparse.ArgumentTypeError(f"expected at least one variant, got {text!r}")
+    for k, variant in enumerate(variants):
+        if variant in variants[:k]:
+            raise argparse.ArgumentTypeError(f"two entries name the variant {format_variant(variant)!r}")
     return variants
 
 

@@ -95,7 +95,13 @@ MODES = ("graph", "union", "fm")
 
 @dataclass(frozen=True)
 class VariantConfig:
-    """Which sub-model handles each interaction type, plus the wiring mode."""
+    """Which sub-model handles each interaction type, plus the wiring mode.
+
+    A mode fixes every field it ignores, so that two configs are equal
+    exactly when they are one model: outside graph mode every pair of the
+    sample, same side or not, interacts by elementwise product (inner=bi),
+    and mode=fm fixes the cross and fuse kinds too.
+    """
 
     inner: str = "mlp"
     cross: str = "bi"
@@ -103,10 +109,10 @@ class VariantConfig:
     mode: str = "graph"
 
     def __post_init__(self):
-        if self.mode == "fm":
-            # The reduction is fully determined: elementwise products over
-            # the union set, linear fusing, element-sum matching.
+        if self.mode != "graph":
             object.__setattr__(self, "inner", "bi")
+        if self.mode == "fm":
+            # Linear fusing and element-sum matching: the FM reduction.
             object.__setattr__(self, "cross", "bi")
             object.__setattr__(self, "fuse", "sum")
         if self.inner not in INNER_KINDS:
@@ -117,10 +123,10 @@ class VariantConfig:
             raise InvalidConfigError(f"unknown fuse kind {self.fuse!r}")
         if self.mode not in MODES:
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
-        if self.cross == "mlp_shared" and self.inner != "mlp":
-            raise InvalidConfigError("cross=mlp_shared needs an inner MLP to share")
         if self.mode == "union" and self.cross != "bi":
             raise InvalidConfigError("mode=union supports only cross=bi")
+        if self.cross == "mlp_shared" and self.inner != "mlp":
+            raise InvalidConfigError("cross=mlp_shared needs an inner MLP to share")
 
 
 CANONICAL = VariantConfig()
@@ -230,18 +236,20 @@ def parameter_layout(variant: VariantConfig, dim: int) -> list[tuple[str, list[t
 
     This is the one statement of the rule: init_model_params builds from it
     and checkpoints are checked against it. The embedding table, shaped
-    (attributes, dim), precedes these in the registry.
+    (attributes, dim), precedes these in the registry. Each group follows
+    from one field: inner_mlp from inner=mlp, gru from fuse=gru, cross_mlp
+    from cross=mlp_separate, fuse_mlp from fuse=mlp.
     """
 
     def mlp(in_dim: int) -> list[tuple[int, ...]]:
         return [(in_dim, 4 * dim), (4 * dim,), (4 * dim, dim), (dim,)]
 
     layout = []
-    if variant.mode == "graph" and (variant.inner == "mlp" or variant.cross in ("mlp_shared", "mlp_separate")):
+    if variant.inner == "mlp":
         layout.append(("inner_mlp", mlp(2 * dim)))
     if variant.fuse == "gru":
         layout.append(("gru", [(dim, dim), (dim, dim), (dim,)] * 3))
-    if variant.mode == "graph" and variant.cross == "mlp_separate":
+    if variant.cross == "mlp_separate":
         layout.append(("cross_mlp", mlp(2 * dim)))
     if variant.fuse == "mlp":
         layout.append(("fuse_mlp", mlp(3 * dim)))
@@ -262,15 +270,15 @@ def init_model_params(
     variant: VariantConfig = CANONICAL,
 ) -> ModelParams:
     """Seeded init. Embeddings are uniform on +-1/sqrt(dim); weight matrices
-    uniform on +-1/sqrt(fan_in), drawn in registry order; biases zero. A
-    separate cross MLP starts as an exact copy of the inner MLP, so shared
-    and separate coincide at step 0.
+    uniform on +-1/sqrt(fan_in), drawn in registry order; biases zero.
+    Beside an inner MLP, a separate cross MLP starts as an exact copy of
+    it, so shared and separate coincide at step 0; alone, it is drawn.
     """
     table = init_embeddings(universe, dim, seed)
     mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     for name, shapes in parameter_layout(variant, dim):
-        if name == "cross_mlp":
+        if name == "cross_mlp" and mp.inner_mlp is not None:
             arrays = [p.values.copy() for p in mp.inner_mlp.parameters()]
         else:
             arrays = [_init_array(rng, shape) for shape in shapes]
@@ -325,11 +333,11 @@ class _Plan:
     opp_seg: np.ndarray  # (n_nodes,) distinct side opposite each sample node
     user_seg: np.ndarray  # (n_samples,)
     item_seg: np.ndarray  # (n_samples,)
-    # First sample node of each same-side ordered pair, ascending; graph
-    # mode. _forward reads only its size (zero: every side is a single
-    # node); the benchmark's pair counts read the array.
+    # First sample node of each same-side ordered pair, ascending. _forward
+    # reads only its size (zero: every side is a single node); the
+    # benchmark's pair counts read the array.
     pair_a: np.ndarray
-    same_side: _Neighbourhoods | None  # every other side node of the side; graph mode with inner=mlp only
+    same_side: _Neighbourhoods | None  # every other side node of the side; inner=mlp only
     cross_side: _Neighbourhoods | None  # every sample node of the opposite side; MLP cross kinds only
     input_pos: np.ndarray  # (side nodes,) side node -> position among the distinct sides' pairs in input order
 
@@ -405,14 +413,8 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
     side = np.repeat(side_ids, sizes)
     n_nodes = len(side)
     node_src = None if len(distinct) == len(sides) else np.arange(n_nodes) + (distinct_starts[side_map] - starts)[side]
-    same_side = cross_side = None
-    pair_a = np.empty(0, dtype=np.intp)
-    if variant.mode == "graph":
-        if variant.inner == "mlp":
-            same_side = _same_side(distinct_starts, distinct_sizes)
-        pair_a = np.repeat(np.arange(n_nodes), np.repeat(sizes - 1, sizes))
-        if variant.cross in ("mlp_shared", "mlp_separate"):
-            cross_side = _cross_side(starts, sizes)
+    same_side = _same_side(distinct_starts, distinct_sizes) if variant.inner == "mlp" else None
+    cross_side = _cross_side(starts, sizes) if variant.cross in ("mlp_shared", "mlp_separate") else None
     return _Plan(
         n_nodes=n_nodes,
         side_map=side_map,
@@ -425,7 +427,7 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
         opp_seg=side_map[side ^ 1],
         user_seg=side_ids[0::2],
         item_seg=side_ids[1::2],
-        pair_a=pair_a,
+        pair_a=np.repeat(np.arange(n_nodes), np.repeat(sizes - 1, sizes)),
         same_side=same_side,
         cross_side=cross_side,
         input_pos=order,

@@ -1,11 +1,13 @@
 """Hash digests of the program's outputs, for checking that a refactor keeps
 every bit.
 
-Run as `python tests/digest.py` (pytest does not collect it). It prints one
-sha256 per group; two commits that print the same lines give bit-identical
-results on:
+Run as `python tests/digest.py` (pytest does not collect it). It first
+prints the BLAS thread setting it ran under (OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS as set, or "default"): the matmul bits, and so some
+digests, depend on it. Then it prints one sha256 per group; two commits
+that print the same lines under one setting give bit-identical results on:
 
-  variants     for each of the 28 variants, on two fixed batches (one that
+  variants     for each of the 25 variants, on two fixed batches (one that
                repeats side tuples as shared objects, one with +0, -0 and
                last-bit values): regularized_risk values and Tape gradients,
                score_samples, and predict scores and diagnostics;
@@ -134,7 +136,13 @@ def grouping_digest() -> str:
     return out.hexdigest()
 
 
+def blas_threads() -> str:
+    setting = [f"{k}={os.environ[k]}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if k in os.environ]
+    return " ".join(setting) or "default"
+
+
 def main() -> None:
+    print("blas-threads", blas_threads())
     print("variants   ", variants_digest())
     print("train-small", train_digest(inputs.train_small_text(SEED), 16))
     print("train-wide ", train_digest(inputs.train_wide_text(SEED), 64))

@@ -196,11 +196,9 @@ def plan_oracle(samples, table, variant):
         "by_side": segments(side_of, 2 * len(samples)), "by_sample": segments(sample_of, len(samples)),
         "opp_seg": idx([side_map[o] for o in other_of]), "user_seg": idx(range(0, 2 * len(samples), 2)),
         "item_seg": idx(range(1, 2 * len(samples), 2)), "input_pos": idx(input_pos),
-        "pair_a": idx([]), "same_side": None, "cross_side": None,
+        "pair_a": idx([f + i for f, m in zip(firsts, sizes) for i in range(m) for j in range(m) if j != i]),
+        "same_side": None, "cross_side": None,
     }
-    if variant.mode != "graph":
-        return plan
-    plan["pair_a"] = idx([f + i for f, m in zip(firsts, sizes) for i in range(m) for j in range(m) if j != i])
     distinct_sizes = [sizes[s] for s in distinct_first]
     blocks = []
     for m in sorted(set(distinct_sizes) - {0, 1}):

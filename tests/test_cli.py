@@ -552,6 +552,20 @@ class TestAblateAndMatrices:
         assert len(table) == 4
         assert any(l.startswith("mode=fm") for l in table)
 
+    @pytest.mark.parametrize("variants, name", [
+        ("mode=union;inner=mlp,mode=union", "inner=bi,cross=bi,fuse=gru,mode=union"),
+        ("mode=fm;inner=bi;fuse=mlp,mode=fm", "mode=fm"),
+        ("inner=mlp;cross=bi,fuse=gru", "inner=mlp,cross=bi,fuse=gru"),
+    ])
+    def test_ablate_rejects_a_repeated_variant(self, capsys, tmp_path, variants, name):
+        """Two entries that name one model after normalization are a usage
+        error naming it, raised before the data file is read."""
+        code, out, err = run(capsys, "ablate", "--data", str(tmp_path / "never-read.tsv"), "--variants", variants)
+        assert code == 1, err
+        assert out == ""
+        line = usage_error_line(err)
+        assert "--variants" in line and repr(name) in line
+
     def test_export_matrices(self, capsys, tmp_path, synth_file):
         ckpt = str(tmp_path / "model.ckpt")
         run(capsys, "train", "--data", synth_file, "--out", ckpt,

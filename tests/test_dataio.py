@@ -479,6 +479,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="counts"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("fuse, n_mlp, n_gru", [("gru", 8, 9), ("sum", 8, 0), ("mlp", 12, 0)])
+    def test_checkpoint_with_an_unread_inner_mlp_rejected(self, tmp_path, capsys, fuse, n_mlp, n_gru):
+        """Older builds gave inner=bi,cross=mlp_separate an inner MLP that
+        nothing read, so its checkpoints hold the arrays of inner=mlp with
+        the same cross and fuse kinds. Loading one is a data error."""
+        writer = VariantConfig(inner="mlp", cross="mlp_separate", fuse=fuse)
+        ds, mp = _dataset_and_params(variant=writer)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(mp, writer, str(path), ds.vocab)
+        blob = path.read_bytes()
+        header = struct.unpack_from("<IIIII", blob, len(MAGIC))
+        assert header[3:] == (n_mlp, n_gru)
+        old = f"inner=bi,cross=mlp_separate,fuse={fuse}"
+        rest = blob[len(MAGIC) + struct.calcsize("<IIIII") + header[2]:]
+        path.write_bytes(MAGIC + struct.pack("<IIIII", *header[:2], len(old), *header[3:]) + old.encode() + rest)
+        assert main(["predict", "--ckpt", str(path), "--line", "u\ti"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: array counts ({n_mlp} MLP, {n_gru} GRU) do not match variant {old!r}\n"
+
 
 def _fm_blob(entries, dim=2, rows=None):
     """A mode=fm checkpoint (embeddings only) over (name bytes, side byte) entries."""

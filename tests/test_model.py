@@ -308,7 +308,7 @@ class TestEngineConsistency:
         ]
         fields = ("nodes", "messages", "matches", "fused", "user_repr", "item_repr", "scores")
         variants = all_variants()
-        assert len(variants) == 28
+        assert len(variants) == 25
         for variant, samples in itertools.product(variants, batches):
             mp = make_model(samples, seed=11, variant=variant)
             plan = build_plan(samples, mp.table, variant)
@@ -345,7 +345,7 @@ class TestEngineConsistency:
         d=8 and d=64, on sides of 1-7 nodes with signed values. Products on
         any kernel but the ops object's would change the bits."""
         variants = [v for v in all_variants() if v.fuse == "gru" and v.mode != "fm"]
-        assert len(variants) == 9
+        assert len(variants) == 8
         nodes = 0
         for variant, dim in itertools.product(variants, (8, 64)):
             mp = init_model_params(_USER_POOL + _ITEM_POOL, dim, seed=dim, variant=variant)
@@ -359,6 +359,45 @@ class TestEngineConsistency:
                     assert alone.tobytes() == node.fused.tobytes(), (variant, dim, node.att)
                     nodes += 1
         assert nodes > 1000
+
+
+class TestVariantSpace:
+    """Each configuration reads every array it allocates, and no two
+    configurations compute the same model."""
+
+    @staticmethod
+    def _sized_batch():
+        """One sample per side-size pair (p, q) in 2..5, signed values."""
+        rng = np.random.default_rng(3)
+        return [
+            make_sample(p, q, vals=list(rng.uniform(-2.0, 2.0, size=p + q)), label=float(k % 2), id_offset=10 * k)
+            for k, (p, q) in enumerate(itertools.product(range(2, 6), repeat=2))
+        ]
+
+    @staticmethod
+    def _random_model(samples, variant):
+        mp = make_model(samples, seed=5, variant=variant)
+        rng = np.random.default_rng(9)
+        for p in mp.parameters():
+            p.values[...] = rng.normal(scale=0.5, size=p.shape)  # biases too
+        return mp
+
+    def test_every_parameter_is_read(self):
+        samples = self._sized_batch()
+        for variant in all_variants():
+            mp = self._random_model(samples, variant)
+            risk = regularized_risk(samples, mp, 0.0, variant)
+            risk.tape.backward(risk)
+            for p in mp.parameters():
+                assert np.any(p.grad != 0.0), (variant, p.name)
+
+    def test_distinct_configurations_are_distinct_models(self):
+        samples = self._sized_batch()
+        seen = {}
+        for variant in all_variants():
+            scores = score_samples(samples, self._random_model(samples, variant), variant).tobytes()
+            first = seen.setdefault(scores, variant)
+            assert first == variant, (first, variant)
 
 
 class TestBatchedFiniteDifferences:
@@ -541,7 +580,7 @@ class TestNodeLevelMessagePassing:
 # differs from pool order and the id lookup has holes to miss.
 _USER_POOL = [AttributeId(id_, USER) for id_ in (3, 5, 6, 11, 13, 17, 40, 41, 57, 90)]
 _ITEM_POOL = [AttributeId(id_, ITEM) for id_ in (1, 8, 9, 20, 22, 23, 31, 60, 70, 99)]
-_PLAN_KEY = lambda v: (v.mode, v.inner, v.cross in ("mlp_shared", "mlp_separate"))
+_PLAN_KEY = lambda v: (v.inner, v.cross in ("mlp_shared", "mlp_separate"))
 
 
 def _plan_batch(rng, n_samples):
@@ -599,7 +638,7 @@ class TestVectorisedPlan:
 
     def test_matches_loop_builder_all_variants(self, rng):
         variants = all_variants()
-        assert len(variants) == 28
+        assert len(variants) == 25
         ascending = init_embeddings(_USER_POOL + _ITEM_POOL, 4, seed=0)
         batches = [
             ("empty", [], ascending),

@@ -25,7 +25,7 @@ class TestVariantConfig:
             "inner=mlp,cross=bi,fuse=gru",
             "inner=bi,cross=none,fuse=sum",
             "inner=mlp,cross=mlp_separate,fuse=mlp",
-            "inner=mlp,cross=bi,fuse=gru,mode=union",
+            "inner=bi,cross=bi,fuse=gru,mode=union",
             "mode=fm",
         ):
             v = parse_variant(text)
@@ -35,6 +35,12 @@ class TestVariantConfig:
         for text in ("mode=fm", "inner=mlp,cross=mlp_separate,fuse=gru,mode=fm", "mode=fm,inner=bogus"):
             assert parse_variant(text) == FM_REDUCTION
             assert format_variant(parse_variant(text)) == "mode=fm"
+
+    def test_union_mode_fixes_inner(self):
+        """Union mode reads no same-side model, so inner is always bi."""
+        union = parse_variant("mode=union,inner=mlp")
+        assert union == parse_variant("mode=union,inner=bi") == VariantConfig(mode="union")
+        assert format_variant(union) == "inner=bi,cross=bi,fuse=gru,mode=union"
 
     def test_defaults_are_canonical(self):
         assert parse_variant("") == CANONICAL
@@ -213,7 +219,7 @@ class TestFmReduction:
 
 
 def test_every_variant_gradient_passes_finite_differences():
-    """Criterion 1's twenty instances, for each of the 28 variants.
+    """Criterion 1's twenty instances, for each of the 25 variants.
 
     An instance passes with worst < 1e-4 at step 1e-5, or else worst < 1e-8
     at step 1e-6. The re-check is for perturbations that cross a relu kink,
@@ -221,7 +227,7 @@ def test_every_variant_gradient_passes_finite_differences():
     with the step, while a wrong tape gradient's does not.
     """
     variants = all_variants()
-    assert len(variants) == 28
+    assert len(variants) == 25
     rechecked, failed = [], []
     for variant in variants:
         for seed in range(20):
