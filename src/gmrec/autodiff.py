@@ -10,12 +10,13 @@ Design rules:
   * relu's derivative at exactly 0 is 0.
 
 Each primitive is one row of PRIMITIVES: its forward on arrays, its shape
-rule and its VJP maker. One function builds every row's Tape method: check
-the shapes, run the forward on the operands' data, record one node whose
-edges are the VJPs of the tracked operands. ArrayOps exposes the forwards
-themselves, so the model's forward pass, written once against an ops
-object, computes the same arrays bit for bit on a Tape, which records it
-for the backward pass, and on ArrayOps, which records nothing.
+rule, its VJP maker and its operand count. One function builds every row's
+Tape method, of any arity: check the shapes, run the forward on the
+operands' data and, if any operand is tracked, record one node whose edges
+are the VJPs of the tracked operands, in operand order. ArrayOps exposes
+the forwards themselves, so the model's forward pass, written once against
+an ops object, computes the same arrays bit for bit on a Tape, which
+records it for the backward pass, and on ArrayOps, which records nothing.
 
 The ops object also chooses the matrix-product kernel, so the forward
 only states what to compute. Tape and ArrayOps run one BLAS product over
@@ -32,6 +33,7 @@ sums in another order.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -177,11 +179,13 @@ def _pair_relu_sum(a: np.ndarray, b: np.ndarray, blocks: Sequence[PairBlock], ch
 
 
 class Primitive(NamedTuple):
-    """One row of PRIMITIVES (see the module docstring)."""
+    """One row of PRIMITIVES (see the module docstring). A call's first
+    `operands` arguments are operands, the rest constants; with operands
+    None the row is variadic and every argument is an operand."""
 
     forward: Callable  # (*operands, *constants) -> array, by ArrayOps' leading-axis rule
     vjps: Callable  # (out, *operands, *constants) -> one g -> array per operand
-    operands: int = 1  # the arguments after them are constants
+    operands: int | None = 1
     check: Callable | None = None  # (*2-D operands, *constants) -> whether the shapes fit
     expects: str = ""  # what check asks, for the ShapeError
     saves: bool = False  # on a Tape, forward and vjps get one more constant: a fresh list
@@ -252,7 +256,7 @@ def _pair_relu_sum_vjps(out, a, b, blocks, chunks):
 
 # Every differentiable primitive, once. The forwards act on the last two
 # axes (the vector ones on the last axis) and broadcast leading axes, except
-# sum_reduce, which sums every entry.
+# sum_reduce and sq_norm_sum, which sum every entry.
 PRIMITIVES: dict[str, Primitive] = {
     "add": Primitive(np.add, lambda out, a, b: (lambda g: g, lambda g: g), 2, _same_shape, "one shape"),
     "sub": Primitive(np.subtract, lambda out, a, b: (lambda g: g, np.negative), 2, _same_shape, "one shape"),
@@ -267,6 +271,10 @@ PRIMITIVES: dict[str, Primitive] = {
     # log(1 + exp(x)), computed stably; its derivative is sigmoid(x).
     "softplus": Primitive(lambda a: np.logaddexp(0.0, a), lambda out, a: (lambda g: g * stable_sigmoid(a),)),
     "sum_reduce": Primitive(lambda a: np.asarray(a.sum()), lambda out, a: (lambda g: np.full_like(a, float(g)),)),
+    # Each operand's summed squares, added left to right; like sum_reduce, it sums every entry.
+    "sq_norm_sum": Primitive(lambda *arrays: functools.reduce(np.add, (np.asarray((a * a).sum()) for a in arrays)),
+                             lambda out, *arrays: [lambda g, a=a: np.full_like(a, float(g)) * a * 2.0 for a in arrays],
+                             None, lambda *arrays: bool(arrays), "at least one array"),
     "row_sums": Primitive(lambda a: a.sum(axis=-1), lambda out, a: (lambda g: np.broadcast_to(g[:, None], a.shape),),
                           1, lambda a: a.ndim == 2, "a matrix"),
     # Per-row dot product.
@@ -323,37 +331,26 @@ def _shape_error(name: str, row: Primitive, args) -> ShapeError:
 def _tape_method(name: str, row: Primitive) -> Callable:
     """tape.<name>(operands..., constants...): check the operands' shapes,
     run the row's forward on their data and, when an operand is tracked,
-    record one node with an edge per tracked operand."""
-    forward, vjps, check, saves = row.forward, row.vjps, row.check, row.saves
+    record one node with an edge per tracked operand, in operand order."""
+    forward, vjps, check, saves, n = row.forward, row.vjps, row.check, row.saves, row.operands
 
-    if row.operands == 1:
-        def method(self, a: Value, *consts) -> Value:
-            ad = a.data
-            if check is not None and not check(ad, *consts):
-                raise _shape_error(name, row, (ad,) + consts)
-            if saves:
-                consts += ([],)
-            out = forward(ad, *consts)
-            if a.node is None:
-                return Value(out, None, self)
-            node = _Node([(a.node, vjps(out, ad, *consts)[0])])
-            self.nodes.append(node)
-            return Value(out, node, self)
-    else:
-        def method(self, a: Value, b: Value, *consts) -> Value:
-            ad, bd = a.data, b.data
-            if check is not None and not check(ad, bd, *consts):
-                raise _shape_error(name, row, (ad, bd) + consts)
-            if saves:
-                consts += ([],)
-            out = forward(ad, bd, *consts)
-            na, nb = a.node, b.node
-            if na is None and nb is None:
-                return Value(out, None, self)
-            fa, fb = vjps(out, ad, bd, *consts)
-            node = _Node([(nb, fb)] if na is None else [(na, fa)] if nb is None else [(na, fa), (nb, fb)])
-            self.nodes.append(node)
-            return Value(out, node, self)
+    def method(self, *args) -> Value:
+        plain, tracked = list(args), []  # plain: the arguments, each operand replaced by its data
+        for k, a in enumerate(args[:n]):
+            plain[k] = a.data
+            if a.node is not None:
+                tracked.append((a.node, k))
+        if check is not None and not check(*plain):
+            raise _shape_error(name, row, plain)
+        if saves:
+            plain.append([])
+        out = forward(*plain)
+        if not tracked:
+            return Value(out, None, self)
+        fns = vjps(out, *plain)
+        node = _Node([(parent, fns[k]) for parent, k in tracked])
+        self.nodes.append(node)
+        return Value(out, node, self)
 
     method.__name__, method.__qualname__ = name, f"Tape.{name}"
     return method

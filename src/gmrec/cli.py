@@ -262,12 +262,12 @@ def _cmd_train(args) -> int:
     result = train(split, config)
     for log in result.logs:
         print(log)
-    if split.test:
-        report = evaluate_model(split.test, result.params, config.variant)
-        print("# test " + format_metric_report(report))
     if args.out:
         save_checkpoint(result.params, config.variant, args.out, dataset.vocab)
         print(f"# checkpoint written to {args.out}")
+    if split.test:
+        report = evaluate_model(split.test, result.params, config.variant)
+        print("# test " + format_metric_report(report))
     return 0
 
 

@@ -126,10 +126,15 @@ def score_dataset(samples, mp: ModelParams, variant: VariantConfig = CANONICAL) 
 
 
 def metric_report(scored: Sequence[ScoredSample], ks=(5, 10)) -> dict:
-    """AUC, logloss and NDCG at each cutoff of score_dataset's output."""
-    report = {"auc": auc(scored), "logloss": logloss(scored)}
+    """AUC, logloss and NDCG at each cutoff of score_dataset's output. An AUC
+    on one class, or an NDCG where no user has a relevant item, is nan; no
+    samples or a non-finite score raise UndefinedMetricError."""
+    if not scored:
+        raise UndefinedMetricError("no samples to report on")
+    n_pos = sum(1 for s in scored if s.label == 1.0)
+    report = {"auc": auc(scored) if 0 < n_pos < len(scored) else math.nan, "logloss": logloss(scored)}
     for k in ks:
-        report[f"ndcg@{k}"] = ndcg_at_k(scored, k)
+        report[f"ndcg@{k}"] = ndcg_at_k(scored, k) if n_pos else math.nan
     return report
 
 

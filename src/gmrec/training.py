@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import Parameter, Tape, Value
 from .data import DataSample, side_key, universe_of
 from .errors import ContractError, InvalidConfigError, SamplingError, TrainingError
-from .metrics import auc, logloss, score_dataset
+from .metrics import metric_report, score_dataset
 from .model import (
     CANONICAL,
     ModelParams,
@@ -107,14 +107,11 @@ def bce_loss(probability: float, label: float) -> float:
 
 
 def l2_penalty(tape: Tape, values: Sequence[Value], lam: float) -> Value:
-    """lam times the summed squared entries of the given tracked arrays."""
-    total = None
-    for v in values:
-        sq = tape.sum_reduce(tape.mul(v, v))
-        total = sq if total is None else tape.add(total, sq)
-    if total is None:
+    """lam times the summed squared entries of the given tracked arrays, as
+    two recorded nodes: one sq_norm_sum over all of them, then its scale."""
+    if not values:
         raise ContractError("l2_penalty: no values given")
-    return tape.scale(total, lam)
+    return tape.scale(tape.sq_norm_sum(*values), lam)
 
 
 def regularized_risk(
@@ -127,6 +124,8 @@ def regularized_risk(
     a new tape (risk.tape)."""
     if not batch:
         raise ContractError("regularized_risk: batch is empty")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ContractError(f"regularized_risk: lam must be finite and non-negative, got {lam!r}")
     tape = Tape()
     plan = build_plan(batch, mp.table, variant)
     out = _forward(tape, plan, mp, variant)
@@ -274,9 +273,5 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
 def _validation_metrics(valid: Sequence[DataSample], mp, variant) -> tuple[float, float]:
     if not valid:
         return float("nan"), float("nan")
-    labels = {s.label for s in valid}
-    scored = score_dataset(list(valid), mp, variant)
-    ll = logloss(scored)
-    if labels == {0.0, 1.0}:
-        return auc(scored), ll
-    return float("nan"), ll
+    report = metric_report(score_dataset(list(valid), mp, variant), ks=())
+    return report["auc"], report["logloss"]

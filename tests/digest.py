@@ -20,6 +20,11 @@ that print the same lines under one setting give bit-identical results on:
                reports, the splits as side keys and labels in order with
                min_positives 0 and 6, and the per-user report of a fixed
                model on each split's test part.
+
+Last it prints `tape-nodes N`: a count, not a hash. N is the number of
+nodes one canonical train-small step records on its tape (the seed-2001
+input's first 64 training samples, d=16, the default L2 weight), so a
+change in the tape's size shows without a traced bench run.
 """
 import hashlib
 import io
@@ -136,6 +141,14 @@ def grouping_digest() -> str:
     return out.hexdigest()
 
 
+def tape_nodes() -> int:
+    dataset = parse_dataset_lines(io.StringIO(inputs.train_small_text(SEED)))
+    split = split_per_user(dataset.samples, SEED)
+    config = TrainConfig(dim=16, seed=1000 * SEED)
+    mp = init_model_params(universe_of(dataset.samples), config.dim, config.seed)
+    return len(regularized_risk(split.train[:64], mp, config.lam).tape.nodes)
+
+
 def blas_threads() -> str:
     setting = [f"{k}={os.environ[k]}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if k in os.environ]
     return " ".join(setting) or "default"
@@ -151,6 +164,7 @@ def main() -> None:
     out.add(worst)
     print("criterion-1", out.hexdigest(), repr(worst))
     print("grouping   ", grouping_digest())
+    print("tape-nodes ", tape_nodes())
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gmrec import autodiff
 from gmrec.autodiff import (
+    ArrayOps,
     Parameter,
     Tape,
     gradient_check,
@@ -64,6 +65,47 @@ class TestRecordedPrimitives:
             with pytest.raises(ShapeError, match=f"^{name.replace('_', '-')}:"):
                 getattr(tape, name)(*operands, *consts)
         assert tape.nodes == []
+
+    def test_one_builder_for_every_arity(self):
+        """Rows of one, two and any number of operands record one node with
+        an edge per tracked operand, in operand order, each edge the VJP of
+        its own operand; with no operand tracked they record nothing.
+        Parameters, recorded results, untracked results and constants mix
+        freely, and the constants after the operands reach the forward."""
+        tape = Tape()
+        p, q = Parameter(np.full((2, 3), 1.5)), Parameter(np.full((2, 3), -2.0))
+        vp, vq = tape.param(p), tape.param(q)
+        recorded = tape.tanh(vq)
+        untracked = tape.relu(tape.constant(np.full((2, 3), 0.25)))
+        const = tape.constant(np.full((2, 3), 3.0))
+        assert untracked.node is None and tape.nodes == [recorded.node]
+        cases = [  # name, operands, constants, the parents of the node's edges
+            ("tanh", (vp,), (), [p]),
+            ("tanh", (untracked,), (), []),
+            ("scale", (recorded,), (-0.5,), [recorded.node]),
+            ("scale", (const,), (-0.5,), []),
+            ("mul", (const, recorded), (), [recorded.node]),
+            ("mul", (vp, untracked), (), [p]),
+            ("mul", (vq, vp), (), [q, p]),
+            ("mul", (untracked, const), (), []),
+            ("gather_rows", (vq,), (np.array([1, 1, 0]),), [q]),
+            ("sq_norm_sum", (const, vq, untracked, recorded, vp), (), [q, recorded.node, p]),
+            ("sq_norm_sum", (vp,), (), [p]),
+            ("sq_norm_sum", (const, untracked), (), []),
+        ]
+        for name, operands, consts, parents in cases:
+            before = len(tape.nodes)
+            out = getattr(tape, name)(*operands, *consts)
+            assert np.array_equal(out.data, getattr(ArrayOps, name)(*(a.data for a in operands), *consts)), name
+            if not parents:
+                assert out.node is None and len(tape.nodes) == before, name
+                continue
+            assert tape.nodes[before:] == [out.node], name
+            assert [parent for parent, _ in out.node.edges] == parents, name
+            if name == "sq_norm_sum":
+                tracked = [a.data for a in operands if a.node is not None]
+                for (_, vjp), data in zip(out.node.edges, tracked):
+                    assert np.array_equal(vjp(np.asarray(0.5)), data), name
 
     def test_each_primitive_is_one_table_row(self):
         """ArrayOps' primitives are the rows' forwards themselves and Tape's
@@ -282,6 +324,7 @@ PRIMITIVE_CASES = [
     ("segment_sum_prepared",
      lambda t, a: t.segment_sum_prepared(a, _SEG_IDS, *autodiff.segment_boundaries(_SEG_IDS), 4), 1, [(5, 3)]),
     ("pair_relu_sum", lambda t, a, b: t.pair_relu_sum(a, b, _PAIRS.blocks), 2, (5, 3)),
+    ("sq_norm_sum", lambda t, *a: t.sq_norm_sum(*a), 3, [(3, 4), (), (5,)]),
 ]
 
 # Per primitive with a shape rule: operand shapes and constants that break it.
@@ -300,6 +343,7 @@ SHAPE_MISMATCHES = {
     "add_rowvec": ([(3, 2), (3,)], ()),
     "add_scaled_rowvec": ([(3, 2), (2,)], (np.ones(2),)),
     "mul_rowvec": ([(3, 2), (3,)], ()),
+    "sq_norm_sum": ([], ()),
 }
 
 

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from gmrec import cli
 from gmrec.cli import main
-from gmrec.dataio import MAX_SYNTH_CARD, MAX_SYNTH_COUNT, ParseOptions, SynthSpec, parse_dataset, write_synthetic
+from gmrec.dataio import (
+    MAX_SYNTH_CARD,
+    MAX_SYNTH_COUNT,
+    ParseOptions,
+    SynthSpec,
+    load_checkpoint,
+    parse_dataset,
+    write_synthetic,
+)
 from gmrec.errors import EngineError
 from gmrec.training import MAX_DIM, TrainConfig
 
@@ -23,6 +31,14 @@ def synth_file(tmp_path):
     path = str(tmp_path / "data.tsv")
     write_synthetic(SynthSpec(users=30, items=20, samples=240, rule="xor_cross", seed=5), path)
     return path
+
+
+@pytest.fixture
+def one_class_file(tmp_path):
+    """6 users x 6 items, every label 1: each split holds samples of one class."""
+    path = tmp_path / "one_class.tsv"
+    path.write_text("".join(f"1\tuid=u{u}\tiid=i{i}\n" for u in range(6) for i in range(6)))
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -452,15 +468,29 @@ class TestTrainEvaluatePredict:
         assert "no samples" in err
 
     @pytest.mark.filterwarnings("ignore:.*fewer than 5 samples.*")
-    def test_evaluate_single_class_is_data_error(self, capsys, tmp_path):
+    def test_evaluate_single_class_reports_nan_auc(self, capsys, tmp_path):
+        """AUC is undefined on one class: it reads nan, and the other
+        metrics are still reported."""
         data = tmp_path / "oneclass.tsv"
         data.write_text("1\tu1\ti1\n1\tu1\ti2\n1\tu2\ti1\n")
         ckpt = str(tmp_path / "model.ckpt")
         run(capsys, "train", "--data", str(data), "--out", ckpt,
             "--dim", "4", "--epochs", "0")
-        code, _, err = run(capsys, "evaluate", "--data", str(data), "--ckpt", ckpt)
-        assert code == 2
-        assert "error" in err.lower()
+        code, out, err = run(capsys, "evaluate", "--data", str(data), "--ckpt", ckpt)
+        assert code == 0, err
+        assert out.startswith("auc=nan logloss=") and "ndcg@5=" in out
+
+    def test_train_on_one_class_writes_its_checkpoint(self, capsys, tmp_path, one_class_file):
+        """Training on data whose splits hold one class finishes: the test
+        line reports auc=nan and the checkpoint, written before it, loads."""
+        ckpt = str(tmp_path / "model.ckpt")
+        code, out, err = run(capsys, "train", "--data", one_class_file, "--out", ckpt,
+                             "--dim", "4", "--epochs", "2")
+        assert code == 0, err
+        assert "val_auc=nan" in out and "# test auc=nan " in out
+        assert out.index("# checkpoint written") < out.index("# test")
+        mp, variant, vocab = load_checkpoint(ckpt)
+        assert len(vocab.names) == 12 and mp.emb.shape == (12, 4)
 
     def test_predict_unknown_attribute_is_data_error(self, capsys, tmp_path, synth_file):
         ckpt = str(tmp_path / "model.ckpt")
@@ -551,6 +581,15 @@ class TestAblateAndMatrices:
         assert table[0].startswith("variant")
         assert len(table) == 4
         assert any(l.startswith("mode=fm") for l in table)
+
+    def test_ablate_on_one_class(self, capsys, one_class_file):
+        """Every model is trained and its row printed, with nan for AUC."""
+        code, out, err = run(capsys, "ablate", "--data", one_class_file, "--variants", "mode=fm;inner=bi",
+                             "--dim", "4", "--epochs", "1")
+        assert code == 0, err
+        table = out.strip().splitlines()
+        assert table[0].split() == ["variant", "auc", "logloss", "ndcg@5", "ndcg@10"]
+        assert [row.split()[1] for row in table[1:]] == ["nan", "nan"]
 
     @pytest.mark.parametrize("variants, name", [
         ("mode=union;inner=mlp,mode=union", "inner=bi,cross=bi,fuse=gru,mode=union"),

@@ -12,6 +12,7 @@ from gmrec.metrics import (
     export_matrices,
     format_matrix,
     logloss,
+    metric_report,
     ndcg_at_k,
 )
 
@@ -139,6 +140,24 @@ class TestNdcg:
         assert ndcg_at_k(first, 2) == 1.0
         expected = 1.0 / math.log2(3)
         assert abs(ndcg_at_k(second, 2) - expected) < 1e-12
+
+
+class TestMetricReport:
+    def test_undefined_metrics_read_nan(self):
+        """An AUC on one class and an NDCG without a relevant item are nan;
+        the metrics that are defined keep their values."""
+        positives = scored([0.9, 0.2], [1, 1])
+        negatives = scored([0.9, 0.2], [0, 0])
+        for data, ndcg in ((positives, 1.0), (negatives, math.nan)):
+            report = metric_report(data, ks=(1,))
+            assert list(report) == ["auc", "logloss", "ndcg@1"]
+            assert math.isnan(report["auc"]) and report["logloss"] == logloss(data)
+            assert report["ndcg@1"] == ndcg or math.isnan(ndcg) and math.isnan(report["ndcg@1"])
+
+    @pytest.mark.parametrize("data", [[], scored([math.nan, 0.2], [1, 0]), scored([math.inf, 0.2], [1, 1])])
+    def test_no_samples_or_a_non_finite_score_raises(self, data):
+        with pytest.raises(UndefinedMetricError):
+            metric_report(data)
 
 
 class TestExportMatrices:

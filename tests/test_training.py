@@ -72,6 +72,37 @@ class TestPenalty:
         with pytest.raises(ContractError):
             l2_penalty(Tape(), [], 0.1)
 
+    def test_two_nodes_with_the_bits_of_the_chain(self, rng):
+        """On a canonical model, the penalty records 2 nodes, and its value
+        and every gradient have the bits of a mul/sum_reduce/add chain."""
+        samples = [make_sample(2, 2, vals=list(rng.uniform(0.5, 1.5, size=4))) for _ in range(3)]
+        mp = init_model_params(universe_of(samples), 8, 3, CANONICAL)
+
+        def chain(tape, values, lam):
+            total = None
+            for v in values:
+                sq = tape.sum_reduce(tape.mul(v, v))
+                total = sq if total is None else tape.add(total, sq)
+            return tape.scale(total, lam)
+
+        def run(penalty):
+            for p in mp.parameters():
+                p.zero_grad()
+            tape = Tape()
+            values = [tape.param(p) for p in mp.parameters() if p is not mp.emb]
+            values.append(tape.gather_rows(tape.param(mp.emb), np.arange(0, mp.emb.shape[0], 2)))
+            recorded = len(tape.nodes)
+            out = penalty(tape, values, 0.1)
+            recorded = len(tape.nodes) - recorded
+            tape.backward(out)
+            return recorded, np.asarray(out.data).tobytes(), [p.grad.tobytes() for p in mp.parameters()]
+
+        nodes, value, grads = run(l2_penalty)
+        chain_nodes, chain_value, chain_grads = run(chain)
+        assert nodes == 2 and chain_nodes == 3 * len(mp.parameters())
+        assert value == chain_value
+        assert grads == chain_grads
+
 
 class TestRegularizedRisk:
     def _setup(self, rng, n=4):
@@ -106,6 +137,14 @@ class TestRegularizedRisk:
         _, mp = self._setup(rng)
         with pytest.raises(ContractError):
             regularized_risk([], mp, 0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_lam_rejected(self, rng, lam):
+        """A lam that is not finite or is negative is an error naming lam,
+        not a risk without its penalty (or an infinite one)."""
+        samples, mp = self._setup(rng)
+        with pytest.raises(ContractError, match="lam"):
+            regularized_risk(samples, mp, lam)
 
     def test_gradients_pass_finite_difference_check(self, rng):
         samples, mp = self._setup(rng, n=3)
