@@ -18,18 +18,18 @@ the forwards themselves, so the model's forward pass, written once against
 an ops object, computes the same arrays bit for bit on a Tape, which
 records it for the backward pass, and on ArrayOps, which records nothing.
 
-The ops object also chooses the matrix-product kernel, so the forward
-only states what to compute. Tape and ArrayOps run one BLAS product over
-all rows: the batched training loop, batch scoring and the gradient check
-use it, where only run-to-run determinism matters. RowLocalOps computes
-each output row as its own (1, k) @ (k, n) product: numpy's stacked matmul
-over a per-row axis, which hands every row to BLAS separately, so a row's
-bits do not depend on how many rows are stacked with it or where it sits.
-The per-sample prediction path runs on it so that structural identities
-(node reordering, role swap, single-node graphs) hold exactly. The left
-operand is made C-contiguous first: numpy passes a row to BLAS only when
-its elements are adjacent, and otherwise falls back to its own loop, which
-sums in another order.
+The ops object also chooses the product kernels, so the forward only
+states what to compute. Tape and ArrayOps run one BLAS product over all
+rows: the batched training loop, batch scoring and the gradient check use
+it, where only run-to-run determinism matters. RowLocalOps computes each
+row of a matrix product or per-row dot as its own (1, k) @ (k, n) or
+(1, k) @ (k, 1) product: numpy's stacked matmul over a per-row axis hands
+every row to BLAS separately, so a row's bits do not depend on how many
+rows are stacked with it or where it sits. Per-sample prediction runs on
+it so that structural identities (node reordering, role swap, single-node
+graphs) hold exactly. A matmul's left operand is made C-contiguous first:
+numpy passes a row to BLAS only when its elements are adjacent, and
+otherwise falls back to its own loop, which sums in another order.
 """
 from __future__ import annotations
 
@@ -465,10 +465,11 @@ for _name, _row in PRIMITIVES.items():
 
 
 class RowLocalOps(ArrayOps):
-    """ArrayOps whose matrix products are row-local (see the module
+    """ArrayOps whose matmul and rowdot are row-local (see the module
     docstring): each output row has the bits of that row computed alone."""
 
     matmul = staticmethod(_mm_row_local)
+    rowdot = staticmethod(lambda a, b: np.matmul(a[..., :, None, :], b[..., :, :, None])[..., 0, 0])
 
 
 def _evaluate_in_place(forward: Callable[[], Value]) -> Callable[[Parameter, np.ndarray], np.ndarray]:

@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -69,27 +70,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-# Fields whose flag is not the field name with dashes, to name it in errors.
-_FLAG_OF = {
-    "learning_rate": "lr",
-    "user_attr_card": "user-card",
-    "second_user_attr_card": "second-user-card",
-    "item_attr_card": "item-card",
-}
-
-
 def _settings(cls, args):
     """A `cls` dataclass from the fields whose flag was given (their flags
-    default to None); a range error is a usage error naming the flag, and
-    the config file when the value came from there (args.from_config)."""
+    default to None); a range error is a usage error naming the field's flag
+    in the command's parser, and the config file if it gave the value."""
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
              if getattr(args, f.name, None) is not None}
     try:
         return cls(**given)
     except InvalidConfigError as exc:
-        flag = _FLAG_OF.get(exc.field, str(exc.field).replace("_", "-"))
+        flag = next(a.option_strings[0] for a in args.command_parser._actions if a.dest == exc.field)
         where = f"config file {args.config}: " if exc.field in getattr(args, "from_config", ()) else ""
-        raise _UsageError(f"{where}--{flag}: {exc}") from None
+        raise _UsageError(f"{where}{flag}: {exc}") from None
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -115,14 +107,19 @@ def _variant(text: str) -> VariantConfig:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _distinct(items: list, name) -> list:
+    """items, or an argparse type error naming the first repeated item."""
+    for k, item in enumerate(items):
+        if item in items[:k]:
+            raise argparse.ArgumentTypeError(f"two entries name the {name(item)}")
+    return items
+
+
 def _variant_list(text: str) -> list[VariantConfig]:
     variants = [_variant(v) for v in text.split(";") if v.strip()]
     if not variants:
         raise argparse.ArgumentTypeError(f"expected at least one variant, got {text!r}")
-    for k, variant in enumerate(variants):
-        if variant in variants[:k]:
-            raise argparse.ArgumentTypeError(f"two entries name the variant {format_variant(variant)!r}")
-    return variants
+    return _distinct(variants, lambda v: f"variant {format_variant(v)!r}")
 
 
 def _finite_positive(text: str) -> float:
@@ -158,7 +155,7 @@ def _seed_list(text: str) -> list[int]:
         seeds = None
     if not seeds or any(s < 0 for s in seeds):
         raise argparse.ArgumentTypeError(f"expected comma-separated non-negative integers, got {text!r}")
-    return seeds
+    return _distinct(seeds, lambda s: f"seed {s}")
 
 
 def build_parser() -> _Parser:
@@ -278,8 +275,6 @@ def _cmd_evaluate(args) -> int:
     samples = dataset.samples
     if args.split == "test":
         samples = split_per_user(samples, args.seed).test
-    if not samples:
-        raise UndefinedMetricError("no samples in the requested split")
     scored = score_dataset(samples, mp, variant)
     print(format_metric_report(metric_report(scored)))
     if args.per_user:
@@ -302,13 +297,15 @@ def _cmd_predict(args) -> int:
 def _cmd_ablate(args) -> int:
     base = _settings(TrainConfig, args)  # a bad flag fails before the data is read
     dataset = parse_dataset(args.data, _settings(ParseOptions, args))
+    splits = {seed: split_per_user(dataset.samples, seed) for seed in args.seeds}
+    for seed, split in splits.items():  # before any model trains
+        if not split.test:
+            raise UndefinedMetricError(f"seed {seed}: no samples in the test split")
     rows = []
     for variant in args.variants:
         metrics_per_seed = []
-        for seed in args.seeds:
-            config = dataclasses.replace(base, seed=seed, variant=variant)
-            split = split_per_user(dataset.samples, seed)
-            result = train(split, config)
+        for seed, split in splits.items():
+            result = train(split, dataclasses.replace(base, seed=seed, variant=variant))
             metrics_per_seed.append(evaluate_model(split.test, result.params, variant))
         keys = list(metrics_per_seed[0])
         rows.append(
@@ -323,22 +320,21 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    worst = run_gradcheck(instances=args.instances, d=args.d, seed=args.seed, step=args.step)
-    print(f"max_relative_error={worst!r}")
-    if worst >= args.tol:
-        print(f"FAIL: above tolerance {args.tol}", file=sys.stderr)
+def _tolerance_report(name: str, worst: float, tol: float) -> int:
+    print(f"{name}={worst!r}")
+    if worst >= tol:
+        print(f"FAIL: above tolerance {tol}", file=sys.stderr)
         return 2
     return 0
+
+
+def _cmd_gradcheck(args) -> int:
+    worst = run_gradcheck(instances=args.instances, d=args.d, seed=args.seed, step=args.step)
+    return _tolerance_report("max_relative_error", worst, args.tol)
 
 
 def _cmd_fmcheck(args) -> int:
-    worst = run_fmcheck(n=args.n, d_max=args.d, seed=args.seed)
-    print(f"max_abs_deviation={worst!r}")
-    if worst >= args.tol:
-        print(f"FAIL: above tolerance {args.tol}", file=sys.stderr)
-        return 2
-    return 0
+    return _tolerance_report("max_abs_deviation", run_fmcheck(n=args.n, d_max=args.d, seed=args.seed), args.tol)
 
 
 def _cmd_synth(args) -> int:
@@ -395,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser
+    # Warnings print as `warning: <message>` while a command runs.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -409,6 +408,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise _UsageError(f"config file {args.config}: {exc}", exc.parser) from None
             merged.from_config = {k for k, v in vars(args).items() if v is None and getattr(merged, k) is not None}
             args = merged
+        args.command_parser = command
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -417,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -43,9 +43,9 @@ repeat and cumsum through the side map, with no Python loop per attribute.
 Inside a sample, nodes are processed in ascending attribute-id order, so
 reordering the input attributes cannot change any bit of the output. The
 pair sums always add a node's terms in neighbour order, and on RowLocalOps
-every matrix product is row-local, so per-row results do not depend on
-what else is stacked; predict() runs on it for its exact structural
-identities.
+every matrix product and per-row dot is row-local, so per-row results do
+not depend on what else is stacked; predict() runs on it for its exact
+structural identities and reads its score from that forward.
 
 The engine runs the stages that depend on one side alone once per distinct
 side: the nodes of step 1, the messages of step 2, the side sums, and GRU
@@ -55,7 +55,7 @@ repeated side has no gather, so a single sample's arrays are those of a
 forward without the dedupe.
 
 The engine is written once, against an ops object, which also chooses the
-matrix-product kernel. Training runs it on a Tape, which records it for the
+product kernels. Training runs it on a Tape, which records it for the
 backward pass; scoring and the difference quotients of the gradient check
 run it on ArrayOps, which computes the same arrays bit for bit and records
 nothing; predict() and the spec-level functions run it on RowLocalOps.
@@ -135,7 +135,7 @@ FM_REDUCTION = VariantConfig(inner="bi", cross="bi", fuse="sum", mode="fm")
 
 def parse_variant(text: str) -> VariantConfig:
     """Parse a config string like "inner=mlp,cross=bi,fuse=gru"."""
-    fields = {}
+    given = {}
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -144,10 +144,12 @@ def parse_variant(text: str) -> VariantConfig:
             raise InvalidConfigError(f"bad variant token {token!r}")
         key, _, value = token.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in ("inner", "cross", "fuse", "mode"):
+        if key not in {f.name for f in fields(VariantConfig)}:
             raise InvalidConfigError(f"unknown variant key {key!r}")
-        fields[key] = value
-    return VariantConfig(**fields)
+        if key in given:
+            raise InvalidConfigError(f"variant key {key!r} given twice")
+        given[key] = value
+    return VariantConfig(**given)
 
 
 def format_variant(v: VariantConfig) -> str:
@@ -620,7 +622,8 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONI
 
     Internally nodes are processed in ascending attribute-id order on
     RowLocalOps, so the score is bit-identical under any reordering of the
-    input attributes and under swapping the user and item roles.
+    input attributes and under swapping the user and item roles. The score
+    is the forward's readout: in graph mode, np.dot of the two representations.
     """
     plan = build_plan([sample], mp.table, variant)
     out = _forward(RowLocalOps(), plan, mp, variant)
@@ -637,16 +640,10 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONI
     chars = sample.user_chars + sample.item_chars
     nodes = tuple(diag(c.att, row) for c, row in zip(chars, np.argsort(plan.input_pos)))
     user_nodes, item_nodes = nodes[:len(sample.user_chars)], nodes[len(sample.user_chars):]
-    user_repr = out.user_repr[0].copy()
-    item_repr = out.item_repr[0].copy()
-    if variant.mode in ("union", "fm"):
-        score = float(out.scores[0])
-    else:
-        score = float(np.dot(user_repr, item_repr))
     return ForwardResult(
-        user_repr=user_repr,
-        item_repr=item_repr,
-        score=score,
+        user_repr=out.user_repr[0].copy(),
+        item_repr=out.item_repr[0].copy(),
+        score=float(out.scores[0]),
         user_nodes=user_nodes,
         item_nodes=item_nodes,
     )

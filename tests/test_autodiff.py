@@ -686,11 +686,38 @@ def test_row_local_rows_do_not_depend_on_the_stack(data):
             assert np.array_equal(out[j + (i,)], _row_alone(a[j + (i,)], b_j)), (j, i)
 
 
-def test_row_local_ops_differ_from_array_ops_in_matmul_only():
-    """RowLocalOps is ArrayOps with the row-local kernel as its matmul, and
-    ArrayOps' matmul is numpy's, the same bits as a @ b."""
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_local_rowdot_is_np_dot_of_each_row_pair(data):
+    """RowLocalOps.rowdot gives every row the bits of np.dot on that row
+    pair, for widths 1-257, with a leading K axis on either operand or on
+    both, and a row keeps them when other rows are stacked around it."""
+    m, d = data.draw(st.integers(1, 6), label="m"), data.draw(st.integers(1, 257), label="d")
+    a_lead, b_lead = data.draw(st.sampled_from([((), ()), ((3,), ()), ((), (3,)), ((3,), (3,))]), label="leads")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a, b = rng.normal(size=a_lead + (m, d)), rng.normal(size=b_lead + (m, d))
+
+    out = autodiff.RowLocalOps.rowdot(a, b)
+    lead = a_lead or b_lead
+    assert out.shape == lead + (m,)
+    for j in np.ndindex(*lead):
+        a_j, b_j = a[j] if a_lead else a, b[j] if b_lead else b
+        for i in range(m):
+            assert out[j + (i,)] == np.dot(a_j[i], b_j[i]), (j, i)
+    before = int(rng.integers(0, 4))
+
+    def stacked(x, x_lead):
+        return np.concatenate([rng.normal(size=x_lead + (before, d)), x, rng.normal(size=x_lead + (2, d))], axis=-2)
+
+    in_stack = autodiff.RowLocalOps.rowdot(stacked(a, a_lead), stacked(b, b_lead))
+    assert np.array_equal(in_stack[..., before:before + m], out)
+
+
+def test_row_local_ops_differ_from_array_ops_in_matmul_and_rowdot_only():
+    """RowLocalOps is ArrayOps with row-local kernels as its matmul and
+    rowdot, and ArrayOps' matmul is numpy's, the same bits as a @ b."""
     own = {name for name in vars(autodiff.RowLocalOps) if not name.startswith("__")}
-    assert own == {"matmul"}
+    assert own == {"matmul", "rowdot"}
     a, b = np.random.default_rng(3).normal(size=(2, 37, 37))
     assert np.array_equal(autodiff.RowLocalOps.matmul(a, b), autodiff._mm_row_local(a, b))
     assert np.array_equal(autodiff.ArrayOps.matmul(a, b), a @ b)

@@ -4,6 +4,9 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +227,37 @@ class TestConfigRangeErrors:
         prefix = f"usage error: config file {config}: " if where == "config file" else "usage error: "
         assert usage_error_line(err) == prefix + "--dim: dim must be >= 1, got 0"
 
+    @pytest.mark.parametrize("line, error", [
+        ("lr = 0", "--lr: learning_rate must be finite and positive, got 0.0"),
+        ("batch_size = 0", "--batch-size: batch_size must be >= 1, got 0"),
+    ])
+    def test_config_file_value_names_the_flag(self, capsys, tmp_path, line, error):
+        """A bad value from the config file names its flag, which for
+        learning_rate is --lr, not the field."""
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n")
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "never-read.tsv"), "--config", str(config))
+        assert code == 1, err
+        assert usage_error_line(err) == f"usage error: config file {config}: {error}"
+
+    @pytest.mark.parametrize("argv", [("train", "--variant", "inner=mlp,cross=bi,inner=bi"),
+                                      ("ablate", "--variants", "mode=fm;inner=mlp,cross=bi,inner=bi")])
+    def test_repeated_variant_key(self, capsys, tmp_path, argv):
+        """A variant key given twice is a usage error naming the key, not a
+        silent win for its last value."""
+        code, out, err = run(capsys, argv[0], "--data", str(tmp_path / "never-read.tsv"), *argv[1:])
+        assert code == 1, err
+        assert out == ""
+        assert usage_error_line(err) == f"usage error: argument {argv[1]}: variant key 'inner' given twice"
+
+    def test_config_file_repeated_variant_key(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("variant = inner=mlp,cross=bi,inner=bi\n")
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "never-read.tsv"), "--config", str(config))
+        assert code == 1, err
+        assert usage_error_line(err) == (f"usage error: config file {config}: "
+                                         "argument --variant: variant key 'inner' given twice")
+
     def test_config_file_threshold(self, capsys, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("threshold = nan\n")
@@ -368,6 +402,7 @@ class TestChecks:
         code, _, err = run(capsys, "gradcheck", "--d", "6", "--seed", "1",
                            "--instances", "1", "--tol", "1e-18")
         assert code == 2
+        assert err == "FAIL: above tolerance 1e-18\n"
 
     def test_fmcheck_passes(self, capsys):
         code, out, _ = run(capsys, "fmcheck", "--n", "10", "--seed", "2")
@@ -605,6 +640,28 @@ class TestAblateAndMatrices:
         line = usage_error_line(err)
         assert "--variants" in line and repr(name) in line
 
+    def test_ablate_rejects_a_repeated_seed(self, capsys, tmp_path):
+        """A seed given twice would be trained twice and averaged with
+        itself: a usage error naming it, raised before the data is read."""
+        code, out, err = run(capsys, "ablate", "--data", str(tmp_path / "never-read.tsv"), "--variants", "mode=fm",
+                             "--seeds", "3,0,3")
+        assert code == 1, err
+        assert out == ""
+        assert usage_error_line(err) == "usage error: argument --seeds: two entries name the seed 3"
+
+    def test_ablate_empty_test_split_fails_before_training(self, capsys, tmp_path, monkeypatch):
+        """Each seed is split once, before any model trains: a seed whose
+        test split is empty is a data error naming it, and nothing trains."""
+        data = tmp_path / "tiny.tsv"
+        data.write_text("1\tu1\ti1\n0\tu1\ti2\n1\tu2\ti1\n0\tu2\ti2\n")
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("a model was trained"))
+        with pytest.warns(UserWarning, match="fewer than 5 samples"):
+            code, out, err = run(capsys, "ablate", "--data", str(data), "--variants", "mode=fm;inner=bi",
+                                 "--seeds", "3,0", "--dim", "4", "--epochs", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed 3: no samples in the test split\n"
+
     def test_export_matrices(self, capsys, tmp_path, synth_file):
         ckpt = str(tmp_path / "model.ckpt")
         run(capsys, "train", "--data", synth_file, "--out", ckpt,
@@ -623,3 +680,24 @@ class TestAblateAndMatrices:
         code, _, err = run(capsys, "export-matrices", "--ckpt", ckpt,
                            "--group-a", "nonexistent", "--group-b", "ic=*")
         assert code == 2
+
+
+def test_cli_prints_a_warning_as_one_line(capsys, tmp_path):
+    """Under Python's default warning filters the CLI prints a warning as
+    `warning: <message>`, with no source location or source line; main
+    puts the standard format back when it returns."""
+    data = tmp_path / "tiny.tsv"
+    data.write_text("1\tu1\ti1\n0\tu1\ti2\n1\tu2\ti1\n0\tu2\ti2\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from gmrec.cli import main; sys.exit(main(sys.argv[1:]))",
+         "train", "--data", str(data), "--dim", "2", "--epochs", "0"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: 2 user(s) had fewer than 5 samples; all their samples went to train\n"
+    before = warnings.formatwarning
+    assert run(capsys, "gradcheck", "--d", "0")[0] == 1
+    assert warnings.formatwarning is before

@@ -499,9 +499,8 @@ class TestCheckpoint:
         assert err == f"error: array counts ({n_mlp} MLP, {n_gru} GRU) do not match variant {old!r}\n"
 
 
-def _fm_blob(entries, dim=2, rows=None):
+def _fm_blob(entries, dim=2, rows=None, variant=b"mode=fm"):
     """A mode=fm checkpoint (embeddings only) over (name bytes, side byte) entries."""
-    variant = b"mode=fm"
     blob = MAGIC + struct.pack("<IIIII", dim, len(entries), len(variant), 0, 0) + variant
     for name, side in entries:
         blob += struct.pack("<I", len(name)) + name + bytes([side])
@@ -526,8 +525,10 @@ class TestCheckpointHardening:
             (_fm_blob([(b"u", 0), (b"i", 2)]), "side byte"),
             (_fm_blob([(b"u", 0), (b"i", 1)], dim=0), "dim"),
             (_fm_blob([], dim=2), "empty"),
+            (_fm_blob([(b"u", 0), (b"i", 1)], variant=b"mode=fm,mode=fm"),
+             "corrupt variant string: variant key 'mode' given twice"),
         ],
-        ids=["non-utf8-name", "duplicate-names", "side-byte-2", "dim-0", "empty-vocabulary"],
+        ids=["non-utf8-name", "duplicate-names", "side-byte-2", "dim-0", "empty-vocabulary", "repeated-variant-key"],
     )
     def test_corrupt_checkpoint_rejected(self, tmp_path, capsys, blob, message):
         path = str(tmp_path / "model.ckpt")

@@ -46,6 +46,13 @@ class TestVariantConfig:
         assert parse_variant("") == CANONICAL
         assert VariantConfig() == CANONICAL
 
+    @pytest.mark.parametrize("text, key", [("inner=mlp,inner=bi", "inner"), ("mode=fm,mode=fm", "mode"),
+                                           ("inner=mlp,cross=bi,fuse=gru,cross=none", "cross")])
+    def test_repeated_key_rejected(self, text, key):
+        """A key given twice is an error naming it, even with one value."""
+        with pytest.raises(InvalidConfigError, match=f"variant key {key!r} given twice"):
+            parse_variant(text)
+
     def test_bad_values_rejected(self):
         with pytest.raises(InvalidConfigError):
             parse_variant("inner=attention")
