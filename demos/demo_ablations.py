@@ -6,16 +6,7 @@ the reduced pipeline that collapses to a factorization machine.
 
 Run: python demos/demo_ablations.py
 """
-from gmrec import (
-    SynthSpec,
-    TrainConfig,
-    evaluate_model,
-    generate_synthetic,
-    parse_dataset_lines,
-    parse_variant,
-    split_per_user,
-    train,
-)
+from gmrec import SynthSpec, TrainConfig, ablate, generate_synthetic, parse_dataset_lines, parse_variant
 
 VARIANTS = [
     "inner=mlp,cross=bi,fuse=gru",   # the full model
@@ -34,14 +25,10 @@ text, _ = generate_synthetic(
               noise=0.1, ids=False, seed=4)
 )
 dataset = parse_dataset_lines(text.splitlines())
-split = split_per_user(dataset.samples, seed=0)
+config = TrainConfig(dim=16, learning_rate=3e-3, epochs=25, batch_size=64, patience=25)
+reports = ablate(dataset.samples, [parse_variant(v) for v in VARIANTS], [0], config)
 
 print(f"{'variant':35s} {'auc':>8s} {'logloss':>8s} {'ndcg@10':>8s}")
-for text_variant in VARIANTS:
-    variant = parse_variant(text_variant)
-    config = TrainConfig(dim=16, learning_rate=3e-3, epochs=25, batch_size=64,
-                         seed=0, patience=25, variant=variant)
-    result = train(split, config)
-    report = evaluate_model(split.test, result.params, variant)
+for text_variant, report in zip(VARIANTS, reports):
     print(f"{text_variant:35s} {report['auc']:8.4f} {report['logloss']:8.4f} "
           f"{report['ndcg@10']:8.4f}")

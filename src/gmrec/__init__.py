@@ -89,6 +89,7 @@ from .training import (
     SplitDataset,
     TrainConfig,
     TrainResult,
+    ablate,
     adam_step,
     bce_loss,
     item_pool_of,

@@ -515,8 +515,8 @@ def gradient_check(
     Without value_fn each row is written into p.values in turn, forward()
     is run on its own tape, and the values are restored afterwards.
     """
-    if step <= 0:
-        raise ContractError("gradient_check: step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ContractError("gradient_check: step must be finite and positive")
     for p in params:
         p.zero_grad()
     out = forward()

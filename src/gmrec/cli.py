@@ -21,8 +21,6 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from .dataio import (
     ParseOptions,
     SynthSpec,
@@ -32,7 +30,7 @@ from .dataio import (
     save_checkpoint,
     write_synthetic,
 )
-from .errors import EngineError, InvalidConfigError, UndefinedMetricError
+from .errors import EngineError, InvalidConfigError
 from .metrics import (
     evaluate_model,
     export_matrices,
@@ -44,7 +42,7 @@ from .metrics import (
 )
 from .model import VariantConfig, format_variant, parse_variant, predict
 from .selfcheck import run_fmcheck, run_gradcheck
-from .training import MAX_DIM, TrainConfig, split_per_user, train
+from .training import MAX_DIM, TrainConfig, ablate, split_per_user, train
 
 
 class _UsageError(Exception):
@@ -231,7 +229,7 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
     key may spell the flag's dashes as underscores."""
     # The command line always gives these flags.
     fixed = {f for a in command._actions if a.required or a.dest == "config" for f in a.option_strings}
-    flags = []
+    flags = {}
     with open(path, "r", encoding="utf-8") as handle:
         try:
             lines = handle.readlines()
@@ -247,8 +245,10 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
         flag = f"--{key.strip().replace('_', '-')}"
         if flag in fixed:
             raise _UsageError(f"key {key.strip()!r} is not allowed; give {flag} on the command line")
-        flags.append(f"{flag}={value.strip()}")
-    return flags
+        if flag in flags:
+            raise _UsageError(f"key {key.strip()!r} given twice")
+        flags[flag] = f"{flag}={value.strip()}"
+    return list(flags.values())
 
 
 def _cmd_train(args) -> int:
@@ -297,25 +297,12 @@ def _cmd_predict(args) -> int:
 def _cmd_ablate(args) -> int:
     base = _settings(TrainConfig, args)  # a bad flag fails before the data is read
     dataset = parse_dataset(args.data, _settings(ParseOptions, args))
-    splits = {seed: split_per_user(dataset.samples, seed) for seed in args.seeds}
-    for seed, split in splits.items():  # before any model trains
-        if not split.test:
-            raise UndefinedMetricError(f"seed {seed}: no samples in the test split")
-    rows = []
-    for variant in args.variants:
-        metrics_per_seed = []
-        for seed, split in splits.items():
-            result = train(split, dataclasses.replace(base, seed=seed, variant=variant))
-            metrics_per_seed.append(evaluate_model(split.test, result.params, variant))
-        keys = list(metrics_per_seed[0])
-        rows.append(
-            (format_variant(variant),
-             {k: float(np.mean([m[k] for m in metrics_per_seed])) for k in keys})
-        )
-    name_width = max(len(name) for name, _ in rows)
-    keys = list(rows[0][1])
+    reports = ablate(dataset.samples, args.variants, args.seeds, base)
+    names = [format_variant(v) for v in args.variants]
+    name_width = max(map(len, names))
+    keys = list(reports[0])
     print(f"{'variant':<{name_width}} " + " ".join(f"{k:>10}" for k in keys))
-    for name, metrics in rows:
+    for name, metrics in zip(names, reports):
         print(f"{name:<{name_width}} " + " ".join(f"{metrics[k]:>10.4f}" for k in keys))
     return 0
 

@@ -142,9 +142,12 @@ def _parse_token(token: str) -> tuple[str, float]:
     name, sep, raw = token.partition("=")
     if sep:
         try:
-            return name, float(raw)
+            value = float(raw)
         except ValueError:
-            pass  # non-numeric value: the whole token is a categorical attribute
+            return token, 1.0  # non-numeric value: the whole token is a categorical attribute
+        if not name:
+            raise ParseError(f"token {token!r} gives a value to an empty attribute name")
+        return name, value
     return token, 1.0
 
 

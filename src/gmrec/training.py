@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Parameter, Tape, Value
 from .data import DataSample, side_key, universe_of
-from .errors import ContractError, InvalidConfigError, SamplingError, TrainingError
-from .metrics import metric_report, score_dataset
+from .errors import ContractError, InvalidConfigError, SamplingError, TrainingError, UndefinedMetricError
+from .metrics import evaluate_model, metric_report, score_dataset
 from .model import (
     CANONICAL,
     ModelParams,
@@ -268,6 +268,21 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
     if best_values is not None:
         mp.load_values(best_values)
     return TrainResult(params=mp, logs=logs, best_epoch=best_epoch)
+
+
+def ablate(samples: Sequence[DataSample], variants: Sequence[VariantConfig], seeds: Sequence[int],
+           config: TrainConfig) -> list[dict]:
+    """Each variant's evaluate_model report on the test split, averaged over
+    the seeds, in variant order. Each seed is split once, before any model
+    trains, and a variant trains on it with config's seed and variant set to
+    its own; the first seed whose test split is empty raises UndefinedMetricError."""
+    splits = [split_per_user(samples, seed) for seed in seeds]
+    for seed, split in zip(seeds, splits):
+        if not split.test:
+            raise UndefinedMetricError(f"seed {seed}: no samples in the test split")
+    reports = [[evaluate_model(split.test, train(split, replace(config, seed=seed, variant=variant)).params, variant)
+                for seed, split in zip(seeds, splits)] for variant in variants]
+    return [{k: float(np.mean([r[k] for r in per_seed])) for k in per_seed[0]} for per_seed in reports]
 
 
 def _validation_metrics(valid: Sequence[DataSample], mp, variant) -> tuple[float, float]:

@@ -12,8 +12,6 @@ sum(u_i * u_j) = <v_i, v_j> * val_i * val_j.
 """
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from .autodiff import Parameter
@@ -23,23 +21,17 @@ from .model import FM_REDUCTION, ModelParams, score_samples
 __all__ = ["fm_predict", "fm_reduction_predict"]
 
 
-def fm_predict(
-    sample: DataSample,
-    table: EmbeddingTable,
-    weights: Mapping[int, float] | None = None,
-) -> float:
+def fm_predict(sample: DataSample, table: EmbeddingTable) -> float:
     """Factorization-machine score over the union of both attribute sets.
 
     The per-attribute linear weight is the sum of the attribute's embedding
-    entries unless an explicit mapping from attribute id to weight is given;
-    the bias term is omitted.
+    entries; the bias term is omitted.
     """
     pairs = sample.user_chars + sample.item_chars
     vectors = table.vectors([p.att for p in pairs])
     total = 0.0
     for p, v in zip(pairs, vectors):
-        w = weights[p.att.id] if weights is not None else float(v.sum())
-        total += w * p.val
+        total += float(v.sum()) * p.val
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             total += float(np.dot(vectors[i], vectors[j])) * pairs[i].val * pairs[j].val

@@ -19,7 +19,10 @@ that print the same lines under one setting give bit-identical results on:
                shuffled (parsed with the inputs' vocabulary): the parse
                reports, the splits as side keys and labels in order with
                min_positives 0 and 6, and the per-user report of a fixed
-               model on each split's test part.
+               model on each split's test part;
+  ablate       the reports of training.ablate for the canonical variant and
+               mode=fm on the train-small seed-2001 input, seed 2001, d=8,
+               one epoch.
 
 Last it prints `tape-nodes N`: a count, not a hash. N is the number of
 nodes one canonical train-small step records on its tape (the seed-2001
@@ -50,9 +53,9 @@ from gmrec.data import (  # noqa: E402
 )
 from gmrec.dataio import ParseOptions, parse_dataset_lines  # noqa: E402
 from gmrec.metrics import per_user_report, score_dataset  # noqa: E402
-from gmrec.model import init_model_params, predict, score_samples  # noqa: E402
+from gmrec.model import CANONICAL, FM_REDUCTION, init_model_params, predict, score_samples  # noqa: E402
 from gmrec.selfcheck import run_gradcheck  # noqa: E402
-from gmrec.training import TrainConfig, regularized_risk, split_per_user, train  # noqa: E402
+from gmrec.training import TrainConfig, ablate, regularized_risk, split_per_user, train  # noqa: E402
 
 SEED = 2001
 
@@ -141,6 +144,14 @@ def grouping_digest() -> str:
     return out.hexdigest()
 
 
+def ablate_digest() -> str:
+    dataset = parse_dataset_lines(io.StringIO(inputs.train_small_text(SEED)))
+    config = TrainConfig(dim=8, learning_rate=3e-3, epochs=1, batch_size=64, patience=1)
+    out = Digest()
+    out.add(ablate(dataset.samples, [CANONICAL, FM_REDUCTION], [SEED], config))
+    return out.hexdigest()
+
+
 def tape_nodes() -> int:
     dataset = parse_dataset_lines(io.StringIO(inputs.train_small_text(SEED)))
     split = split_per_user(dataset.samples, SEED)
@@ -164,6 +175,7 @@ def main() -> None:
     out.add(worst)
     print("criterion-1", out.hexdigest(), repr(worst))
     print("grouping   ", grouping_digest())
+    print("ablate     ", ablate_digest())
     print("tape-nodes ", tape_nodes())
 
 

@@ -29,7 +29,7 @@ from gmrec.model import (
     swap_roles,
 )
 from gmrec.selfcheck import random_instance, run_fmcheck, run_gradcheck
-from gmrec.training import SplitDataset, TrainConfig, split_per_user, train
+from gmrec.training import SplitDataset, TrainConfig, ablate, split_per_user, train
 
 from conftest import make_sample
 from oracles import auc_pair_oracle, ndcg_direct
@@ -154,18 +154,6 @@ ABLATION_SPEC = SynthSpec(
 )
 
 
-def _train_auc_on(ds, variant_text, seed, epochs=40, batch_size=64, lr=3e-3, dim=16):
-    from gmrec.metrics import evaluate_model
-
-    split = split_per_user(ds.samples, seed)
-    config = TrainConfig(
-        dim=dim, learning_rate=lr, epochs=epochs, batch_size=batch_size,
-        seed=seed, patience=epochs, variant=parse_variant(variant_text),
-    )
-    result = train(split, config)
-    return evaluate_model(split.test, result.params, config.variant)["auc"]
-
-
 def test_criterion_6_directional_ablation():
     """On the planted-rule dataset (10k samples, XOR-modulated cross-affinity,
     noise 0.1) the full model beats both the no-matching variant and the
@@ -174,9 +162,10 @@ def test_criterion_6_directional_ablation():
     t0 = time.perf_counter()
     text, _ = generate_synthetic(ABLATION_SPEC)
     ds = parse_dataset_lines(text.splitlines())
-    means = {}
-    for variant in ("inner=mlp,cross=bi,fuse=gru", "inner=mlp,cross=none,fuse=gru", "mode=fm"):
-        means[variant] = float(np.mean([_train_auc_on(ds, variant, seed) for seed in (0, 1, 2)]))
+    variants = ("inner=mlp,cross=bi,fuse=gru", "inner=mlp,cross=none,fuse=gru", "mode=fm")
+    config = TrainConfig(dim=16, learning_rate=3e-3, epochs=40, batch_size=64, patience=40)
+    reports = ablate(ds.samples, [parse_variant(v) for v in variants], [0, 1, 2], config)
+    means = {variant: report["auc"] for variant, report in zip(variants, reports)}
     elapsed = time.perf_counter() - t0
     canon = means["inner=mlp,cross=bi,fuse=gru"]
     margin_none = canon - means["inner=mlp,cross=none,fuse=gru"]
@@ -222,7 +211,6 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
 def test_criterion_8_degenerate_attribute_regimes():
     """Training and evaluation complete in all four attribute regimes, and
     with both sides' attributes the test AUC is at least the id-only one."""
-    from gmrec.metrics import evaluate_model
 
     def regime_auc(attrs, epochs):
         spec = SynthSpec(
@@ -232,11 +220,8 @@ def test_criterion_8_degenerate_attribute_regimes():
         )
         text, _ = generate_synthetic(spec)
         ds = parse_dataset_lines(text.splitlines())
-        split = split_per_user(ds.samples, seed=0)
-        config = TrainConfig(dim=16, learning_rate=3e-3, epochs=epochs,
-                             batch_size=64, seed=0, patience=epochs)
-        result = train(split, config)
-        return evaluate_model(split.test, result.params, config.variant)["auc"]
+        config = TrainConfig(dim=16, learning_rate=3e-3, epochs=epochs, batch_size=64, patience=epochs)
+        return ablate(ds.samples, [CANONICAL], [0], config)[0]["auc"]
 
     # all four regimes must run end to end
     smoke = {attrs: regime_auc(attrs, epochs=2) for attrs in ("none", "user", "item", "both")}

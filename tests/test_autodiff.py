@@ -1,5 +1,6 @@
 import gc
 import inspect
+import math
 import weakref
 
 import numpy as np
@@ -529,8 +530,10 @@ class TestGradientCheck:
         assert gradient_check(forward, [p]) < 1e-10
 
     def test_bad_step_rejected(self):
-        with pytest.raises(ContractError):
-            gradient_check(lambda: None, [], step=0.0)
+        """A bad step is rejected before any forward runs."""
+        for step in (0.0, -1e-5, math.nan, math.inf):
+            with pytest.raises(ContractError, match="step must be finite and positive"):
+                gradient_check(lambda: pytest.fail("the forward ran"), [], step=step)
 
     def test_non_finite_forward_rejected(self):
         p = Parameter([1.0])

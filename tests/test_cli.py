@@ -104,6 +104,18 @@ class TestUsage:
         assert code == 1, err
         assert str(config) in usage_error_line(err) and repr(key) in usage_error_line(err)
 
+    @pytest.mark.parametrize("lines, key", [("dim = 8\ndim = 4\n", "dim"),
+                                            ("batch_size = 64\nepochs = 1\nbatch-size = 32\n", "batch-size")])
+    def test_config_key_given_twice_is_usage_error(self, capsys, tmp_path, lines, key):
+        """A key that sets its flag a second time is a usage error naming the
+        file and the key, raised before the data file is read."""
+        config = tmp_path / "run.conf"
+        config.write_text(lines)
+        code, out, err = run(capsys, "train", "--data", str(tmp_path / "never-read.tsv"), "--config", str(config))
+        assert code == 1, err
+        assert out == ""
+        assert usage_error_line(err) == f"usage error: config file {config}: key {key!r} given twice"
+
     @pytest.mark.parametrize("in_config", [False, True])
     def test_seed_does_not_abbreviate_seeds(self, capsys, tmp_path, in_config):
         """ablate has --seeds and no --seed: flags and config keys match by
@@ -654,7 +666,7 @@ class TestAblateAndMatrices:
         test split is empty is a data error naming it, and nothing trains."""
         data = tmp_path / "tiny.tsv"
         data.write_text("1\tu1\ti1\n0\tu1\ti2\n1\tu2\ti1\n0\tu2\ti2\n")
-        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("a model was trained"))
+        monkeypatch.setattr("gmrec.training.train", lambda *args: pytest.fail("a model was trained"))
         with pytest.warns(UserWarning, match="fewer than 5 samples"):
             code, out, err = run(capsys, "ablate", "--data", str(data), "--variants", "mode=fm;inner=bi",
                                  "--seeds", "3,0", "--dim", "4", "--epochs", "1")

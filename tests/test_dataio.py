@@ -60,6 +60,23 @@ class TestParsing:
         assert s.item_chars[0].val == -2.0
         assert ds.vocab.names == ["age", "price"]
 
+    @pytest.mark.parametrize("token", ["=3", "=-2.5", "=nan"])
+    def test_numeric_token_without_a_name_rejected(self, token, capsys, tmp_path):
+        """A numeric value needs an attribute name: a ParseError naming the
+        line and the token, exit 2 from the CLI."""
+        lines = ["1\tu1\ti1", f"0\tu1 {token}\ti2"]
+        with pytest.raises(ParseError, match=rf"^line 2: token '{token}' gives a value to an empty attribute name$"):
+            parse_dataset_lines(lines)
+        data = tmp_path / "data.tsv"
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(data), "--dim", "2", "--epochs", "1"]) == 2
+        assert f"token '{token}'" in capsys.readouterr().err
+
+    def test_categorical_token_may_start_with_equals(self):
+        ds = parse_dataset_lines(["1\t=\t=x"])
+        assert ds.vocab.names == ["=", "=x"]
+        assert all(p.val == 1.0 for p in ds.samples[0].user_chars + ds.samples[0].item_chars)
+
     def test_rating_threshold(self):
         lines = ["4\tu1\ti1", "3\tu1\ti2"]
         ds = parse_dataset_lines(lines, ParseOptions(threshold=3.0))

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import gmrec.training
 from gmrec.autodiff import Parameter, Tape, gradient_check
 from gmrec.data import sample_user_key, universe_of
-from gmrec.errors import ContractError, InvalidConfigError, SamplingError
-from gmrec.metrics import auc
-from gmrec.model import CANONICAL, init_model_params, score_samples
+from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines
+from gmrec.errors import ContractError, InvalidConfigError, SamplingError, UndefinedMetricError
+from gmrec.metrics import auc, evaluate_model
+from gmrec.model import CANONICAL, FM_REDUCTION, init_model_params, score_samples
 from gmrec.training import (
     AdamState,
     MAX_DIM,
     SplitDataset,
     TrainConfig,
+    ablate,
     adam_step,
     bce_loss,
     item_pool_of,
@@ -353,3 +356,36 @@ class TestTrain:
             ]
         )
         assert abs(recomputed - best_logged) < 1e-12
+
+
+class TestAblate:
+    VARIANTS = [CANONICAL, FM_REDUCTION]
+
+    def test_equals_split_train_evaluate_and_mean(self):
+        """Bit for bit: split each seed, train each variant on it with the
+        seed and variant set, evaluate on its test split, and average each
+        metric over the seeds; one report per variant, in variant order."""
+        text, _ = generate_synthetic(SynthSpec(users=30, items=20, samples=240, rule="xor_cross", seed=5))
+        samples = parse_dataset_lines(text.splitlines()).samples
+        seeds = [3, 1]
+        config = TrainConfig(dim=4, learning_rate=3e-3, epochs=2, batch_size=32, seed=99, patience=2)
+        expected = []
+        for variant in self.VARIANTS:
+            reports = []
+            for seed in seeds:
+                split = split_per_user(samples, seed)
+                result = train(split, TrainConfig(dim=4, learning_rate=3e-3, epochs=2, batch_size=32,
+                                                  seed=seed, patience=2, variant=variant))
+                reports.append(evaluate_model(split.test, result.params, variant))
+            expected.append({k: float(np.mean([r[k] for r in reports])) for k in reports[0]})
+        assert expected[0] != expected[1]
+        assert ablate(samples, self.VARIANTS, seeds, config) == expected
+
+    def test_empty_test_split_raises_before_any_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gmrec.training, "train", lambda *args: calls.append(args))
+        samples = parse_dataset_lines(["1\tu1\ti1", "0\tu1\ti2", "1\tu2\ti1", "0\tu2\ti2"]).samples
+        with pytest.warns(UserWarning, match="fewer than 5 samples"):
+            with pytest.raises(UndefinedMetricError, match="^seed 3: no samples in the test split$"):
+                ablate(samples, self.VARIANTS, [3, 0], TrainConfig(dim=4, epochs=1))
+        assert calls == []

@@ -163,14 +163,6 @@ class TestFmPredict:
         # item side contributes val=0; user side: sum([2,3]) * 2 = 10
         assert fm_predict(sample, table) == 10.0
 
-    def test_explicit_weights_override_linear_term(self):
-        sample = make_sample(1, 1)
-        table = init_embeddings(universe_of([sample]), 2, 0)
-        table.matrix[0] = [1.0, 1.0]
-        table.matrix[1] = [1.0, -1.0]
-        weights = {0: 10.0, 1: -10.0}
-        assert fm_predict(sample, table, weights) == 10.0 - 10.0 + 0.0
-
     def test_matches_independent_oracle(self, rng):
         for seed in range(10):
             sample = make_sample(
