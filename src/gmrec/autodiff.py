@@ -18,6 +18,13 @@ the forwards themselves, so the model's forward pass, written once against
 an ops object, computes the same arrays bit for bit on a Tape, which
 records it for the backward pass, and on ArrayOps, which records nothing.
 
+The GRU is the one operation outside the table: _gru_forward runs it on
+every ops object, through that object's matmul, and Tape.gru records a run
+as one node. That node keeps one edge per gradient contribution of the
+per-primitive chain it replaces, in the chain's order, so a node may carry
+several ordered edges to one parent; backward applies them in list order,
+and each contribution is computed as its edge is reached.
+
 The ops object also chooses the product kernels, so the forward only
 states what to compute. Tape and ArrayOps run one BLAS product over all
 rows: the batched training loop, batch scoring and the gradient check use
@@ -69,7 +76,7 @@ class _Node:
     __slots__ = ("edges", "grad")
 
     def __init__(self, edges):
-        self.edges = edges  # list of (parent, g -> array); parent a _Node or Parameter
+        self.edges = edges  # list of (parent, g -> array), applied in order; parent a _Node or Parameter
         self.grad = None
 
 
@@ -97,10 +104,26 @@ def _as_array(x) -> np.ndarray:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-x)) computed without overflow for any finite x."""
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+    """1/(1+exp(-x)) computed without overflow for any finite x; an ndarray
+    even for a 0-d x.
+
+    The numerator is max(e, x >= 0) for e = exp(-|x|): where x >= 0, e <= 1
+    and it is 1; elsewhere it is e. That is np.where(x >= 0, 1.0, e) bit for
+    bit, without np.where's slow path for a scalar branch.
+    """
+    return _sigmoid_of(np.array(x, dtype=np.float64))
+
+
+def _sigmoid_of(x: np.ndarray) -> np.ndarray:
+    """stable_sigmoid(x) for a float64 array x that the caller gives up: x
+    holds e, then 1 + e."""
+    nonnegative = x >= 0
+    np.abs(x, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    out = np.maximum(x, nonnegative, out=np.empty_like(x))
+    x += 1.0
+    out /= x
     return out
 
 
@@ -356,6 +379,208 @@ def _tape_method(name: str, row: Primitive) -> Callable:
     return method
 
 
+# --------------------------------------------------------------------------
+# GRU: one forward kernel for every ops object, one node on a Tape
+# --------------------------------------------------------------------------
+#
+# A GRU run's operands are its 9 weights, in GruWeights order (W_z, U_z, b_z,
+# W_r, U_r, b_r, W_h, U_h, b_h: update gate, reset gate, candidate), then its
+# steps, then h0 when given. Indices into that list name the operands below.
+
+
+def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ufunc(a, b), written into a when the result has a's shape. Leading
+    axes are none or one stack axis, so that is when a has as many axes as b."""
+    return ufunc(a, b, out=a if a.ndim >= b.ndim else None)
+
+
+def _gate(matmul, x, w, b, h=None, u=None) -> np.ndarray:
+    """(x W + h U) + b in a fresh array, b added to every row; x W + b
+    without h."""
+    a = matmul(x, w)
+    if h is not None:
+        a = _into(np.add, a, matmul(h, u))
+    return _into(np.add, a, b[..., None, :])
+
+
+def _gru_fits(steps, weights, h, lead: bool) -> bool:
+    """Whether the steps and h are (n, d), the W and U (d, d) and the b (d,):
+    on the trailing axes if lead, on all axes otherwise."""
+    if len(weights) != 9 or not steps or np.ndim(steps[0]) < 2:
+        return False
+    n, d = steps[0].shape[-2:]
+    arrays = [*weights, *steps] + ([] if h is None else [h])
+    shapes = [(d, d), (d, d), (d,)] * 3 + [(n, d)] * (len(arrays) - 9)
+    return all(a.shape[-len(s):] == s if lead else a.shape == s for a, s in zip(arrays, shapes))
+
+
+def _gru_forward(matmul, steps, weights, h=None, saved: list | None = None) -> np.ndarray:
+    """The GRU over the step inputs from hidden state h, zero if None.
+
+    Gate equations, per row:
+      update z = sigmoid((x W_z + h U_z) + b_z)
+      reset  r = sigmoid((x W_r + h U_r) + b_r)
+      cand   c = tanh((x W_h + (r * h) U_h) + b_h)
+      h'       = (1 - z) * h + z * c
+    The step from h = 0 is specialized: the reset gate has no effect there
+    and h' reduces to z * c. Every product goes through matmul, the ops
+    object's kernel. When saved is a list (on a Tape), each step appends
+    the arrays the backward pass reads, (z, c) for the step from h = 0 and
+    (h, z, r, r * h, c) for the others, and no saved array is written;
+    otherwise the gates are overwritten in place as soon as they are used.
+    Leading axes broadcast, as ArrayOps' rule says, except on a Tape.
+    """
+    if not _gru_fits(steps, weights, h, lead=saved is None):
+        got = ", ".join(str(np.shape(a)) for a in [*weights, *steps, *([] if h is None else [h])])
+        raise ShapeError(f"gru: expected 9 weights (d, d), (d, d), (d,) three times, then steps and h0 "
+                         f"of one (n, d) shape, got {got}")
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = weights
+    keep = saved is not None
+    if h is None:
+        x, steps = steps[0], steps[1:]
+        z = _sigmoid_of(_gate(matmul, x, w_z, b_z))
+        c = _gate(matmul, x, w_h, b_h)
+        np.tanh(c, out=c)
+        if keep:
+            saved.append((z, c))
+        h = z * c if keep else _into(np.multiply, c, z)
+    for x in steps:
+        z = _sigmoid_of(_gate(matmul, x, w_z, b_z, h, u_z))
+        r = _sigmoid_of(_gate(matmul, x, w_r, b_r, h, u_r))
+        rh = r * h if keep else _into(np.multiply, r, h)
+        c = _gate(matmul, x, w_h, b_h, rh, u_h)
+        np.tanh(c, out=c)
+        if keep:
+            saved.append((h, z, r, rh, c))
+        del r, rh
+        zc = z * c if keep else _into(np.multiply, c, z)
+        h = _into(np.add, _into(np.multiply, np.subtract(1.0, z, out=None if keep else z), h), zc)
+        del z, c, zc
+    return h
+
+
+_X, _H = 9, 10  # a step's input and hidden state, after the weights, in a step's backward
+
+
+def _gru_order(n_steps: int, from_zero: bool) -> list[int]:
+    """The operand of each contribution _gru_backward yields, when every
+    operand is tracked: a weight once per step, a step input or h0 once per
+    product that read it."""
+    order = []
+    for t in range(n_steps - 1, -1, -1):
+        if t == 0 and from_zero:
+            roles = [8, _X, 6, 2, _X, 0]
+        else:
+            roles = [_H, 8, 7, _H, _X, 6, 5, _H, 4, _X, 3, 2, _H, 1, _X, 0]
+        order += [9 + t if k == _X else 9 + n_steps if k == _H else k for k in roles if k != _H or t == 0]
+    return order
+
+
+def _gate_backward(g, x, h, w, u, k: int, need):
+    """The contributions of the gate (x W + h U) + b (x W + b without h),
+    whose W, U and b are operands k, k + 1 and k + 2, for the gradient g of
+    its pre-activation: the VJPs of add_rowvec and the two matmuls."""
+    if need[k + 2]:
+        yield k + 2, g.sum(axis=0)
+    if h is not None and need[_H]:
+        yield _H, g @ u.T
+    if h is not None and need[k + 1]:
+        yield k + 1, h.T @ g
+    if need[_X]:
+        yield _X, g @ w.T
+    if need[k]:
+        yield k, x.T @ g
+
+
+def _gru_step_backward(g, x, state, weights, need):
+    """The (operand, contribution) pairs of one step whose output has
+    gradient g, for the operands need marks; state is what the forward saved."""
+    w_z, u_z, _, w_r, u_r, _, w_h, u_h, _ = weights
+    if len(state) == 2:  # the step from h = 0: h' = z * c
+        z, c = state
+        g_c = g * z
+        g_c *= 1.0 - c * c
+        yield from _gate_backward(g_c, x, None, w_h, None, 6, need)
+        del g_c
+        g_z = g * c
+        g_z *= z
+        g_z *= 1.0 - z
+        yield from _gate_backward(g_z, x, None, w_z, None, 0, need)
+        return
+    h, z, r, rh, c = state
+    g_z = g * c
+    g_z -= g * h
+    g_c = g * z
+    if need[_H]:
+        yield _H, g * (1.0 - z)
+    g_c *= 1.0 - c * c
+    if need[8]:
+        yield 8, g_c.sum(axis=0)
+    g_r = g_c @ u_h.T  # the gradient of r * h
+    if need[7]:
+        yield 7, rh.T @ g_c
+    if need[_H]:
+        yield _H, g_r * r
+    g_r *= h
+    if need[_X]:
+        yield _X, g_c @ w_h.T
+    if need[6]:
+        yield 6, x.T @ g_c
+    del g_c
+    g_r *= r
+    g_r *= 1.0 - r
+    yield from _gate_backward(g_r, x, h, w_r, u_r, 3, need)
+    del g_r
+    g_z *= z
+    g_z *= 1.0 - z
+    yield from _gate_backward(g_z, x, h, w_z, u_z, 0, need)
+
+
+def _gru_backward(g, steps, weights, h0, saved, tracked):
+    """Yield (operand, contribution) for each tracked operand of a GRU run
+    whose output has gradient g, in _gru_order.
+
+    The contributions, their arithmetic and their order are those of the
+    chain of primitives the run replaces, applied in reverse: steps last to
+    first; in a step the VJPs of h' = (1 - z) * h + z * c, then of the
+    candidate, reset and update gates. A hidden state between two steps sums
+    its contributions in that order into the g of the step before. So every
+    parent receives the chain's contributions in the chain's order, and its
+    gradient has the chain's bits.
+    """
+    n = len(steps)
+    for t in range(n - 1, -1, -1):
+        need = tracked[:9] + [tracked[9 + t], t > 0 or h0 is not None and tracked[9 + n]]
+        dh = None
+        for k, c in _gru_step_backward(g, steps[t], saved[t], weights, need):
+            if k == _H and t > 0:
+                dh = c if dh is None else _into(np.add, dh, c)
+            else:
+                yield (9 + t if k == _X else 9 + n if k == _H else k), c
+        g = dh
+
+
+def _lazy_edges(parents: list, contributions: Callable) -> list:
+    """Edges to the (parent, operand) pairs, in order, a parent possibly
+    more than once: edge i's VJP returns the array of the i-th pair that
+    contributions(g) yields, so each contribution is computed when its edge
+    is applied and dropped with it. The first edge starts the generator and
+    the last drops it, so backward can run again."""
+    live = [None]
+    last = len(parents) - 1
+
+    def vjp(g, i, operand):
+        if i == 0:
+            live[0] = contributions(g)
+        k, c = next(live[0])
+        assert k == operand, (k, operand)
+        if i == last:
+            live[0] = None
+        return c
+
+    return [(parent, functools.partial(vjp, i=i, operand=k)) for i, (parent, k) in enumerate(parents)]
+
+
 class Tape:
     """Recorded differentiable computation whose leaves are Parameters.
 
@@ -389,6 +614,26 @@ class Tape:
             raise ShapeError("segment-sum: segment ids must be sorted ascending")
         starts, out_rows = segment_boundaries(seg_ids)
         return self.segment_sum_prepared(m, seg_ids, starts, out_rows, n_segments)
+
+    def gru(self, steps: Sequence[Value], weights: Sequence[Value], h0: Value | None = None) -> Value:
+        """The GRU of _gru_forward over matrices, as one node.
+
+        weights are the 9 GRU arrays in GruWeights order. The node has an
+        edge per gradient contribution of the per-primitive chain the run
+        replaces, in that chain's order (see _gru_backward), so gradients
+        have the chain's bits; each is computed when backward reaches it.
+        """
+        xs, w, h = [v.data for v in steps], [v.data for v in weights], None if h0 is None else h0.data
+        saved: list = []
+        out = _gru_forward(np.matmul, xs, w, h, saved)
+        operands = [*weights, *steps] + ([] if h0 is None else [h0])
+        tracked = [v.node is not None for v in operands]
+        parents = [(operands[k].node, k) for k in _gru_order(len(steps), h0 is None) if tracked[k]]
+        if not parents:
+            return Value(out, None, self)
+        node = _Node(_lazy_edges(parents, lambda g: _gru_backward(g, xs, w, h, saved, tracked)))
+        self.nodes.append(node)
+        return Value(out, node, self)
 
     def backward(self, output: Value) -> None:
         """Accumulate d(output)/d(parameter) into every Parameter's grad.
@@ -439,7 +684,8 @@ class ArrayOps:
     So every primitive returns the array its Tape namesake stores in
     Value.data, by the same numpy operations. Nothing is recorded and
     nothing is mutated, so concurrent runs are safe. Operands are not
-    shape-checked; a Tape run of the same forward checks them.
+    shape-checked, except gru's trailing axes; a Tape run of the same
+    forward checks them.
 
     Leading-axis rule: the matrix primitives act on the last two axes (the
     vector ones on the last axis) and any leading axes broadcast. On 2-D
@@ -457,6 +703,10 @@ class ArrayOps:
 
     def param(self, p: Parameter) -> np.ndarray:
         return self._substitutes.get(p, p.values)
+
+    def gru(self, steps, weights, h0=None) -> np.ndarray:
+        """Tape.gru's forward, through this object's matmul."""
+        return _gru_forward(self.matmul, steps, weights, h0)
 
 
 for _name, _row in PRIMITIVES.items():

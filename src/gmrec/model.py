@@ -25,7 +25,9 @@ Forward pass for one sample:
      s_i = u_i * (sum of opposite nodes). The union wiring below uses the
      side-sum form of step 2 over the whole sample.
   4. A shared GRU cell consumes the sequence [u_i, z_i, s_i] from a zero
-     hidden state; the final hidden state is the fused node u'_i.
+     hidden state; the final hidden state is the fused node u'_i. Its gate
+     equations are stated at autodiff._gru_forward, the one kernel that
+     every ops object runs them with (ops.gru).
   5. Each graph's fused nodes are summed into a graph representation and
      the two representations are matched by dot product, giving the score.
 
@@ -52,7 +54,9 @@ side: the nodes of step 1, the messages of step 2, the side sums, and GRU
 steps 1-2 of step 4 (over u and z). It gathers their rows to the samples
 for node matching, GRU step 3 (over s) and the readout. A batch with no
 repeated side has no gather, so a single sample's arrays are those of a
-forward without the dedupe.
+forward without the dedupe. The two GRU runs, steps 1-2 per distinct side
+and step 3 per sample from the gathered state, are one ops.gru call each,
+so on a Tape each is one node.
 
 The engine is written once, against an ops object, which also chooses the
 product kernels. Training runs it on a Tape, which records it for the
@@ -474,35 +478,6 @@ def _pair_mlp_sums(ops: Tape | ArrayOps, w: MlpWeights, nodes: Value, pairs: _Ne
     return ops.add_scaled_rowvec(out, ops.param(w.b_out), pairs.counts)
 
 
-def _gru_sequence(ops: Tape | ArrayOps, w: GruWeights, steps: list[Value], h: Value | None = None) -> Value:
-    """Run the GRU over the step inputs from hidden state h, zero if None.
-
-    Gate equations, per row:
-      update = sigmoid(x W_z + h U_z + b_z)
-      reset  = sigmoid(x W_r + h U_r + b_r)
-      cand   = tanh(x W_h + (reset * h) U_h + b_h)
-      h'     = (1 - update) * h + update * cand
-    The step from h = 0 is specialized: the reset gate has no effect there
-    and h' reduces to update * cand.
-    """
-    w_update, u_update, b_update = ops.param(w.w_update), ops.param(w.u_update), ops.param(w.b_update)
-    w_reset, u_reset, b_reset = ops.param(w.w_reset), ops.param(w.u_reset), ops.param(w.b_reset)
-    w_cand, u_cand, b_cand = ops.param(w.w_cand), ops.param(w.u_cand), ops.param(w.b_cand)
-    if h is None:
-        first, steps = steps[0], steps[1:]
-        update = ops.sigmoid(ops.add_rowvec(ops.matmul(first, w_update), b_update))
-        cand = ops.tanh(ops.add_rowvec(ops.matmul(first, w_cand), b_cand))
-        h = ops.mul(update, cand)
-    for x in steps:
-        update = ops.sigmoid(ops.add_rowvec(ops.add(ops.matmul(x, w_update), ops.matmul(h, u_update)), b_update))
-        reset = ops.sigmoid(ops.add_rowvec(ops.add(ops.matmul(x, w_reset), ops.matmul(h, u_reset)), b_reset))
-        cand = ops.tanh(
-            ops.add_rowvec(ops.add(ops.matmul(x, w_cand), ops.matmul(ops.mul(reset, h), u_cand)), b_cand)
-        )
-        h = ops.add(ops.mul(ops.one_minus(update), h), ops.mul(update, cand))
-    return h
-
-
 def _segsum(ops: Tape | ArrayOps, m: Value, seg: _SegIndex) -> Value:
     return ops.segment_sum_prepared(m, seg.ids, seg.starts, seg.out_rows, seg.n)
 
@@ -554,8 +529,9 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
     if variant.mode == "fm":
         fused = ops.add(nodes, ops.scale(matches, 0.5))
     elif variant.fuse == "gru":
-        h = _gru_sequence(ops, mp.gru, [side_nodes, side_messages])
-        fused = _gru_sequence(ops, mp.gru, [matches], _to_samples(ops, h, plan))
+        weights = [ops.param(p) for p in mp.gru.parameters()]
+        h = ops.gru([side_nodes, side_messages], weights)
+        fused = ops.gru([matches], weights, _to_samples(ops, h, plan))
     elif variant.fuse == "sum":
         fused = ops.add(_to_samples(ops, ops.add(side_nodes, side_messages), plan), matches)
     else:
@@ -712,7 +688,8 @@ def fuse(u_i, z_i, s_i, mp: ModelParams) -> np.ndarray:
         _check_dim(z_i, d, "fuse z_i")[None, :],
         _check_dim(s_i, d, "fuse s_i")[None, :],
     ]
-    return _gru_sequence(RowLocalOps(), mp.gru, rows)[0].copy()
+    ops = RowLocalOps()
+    return ops.gru(rows, [ops.param(p) for p in mp.gru.parameters()])[0].copy()
 
 
 def graph_representation(graph: AttributeGraph, opposite_nodes, mp: ModelParams) -> np.ndarray:

@@ -275,7 +275,11 @@ def ablate(samples: Sequence[DataSample], variants: Sequence[VariantConfig], see
     """Each variant's evaluate_model report on the test split, averaged over
     the seeds, in variant order. Each seed is split once, before any model
     trains, and a variant trains on it with config's seed and variant set to
-    its own; the first seed whose test split is empty raises UndefinedMetricError."""
+    its own; the first seed whose test split is empty raises UndefinedMetricError.
+    An empty variants or seeds list raises ContractError before any split."""
+    for name, given in (("variants", variants), ("seeds", seeds)):
+        if not given:
+            raise ContractError(f"ablate: no {name} given")
     splits = [split_per_user(samples, seed) for seed in seeds]
     for seed, split in zip(seeds, splits):
         if not split.test:

@@ -27,7 +27,9 @@ that print the same lines under one setting give bit-identical results on:
 Last it prints `tape-nodes N`: a count, not a hash. N is the number of
 nodes one canonical train-small step records on its tape (the seed-2001
 input's first 64 training samples, d=16, the default L2 weight), so a
-change in the tape's size shows without a traced bench run.
+change in the tape's size shows without a traced bench run. It is 30, two
+of them the GRU runs; tests/test_training.py pins both numbers on the same
+setup (train_small_step below).
 """
 import hashlib
 import io
@@ -152,12 +154,19 @@ def ablate_digest() -> str:
     return out.hexdigest()
 
 
-def tape_nodes() -> int:
+def train_small_step():
+    """The batch, model and L2 weight of one canonical train-small step: the
+    seed-2001 input's first 64 training samples, d=16, the default L2 weight."""
     dataset = parse_dataset_lines(io.StringIO(inputs.train_small_text(SEED)))
     split = split_per_user(dataset.samples, SEED)
     config = TrainConfig(dim=16, seed=1000 * SEED)
     mp = init_model_params(universe_of(dataset.samples), config.dim, config.seed)
-    return len(regularized_risk(split.train[:64], mp, config.lam).tape.nodes)
+    return split.train[:64], mp, config.lam
+
+
+def tape_nodes() -> int:
+    batch, mp, lam = train_small_step()
+    return len(regularized_risk(batch, mp, lam).tape.nodes)
 
 
 def blas_threads() -> str:

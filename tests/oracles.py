@@ -218,3 +218,25 @@ def plan_oracle(samples, table, variant):
         counts = [float(other) for p, q in shapes for m, other in ((p, q), (q, p)) for _ in range(m)]
         plan["cross_side"] = (blocks, np.array(counts))
     return plan
+
+
+def gru_chain(ops, steps, weights, h=None):
+    """The GRU as the chain of primitives the engine ran before Tape.gru, on
+    any ops object: the reference for Tape.gru's value, for its gradients'
+    bits and order, and for ArrayOps.gru. Unlike the rest of this module it
+    is written against the package's primitives, because those are what it
+    pins. weights are the 9 GRU arrays in GruWeights order."""
+    w_update, u_update, b_update, w_reset, u_reset, b_reset, w_cand, u_cand, b_cand = weights
+    if h is None:
+        first, steps = steps[0], steps[1:]
+        update = ops.sigmoid(ops.add_rowvec(ops.matmul(first, w_update), b_update))
+        cand = ops.tanh(ops.add_rowvec(ops.matmul(first, w_cand), b_cand))
+        h = ops.mul(update, cand)
+    for x in steps:
+        update = ops.sigmoid(ops.add_rowvec(ops.add(ops.matmul(x, w_update), ops.matmul(h, u_update)), b_update))
+        reset = ops.sigmoid(ops.add_rowvec(ops.add(ops.matmul(x, w_reset), ops.matmul(h, u_reset)), b_reset))
+        cand = ops.tanh(
+            ops.add_rowvec(ops.add(ops.matmul(x, w_cand), ops.matmul(ops.mul(reset, h), u_cand)), b_cand)
+        )
+        h = ops.add(ops.mul(ops.one_minus(update), h), ops.mul(update, cand))
+    return h

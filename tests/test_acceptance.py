@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from gmrec.data import sample_user_key, universe_of
 from gmrec.dataio import (
@@ -28,7 +27,7 @@ from gmrec.model import (
     score_samples,
     swap_roles,
 )
-from gmrec.selfcheck import random_instance, run_fmcheck, run_gradcheck
+from gmrec.selfcheck import run_fmcheck, run_gradcheck
 from gmrec.training import SplitDataset, TrainConfig, ablate, split_per_user, train
 
 from conftest import make_sample

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gmrec import autodiff
 from gmrec.autodiff import (
     ArrayOps,
     Parameter,
+    RowLocalOps,
     Tape,
     gradient_check,
     stable_sigmoid,
@@ -22,7 +24,7 @@ from gmrec.model import _cross_side, _same_side, init_model_params
 from gmrec.training import regularized_risk
 
 from conftest import all_variants, make_sample
-from oracles import finite_difference
+from oracles import finite_difference, gru_chain, sigmoid
 
 
 class TestRecordedPrimitives:
@@ -111,8 +113,8 @@ class TestRecordedPrimitives:
     def test_each_primitive_is_one_table_row(self):
         """ArrayOps' primitives are the rows' forwards themselves and Tape's
         are functions in Tape's own dict; besides them, ArrayOps has only
-        constant and param, and Tape only constant, param, segment_sum and
-        backward."""
+        constant, param and gru, and Tape only constant, param, segment_sum,
+        gru and backward."""
         for name, row in autodiff.PRIMITIVES.items():
             assert getattr(autodiff.ArrayOps, name) is row.forward, name
             method = Tape.__dict__[name]
@@ -122,8 +124,8 @@ class TestRecordedPrimitives:
             return {n for n in vars(cls) if not (n.startswith("__") and n.endswith("__"))}
 
         assert "__init__" in vars(autodiff.ArrayOps)
-        assert own(autodiff.ArrayOps) == set(autodiff.PRIMITIVES) | {"constant", "param"}
-        assert own(Tape) == set(autodiff.PRIMITIVES) | {"constant", "param", "segment_sum", "backward"}
+        assert own(autodiff.ArrayOps) == set(autodiff.PRIMITIVES) | {"constant", "param", "gru"}
+        assert own(Tape) == set(autodiff.PRIMITIVES) | {"constant", "param", "segment_sum", "gru", "backward"}
 
 
 class TestBackward:
@@ -640,6 +642,187 @@ def test_stable_sigmoid_extremes():
     assert s[0] == 0.0 or s[0] < 1e-300
     assert s[2] == 0.5
     assert s[4] == 1.0 or s[4] > 1.0 - 1e-9
+
+
+_SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                     745.0, -745.0, 800.0, -800.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stable_sigmoid_has_the_bits_of_the_oracle(data):
+    """stable_sigmoid(x) has the bytes of oracles.sigmoid(x), for arrays of
+    any shape, 0-d included, over every float64 kind: +-0, +-inf, NaN,
+    subnormals and the ends of exp's range (+-745, +-800). A 0-d input
+    gives an ndarray."""
+    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6), label="shape")
+    values = st.one_of(st.sampled_from(_SIGMOID_SPECIALS), st.floats(allow_subnormal=True))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=values), label="x")
+    out = stable_sigmoid(x)
+    assert isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == np.float64
+    assert out.tobytes() == sigmoid(x).tobytes()
+
+
+def _gru_weights(rng, d):
+    """The 9 GRU weights in GruWeights order: W, U and b of each gate."""
+    return [Parameter(rng.uniform(-1.0, 1.0, size=shape)) for shape in [(d, d), (d, d), (d,)] * 3]
+
+
+def _gru_operands(ops, weights, inputs, untracked, steps_at, h0_at):
+    """steps, weights and h0 of a GRU run through ops: step t reads input
+    steps_at[t] and h0 input h0_at (None: no h0), where inputs 0 and 1 are
+    the Parameters inputs, read through ops.param, and input 2 is the
+    constant untracked."""
+    pool = [ops.param(p) for p in inputs] + [ops.constant(untracked)]
+    return [pool[k] for k in steps_at], [ops.param(p) for p in weights], None if h0_at is None else pool[h0_at]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gru_node_has_the_bits_of_the_chain(data):
+    """Tape.gru records one node whose value and gradients, the weights' and
+    the inputs', have the bits of the per-primitive oracles.gru_chain: for n
+    1-9 rows, d 1-8, 1-3 steps, h0 None, tracked or untracked, and inputs
+    tracked, untracked or one Value read twice (two steps, or a step and
+    h0); also when every parent already holds a gradient as backward reaches
+    the node. ArrayOps.gru and RowLocalOps.gru have the chain's bits; a
+    K-stacked substitute for any weight or input gives each copy the bits
+    of that copy alone; each RowLocalOps row has the bits of that row
+    alone; gradient_check passes on the node."""
+    n, d = data.draw(st.integers(1, 9), label="n"), data.draw(st.integers(1, 8), label="d")
+    steps_at = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3), label="steps")
+    h0_at = data.draw(st.sampled_from([None, 0, 1, 2]), label="h0")
+    held = data.draw(st.booleans(), label="parents already hold a gradient")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    weights = _gru_weights(rng, d)
+    inputs = [Parameter(rng.uniform(-1.0, 1.0, size=(n, d))) for _ in range(2)]
+    untracked = rng.uniform(-1.0, 1.0, size=(n, d))
+    out_weights = rng.normal(size=(n, d))
+    params = weights + inputs
+    held_weights = [rng.normal(size=p.shape) for p in params]
+
+    def run(gru):
+        for p in params:
+            p.zero_grad()
+        tape = Tape()
+        # The inputs are recorded nodes (an exact scale by 1), the weights Parameters.
+        pool = [tape.scale(tape.param(p), 1.0) for p in inputs] + [tape.constant(untracked)]
+        w = [tape.param(p) for p in weights]
+        before = len(tape.nodes)
+        out = gru(tape, [pool[k] for k in steps_at], w, None if h0_at is None else pool[h0_at])
+        recorded = len(tape.nodes) - before
+        loss = tape.sum_reduce(tape.mul(out, tape.constant(out_weights)))
+        if held:  # recorded after the run, so backward reaches them first
+            for v, r in zip(w + pool[:2], held_weights):
+                loss = tape.add(loss, tape.sum_reduce(tape.mul(v, tape.constant(r))))
+        tape.backward(loss)
+        return recorded, out.data.tobytes(), [p.grad.tobytes() for p in params]
+
+    recorded, value, grads = run(lambda tape, *args: tape.gru(*args))
+    _, chain_value, chain_grads = run(gru_chain)
+    assert recorded == 1
+    assert value == chain_value
+    assert grads == chain_grads
+
+    def forward(ops, gru=None):
+        steps, w, h0 = _gru_operands(ops, weights, inputs, untracked, steps_at, h0_at)
+        return ops.gru(steps, w, h0) if gru is None else gru(ops, steps, w, h0)
+
+    assert forward(ArrayOps()).tobytes() == value
+    target = params[data.draw(st.integers(0, len(params) - 1), label="stacked operand")]
+    stack = target.values + 0.1 * rng.normal(size=(3,) + target.shape)
+    if target in weights:  # a single step from h = 0 reads W_z, b_z, W_h and b_h only
+        read = len(steps_at) > 1 or h0_at is not None or weights.index(target) in (0, 2, 6, 8)
+    else:
+        read = inputs.index(target) in steps_at + [h0_at]
+    for cls in (ArrayOps, RowLocalOps):
+        assert forward(cls()).tobytes() == forward(cls(), gru_chain).tobytes(), cls
+        stacked = forward(cls({target: stack}))
+        assert stacked.tobytes() == forward(cls({target: stack}), gru_chain).tobytes(), cls
+        assert stacked.shape == ((3, n, d) if read else (n, d)), cls
+        for k in range(3):
+            copy = forward(cls({target: stack[k]}))
+            assert (stacked[k] if read else stacked).tobytes() == copy.tobytes(), (cls, k)
+
+    steps, w, h0 = _gru_operands(ArrayOps(), weights, inputs, untracked, steps_at, h0_at)
+    full = RowLocalOps().gru(steps, w, h0)
+    for i in range(n):
+        alone = RowLocalOps().gru([x[i:i + 1] for x in steps], w, None if h0 is None else h0[i:i + 1])
+        assert alone.tobytes() == full[i:i + 1].tobytes(), i
+
+    def loss():
+        tape = Tape()
+        out = tape.gru(*_gru_operands(tape, weights, inputs, untracked, steps_at, h0_at))
+        return tape.sum_reduce(tape.mul(out, tape.constant(out_weights)))
+
+    assert gradient_check(loss, params) < 1e-6
+
+
+def test_gru_gradient_check_catches_a_wrong_vjp(monkeypatch, rng):
+    """A GRU backward that drops the reset-gate term of the hidden state's
+    gradient (r times the gradient of r * h) fails gradient_check and no
+    longer has the chain's bits."""
+    weights = _gru_weights(rng, 5)
+    inputs = [Parameter(rng.uniform(-1.0, 1.0, size=(4, 5))) for _ in range(2)]
+    out_weights = rng.normal(size=(4, 5))
+    params = weights + inputs
+
+    def loss(gru):
+        tape = Tape()
+        steps, w, _ = _gru_operands(tape, weights, inputs, np.zeros((4, 5)), [0, 1], None)
+        return tape.sum_reduce(tape.mul(gru(tape, steps, w), tape.constant(out_weights)))
+
+    def grads(gru):
+        for p in params:
+            p.zero_grad()
+        out = loss(gru)
+        out.tape.backward(out)
+        return [p.grad.copy() for p in params]
+
+    assert gradient_check(lambda: loss(lambda tape, *args: tape.gru(*args)), params) < 1e-6
+    right = grads(gru_chain)
+    original = autodiff._gru_step_backward
+
+    def without_reset_term(*args):
+        h_terms = 0
+        for k, c in original(*args):
+            if k == autodiff._H:
+                h_terms += 1
+                if h_terms == 2:  # the second contribution to h: r * d(loss)/d(r * h)
+                    c = np.zeros_like(c)
+            yield k, c
+
+    monkeypatch.setattr(autodiff, "_gru_step_backward", without_reset_term)
+    assert gradient_check(lambda: loss(lambda tape, *args: tape.gru(*args)), params) > 1e-4
+    wrong = grads(lambda tape, *args: tape.gru(*args))
+    assert not all(np.array_equal(a, b) for a, b in zip(wrong, right))
+
+
+def test_gru_shape_error_names_gru():
+    """Tape.gru takes matrices and vectors only; ArrayOps.gru lets leading
+    axes broadcast. Both raise ShapeError naming gru, and record nothing."""
+    tape = Tape()
+    w = [tape.constant(np.ones((3, 3) if k % 3 < 2 else 3)) for k in range(9)]
+    x = tape.constant(np.ones((2, 3)))
+    bad = [
+        ([], w, None),  # no step
+        ([x], w[:8], None),  # 8 weights
+        ([x, tape.constant(np.ones((3, 3)))], w, None),  # steps of two shapes
+        ([x], w, tape.constant(np.ones((2, 4)))),  # h0 of another width
+        ([x], w[:2] + [tape.constant(np.ones(4))] + w[3:], None),  # a bias of another width
+        ([x], w[:1] + [tape.constant(np.ones((3, 4)))] + w[2:], None),  # U not square
+        ([tape.constant(np.ones((1, 2, 3)))], w, None),  # a leading axis
+        ([tape.constant(np.ones(3))], w, None),  # a vector step
+    ]
+    for steps, weights, h0 in bad:
+        with pytest.raises(ShapeError, match="^gru:"):
+            tape.gru(steps, weights, h0)
+        if steps and np.ndim(steps[0].data) == 2:
+            with pytest.raises(ShapeError, match="^gru:"):
+                ArrayOps().gru([v.data for v in steps], [v.data for v in weights], None if h0 is None else h0.data)
+    assert tape.nodes == []
+    stacked = ArrayOps().gru([np.ones((4, 2, 3))], [v.data for v in w])
+    assert stacked.shape == (4, 2, 3)
 
 
 def _row_alone(a_row: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from gmrec.data import sample_user_key, universe_of
 from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines
 from gmrec.errors import ContractError, InvalidConfigError, SamplingError, UndefinedMetricError
 from gmrec.metrics import auc, evaluate_model
-from gmrec.model import CANONICAL, FM_REDUCTION, init_model_params, score_samples
+from gmrec.model import CANONICAL, FM_REDUCTION, build_plan, init_model_params, score_samples
 from gmrec.training import (
     AdamState,
     MAX_DIM,
@@ -105,6 +105,28 @@ class TestPenalty:
         assert nodes == 2 and chain_nodes == 3 * len(mp.parameters())
         assert value == chain_value
         assert grads == chain_grads
+
+
+def test_train_small_step_records_30_nodes_two_of_them_gru(monkeypatch):
+    """The setup of digest.py's tape-nodes line: a canonical train-small step
+    records 30 nodes. Two are the GRU runs, one node each: steps 1-2 over
+    the distinct sides' nodes, then step 3 over the samples' nodes."""
+    import digest
+
+    runs, gru = [], Tape.gru
+
+    def recording(tape, steps, weights, h0=None):
+        before = len(tape.nodes)
+        out = gru(tape, steps, weights, h0)
+        runs.append((len(steps), h0 is None, out.shape[0], len(tape.nodes) - before))
+        return out
+
+    monkeypatch.setattr(Tape, "gru", recording)
+    assert digest.tape_nodes() == 30
+    batch, mp, _ = digest.train_small_step()
+    plan = build_plan(batch, mp.table)
+    assert plan.node_src is not None  # the batch repeats sides, so the two runs differ in rows
+    assert runs == [(2, True, len(plan.attr_rows), 1), (1, False, plan.n_nodes, 1)]
 
 
 class TestRegularizedRisk:
@@ -388,4 +410,16 @@ class TestAblate:
         with pytest.warns(UserWarning, match="fewer than 5 samples"):
             with pytest.raises(UndefinedMetricError, match="^seed 3: no samples in the test split$"):
                 ablate(samples, self.VARIANTS, [3, 0], TrainConfig(dim=4, epochs=1))
+        assert calls == []
+
+    @pytest.mark.parametrize("empty", ["variants", "seeds"])
+    def test_empty_list_raises_before_any_split(self, monkeypatch, empty):
+        """An empty variants or seeds list is a ContractError naming it,
+        raised before any split."""
+        calls = []
+        monkeypatch.setattr(gmrec.training, "split_per_user", lambda *args: calls.append(args))
+        samples = [make_sample(1, 1)]
+        lists = {"variants": self.VARIANTS, "seeds": [0], empty: []}
+        with pytest.raises(ContractError, match=f"^ablate: no {empty} given$"):
+            ablate(samples, lists["variants"], lists["seeds"], TrainConfig(dim=4, epochs=1))
         assert calls == []
