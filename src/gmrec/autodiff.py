@@ -54,11 +54,11 @@ class Parameter:
 
     __slots__ = ("values", "grad", "name")
 
-    def __init__(self, values, name: str = ""):
+    def __init__(self, values, name: str = "", grad: np.ndarray | None = None):
         # asarray with order="C" keeps 0-d shapes and shares memory when the
-        # input already qualifies (the embedding table relies on that).
+        # input already qualifies (the embedding table and the arena's views rely on that).
         self.values = np.asarray(values, dtype=np.float64, order="C")
-        self.grad = np.zeros_like(self.values)
+        self.grad = np.zeros_like(self.values) if grad is None else grad
         self.name = name
 
     @property

@@ -508,11 +508,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, VariantConfig, Vocabulary]:
         raise CheckpointError(
             f"payload size mismatch: {payload} bytes, expected {expected_payload}"
         )
-    values = []  # read-only views into the blob; load_values copies them
-    for shape in shapes:
-        count = math.prod(shape)
-        values.append(np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape))
-        offset += 8 * count
+    # Read-only views of the blob per ModelParams block (table, arena); load_values copies them.
+    emb_size = math.prod(shapes[0])
+    values = [np.frombuffer(blob, dtype="<f8", count=emb_size, offset=offset).reshape(shapes[0])]
+    if len(shapes) > 1:
+        values.append(np.frombuffer(blob, dtype="<f8", offset=offset + 8 * emb_size))
     try:
         mp = init_model_params(vocab.ids, dim, 0, variant)
         mp.load_values(values)

@@ -34,14 +34,15 @@ Forward pass for one sample:
 The engine below runs any number of samples as one stacked computation:
 nodes of all samples form one matrix, pair and segment index arrays keep
 each sample's graphs separate. Only step 3's node matching needs the pair,
-so build_plan starts from the batch's distinct sides: sides are the same
+so a plan starts from the batch's distinct sides: sides are the same
 exactly when they are the same tuple object (the parser interns sides by
-value, so on a parsed dataset equal sides are one tuple). It numbers the
-sides by identity; then, over the distinct sides only, one flat pass
-collects sizes, attribute ids and values, one binary search over the
-table's sorted ids finds the embedding rows and one lexsort by (side, id)
-orders the nodes. The per-sample layout, segment and pair arrays follow by
-repeat and cumsum through the side map, with no Python loop per attribute.
+value, so on a parsed dataset equal sides are one tuple). index_samples
+numbers the sides by identity; then, over the distinct sides only, one
+flat pass collects sizes, attribute ids and values, one binary search over
+the table's sorted ids finds the embedding rows and one lexsort by (side,
+id) orders the nodes. build_plan cuts a plan from such an index, which
+train() builds once; the layout, segment and pair arrays follow by repeat
+and cumsum through the side map, with no Python loop per attribute.
 Inside a sample, nodes are processed in ascending attribute-id order, so
 reordering the input attributes cannot change any bit of the output. The
 pair sums always add a node's terms in neighbour order, and on RowLocalOps
@@ -76,7 +77,9 @@ to the factorization-machine formula.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,6 +213,7 @@ class ModelParams:
     gru: GruWeights | None = None
     cross_mlp: MlpWeights | None = None
     fuse_mlp: MlpWeights | None = None
+    dense: Parameter | None = None  # the arena: every MLP and GRU array's values and grad are views of its
 
     @property
     def dim(self) -> int:
@@ -223,16 +227,20 @@ class ModelParams:
                 out.extend(part.parameters())
         return out
 
+    def blocks(self) -> list[Parameter]:
+        """The table and the arena: each entry once, for one pass per block."""
+        return [p for p in (self.emb, self.dense) if p is not None]
+
     def copy_values(self) -> list[np.ndarray]:
-        return [p.values.copy() for p in self.parameters()]
+        return [p.values.copy() for p in self.blocks()]
 
     def load_values(self, values: list[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(values) != len(params):
-            raise ContractError("parameter count mismatch when restoring values")
-        for p, v in zip(params, values):
+        blocks = self.blocks()
+        if len(values) != len(blocks):
+            raise ContractError("block count mismatch when restoring values")
+        for p, v in zip(blocks, values):
             if p.values.shape != v.shape:
-                raise ContractError("parameter shape mismatch when restoring values")
+                raise ContractError("block shape mismatch when restoring values")
             p.values[...] = v
 
 
@@ -262,11 +270,13 @@ def parameter_layout(variant: VariantConfig, dim: int) -> list[tuple[str, list[t
     return layout
 
 
-def _init_array(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    if len(shape) == 1:
-        return np.zeros(shape)
-    bound = 1.0 / np.sqrt(shape[0])
-    return rng.uniform(-bound, bound, size=shape)
+def _init_array(rng: np.random.Generator, out: np.ndarray) -> None:
+    """A matrix drawn in place as rng.uniform(-bound, bound) draws it; a bias left zero."""
+    if out.ndim > 1:
+        bound = 1.0 / np.sqrt(out.shape[0])
+        rng.random(out=out)
+        out *= bound - -bound
+        out -= bound
 
 
 def init_model_params(
@@ -282,14 +292,22 @@ def init_model_params(
     """
     table = init_embeddings(universe, dim, seed)
     mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"))
+    layout = parameter_layout(variant, dim)
+    bounds = np.cumsum([0] + [math.prod(shape) for _, shapes in layout for shape in shapes])
+    if len(bounds) > 1:  # drawn in place: large arrays dropped at set-up shift malloc's thresholds
+        mp.dense = Parameter(np.zeros(bounds[-1]), "dense")
+    spans = zip(bounds, bounds[1:])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    for name, shapes in parameter_layout(variant, dim):
-        if name == "cross_mlp" and mp.inner_mlp is not None:
-            arrays = [p.values.copy() for p in mp.inner_mlp.parameters()]
-        else:
-            arrays = [_init_array(rng, shape) for shape in shapes]
+    for name, shapes in layout:
         kind = GruWeights if name == "gru" else MlpWeights
-        setattr(mp, name, kind(*(Parameter(a, f"{name}.{f.name}") for a, f in zip(arrays, fields(kind)))))
+        params = [Parameter(mp.dense.values[lo:hi].reshape(s), f"{name}.{f.name}", mp.dense.grad[lo:hi].reshape(s))
+                  for s, f, (lo, hi) in zip(shapes, fields(kind), spans)]
+        for k, p in enumerate(params):
+            if name == "cross_mlp" and mp.inner_mlp is not None:
+                p.values[...] = mp.inner_mlp.parameters()[k].values
+            else:
+                _init_array(rng, p.values)
+        setattr(mp, name, kind(*params))
     return mp
 
 
@@ -395,48 +413,81 @@ def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
     return _Neighbourhoods(blocks, np.repeat(opposite.astype(np.float64), sizes))
 
 
-def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICAL) -> _Plan:
-    """The index plan of a batch, by numpy index arithmetic over its distinct
-    sides (see the module docstring); sides are sample by sample, user side
-    then item side, and two are the same distinct side when they are one tuple."""
+class SampleIndex(NamedTuple):
+    """What a plan takes from its samples alone, over a list of them: _Plan's
+    fields of those names, and each distinct side's size and first node."""
+
+    side_map: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    owners: np.ndarray  # (side nodes,) the distinct side of each
+    attr_rows: np.ndarray
+    vals: np.ndarray
+    input_pos: np.ndarray
+
+
+def index_samples(samples, table: EmbeddingTable) -> SampleIndex:
+    """The SampleIndex of samples' user and item sides, by one pass over the distinct ones."""
     sides = [chars for sample in samples for chars in (sample.user_chars, sample.item_chars)]
     distinct = {id(chars): chars for chars in sides}  # in order of first appearance
     number = {key: k for k, key in enumerate(distinct)}
-    side_map = np.array([number[id(chars)] for chars in sides], dtype=np.intp)
     pairs = [pair for chars in distinct.values() for pair in chars]
-    distinct_sizes = np.array([len(chars) for chars in distinct.values()], dtype=np.intp)
-    distinct_starts = np.cumsum(distinct_sizes) - distinct_sizes  # no side is empty, so each starts a segment
-    distinct_ids = np.arange(len(distinct))
-    by_distinct = _SegIndex(
-        ids=np.repeat(distinct_ids, distinct_sizes), starts=distinct_starts, out_rows=distinct_ids, n=len(distinct)
-    )
+    sizes = np.array([len(chars) for chars in distinct.values()], dtype=np.intp)
+    owners = np.repeat(np.arange(len(sizes)), sizes)
     ids = np.array([pair[0][0] for pair in pairs])
-    order = np.lexsort((ids, by_distinct.ids))
-    n_samples = len(samples)
+    order = np.lexsort((ids, owners))
+    side_map = np.array([number[id(chars)] for chars in sides], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
+    vals = np.array([pair[1] for pair in pairs], dtype=np.float64)[order]
+    return SampleIndex(side_map, sizes, starts, owners, table.rows(ids)[order], vals, order)
+
+
+def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICAL,
+               index: SampleIndex | None = None, picks: np.ndarray | None = None) -> _Plan:
+    """The index plan of a batch, by numpy index arithmetic over its distinct sides (module
+    docstring), from samples' own index; or, given the index of a list and picks, samples' positions
+    in it, cut from that index: the picked sides renumbered by first appearance, their nodes gathered."""
+    if index is None:
+        side_map, distinct_sizes, distinct_starts, owners, attr_rows, vals, input_pos = index_samples(samples, table)
+    else:
+        picked = index.side_map.reshape(-1, 2)[picks].reshape(-1)
+        numbers, first, inverse = np.unique(picked, return_index=True, return_inverse=True)
+        appearance = np.argsort(first)
+        side_map = np.argsort(appearance)[inverse]
+        kept = numbers[appearance]
+        distinct_sizes = index.sizes[kept]
+        distinct_starts = np.cumsum(distinct_sizes) - distinct_sizes
+        owners = np.repeat(np.arange(len(kept)), distinct_sizes)
+        shift = (index.starts[kept] - distinct_starts)[owners]
+        src = np.arange(len(shift)) + shift
+        attr_rows, vals, input_pos = index.attr_rows[src], index.vals[src], index.input_pos[src] - shift
+    n_distinct, n_samples = len(distinct_sizes), len(side_map) // 2
+    side_ids = np.arange(2 * n_samples)
+    # Distinct sides and samples are numbered from 0: their numbers are prefixes of the sides'.
+    by_distinct = _SegIndex(ids=owners, starts=distinct_starts, out_rows=side_ids[:n_distinct], n=n_distinct)
     sizes = distinct_sizes[side_map]
     starts = np.cumsum(sizes) - sizes
-    side_ids = np.arange(2 * n_samples)
     side = np.repeat(side_ids, sizes)
     n_nodes = len(side)
-    node_src = None if len(distinct) == len(sides) else np.arange(n_nodes) + (distinct_starts[side_map] - starts)[side]
+    node_src = None if n_distinct == len(side_map) else np.arange(n_nodes) + (distinct_starts[side_map] - starts)[side]
     same_side = _same_side(distinct_starts, distinct_sizes) if variant.inner == "mlp" else None
     cross_side = _cross_side(starts, sizes) if variant.cross in ("mlp_shared", "mlp_separate") else None
     return _Plan(
         n_nodes=n_nodes,
         side_map=side_map,
-        attr_rows=table.rows(ids)[order],
-        vals=np.array([pair[1] for pair in pairs], dtype=np.float64)[order],
+        attr_rows=attr_rows,
+        vals=vals,
         by_distinct=by_distinct,
         node_src=node_src,
         by_side=_SegIndex(ids=side, starts=starts, out_rows=side_ids, n=2 * n_samples),
-        by_sample=_SegIndex(ids=side >> 1, starts=starts[0::2], out_rows=np.arange(n_samples), n=n_samples),
+        by_sample=_SegIndex(ids=side >> 1, starts=starts[0::2], out_rows=side_ids[:n_samples], n=n_samples),
         opp_seg=side_map[side ^ 1],
         user_seg=side_ids[0::2],
         item_seg=side_ids[1::2],
         pair_a=np.repeat(np.arange(n_nodes), np.repeat(sizes - 1, sizes)),
         same_side=same_side,
         cross_side=cross_side,
-        input_pos=order,
+        input_pos=input_pos,
     )
 
 

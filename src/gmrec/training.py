@@ -28,9 +28,11 @@ from .metrics import evaluate_model, metric_report, score_dataset
 from .model import (
     CANONICAL,
     ModelParams,
+    SampleIndex,
     VariantConfig,
     _forward,
     build_plan,
+    index_samples,
     init_model_params,
 )
 
@@ -119,15 +121,16 @@ def regularized_risk(
     mp: ModelParams,
     lam: float,
     variant: VariantConfig = CANONICAL,
+    index: SampleIndex | None = None, picks: np.ndarray | None = None,
 ) -> Value:
     """Tracked mean BCE plus the squared-L2 penalty for one mini-batch, on
-    a new tape (risk.tape)."""
+    a new tape (risk.tape). index and picks go to build_plan."""
     if not batch:
         raise ContractError("regularized_risk: batch is empty")
     if not (math.isfinite(lam) and lam >= 0):
         raise ContractError(f"regularized_risk: lam must be finite and non-negative, got {lam!r}")
     tape = Tape()
-    plan = build_plan(batch, mp.table, variant)
+    plan = build_plan(batch, mp.table, variant, index, picks)
     out = _forward(tape, plan, mp, variant)
     labels = tape.constant(np.array([s.label for s in batch], dtype=np.float64))
     per_sample = tape.sub(tape.softplus(out.scores), tape.mul(out.scores, labels))
@@ -141,30 +144,33 @@ def regularized_risk(
 
 
 class AdamState:
-    """First and second moment accumulators plus the step counter."""
+    """Moments and two scratch buffers per block (Parameter), and the step counter."""
 
     def __init__(self, params: Sequence[Parameter]):
         self.m = [np.zeros_like(p.values) for p in params]
         self.v = [np.zeros_like(p.values) for p in params]
+        self.scratch = [(np.empty_like(p.values), np.empty_like(p.values)) for p in params]
         self.t = 0
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update from each parameter's grad, in place."""
+    """One bias-corrected Adam update per block, in place, with the per-array bits, via the scratch."""
     if len(state.m) != len(params):
         raise ContractError("adam_step: state does not match parameters")
+    for k, (p, m) in enumerate(zip(params, state.m)):
+        if not p.grad.shape == m.shape == p.values.shape:
+            raise ContractError(f"adam_step: block {k} {p!r}: gradient shape {p.grad.shape}, state shape {m.shape}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
-        if g.shape != p.values.shape:
-            raise ContractError(f"adam_step: gradient shape {g.shape} vs {p.values.shape}")
+    for p, m, v, (step, root) in zip(params, state.m, state.v, state.scratch):
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(p.grad, 1.0 - ADAM_BETA1, out=step)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.values -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        v += np.multiply(np.multiply(p.grad, 1.0 - ADAM_BETA2, out=step), p.grad, out=step)
+        np.multiply(np.divide(m, c1, out=step), lr, out=step)  # lr * (m / c1)
+        np.add(np.sqrt(np.divide(v, c2, out=root), out=root), ADAM_EPS, out=root)  # sqrt(v / c2) + eps
+        p.values -= np.divide(step, root, out=step)
 
 
 def split_per_user(samples: Sequence[DataSample], seed: int) -> SplitDataset:
@@ -222,12 +228,12 @@ def negative_sample(
 
 
 def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
-    """Mini-batch Adam on the regularized risk; keeps the best-validation-AUC
-    parameters; bit-reproducible for a fixed config and seed."""
+    """Mini-batch Adam on the regularized risk, over one sample index and per ModelParams block;
+    keeps the best-validation-AUC parameters; bit-reproducible for a fixed config and seed."""
     universe = universe_of(list(split.train) + list(split.valid) + list(split.test))
     mp = init_model_params(universe, config.dim, config.seed, config.variant)
-    params = mp.parameters()
-    state = AdamState(params)
+    blocks = mp.blocks()
+    state = AdamState(blocks)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
     logs: list[EpochLog] = []
     best_auc = -np.inf
@@ -235,21 +241,24 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
     best_epoch = 0
     stall = 0
     train_samples = list(split.train)
+    index = index_samples(train_samples, mp.table)
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(train_samples))
         loss_sum, seen = 0.0, 0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_samples[k] for k in order[start:start + config.batch_size]]
-            for p in params:
+            picks = order[start:start + config.batch_size]
+            batch = [train_samples[k] for k in picks]
+            for p in blocks:
                 p.zero_grad()
-            risk = regularized_risk(batch, mp, config.lam, config.variant)
+            # Kept alive until this forward ends: freeing the last risk and tape first re-faults their pages each step.
+            risk = regularized_risk(batch, mp, config.lam, config.variant, index, picks)
             value = float(risk.data)
             if not np.isfinite(value):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch starting at {start}"
                 )
             risk.tape.backward(risk)
-            adam_step(params, state, config.learning_rate)
+            adam_step(blocks, state, config.learning_rate)
             loss_sum += value * len(batch)
             seen += len(batch)
         train_loss = loss_sum / max(seen, 1)

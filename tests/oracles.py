@@ -240,3 +240,19 @@ def gru_chain(ops, steps, weights, h=None):
         )
         h = ops.add(ops.mul(ops.one_minus(update), h), ops.mul(update, cand))
     return h
+
+
+def adam_per_array(params, m, v, t, lr):
+    """Step t of bias-corrected Adam, one array at a time with a temporary
+    per operation: the update the parameter arena replaced, and the
+    reference for its bits. m and v are per-array moment lists, updated in
+    place with the parameters' values."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for p, m_k, v_k in zip(params, m, v):
+        g = p.grad
+        m_k *= beta1
+        m_k += (1.0 - beta1) * g
+        v_k *= beta2
+        v_k += (1.0 - beta2) * g * g
+        p.values -= lr * (m_k / c1) / (np.sqrt(v_k / c2) + eps)

@@ -24,6 +24,7 @@ from gmrec.model import (
     _forward,
     build_plan,
     fuse,
+    index_samples,
     graph_representation,
     init_model_params,
     inner_message,
@@ -697,6 +698,45 @@ class TestVectorisedPlan:
             assert [n.att for n in nodes] == [c.att for c in chars]
             for c, n in zip(chars, nodes):
                 assert np.array_equal(n.representation, c.val * mp.table.vector(c.att))
+
+
+class TestSampleIndex:
+    """A plan cut from a SampleIndex, as train() cuts each step's plan from
+    the index of its training samples, is the plan of the picked samples."""
+
+    VARIANTS = (CANONICAL, VariantConfig(inner="bi"), VariantConfig(inner="bi", cross="mlp_separate"),
+                VariantConfig(mode="union"), VariantConfig(mode="fm"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_index_plans_match_loop_builder(self, data):
+        """Picks, with repeats, from an indexed list whose samples share side
+        tuples and include single-node sides: every field equals that of
+        oracles.plan_oracle on the picked samples; and a sample with an
+        unknown attribute is still a MissingEmbeddingError naming its id."""
+        def sides(pool):
+            side = st.lists(st.tuples(st.sampled_from(pool), st.floats(-4.0, 4.0)),
+                            min_size=1, max_size=8, unique_by=lambda t: t[0].id)
+            chars = side.map(lambda pairs: tuple(AttributeValuePair(*t) for t in pairs))
+            return st.lists(chars, min_size=1, max_size=6)
+
+        users = data.draw(sides(_USER_POOL)) + [(AttributeValuePair(_USER_POOL[0], 1.5),)]
+        items = data.draw(sides(_ITEM_POOL)) + [(AttributeValuePair(_ITEM_POOL[0], -0.5),)]
+        triples = st.tuples(st.sampled_from(users), st.sampled_from(items), st.sampled_from([0.0, 1.0]))
+        samples = [DataSample(*t) for t in data.draw(st.lists(triples, min_size=1, max_size=20))]
+        table = _shuffled_table(data.draw(st.permutations(range(20))))
+        index = index_samples(samples, table)
+        picks = np.array(data.draw(st.lists(st.integers(0, len(samples) - 1), min_size=1, max_size=30)), dtype=np.intp)
+        batch = [samples[k] for k in picks]
+        for variant in self.VARIANTS:
+            plan = build_plan(batch, table, variant, index, picks)
+            assert_plan_matches_oracle(plan, plan_oracle(batch, table, variant), variant)
+
+        known = {a.id for a in _USER_POOL + _ITEM_POOL}
+        unknown = data.draw(st.integers(0, 120).filter(lambda i: i not in known))
+        bad = DataSample(users[0] + (AttributeValuePair(AttributeId(unknown, USER), 1.0),), items[0], 0.0)
+        with pytest.raises(MissingEmbeddingError, match=rf"attribute id {unknown}$"):
+            build_plan(batch + [bad], table)
 
 
 def _side(pool_ids, vals, side):

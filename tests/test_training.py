@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 import gmrec.training
 from gmrec.autodiff import Parameter, Tape, gradient_check
 from gmrec.data import sample_user_key, universe_of
-from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines
+from gmrec.dataio import SynthSpec, generate_synthetic, load_checkpoint, parse_dataset_lines, save_checkpoint
 from gmrec.errors import ContractError, InvalidConfigError, SamplingError, UndefinedMetricError
 from gmrec.metrics import auc, evaluate_model
-from gmrec.model import CANONICAL, FM_REDUCTION, build_plan, init_model_params, score_samples
+from gmrec.model import CANONICAL, FM_REDUCTION, VariantConfig, build_plan, init_model_params, score_samples
 from gmrec.training import (
     AdamState,
     MAX_DIM,
@@ -27,7 +28,7 @@ from gmrec.training import (
 )
 
 from conftest import make_sample
-from oracles import sigmoid
+from oracles import adam_per_array, sigmoid
 
 
 def make_labeled_samples(n_users, per_user, rng, n_item_pool=None, id_base=1000):
@@ -217,6 +218,111 @@ class TestAdam:
         state = AdamState([p])
         with pytest.raises(ContractError):
             adam_step([p, q], state, lr=0.1)
+
+    def test_shape_mismatch_rejected_before_the_state_changes(self):
+        """A list as long as the state but of other shapes is a ContractError
+        naming the mismatch; the step counter, the moments and the values
+        are as they were."""
+        p = Parameter([1.0, -1.0, 2.0])
+        state = AdamState([p])
+        p.grad[...] = [0.3, -0.7, 0.1]
+        adam_step([p], state, lr=0.01)
+        q = Parameter(np.ones((2, 3)))
+        q.grad[...] = 0.5
+
+        def snapshot():
+            return state.t, state.m[0].tobytes(), state.v[0].tobytes(), q.values.tobytes()
+
+        before = snapshot()
+        with pytest.raises(ContractError, match=r"gradient shape \(2, 3\), state shape \(3,\)"):
+            adam_step([q], state, lr=0.01)
+        assert snapshot() == before
+
+    def test_blocks_match_the_per_array_update_bit_for_bit(self):
+        """Five steps on random gradients: Adam over a canonical model's
+        blocks, and over a lone Parameter, gives every value the bytes of
+        oracles.adam_per_array, which updates one array at a time."""
+        universe = universe_of([make_sample(2, 3)])
+        arena, apart = (init_model_params(universe, 8, 3, CANONICAL) for _ in range(2))
+        assert len(arena.blocks()) == 2
+        cases = [
+            (arena.parameters(), arena.blocks(), apart.parameters()),
+            ([Parameter(np.linspace(-1.0, 1.0, 7))], None, [Parameter(np.linspace(-1.0, 1.0, 7))]),
+        ]
+        for params, blocks, ref in cases:
+            blocks = blocks or params
+            state = AdamState(blocks)
+            m, v = [np.zeros(p.shape) for p in ref], [np.zeros(p.shape) for p in ref]
+            got = _five_adam_steps(params, lambda t: adam_step(blocks, state, 0.01))
+            assert got == _five_adam_steps(ref, lambda t: adam_per_array(ref, m, v, t, 0.01))
+
+    def test_a_step_allocates_less_than_the_dense_arrays(self):
+        """Under tracemalloc, one adam_step on a d=64 canonical model peaks
+        below the summed size of its MLP and GRU arrays: the update writes
+        into the state's scratch, not into temporaries."""
+        mp = init_model_params(universe_of([make_sample(3, 3)]), 64, 0, CANONICAL)
+        blocks = mp.blocks()
+        state = AdamState(blocks)
+        for p in blocks:
+            p.grad[...] = 0.25
+        adam_step(blocks, state, 1e-3)
+        tracemalloc.start()
+        try:
+            adam_step(blocks, state, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(p.values.nbytes for p in mp.parameters()[1:])
+
+
+def _five_adam_steps(params, update):
+    """The parameters' value bytes after five updates, each from fresh
+    seeded random gradients; update(t) runs step t."""
+    rng = np.random.default_rng(11)
+    for t in range(1, 6):
+        for p in params:
+            p.grad[...] = rng.normal(size=p.shape)
+        update(t)
+    return [p.values.tobytes() for p in params]
+
+
+def _assert_views_of_the_arena(mp):
+    """Every MLP and GRU Parameter's values and grad are still the views
+    into mp.dense that init_model_params made, in registry order."""
+    offset = 0
+    for p in mp.parameters()[1:]:
+        for array, buffer in ((p.values, mp.dense.values), (p.grad, mp.dense.grad)):
+            assert array.base is buffer and array.ctypes.data == buffer.ctypes.data + 8 * offset, p
+        offset += p.values.size
+    assert offset == mp.dense.values.size
+
+
+class TestArena:
+    """Writes into parameters are in place, so no entry point detaches a
+    Parameter from the arena."""
+
+    @pytest.mark.parametrize("variant", [CANONICAL, VariantConfig(inner="mlp", cross="mlp_separate", fuse="mlp")],
+                             ids=["gru", "three-mlps"])
+    def test_entry_points_keep_the_views(self, rng, tmp_path, variant):
+        text, _ = generate_synthetic(SynthSpec(users=8, items=8, samples=80, seed=3))
+        dataset = parse_dataset_lines(text.splitlines())
+        split = split_per_user(dataset.samples, 0)
+        mp = init_model_params(universe_of(dataset.samples), 2, 1, variant)
+        _assert_views_of_the_arena(mp)
+        risk = regularized_risk(split.train[:8], mp, 1e-3, variant)
+        risk.tape.backward(risk)
+        assert np.abs(mp.dense.grad).max() > 0
+        _assert_views_of_the_arena(mp)
+        assert gradient_check(lambda: regularized_risk(split.train[:2], mp, 1e-3, variant), mp.parameters()) < 1e-4
+        _assert_views_of_the_arena(mp)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(mp, variant, path, dataset.vocab)
+        loaded = load_checkpoint(path)[0]
+        _assert_views_of_the_arena(loaded)
+        assert [p.values.tobytes() for p in loaded.parameters()] == [p.values.tobytes() for p in mp.parameters()]
+        result = train(split, TrainConfig(dim=2, epochs=3, batch_size=16, seed=1, patience=3, variant=variant))
+        assert result.best_epoch >= 1
+        _assert_views_of_the_arena(result.params)
 
 
 class TestSplitPerUser:
