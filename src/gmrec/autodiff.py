@@ -37,16 +37,53 @@ it so that structural identities (node reordering, role swap, single-node
 graphs) hold exactly. A matmul's left operand is made C-contiguous first:
 numpy passes a row to BLAS only when its elements are adjacent, and
 otherwise falls back to its own loop, which sums in another order.
+
+Importing the engine on glibc fixes malloc's thresholds for the whole
+process (fix_malloc_thresholds): blocks of up to 32 MiB, the ceiling of
+glibc's dynamic mmap threshold on 64-bit, come from the heap, and up to
+64 MiB of freed heap, twice that, stays mapped. Both are set, as setting
+either switches the dynamic rule off. A rank request or a training step
+then reuses the pages the last one freed instead of faulting in fresh
+ones. With any of glibc's malloc tunables set in the environment, or on
+another C library, nothing changes.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
+
+
+_MALLOC_TUNABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_")
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt's parameter numbers in glibc's malloc.h
+
+
+def fix_malloc_thresholds(environ=os.environ, libc=None) -> bool:
+    """Apply the malloc policy of the module docstring; True if applied.
+    libc defaults to the process's own symbols. Never raises."""
+    if any(name in environ for name in _MALLOC_TUNABLES) or "glibc.malloc." in environ.get("GLIBC_TUNABLES", ""):
+        return False
+    if libc is None:
+        try:
+            libc = ctypes.CDLL(None)
+        except (OSError, TypeError):  # TypeError: Windows loads no library by None
+            return False
+    if not (hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")):
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return True
+
+
+fix_malloc_thresholds()
 
 
 class Parameter:

@@ -294,7 +294,7 @@ def init_model_params(
     mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"))
     layout = parameter_layout(variant, dim)
     bounds = np.cumsum([0] + [math.prod(shape) for _, shapes in layout for shape in shapes])
-    if len(bounds) > 1:  # drawn in place: large arrays dropped at set-up shift malloc's thresholds
+    if len(bounds) > 1:  # drawn in place below, so set-up holds one copy of each weight
         mp.dense = Parameter(np.zeros(bounds[-1]), "dense")
     spans = zip(bounds, bounds[1:])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))

@@ -250,7 +250,6 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
             batch = [train_samples[k] for k in picks]
             for p in blocks:
                 p.zero_grad()
-            # Kept alive until this forward ends: freeing the last risk and tape first re-faults their pages each step.
             risk = regularized_risk(batch, mp, config.lam, config.variant, index, picks)
             value = float(risk.data)
             if not np.isfinite(value):
@@ -258,6 +257,7 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
                     f"non-finite loss at epoch {epoch}, batch starting at {start}"
                 )
             risk.tape.backward(risk)
+            del risk  # frees the tape before the next forward
             adam_step(blocks, state, config.learning_rate)
             loss_sum += value * len(batch)
             seen += len(batch)

@@ -1,7 +1,12 @@
 import gc
 import inspect
 import math
+import os
+import platform
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -907,3 +912,65 @@ def test_row_local_ops_differ_from_array_ops_in_matmul_and_rowdot_only():
     a, b = np.random.default_rng(3).normal(size=(2, 37, 37))
     assert np.array_equal(autodiff.RowLocalOps.matmul(a, b), autodiff._mm_row_local(a, b))
     assert np.array_equal(autodiff.ArrayOps.matmul(a, b), a @ b)
+
+
+class _FakeLibc:
+    """A C library stand-in that records mallopt calls; glibc exports
+    gnu_get_libc_version, which the policy takes as its mark."""
+
+    def __init__(self, glibc=True, mallopt=True):
+        self.calls = []
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.36"
+        if mallopt:
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+class TestMallocPolicy:
+    @pytest.mark.parametrize("environ", [
+        {"MALLOC_MMAP_THRESHOLD_": "131072"}, {"MALLOC_TRIM_THRESHOLD_": "0"}, {"MALLOC_TOP_PAD_": "0"},
+        {"MALLOC_MMAP_MAX_": "0"}, {"GLIBC_TUNABLES": "glibc.rtld.nns=2:glibc.malloc.trim_threshold=0"},
+    ])
+    def test_preset_glibc_tunables_win(self, environ):
+        libc = _FakeLibc()
+        assert not autodiff.fix_malloc_thresholds(environ, libc)
+        assert libc.calls == []
+
+    @pytest.mark.parametrize("libc", [_FakeLibc(glibc=False), _FakeLibc(mallopt=False)])
+    def test_other_c_libraries_are_left_alone(self, libc):
+        assert not autodiff.fix_malloc_thresholds({}, libc)
+        assert libc.calls == []
+
+    def test_on_glibc_both_thresholds_are_set(self):
+        libc = _FakeLibc()
+        assert autodiff.fix_malloc_thresholds({"GLIBC_TUNABLES": "glibc.rtld.nns=2", "HOME": "/"}, libc)
+        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc policy applies to glibc only")
+    def test_a_rank_request_reuses_freed_pages(self):
+        """In a fresh process with no malloc tunables set, the second
+        300-sample d=64 score_samples call faults fewer than 50 pages: it
+        reuses the heap the first one freed."""
+        script = """if True:
+            import resource
+            from gmrec.data import ITEM, USER, AttributeId, AttributeValuePair, DataSample, universe_of
+            from gmrec.model import init_model_params, score_samples
+
+            def pair(i, side, v=1.0):
+                return AttributeValuePair(AttributeId(i, side), v)
+
+            user = tuple(pair(i, USER) for i in range(3))
+            request = [DataSample(user, (pair(3 + j % 40, ITEM), pair(43 + j % 7, ITEM, 0.5)), 0.0)
+                       for j in range(300)]
+            mp = init_model_params(universe_of(request), 64, 0)
+            score_samples(request, mp)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            score_samples(request, mp)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 50

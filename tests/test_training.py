@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -467,6 +468,22 @@ class TestTrain:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingError):
                 train(split, config)
+
+    def test_each_step_frees_its_tape_before_the_next_forward(self, rng, monkeypatch):
+        """No step's tape, nor the arrays it holds, is alive while the next
+        step's forward runs."""
+        split = self._split(rng)
+        tapes, risk_of = [], gmrec.training.regularized_risk
+
+        def recording(*args):
+            assert all(ref() is None for ref in tapes)
+            risk = risk_of(*args)
+            tapes.append(weakref.ref(risk.tape))
+            return risk
+
+        monkeypatch.setattr(gmrec.training, "regularized_risk", recording)
+        train(split, TrainConfig(dim=4, epochs=2, seed=1, batch_size=8))
+        assert len(tapes) > 2
 
     def test_returns_best_validation_params(self, rng):
         split = self._split(rng, n_users=8, per_user=8)
