@@ -12,18 +12,18 @@ Design rules:
 Each primitive is one row of PRIMITIVES: its forward on arrays, its shape
 rule, its VJP maker and its operand count. One function builds every row's
 Tape method, of any arity: check the shapes, run the forward on the
-operands' data and, if any operand is tracked, record one node whose edges
-are the VJPs of the tracked operands, in operand order. ArrayOps exposes
+operands' data and, if any operand is tracked, record one node whose
+parents are the tracked operands, in operand order. ArrayOps exposes
 the forwards themselves, so the model's forward pass, written once against
 an ops object, computes the same arrays bit for bit on a Tape, which
 records it for the backward pass, and on ArrayOps, which records nothing.
 
 The GRU is the one operation outside the table: _gru_forward runs it on
 every ops object, through that object's matmul, and Tape.gru records a run
-as one node. That node keeps one edge per gradient contribution of the
-per-primitive chain it replaces, in the chain's order, so a node may carry
-several ordered edges to one parent; backward applies them in list order,
-and each contribution is computed as its edge is reached.
+as one node, whose VJP is one pass over the steps. Its gradients are
+within 1e-14 of the largest entry of those of the per-primitive chain it
+replaced, and have their bits when no parent already holds a gradient
+and no Value is read twice.
 
 The ops object also chooses the product kernels, so the forward only
 states what to compute. Tape and ArrayOps run one BLAS product over all
@@ -110,10 +110,15 @@ class Parameter:
 
 
 class _Node:
-    __slots__ = ("edges", "grad")
+    """A recorded application: vjp(g) returns one contribution per parent,
+    in order, for the gradient g of its output; a parent is a _Node or a
+    Parameter, maybe listed twice. backward adds them in that order."""
 
-    def __init__(self, edges):
-        self.edges = edges  # list of (parent, g -> array), applied in order; parent a _Node or Parameter
+    __slots__ = ("parents", "vjp", "grad")
+
+    def __init__(self, parents, vjp):
+        self.parents = parents
+        self.vjp = vjp
         self.grad = None
 
 
@@ -391,7 +396,7 @@ def _shape_error(name: str, row: Primitive, args) -> ShapeError:
 def _tape_method(name: str, row: Primitive) -> Callable:
     """tape.<name>(operands..., constants...): check the operands' shapes,
     run the row's forward on their data and, when an operand is tracked,
-    record one node with an edge per tracked operand, in operand order."""
+    record one node whose parents are the tracked operands, in order."""
     forward, vjps, check, saves, n = row.forward, row.vjps, row.check, row.saves, row.operands
 
     def method(self, *args) -> Value:
@@ -399,7 +404,7 @@ def _tape_method(name: str, row: Primitive) -> Callable:
         for k, a in enumerate(args[:n]):
             plain[k] = a.data
             if a.node is not None:
-                tracked.append((a.node, k))
+                tracked.append(k)
         if check is not None and not check(*plain):
             raise _shape_error(name, row, plain)
         if saves:
@@ -408,7 +413,7 @@ def _tape_method(name: str, row: Primitive) -> Callable:
         if not tracked:
             return Value(out, None, self)
         fns = vjps(out, *plain)
-        node = _Node([(parent, fns[k]) for parent, k in tracked])
+        node = _Node([args[k].node for k in tracked], lambda g: [fns[k](g) for k in tracked])
         self.nodes.append(node)
         return Value(out, node, self)
 
@@ -496,126 +501,58 @@ def _gru_forward(matmul, steps, weights, h=None, saved: list | None = None) -> n
     return h
 
 
-_X, _H = 9, 10  # a step's input and hidden state, after the weights, in a step's backward
+def _gru_backward(g, steps, weights, saved, need) -> list:
+    """The gradients of the GRU run's operands that need marks, in operand
+    order, for the gradient g of its output.
 
+    One pass over the steps, last to first. Each contribution has the
+    arithmetic of the chain's VJP for it (oracles.gru_chain), and each
+    operand sums its contributions in the chain's order: steps last to
+    first, and in a step h' = (1 - z) * h + z * c, then the candidate, the
+    reset and the update gate.
+    """
+    grads = [None] * len(need)
 
-def _gru_order(n_steps: int, from_zero: bool) -> list[int]:
-    """The operand of each contribution _gru_backward yields, when every
-    operand is tracked: a weight once per step, a step input or h0 once per
-    product that read it."""
-    order = []
-    for t in range(n_steps - 1, -1, -1):
-        if t == 0 and from_zero:
-            roles = [8, _X, 6, 2, _X, 0]
-        else:
-            roles = [_H, 8, 7, _H, _X, 6, 5, _H, 4, _X, 3, 2, _H, 1, _X, 0]
-        order += [9 + t if k == _X else 9 + n_steps if k == _H else k for k in roles if k != _H or t == 0]
-    return order
+    def add(k, c):
+        grads[k] = c if grads[k] is None else _into(np.add, grads[k], c)
 
-
-def _gate_backward(g, x, h, w, u, k: int, need):
-    """The contributions of the gate (x W + h U) + b (x W + b without h),
-    whose W, U and b are operands k, k + 1 and k + 2, for the gradient g of
-    its pre-activation: the VJPs of add_rowvec and the two matmuls."""
-    if need[k + 2]:
-        yield k + 2, g.sum(axis=0)
-    if h is not None and need[_H]:
-        yield _H, g @ u.T
-    if h is not None and need[k + 1]:
-        yield k + 1, h.T @ g
-    if need[_X]:
-        yield _X, g @ w.T
-    if need[k]:
-        yield k, x.T @ g
-
-
-def _gru_step_backward(g, x, state, weights, need):
-    """The (operand, contribution) pairs of one step whose output has
-    gradient g, for the operands need marks; state is what the forward saved."""
-    w_z, u_z, _, w_r, u_r, _, w_h, u_h, _ = weights
-    if len(state) == 2:  # the step from h = 0: h' = z * c
-        z, c = state
+    for t in range(len(steps) - 1, -1, -1):
+        x, state = steps[t], saved[t]
+        h, z, r, rh, c = state if len(state) == 5 else (None, state[0], None, None, state[1])  # from h = 0: z * c
+        one_minus_z = 1.0 - z
+        g_z = g * c
+        if h is not None:
+            g_z -= g * h
+        g_z *= z
+        g_z *= one_minus_z
+        dh = g * one_minus_z if h is not None and (t > 0 or need[-1]) else None  # the g of the step before
         g_c = g * z
         g_c *= 1.0 - c * c
-        yield from _gate_backward(g_c, x, None, w_h, None, 6, need)
-        del g_c
-        g_z = g * c
-        g_z *= z
-        g_z *= 1.0 - z
-        yield from _gate_backward(g_z, x, None, w_z, None, 0, need)
-        return
-    h, z, r, rh, c = state
-    g_z = g * c
-    g_z -= g * h
-    g_c = g * z
-    if need[_H]:
-        yield _H, g * (1.0 - z)
-    g_c *= 1.0 - c * c
-    if need[8]:
-        yield 8, g_c.sum(axis=0)
-    g_r = g_c @ u_h.T  # the gradient of r * h
-    if need[7]:
-        yield 7, rh.T @ g_c
-    if need[_H]:
-        yield _H, g_r * r
-    g_r *= h
-    if need[_X]:
-        yield _X, g_c @ w_h.T
-    if need[6]:
-        yield 6, x.T @ g_c
-    del g_c
-    g_r *= r
-    g_r *= 1.0 - r
-    yield from _gate_backward(g_r, x, h, w_r, u_r, 3, need)
-    del g_r
-    g_z *= z
-    g_z *= 1.0 - z
-    yield from _gate_backward(g_z, x, h, w_z, u_z, 0, need)
-
-
-def _gru_backward(g, steps, weights, h0, saved, tracked):
-    """Yield (operand, contribution) for each tracked operand of a GRU run
-    whose output has gradient g, in _gru_order.
-
-    The contributions, their arithmetic and their order are those of the
-    chain of primitives the run replaces, applied in reverse: steps last to
-    first; in a step the VJPs of h' = (1 - z) * h + z * c, then of the
-    candidate, reset and update gates. A hidden state between two steps sums
-    its contributions in that order into the g of the step before. So every
-    parent receives the chain's contributions in the chain's order, and its
-    gradient has the chain's bits.
-    """
-    n = len(steps)
-    for t in range(n - 1, -1, -1):
-        need = tracked[:9] + [tracked[9 + t], t > 0 or h0 is not None and tracked[9 + n]]
-        dh = None
-        for k, c in _gru_step_backward(g, steps[t], saved[t], weights, need):
-            if k == _H and t > 0:
-                dh = c if dh is None else _into(np.add, dh, c)
-            else:
-                yield (9 + t if k == _X else 9 + n if k == _H else k), c
+        gates = [(6, g_c, rh)]  # (k, g, h) for the gate (x W + h U) + b of operands k, k + 1, k + 2
+        if h is not None:
+            g_r = g_c @ weights[7].T  # the gradient of r * h
+            if dh is not None:
+                dh += g_r * r
+            g_r *= h
+            g_r *= r
+            g_r *= 1.0 - r
+            gates.append((3, g_r, h))
+        gates.append((0, g_z, h))
+        for k, g_a, h_in in gates:
+            if need[k + 2]:
+                add(k + 2, g_a.sum(axis=0))
+            if h_in is not None and need[k + 1]:
+                add(k + 1, h_in.T @ g_a)
+            if dh is not None and k != 6:  # the candidate's reached dh through r * h above
+                dh += g_a @ weights[k + 1].T
+            if need[9 + t]:
+                add(9 + t, g_a @ weights[k].T)
+            if need[k]:
+                add(k, x.T @ g_a)
         g = dh
-
-
-def _lazy_edges(parents: list, contributions: Callable) -> list:
-    """Edges to the (parent, operand) pairs, in order, a parent possibly
-    more than once: edge i's VJP returns the array of the i-th pair that
-    contributions(g) yields, so each contribution is computed when its edge
-    is applied and dropped with it. The first edge starts the generator and
-    the last drops it, so backward can run again."""
-    live = [None]
-    last = len(parents) - 1
-
-    def vjp(g, i, operand):
-        if i == 0:
-            live[0] = contributions(g)
-        k, c = next(live[0])
-        assert k == operand, (k, operand)
-        if i == last:
-            live[0] = None
-        return c
-
-    return [(parent, functools.partial(vjp, i=i, operand=k)) for i, (parent, k) in enumerate(parents)]
+    if g is not None:
+        grads[-1] = g
+    return [c for c, wanted in zip(grads, need) if wanted]
 
 
 class Tape:
@@ -655,20 +592,24 @@ class Tape:
     def gru(self, steps: Sequence[Value], weights: Sequence[Value], h0: Value | None = None) -> Value:
         """The GRU of _gru_forward over matrices, as one node.
 
-        weights are the 9 GRU arrays in GruWeights order. The node has an
-        edge per gradient contribution of the per-primitive chain the run
-        replaces, in that chain's order (see _gru_backward), so gradients
-        have the chain's bits; each is computed when backward reaches it.
+        weights are the 9 GRU arrays in GruWeights order. The node's
+        parents are the tracked operands the run reads, in operand order (a
+        lone step from h = 0 reads no U and nothing of the reset gate), and
+        its VJP is one _gru_backward pass: each gradient is within 1e-14 of
+        the largest entry of the per-primitive chain's (oracles.gru_chain),
+        and has its bits when no parent already holds a gradient and no
+        Value is read twice.
         """
         xs, w, h = [v.data for v in steps], [v.data for v in weights], None if h0 is None else h0.data
         saved: list = []
         out = _gru_forward(np.matmul, xs, w, h, saved)
         operands = [*weights, *steps] + ([] if h0 is None else [h0])
-        tracked = [v.node is not None for v in operands]
-        parents = [(operands[k].node, k) for k in _gru_order(len(steps), h0 is None) if tracked[k]]
-        if not parents:
+        lone = len(steps) == 1 and h0 is None
+        need = [v.node is not None and not (lone and k in (1, 3, 4, 5, 7)) for k, v in enumerate(operands)]
+        if not any(need):
             return Value(out, None, self)
-        node = _Node(_lazy_edges(parents, lambda g: _gru_backward(g, xs, w, h, saved, tracked)))
+        node = _Node([v.node for v, wanted in zip(operands, need) if wanted],
+                     lambda g: _gru_backward(g, xs, w, saved, need))
         self.nodes.append(node)
         return Value(out, node, self)
 
@@ -696,8 +637,7 @@ class Tape:
             if g is None:
                 continue
             node.grad = None
-            for parent, fn in node.edges:
-                c = fn(g)
+            for parent, c in zip(node.parents, node.vjp(g)):
                 if isinstance(parent, Parameter):
                     parent.grad += c
                 else:

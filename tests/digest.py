@@ -1,5 +1,5 @@
 """Hash digests of the program's outputs, for checking that a refactor keeps
-every bit.
+every bit, or which bits it changes.
 
 Run as `python tests/digest.py` (pytest does not collect it). It first
 prints the BLAS thread setting it ran under (OPENBLAS_NUM_THREADS and
@@ -7,10 +7,14 @@ OMP_NUM_THREADS as set, or "default"): the matmul bits, and so some
 digests, depend on it. Then it prints one sha256 per group; two commits
 that print the same lines under one setting give bit-identical results on:
 
-  variants     for each of the 25 variants, on two fixed batches (one that
+  forward      for each of the 25 variants, on two fixed batches (one that
                repeats side tuples as shared objects, one with +0, -0 and
-               last-bit values): regularized_risk values and Tape gradients,
-               score_samples, and predict scores and diagnostics;
+               last-bit values): regularized_risk values, score_samples,
+               and predict scores and diagnostics;
+  grads-gru    the Tape gradients of those regularized_risk values, for the
+  grads-other  8 fuse=gru variants and for the other 17: Tape.gru's
+               backward holds a tolerance, not the bits of the chain of
+               primitives it replaced, so a change to it shows here alone;
   train-small  epoch logs and final parameters of train() on the bench
   train-wide   generators' seed-2001 inputs, with the bench's first config;
   criterion-1  the worst relative error of acceptance criterion 1, which is
@@ -101,22 +105,24 @@ def fixed_batches():
     return universe, [shared, bits]
 
 
-def variants_digest() -> str:
-    out = Digest()
+def variants_digests() -> tuple[str, str, str]:
+    """The forward, grads-gru and grads-other digests."""
+    out, grads = Digest(), {True: Digest(), False: Digest()}
     universe, batches = fixed_batches()
     for variant in all_variants():
         for batch in batches:
             mp = init_model_params(universe, 8, seed=4, variant=variant)
             risk = regularized_risk(batch, mp, 0.1, variant)
             risk.tape.backward(risk)
-            out.add(repr(variant), float(risk.data), *(p.grad for p in mp.parameters()))
+            out.add(repr(variant), float(risk.data))
+            grads[variant.fuse == "gru"].add(repr(variant), *(p.grad for p in mp.parameters()))
             out.add(score_samples(batch, mp, variant))
             for sample in batch:
                 res = predict(sample, mp, variant)
                 out.add(res.score, res.user_repr, res.item_repr)
                 for node in res.user_nodes + res.item_nodes:
                     out.add(node.att, node.representation, node.message, node.match, node.fused)
-    return out.hexdigest()
+    return out.hexdigest(), grads[True].hexdigest(), grads[False].hexdigest()
 
 
 def train_digest(text: str, dim: int) -> str:
@@ -176,7 +182,10 @@ def blas_threads() -> str:
 
 def main() -> None:
     print("blas-threads", blas_threads())
-    print("variants   ", variants_digest())
+    forward, grads_gru, grads_other = variants_digests()
+    print("forward    ", forward)
+    print("grads-gru  ", grads_gru)
+    print("grads-other", grads_other)
     print("train-small", train_digest(inputs.train_small_text(SEED), 16))
     print("train-wide ", train_digest(inputs.train_wide_text(SEED), 64))
     worst = run_gradcheck(instances=20, d=8, seed=0, step=1e-5, max_attrs=4)

@@ -28,8 +28,8 @@ from gmrec.training import (
     train,
 )
 
-from conftest import make_sample
-from oracles import adam_per_array, sigmoid
+from conftest import all_variants, make_sample
+from oracles import adam_per_array, gru_chain, sigmoid
 
 
 def make_labeled_samples(n_users, per_user, rng, n_item_pool=None, id_base=1000):
@@ -129,6 +129,44 @@ def test_train_small_step_records_30_nodes_two_of_them_gru(monkeypatch):
     plan = build_plan(batch, mp.table)
     assert plan.node_src is not None  # the batch repeats sides, so the two runs differ in rows
     assert runs == [(2, True, len(plan.attr_rows), 1), (1, False, plan.n_nodes, 1)]
+
+
+@pytest.fixture(scope="module")
+def bench_batches():
+    """The first 64 training samples and the universe of each bench input
+    (seed 2001), with the bench's d: train-small at 16, train-wide at 64."""
+    import digest
+
+    out = []
+    for text, dim in ((digest.inputs.train_small_text(digest.SEED), 16),
+                      (digest.inputs.train_wide_text(digest.SEED), 64)):
+        samples = parse_dataset_lines(text.splitlines()).samples
+        out.append((split_per_user(samples, digest.SEED).train[:64], universe_of(samples), dim))
+    return out
+
+
+@pytest.mark.parametrize("variant", [v for v in all_variants() if v.fuse == "gru"], ids=repr)
+def test_gru_node_gradients_are_within_tolerance_of_the_chain(variant, bench_batches, monkeypatch):
+    """regularized_risk's gradients with Tape.gru are within 1e-14 of each
+    parameter's largest gradient entry with the per-primitive chain in its
+    place, on both bench inputs: the two GRU runs share their weights, and
+    the L2 penalty's contributions reach them before the runs'."""
+    for batch, universe, dim in bench_batches:
+        mp = init_model_params(universe, dim, seed=5, variant=variant)
+
+        def grads():
+            for p in mp.parameters():
+                p.zero_grad()
+            risk = regularized_risk(batch, mp, TrainConfig().lam, variant)
+            risk.tape.backward(risk)
+            return [p.grad.copy() for p in mp.parameters()]
+
+        node = grads()
+        with monkeypatch.context() as m:
+            m.setattr(Tape, "gru", lambda tape, steps, weights, h0=None: gru_chain(tape, steps, weights, h0))
+            chain = grads()
+        for p, a, b in zip(mp.parameters(), node, chain):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), (dim, p.name)
 
 
 class TestRegularizedRisk:
