@@ -7,6 +7,10 @@ Design rules:
   * A tape is an append-only list of recorded applications, so reverse
     iteration is a valid topological order and one backward pass visits
     each node exactly once.
+  * A backward pass consumes its tape: each node drops its VJP, and the
+    arrays that VJP saved, as soon as its contributions are applied, so
+    the pass's working memory shrinks as it goes. A second backward on the
+    tape raises ContractError.
   * relu's derivative at exactly 0 is 0.
 
 Each primitive is one row of PRIMITIVES: its forward on arrays, its shape
@@ -564,6 +568,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.consumed = False  # set by backward
 
     def constant(self, x) -> Value:
         return Value(_as_array(x), None, self)
@@ -614,13 +619,16 @@ class Tape:
         return Value(out, node, self)
 
     def backward(self, output: Value) -> None:
-        """Accumulate d(output)/d(parameter) into every Parameter's grad.
+        """Accumulate d(output)/d(parameter) into every Parameter's grad,
+        consuming the tape.
 
         A node's gradient is the sum of its contributions; a Parameter adds
         each contribution into p.grad in place as it arrives, so p.grad
         stays the same-shape array. From zeroed grads the result has the
-        bits of summing the contributions first; repeated calls without
-        zeroing still accumulate, but round in another order.
+        bits of summing the contributions first. Each node's VJP, and the
+        arrays it closed over, is dropped once its contributions are
+        applied; the nodes stay listed. So a tape runs backward once: a
+        second call raises ContractError before touching any gradient.
         """
         if np.ndim(output.data) != 0:
             raise ContractError(
@@ -628,20 +636,24 @@ class Tape:
             )
         if output.node is None:
             raise ContractError("backward: output is not tracked on a tape")
+        if self.consumed:
+            raise ContractError("backward: this tape has already run backward")
+        self.consumed = True
         if isinstance(output.node, Parameter):
             output.node.grad += 1.0
             return
         output.node.grad = np.asarray(1.0)
         for node in reversed(self.nodes):
-            g = node.grad
+            g, vjp = node.grad, node.vjp
+            node.grad = node.vjp = None
             if g is None:
                 continue
-            node.grad = None
-            for parent, c in zip(node.parents, node.vjp(g)):
+            for parent, c in zip(node.parents, vjp(g)):
                 if isinstance(parent, Parameter):
                     parent.grad += c
                 else:
                     parent.grad = c if parent.grad is None else parent.grad + c
+            del vjp  # the node's saved arrays go now, not when the next node is reached
 
 
 def segment_boundaries(seg_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

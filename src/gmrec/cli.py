@@ -2,7 +2,8 @@
 
 Subcommands: train, evaluate, predict, ablate, gradcheck, fmcheck, synth,
 export-matrices. Exit codes: 0 success, 1 usage error, 2 data or numeric
-error. Flags match by their full name only.
+error, or a MemoryError that escaped the command. Flags match by their
+full name only.
 
 A flag that sets a TrainConfig, ParseOptions or SynthSpec field has no
 default of its own: the dataclass is built from the fields whose flag was
@@ -403,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # what the engine's own bounds did not catch
+        print(f"error: {command.prog}: out of memory", file=sys.stderr)
         return 2
     finally:
         warnings.formatwarning = formatwarning

@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import stable_sigmoid
 from .data import EmbeddingTable, side_key
 from .errors import UndefinedMetricError
-from .model import CANONICAL, ModelParams, VariantConfig, score_samples
+from .model import CANONICAL, ModelParams, SampleIndex, VariantConfig, score_samples
 
 PROB_EPS = 1e-12
 
@@ -111,13 +111,15 @@ def probability_from_score(score: np.ndarray) -> np.ndarray:
     return stable_sigmoid(np.asarray(score, dtype=np.float64))
 
 
-def score_dataset(samples, mp: ModelParams, variant: VariantConfig = CANONICAL) -> list[ScoredSample]:
+def score_dataset(samples, mp: ModelParams, variant: VariantConfig = CANONICAL,
+                  index: SampleIndex | None = None) -> list[ScoredSample]:
     """Score samples with the model and wrap them with their user side tuples.
 
     The stored score is the sigmoid probability; AUC and NDCG are invariant
     under the monotone link and logloss needs the probability anyway.
+    index, the SampleIndex of samples, goes to score_samples.
     """
-    raw = score_samples(samples, mp, variant)
+    raw = score_samples(samples, mp, variant, index)
     probs = probability_from_score(raw)
     return [
         ScoredSample(user=s.user_chars, score=float(p), label=float(s.label))

@@ -41,8 +41,9 @@ numbers the sides by identity; then, over the distinct sides only, one
 flat pass collects sizes, attribute ids and values, one binary search over
 the table's sorted ids finds the embedding rows and one lexsort by (side,
 id) orders the nodes. build_plan cuts a plan from such an index, which
-train() builds once; the layout, segment and pair arrays follow by repeat
-and cumsum through the side map, with no Python loop per attribute.
+train() builds once for its training samples and once for its validation
+split; the layout, segment and pair arrays follow by repeat and cumsum
+through the side map, with no Python loop per attribute.
 Inside a sample, nodes are processed in ascending attribute-id order, so
 reordering the input attributes cannot change any bit of the output. The
 pair sums always add a node's terms in neighbour order, and on RowLocalOps
@@ -602,17 +603,54 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: Varian
     )
 
 
-# score_samples runs at most this many samples per forward.
-SCORE_BATCH = 2048
+# score_samples runs at most this many sample-node elements (nodes x dim) per
+# forward, 1 MiB per float64 array of the nodes; one sample larger than that
+# runs alone.
+SCORE_BATCH = 1 << 17
 
 
-def score_samples(samples, mp: ModelParams, variant: VariantConfig = CANONICAL) -> np.ndarray:
-    """Untracked scores, batched; safe to call concurrently over read-only params."""
+def _score_chunks(elems: np.ndarray, budget: int) -> list[int]:
+    """Bounds of the fewest runs of consecutive samples, each within budget
+    elements or a single sample, where the largest run that has more than
+    one sample is as small as that count allows."""
+    ends = np.cumsum(elems)
+
+    def cut(cap: int) -> list[int]:
+        bounds = [0]
+        while bounds[-1] < len(ends):
+            start = bounds[-1]
+            base = ends[start - 1] if start else 0
+            bounds.append(max(start + 1, int(np.searchsorted(ends, base + cap, side="right"))))
+        return bounds
+
+    fewest = cut(budget)
+    if len(fewest) <= 2:
+        return fewest
+    lo, hi = min(-(-int(ends[-1]) // (len(fewest) - 1)), budget), budget
+    while lo < hi:  # the smallest cap that needs no more runs; cut is monotone in it
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if len(cut(mid)) <= len(fewest) else (mid + 1, hi)
+    return cut(lo)
+
+
+def score_samples(samples, mp: ModelParams, variant: VariantConfig = CANONICAL,
+                  index: SampleIndex | None = None) -> np.ndarray:
+    """Untracked scores; safe to call concurrently over read-only params.
+
+    The samples run in the fewest balanced forwards of whole samples that
+    hold at most SCORE_BATCH sample-node elements each, a larger sample
+    alone, so the working memory does not grow with the list. A sample's
+    score does not depend on the chunk it runs in. Given index, the
+    SampleIndex of samples, each chunk's plan is cut from it.
+    """
+    nodes = np.fromiter((len(s.user_chars) + len(s.item_chars) for s in samples), np.intp, len(samples))
+    bounds = _score_chunks(nodes * mp.dim, SCORE_BATCH)
     out = np.empty(len(samples))
-    for start in range(0, len(samples), SCORE_BATCH):
-        chunk = samples[start:start + SCORE_BATCH]
-        plan = build_plan(chunk, mp.table, variant)
-        out[start:start + len(chunk)] = _forward(ArrayOps(), plan, mp, variant).scores
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = samples[start:stop]
+        picks = None if index is None else np.arange(start, stop)
+        plan = build_plan(chunk, mp.table, variant, index, picks)
+        out[start:stop] = _forward(ArrayOps(), plan, mp, variant).scores
     return out
 
 

@@ -240,8 +240,9 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
     best_values: list[np.ndarray] | None = None
     best_epoch = 0
     stall = 0
-    train_samples = list(split.train)
+    train_samples, valid = list(split.train), list(split.valid)
     index = index_samples(train_samples, mp.table)
+    valid_index = index_samples(valid, mp.table) if valid else None
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(train_samples))
         loss_sum, seen = 0.0, 0
@@ -262,7 +263,7 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
             loss_sum += value * len(batch)
             seen += len(batch)
         train_loss = loss_sum / max(seen, 1)
-        val_auc, val_logloss = _validation_metrics(split.valid, mp, config.variant)
+        val_auc, val_logloss = _validation_metrics(valid, valid_index, mp, config.variant)
         logs.append(EpochLog(epoch, train_loss, val_auc, val_logloss))
         if np.isfinite(val_auc):
             if val_auc > best_auc:
@@ -298,8 +299,8 @@ def ablate(samples: Sequence[DataSample], variants: Sequence[VariantConfig], see
     return [{k: float(np.mean([r[k] for r in per_seed])) for k in per_seed[0]} for per_seed in reports]
 
 
-def _validation_metrics(valid: Sequence[DataSample], mp, variant) -> tuple[float, float]:
+def _validation_metrics(valid: list[DataSample], index, mp, variant) -> tuple[float, float]:
     if not valid:
         return float("nan"), float("nan")
-    report = metric_report(score_dataset(list(valid), mp, variant), ks=())
+    report = metric_report(score_dataset(valid, mp, variant, index), ks=())
     return report["auc"], report["logloss"]

@@ -26,7 +26,10 @@ that print the same lines under one setting give bit-identical results on:
                model on each split's test part;
   ablate       the reports of training.ablate for the canonical variant and
                mode=fm on the train-small seed-2001 input, seed 2001, d=8,
-               one epoch.
+               one epoch, and the trained parameter blocks of each
+               (variant, seed) run with that configuration, so that a change
+               to training's low bits shows even where the averaged
+               reports round it away.
 
 Last it prints `tape-nodes N`: a count, not a hash. N is the number of
 nodes one canonical train-small step records on its tape (the seed-2001
@@ -39,6 +42,7 @@ import hashlib
 import io
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -155,8 +159,13 @@ def grouping_digest() -> str:
 def ablate_digest() -> str:
     dataset = parse_dataset_lines(io.StringIO(inputs.train_small_text(SEED)))
     config = TrainConfig(dim=8, learning_rate=3e-3, epochs=1, batch_size=64, patience=1)
+    variants, seeds = [CANONICAL, FM_REDUCTION], [SEED]
     out = Digest()
-    out.add(ablate(dataset.samples, [CANONICAL, FM_REDUCTION], [SEED], config))
+    out.add(ablate(dataset.samples, variants, seeds, config))
+    for seed in seeds:  # the runs ablate makes, as it makes them
+        split = split_per_user(dataset.samples, seed)
+        for variant in variants:
+            out.add(*(p.values for p in train(split, replace(config, seed=seed, variant=variant)).params.blocks()))
     return out.hexdigest()
 
 

@@ -187,13 +187,51 @@ class TestBackward:
         with pytest.raises(ContractError):
             tape.backward(tape.add(v, v))
 
-    def test_accumulation_without_zeroing(self):
+    def test_second_backward_rejected(self):
+        """backward consumes its tape: a second call, from the same output
+        or from another one on the tape, raises ContractError and leaves
+        p.grad as the first call left it."""
         p = Parameter([[1.0, 2.0]])
         tape = Tape()
-        out = tape.sum_reduce(tape.rowdot(tape.param(p), tape.param(p)))
+        v = tape.param(p)
+        out = tape.sum_reduce(tape.rowdot(v, v))
+        other = tape.sum_reduce(tape.mul(v, v))
         tape.backward(out)
+        assert np.array_equal(p.grad, [[2.0, 4.0]])
+        for again in (out, other):
+            with pytest.raises(ContractError, match="already run backward"):
+                tape.backward(again)
+            assert np.array_equal(p.grad, [[2.0, 4.0]])
+        assert len(tape.nodes) == 4 and all(node.vjp is None for node in tape.nodes)
+
+    def test_gru_saved_arrays_freed_once_applied(self):
+        """The arrays a GRU node saved for its VJP are freed as soon as
+        backward has applied the node, before the nodes recorded ahead of it
+        run, while the tape and its output are still referenced."""
+        rng = np.random.default_rng(3)
+        weights = [Parameter(rng.normal(size=(4, 4) if k % 3 < 2 else 4)) for k in range(9)]
+        x = Parameter(rng.normal(size=(5, 4)))
+        tape = Tape()
+        steps = [tape.scale(tape.param(x), c) for c in (1.0, -0.5, 2.0)]
+        out = tape.sum_reduce(tape.gru(steps, [tape.param(w) for w in weights]))
+        gru_node = tape.nodes[3]
+        saved = next(cell.cell_contents for cell in gru_node.vjp.__closure__
+                     if isinstance(cell.cell_contents, list) and cell.cell_contents
+                     and isinstance(cell.cell_contents[0], tuple))
+        refs = [weakref.ref(a) for state in saved for a in state]
+        assert len(refs) == 2 + 5 + 5
+        del saved
+        seen, first = [], tape.nodes[0].vjp
+
+        def applied_after_the_gru(g):
+            seen.append(sum(r() is not None for r in refs))
+            return first(g)
+
+        tape.nodes[0].vjp = applied_after_the_gru
         tape.backward(out)
-        assert np.array_equal(p.grad, [[4.0, 8.0]])
+        assert seen == [0]
+        assert all(r() is None for r in refs) and tape.nodes[3] is gru_node
+        assert np.abs(x.grad).max() > 0
 
     def test_scalar_parameter_grad_stays_its_array(self):
         """A 0-d parameter's grad is accumulated in place: it is the same

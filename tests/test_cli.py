@@ -694,6 +694,19 @@ class TestAblateAndMatrices:
         assert code == 2
 
 
+@pytest.mark.parametrize("command, flags", [("train", []), ("evaluate", ["--ckpt", "unread.npz"])])
+def test_memory_error_is_a_data_error_naming_the_command(capsys, monkeypatch, synth_file, command, flags):
+    """A MemoryError that escapes a command ends in one `error:` line naming
+    it, with exit 2, not a traceback. The command raises it; nothing is allocated."""
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, command, exhausted)
+    code, out, err = run(capsys, command, "--data", synth_file, *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: gmrec {command}: out of memory\n"
+
+
 def test_cli_prints_a_warning_as_one_line(capsys, tmp_path):
     """Under Python's default warning filters the CLI prints a warning as
     `warning: <message>`, with no source location or source line; main

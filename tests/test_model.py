@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmrec import model
 from gmrec.autodiff import ArrayOps, PairBlock, RowLocalOps, Tape, gradient_check
 from gmrec.data import (
     ITEM,
@@ -876,6 +881,88 @@ class TestDistinctSides:
             summed = [sum(gs) for gs in zip(*(gradients([s]) for s in samples))]
             for p, got, want in zip(params, batched, summed):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (variant, p.name)
+
+
+class TestScoringBudget:
+    """score_samples cuts its list into chunks of whole samples by a budget
+    of sample-node elements; the chunks change no bit of any score."""
+
+    MODELS = {variant: init_model_params(_USER_POOL + _ITEM_POOL, 4, seed=5, variant=variant)
+              for variant in all_variants()}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_chunks_fit_the_budget_and_keep_the_bits(self, data):
+        """Under a budget drawn up to the list's size, with or without the
+        list's SampleIndex, the scores of every variant have the bytes of
+        one forward over the whole list; the chunks are consecutive runs of
+        whole samples that cover it in order, as few as fit, each within the
+        budget unless it is one sample."""
+        samples = _plan_batch(np.random.default_rng(data.draw(st.integers(0, 2**16))), data.draw(st.integers(1, 40)))
+        elems = [4 * (len(s.user_chars) + len(s.item_chars)) for s in samples]
+        budget = data.draw(st.integers(1, sum(elems) + 4))
+        fewest, room = 0, 0
+        for e in elems:  # greedy packing: the fewest runs for a budget
+            fewest, room = (fewest, room - e) if e <= room else (fewest + 1, budget - e)
+        chunks, original = [], model.build_plan
+
+        def recorded(batch, *args):
+            chunks.append(batch)
+            return original(batch, *args)
+
+        with_index = data.draw(st.booleans())
+        for variant, mp in self.MODELS.items():
+            whole = _forward(ArrayOps(), build_plan(samples, mp.table, variant), mp, variant).scores
+            index = index_samples(samples, mp.table) if with_index else None
+            chunks.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model, "SCORE_BATCH", budget)
+                patch.setattr(model, "build_plan", recorded)
+                got = score_samples(samples, mp, variant, index)
+            assert got.tobytes() == whole.tobytes(), variant
+            assert [s for chunk in chunks for s in chunk] == samples and len(chunks) == fewest
+            for chunk in chunks:
+                assert len(chunk) == 1 or sum(4 * (len(s.user_chars) + len(s.item_chars)) for s in chunk) <= budget
+
+    def test_validation_splits_run_in_balanced_chunks(self):
+        """The default budget keeps a 300-item rank request at d=64 (96 000
+        elements) one forward, and splits 2000 five-node samples at d=16
+        into two forwards of 1000."""
+        assert model._score_chunks(np.full(300, 5 * 64), model.SCORE_BATCH) == [0, 300]
+        assert model._score_chunks(np.full(2000, 5 * 16), model.SCORE_BATCH) == [0, 1000, 2000]
+        assert model._score_chunks(np.array([10, 500, 10, 10]), 100) == [0, 1, 2, 4]
+
+    def test_large_sides_score_in_bounded_memory(self):
+        """In a fresh process, scoring 512 samples with 32-attribute sides at
+        d=64 (4.2M sample-node elements, about 260 MB of peak growth as one
+        forward) grows the peak resident set by less than 64 MB. BLAS runs
+        one thread, so its buffers do not depend on the core count."""
+        script = """if True:
+            import resource
+            import numpy as np
+            from gmrec.data import ITEM, USER, AttributeId, AttributeValuePair, DataSample, universe_of
+            from gmrec.model import init_model_params, score_samples
+
+            rng = np.random.default_rng(0)
+
+            def side(base, kind):
+                ids = base + rng.permutation(96)[:32]
+                return tuple(AttributeValuePair(AttributeId(int(i), kind), float(v))
+                             for i, v in zip(ids, rng.uniform(-1.0, 1.0, 32)))
+
+            samples = [DataSample(side(0, USER), side(96, ITEM), 0.0) for _ in range(512)]
+            mp = init_model_params(universe_of(samples), 64, 0)
+            score_samples(samples[:1], mp)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            assert np.all(np.isfinite(score_samples(samples, mp)))
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+        """
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 64.0
 
 
 class TestUnknownAttributes:
