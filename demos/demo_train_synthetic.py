@@ -31,14 +31,14 @@ result = train(split, config)
 for log in result.logs:
     print(log)
 
-report = evaluate_model(split.test, result.params, config.variant)
+report = evaluate_model(split.test, result.params)
 print("test:", format_metric_report(report))
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "model.ckpt")
-    save_checkpoint(result.params, config.variant, path, dataset.vocab)
-    loaded, variant, vocab = load_checkpoint(path)
+    save_checkpoint(result.params, result.params.variant, path, dataset.vocab)
+    loaded, _, vocab = load_checkpoint(path)
     sample = split.test[0]
-    before = predict(sample, result.params, config.variant).score
-    after = predict(sample, loaded, variant).score
+    before = predict(sample, result.params).score
+    after = predict(sample, loaded).score
     print(f"checkpoint round trip: score {before!r} -> {after!r}, identical={before == after}")

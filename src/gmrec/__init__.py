@@ -52,13 +52,13 @@ from .graphs import AttributeGraph, build_graphs
 from .metrics import (
     ScoredSample,
     auc,
+    bce_loss,
     evaluate_model,
     export_matrices,
     format_matrix,
     format_metric_report,
     logloss,
     ndcg_at_k,
-    probability_from_score,
     score_dataset,
 )
 from .model import (
@@ -91,7 +91,6 @@ from .training import (
     TrainResult,
     ablate,
     adam_step,
-    bce_loss,
     item_pool_of,
     l2_penalty,
     negative_sample,

@@ -264,19 +264,19 @@ def _cmd_train(args) -> int:
         save_checkpoint(result.params, config.variant, args.out, dataset.vocab)
         print(f"# checkpoint written to {args.out}")
     if split.test:
-        report = evaluate_model(split.test, result.params, config.variant)
+        report = evaluate_model(split.test, result.params)
         print("# test " + format_metric_report(report))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     options = _settings(ParseOptions, args)
-    mp, variant, vocab = load_checkpoint(args.ckpt)
+    mp, _, vocab = load_checkpoint(args.ckpt)
     dataset = parse_dataset(args.data, options, vocab)
     samples = dataset.samples
     if args.split == "test":
         samples = split_per_user(samples, args.seed).test
-    scored = score_dataset(samples, mp, variant)
+    scored = score_dataset(samples, mp)
     print(format_metric_report(metric_report(scored)))
     if args.per_user:
         with open(args.per_user, "w", encoding="utf-8") as handle:
@@ -285,12 +285,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    mp, variant, vocab = load_checkpoint(args.ckpt)
+    mp, _, vocab = load_checkpoint(args.ckpt)
     line = args.line
     if line.count("\t") == 1:
         line = "0\t" + line
     dataset = parse_dataset_lines([line], None, vocab)
-    result = predict(dataset.samples[0], mp, variant)
+    result = predict(dataset.samples[0], mp)
     print(f"score={result.score!r} prob={result.probability!r}")
     return 0
 

@@ -426,7 +426,11 @@ def _checkpoint_layout(variant: VariantConfig, dim: int, n_attrs: int) -> tuple[
 def save_checkpoint(mp: ModelParams, variant: VariantConfig, path: str, vocab: Vocabulary) -> None:
     """Write the model with the vocabulary names of its embedding rows, in
     row order. A vocabulary name with no row (an attribute seen only in
-    samples that were dropped) is not written."""
+    samples that were dropped) is not written. variant declares the model's
+    variant: any other than mp.variant is rejected before anything is written."""
+    if variant != mp.variant:
+        raise CheckpointError(f"declared variant {format_variant(variant)!r} is not the model's, "
+                              f"{format_variant(mp.variant)!r}")
     variant_bytes = format_variant(variant).encode("utf-8")
     atts = mp.table.ids
     for att in atts:
@@ -434,7 +438,7 @@ def save_checkpoint(mp: ModelParams, variant: VariantConfig, path: str, vocab: V
             raise CheckpointError(f"embedding row for attribute id {att.id} has no name in the vocabulary")
     shapes, n_mlp, n_gru = _checkpoint_layout(variant, mp.dim, len(atts))
     if [p.shape for p in mp.parameters()] != shapes:
-        raise CheckpointError("model components do not match the declared variant")
+        raise CheckpointError("the model's components do not match its variant")
     blob = bytearray()
     blob += MAGIC
     blob += _HEADER.pack(mp.dim, len(atts), len(variant_bytes), n_mlp, n_gru)
@@ -457,6 +461,7 @@ def save_checkpoint(mp: ModelParams, variant: VariantConfig, path: str, vocab: V
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, VariantConfig, Vocabulary]:
+    """The model, its variant (mp.variant) and the vocabulary of its rows."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
@@ -518,4 +523,4 @@ def load_checkpoint(path: str) -> tuple[ModelParams, VariantConfig, Vocabulary]:
         mp.load_values(values)
     except (InvalidConfigError, ContractError) as exc:
         raise CheckpointError(f"checkpoint does not describe a model: {exc}") from None
-    return mp, variant, vocab
+    return mp, mp.variant, vocab

@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import stable_sigmoid
 from .data import EmbeddingTable, side_key
 from .errors import UndefinedMetricError
-from .model import CANONICAL, ModelParams, SampleIndex, VariantConfig, score_samples
+from .model import ModelParams, SampleIndex, score_samples
 
 PROB_EPS = 1e-12
 
@@ -57,12 +57,16 @@ def auc(scored: Sequence[ScoredSample]) -> float:
     return float(numerator / (n_pos * n_neg))
 
 
+def bce_loss(probability, label):
+    """-(y log p + (1-y) log(1-p)) with p clamped away from 0 and 1; elementwise over arrays."""
+    p = np.clip(probability, PROB_EPS, 1.0 - PROB_EPS)
+    return -(label * np.log(p) + (1.0 - label) * np.log(1.0 - p))
+
+
 def logloss(scored: Sequence[ScoredSample]) -> float:
     """Mean binary cross entropy, scores interpreted as probabilities."""
     scores, labels = _arrays(scored)
-    p = np.clip(scores, PROB_EPS, 1.0 - PROB_EPS)
-    losses = -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
-    return float(losses.mean())
+    return float(bce_loss(scores, labels).mean())
 
 
 def _by_user(scored: Sequence[ScoredSample]) -> dict[Hashable, list[ScoredSample]]:
@@ -106,21 +110,14 @@ def ndcg_at_k(scored: Sequence[ScoredSample], k: int) -> float:
     return float(total / eligible)
 
 
-def probability_from_score(score: np.ndarray) -> np.ndarray:
-    """Sigmoid link applied to raw matching scores."""
-    return stable_sigmoid(np.asarray(score, dtype=np.float64))
-
-
-def score_dataset(samples, mp: ModelParams, variant: VariantConfig = CANONICAL,
-                  index: SampleIndex | None = None) -> list[ScoredSample]:
+def score_dataset(samples, mp: ModelParams, *, index: SampleIndex | None = None) -> list[ScoredSample]:
     """Score samples with the model and wrap them with their user side tuples.
 
     The stored score is the sigmoid probability; AUC and NDCG are invariant
     under the monotone link and logloss needs the probability anyway.
     index, the SampleIndex of samples, goes to score_samples.
     """
-    raw = score_samples(samples, mp, variant, index)
-    probs = probability_from_score(raw)
+    probs = stable_sigmoid(score_samples(samples, mp, index=index))
     return [
         ScoredSample(user=s.user_chars, score=float(p), label=float(s.label))
         for s, p in zip(samples, probs)
@@ -140,8 +137,9 @@ def metric_report(scored: Sequence[ScoredSample], ks=(5, 10)) -> dict:
     return report
 
 
-def evaluate_model(samples, mp: ModelParams, variant: VariantConfig = CANONICAL, ks=(5, 10)) -> dict:
-    return metric_report(score_dataset(samples, mp, variant), ks)
+def evaluate_model(samples, mp: ModelParams, *, ks=(5, 10)) -> dict:
+    """metric_report of the model's scores on samples."""
+    return metric_report(score_dataset(samples, mp), ks)
 
 
 def format_metric_report(report: dict) -> str:

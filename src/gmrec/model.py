@@ -73,7 +73,8 @@ overall wiring: mode "union" treats every interaction as a cross
 interaction over the union of both node sets and scores by summing both
 graph representations' elements; mode "fm" additionally fixes the fusing
 to u_i + half the summed cross products, which makes the score collapse
-to the factorization-machine formula.
+to the factorization-machine formula. A set of weights is one of these
+models: ModelParams.variant names it, and every forward runs it.
 """
 from __future__ import annotations
 
@@ -206,10 +207,12 @@ class GruWeights:
 
 @dataclass
 class ModelParams:
-    """Everything trainable: embedding table plus MLP and GRU weights."""
+    """Everything trainable: embedding table plus MLP and GRU weights, and
+    the variant they are the weights of, which every forward runs."""
 
     table: EmbeddingTable
     emb: Parameter
+    variant: VariantConfig
     inner_mlp: MlpWeights | None = None
     gru: GruWeights | None = None
     cross_mlp: MlpWeights | None = None
@@ -292,7 +295,7 @@ def init_model_params(
     it, so shared and separate coincide at step 0; alone, it is drawn.
     """
     table = init_embeddings(universe, dim, seed)
-    mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"))
+    mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"), variant=variant)
     layout = parameter_layout(variant, dim)
     bounds = np.cumsum([0] + [math.prod(shape) for _, shapes in layout for shape in shapes])
     if len(bounds) > 1:  # drawn in place below, so set-up holds one copy of each weight
@@ -416,7 +419,8 @@ def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
 
 class SampleIndex(NamedTuple):
     """What a plan takes from its samples alone, over a list of them: _Plan's
-    fields of those names, and each distinct side's size and first node."""
+    fields of those names, each distinct side's size and first node, and
+    the list itself."""
 
     side_map: np.ndarray
     sizes: np.ndarray
@@ -425,6 +429,7 @@ class SampleIndex(NamedTuple):
     attr_rows: np.ndarray
     vals: np.ndarray
     input_pos: np.ndarray
+    samples: list
 
 
 def index_samples(samples, table: EmbeddingTable) -> SampleIndex:
@@ -440,7 +445,7 @@ def index_samples(samples, table: EmbeddingTable) -> SampleIndex:
     side_map = np.array([number[id(chars)] for chars in sides], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
     vals = np.array([pair[1] for pair in pairs], dtype=np.float64)[order]
-    return SampleIndex(side_map, sizes, starts, owners, table.rows(ids)[order], vals, order)
+    return SampleIndex(side_map, sizes, starts, owners, table.rows(ids)[order], vals, order, samples)
 
 
 def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICAL,
@@ -449,8 +454,10 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
     docstring), from samples' own index; or, given the index of a list and picks, samples' positions
     in it, cut from that index: the picked sides renumbered by first appearance, their nodes gathered."""
     if index is None:
-        side_map, distinct_sizes, distinct_starts, owners, attr_rows, vals, input_pos = index_samples(samples, table)
+        side_map, distinct_sizes, distinct_starts, owners, attr_rows, vals, input_pos, _ = index_samples(samples, table)
     else:
+        if picks is None or len(picks) != len(samples):
+            raise ContractError(f"build_plan: picks must give the index position of each of the {len(samples)} samples")
         picked = index.side_map.reshape(-1, 2)[picks].reshape(-1)
         numbers, first, inverse = np.unique(picked, return_index=True, return_inverse=True)
         appearance = np.argsort(first)
@@ -548,8 +555,8 @@ def _to_samples(ops: Tape | ArrayOps, side_rows: Value, plan: _Plan) -> Value:
     return ops.gather_rows(side_rows, plan.node_src)
 
 
-def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams, variant: VariantConfig) -> _EngineOut:
-    d = mp.dim
+def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams) -> _EngineOut:
+    d, variant = mp.dim, mp.variant
     emb = ops.param(mp.emb)
     # Once per distinct side (side nodes): nodes, messages, side sums and
     # GRU steps 1-2. Node matching, GRU step 3 and the readout run per sample.
@@ -633,24 +640,34 @@ def _score_chunks(elems: np.ndarray, budget: int) -> list[int]:
     return cut(lo)
 
 
-def score_samples(samples, mp: ModelParams, variant: VariantConfig = CANONICAL,
-                  index: SampleIndex | None = None) -> np.ndarray:
-    """Untracked scores; safe to call concurrently over read-only params.
+def _own_variant(mp: ModelParams, variant: VariantConfig | None, what: str) -> None:
+    """None stands for the model's own variant; any other variant is an error."""
+    if variant is not None and variant != mp.variant:
+        raise ContractError(f"{what}: the model is {format_variant(mp.variant)!r}, not {format_variant(variant)!r}")
 
-    The samples run in the fewest balanced forwards of whole samples that
-    hold at most SCORE_BATCH sample-node elements each, a larger sample
-    alone, so the working memory does not grow with the list. A sample's
-    score does not depend on the chunk it runs in. Given index, the
-    SampleIndex of samples, each chunk's plan is cut from it.
+
+def score_samples(samples, mp: ModelParams, variant: VariantConfig | None = None, *,
+                  index: SampleIndex | None = None) -> np.ndarray:
+    """Untracked scores of mp's variant; safe to call concurrently over read-only params.
+
+    variant, if given, must be mp.variant. The samples run in the fewest
+    balanced forwards of whole samples that hold at most SCORE_BATCH
+    sample-node elements each, a larger sample alone, so the working memory
+    does not grow with the list. A sample's score does not depend on the
+    chunk it runs in. Given index, the SampleIndex of this very list,
+    each chunk's plan is cut from it.
     """
+    _own_variant(mp, variant, "score_samples")
+    if index is not None and index.samples is not samples:
+        raise ContractError("score_samples: the index is of another list of samples")
     nodes = np.fromiter((len(s.user_chars) + len(s.item_chars) for s in samples), np.intp, len(samples))
     bounds = _score_chunks(nodes * mp.dim, SCORE_BATCH)
     out = np.empty(len(samples))
     for start, stop in zip(bounds, bounds[1:]):
         chunk = samples[start:stop]
         picks = None if index is None else np.arange(start, stop)
-        plan = build_plan(chunk, mp.table, variant, index, picks)
-        out[start:stop] = _forward(ArrayOps(), plan, mp, variant).scores
+        plan = build_plan(chunk, mp.table, mp.variant, index, picks)
+        out[start:stop] = _forward(ArrayOps(), plan, mp).scores
     return out
 
 
@@ -682,16 +699,18 @@ class ForwardResult:
         return float(stable_sigmoid(self.score))
 
 
-def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig = CANONICAL) -> ForwardResult:
-    """Forward one sample, keeping per-node diagnostics.
+def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig | None = None) -> ForwardResult:
+    """Forward one sample through mp's variant, keeping per-node diagnostics;
+    variant, if given, must be mp.variant.
 
     Internally nodes are processed in ascending attribute-id order on
     RowLocalOps, so the score is bit-identical under any reordering of the
     input attributes and under swapping the user and item roles. The score
     is the forward's readout: in graph mode, np.dot of the two representations.
     """
-    plan = build_plan([sample], mp.table, variant)
-    out = _forward(RowLocalOps(), plan, mp, variant)
+    _own_variant(mp, variant, "predict")
+    plan = build_plan([sample], mp.table, mp.variant)
+    out = _forward(RowLocalOps(), plan, mp)
 
     def diag(att, row):
         return NodeDiagnostics(

@@ -50,10 +50,10 @@ def gradcheck_problem(d: int, seed: int, max_attrs: int = 4, variant: VariantCon
 
     def forward():
         tape = Tape()
-        return tape.sum_reduce(_forward(tape, plan, mp, variant).scores)
+        return tape.sum_reduce(_forward(tape, plan, mp).scores)
 
     def value(p, stack):
-        return _forward(ArrayOps({p: stack}), plan, mp, variant).scores[..., 0]
+        return _forward(ArrayOps({p: stack}), plan, mp).scores[..., 0]
 
     return forward, mp, value
 

@@ -36,8 +36,6 @@ from .model import (
     init_model_params,
 )
 
-LOSS_EPS = 1e-12
-
 # Adam's moment decay rates and the denominator's guard.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -101,13 +99,6 @@ class TrainResult:
     best_epoch: int
 
 
-def bce_loss(probability: float, label: float) -> float:
-    """-(y log p + (1-y) log(1-p)) with p clamped away from 0 and 1."""
-    p = min(max(float(probability), LOSS_EPS), 1.0 - LOSS_EPS)
-    y = float(label)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
 def l2_penalty(tape: Tape, values: Sequence[Value], lam: float) -> Value:
     """lam times the summed squared entries of the given tracked arrays, as
     two recorded nodes: one sq_norm_sum over all of them, then its scale."""
@@ -120,18 +111,18 @@ def regularized_risk(
     batch: Sequence[DataSample],
     mp: ModelParams,
     lam: float,
-    variant: VariantConfig = CANONICAL,
+    *,
     index: SampleIndex | None = None, picks: np.ndarray | None = None,
 ) -> Value:
-    """Tracked mean BCE plus the squared-L2 penalty for one mini-batch, on
-    a new tape (risk.tape). index and picks go to build_plan."""
+    """Tracked mean BCE plus the squared-L2 penalty for one mini-batch of
+    mp's variant, on a new tape (risk.tape). index and picks go to build_plan."""
     if not batch:
         raise ContractError("regularized_risk: batch is empty")
     if not (math.isfinite(lam) and lam >= 0):
         raise ContractError(f"regularized_risk: lam must be finite and non-negative, got {lam!r}")
     tape = Tape()
-    plan = build_plan(batch, mp.table, variant, index, picks)
-    out = _forward(tape, plan, mp, variant)
+    plan = build_plan(batch, mp.table, mp.variant, index, picks)
+    out = _forward(tape, plan, mp)
     labels = tape.constant(np.array([s.label for s in batch], dtype=np.float64))
     per_sample = tape.sub(tape.softplus(out.scores), tape.mul(out.scores, labels))
     risk = tape.scale(tape.sum_reduce(per_sample), 1.0 / len(batch))
@@ -251,7 +242,7 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
             batch = [train_samples[k] for k in picks]
             for p in blocks:
                 p.zero_grad()
-            risk = regularized_risk(batch, mp, config.lam, config.variant, index, picks)
+            risk = regularized_risk(batch, mp, config.lam, index=index, picks=picks)
             value = float(risk.data)
             if not np.isfinite(value):
                 raise TrainingError(
@@ -263,7 +254,7 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
             loss_sum += value * len(batch)
             seen += len(batch)
         train_loss = loss_sum / max(seen, 1)
-        val_auc, val_logloss = _validation_metrics(valid, valid_index, mp, config.variant)
+        val_auc, val_logloss = _validation_metrics(valid, valid_index, mp)
         logs.append(EpochLog(epoch, train_loss, val_auc, val_logloss))
         if np.isfinite(val_auc):
             if val_auc > best_auc:
@@ -294,13 +285,13 @@ def ablate(samples: Sequence[DataSample], variants: Sequence[VariantConfig], see
     for seed, split in zip(seeds, splits):
         if not split.test:
             raise UndefinedMetricError(f"seed {seed}: no samples in the test split")
-    reports = [[evaluate_model(split.test, train(split, replace(config, seed=seed, variant=variant)).params, variant)
+    reports = [[evaluate_model(split.test, train(split, replace(config, seed=seed, variant=variant)).params)
                 for seed, split in zip(seeds, splits)] for variant in variants]
     return [{k: float(np.mean([r[k] for r in per_seed])) for k in per_seed[0]} for per_seed in reports]
 
 
-def _validation_metrics(valid: list[DataSample], index, mp, variant) -> tuple[float, float]:
+def _validation_metrics(valid: list[DataSample], index, mp) -> tuple[float, float]:
     if not valid:
         return float("nan"), float("nan")
-    report = metric_report(score_dataset(valid, mp, variant, index), ks=())
+    report = metric_report(score_dataset(valid, mp, index=index), ks=())
     return report["auc"], report["logloss"]

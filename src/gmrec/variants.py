@@ -47,5 +47,5 @@ def fm_reduction_predict(sample: DataSample, table: EmbeddingTable) -> float:
     no matrix product, so this is predict()'s score without its per-node
     diagnostics.
     """
-    mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"))
-    return float(score_samples([sample], mp, FM_REDUCTION)[0])
+    mp = ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"), variant=FM_REDUCTION)
+    return float(score_samples([sample], mp)[0])

@@ -116,13 +116,13 @@ def variants_digests() -> tuple[str, str, str]:
     for variant in all_variants():
         for batch in batches:
             mp = init_model_params(universe, 8, seed=4, variant=variant)
-            risk = regularized_risk(batch, mp, 0.1, variant)
+            risk = regularized_risk(batch, mp, 0.1)
             risk.tape.backward(risk)
             out.add(repr(variant), float(risk.data))
             grads[variant.fuse == "gru"].add(repr(variant), *(p.grad for p in mp.parameters()))
-            out.add(score_samples(batch, mp, variant))
+            out.add(score_samples(batch, mp))
             for sample in batch:
-                res = predict(sample, mp, variant)
+                res = predict(sample, mp)
                 out.add(res.score, res.user_repr, res.item_repr)
                 for node in res.user_nodes + res.item_nodes:
                     out.add(node.att, node.representation, node.message, node.match, node.fused)

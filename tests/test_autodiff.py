@@ -343,7 +343,7 @@ class TestBackward:
             assert ref() is None
             for variant in all_variants():
                 mp = init_model_params(universe_of(samples), 4, 0, variant)
-                risk = regularized_risk(samples, mp, 1e-3, variant)
+                risk = regularized_risk(samples, mp, 1e-3)
                 tape = risk.tape
                 tape.backward(risk)
                 ref = weakref.ref(tape)

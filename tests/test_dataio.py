@@ -346,7 +346,7 @@ class TestPlantedRuleRecovery:
         config = TrainConfig(dim=8, learning_rate=1e-2, epochs=25, batch_size=64,
                              seed=0, patience=25, variant=parse_variant("mode=fm"))
         result = train(split, config)
-        report = evaluate_model(split.test, result.params, config.variant)
+        report = evaluate_model(split.test, result.params)
         assert report["auc"] > 0.95
 
     def test_half_noise_caps_auc_near_three_quarters(self):
@@ -428,7 +428,7 @@ class TestCheckpoint:
         params = loaded.parameters()
         for p in params:
             p.zero_grad()
-        risk = regularized_risk(ds.samples[:16], loaded, 1e-5, variant)
+        risk = regularized_risk(ds.samples[:16], loaded, 1e-5)
         risk.tape.backward(risk)
         adam_step(params, AdamState(params), 1e-3)  # must not hit read-only arrays
 

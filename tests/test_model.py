@@ -41,6 +41,7 @@ from gmrec.model import (
 )
 
 from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines
+from gmrec.metrics import evaluate_model, score_dataset
 from gmrec.selfcheck import gradcheck_problem
 from gmrec.training import item_pool_of, regularized_risk
 
@@ -318,8 +319,8 @@ class TestEngineConsistency:
         for variant, samples in itertools.product(variants, batches):
             mp = make_model(samples, seed=11, variant=variant)
             plan = build_plan(samples, mp.table, variant)
-            tracked = _forward(Tape(), plan, mp, variant)
-            plain = _forward(ArrayOps(), plan, mp, variant)
+            tracked = _forward(Tape(), plan, mp)
+            plain = _forward(ArrayOps(), plan, mp)
             assert tracked.scores.node is not None
             for name in fields:
                 assert np.array_equal(getattr(tracked, name).data, getattr(plain, name)), (variant, name)
@@ -341,7 +342,7 @@ class TestEngineConsistency:
 
         def forward():
             tape = Tape()
-            return tape.sum_reduce(_forward(tape, plan, mp, CANONICAL).scores)
+            return tape.sum_reduce(_forward(tape, plan, mp).scores)
 
         assert gradient_check(forward, mp.parameters(), step=1e-5) < 1e-4
 
@@ -392,7 +393,7 @@ class TestVariantSpace:
         samples = self._sized_batch()
         for variant in all_variants():
             mp = self._random_model(samples, variant)
-            risk = regularized_risk(samples, mp, 0.0, variant)
+            risk = regularized_risk(samples, mp, 0.0)
             risk.tape.backward(risk)
             for p in mp.parameters():
                 assert np.any(p.grad != 0.0), (variant, p.name)
@@ -457,9 +458,9 @@ class TestBatchedFiniteDifferences:
                     continue
                 p = getattr(part, attr)
                 stack = p.values + rng.normal(scale=0.1, size=(3,) + p.shape)
-                batched = _forward(ops({p: stack}), plan, mp, variant)
+                batched = _forward(ops({p: stack}), plan, mp)
                 for r in range(len(stack)):
-                    single = _forward(ops({p: stack[r]}), plan, mp, variant)
+                    single = _forward(ops({p: stack[r]}), plan, mp)
                     for field in fields:
                         expected = getattr(single, field)
                         got = np.broadcast_to(getattr(batched, field), (len(stack),) + expected.shape)[r]
@@ -517,7 +518,7 @@ class TestNodeLevelMessagePassing:
                     # Non-zero biases, and a cross MLP that differs from the inner one.
                     p.values[...] = rng.normal(scale=0.5, size=p.shape)
             plan = build_plan(samples, mp.table, variant)
-            out = _forward(ops, plan, mp, variant)
+            out = _forward(ops, plan, mp)
             messages = out.messages if plan.node_src is None else out.messages[plan.node_src]  # sample rows
             cross = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
             base = 0
@@ -564,7 +565,7 @@ class TestNodeLevelMessagePassing:
         sizes = set()
         for ops in (ArrayOps(), RowLocalOps()) * 10:
             plan = build_plan(_plan_batch(rng, 64), mp.table, variant)
-            out = _forward(ops, plan, mp, variant)
+            out = _forward(ops, plan, mp)
             u = out.nodes
             z = out.messages if plan.node_src is None else out.messages[plan.node_src]  # sample rows
             for first, size in zip(plan.by_side.starts, np.diff(np.append(plan.by_side.starts, plan.n_nodes))):
@@ -792,8 +793,8 @@ class TestDistinctSides:
             assert own.node_src is None and own.side_map.tolist() == list(range(2 * len(apart)))
             assert np.array_equal(own.attr_rows, one.attr_rows[one.node_src])
             assert own.vals.tobytes() == one.vals[one.node_src].tobytes()
-            want = _forward(RowLocalOps(), one, mp, variant).scores
-            assert np.array_equal(_forward(RowLocalOps(), own, mp, variant).scores, want), variant
+            want = _forward(RowLocalOps(), one, mp).scores
+            assert np.array_equal(_forward(RowLocalOps(), own, mp).scores, want), variant
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -873,7 +874,7 @@ class TestDistinctSides:
                 for p in params:
                     p.zero_grad()
                 tape = Tape()
-                out = _forward(tape, build_plan(batch, mp.table, variant), mp, variant)
+                out = _forward(tape, build_plan(batch, mp.table, variant), mp)
                 tape.backward(tape.sum_reduce(out.scores))
                 return [p.grad.copy() for p in params]
 
@@ -912,13 +913,13 @@ class TestScoringBudget:
 
         with_index = data.draw(st.booleans())
         for variant, mp in self.MODELS.items():
-            whole = _forward(ArrayOps(), build_plan(samples, mp.table, variant), mp, variant).scores
+            whole = _forward(ArrayOps(), build_plan(samples, mp.table, variant), mp).scores
             index = index_samples(samples, mp.table) if with_index else None
             chunks.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(model, "SCORE_BATCH", budget)
                 patch.setattr(model, "build_plan", recorded)
-                got = score_samples(samples, mp, variant, index)
+                got = score_samples(samples, mp, index=index)
             assert got.tobytes() == whole.tobytes(), variant
             assert [s for chunk in chunks for s in chunk] == samples and len(chunks) == fewest
             for chunk in chunks:
@@ -963,6 +964,48 @@ class TestScoringBudget:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 64.0
+
+
+class TestIndexOfItsOwnList:
+    """A SampleIndex is of one list: scoring refuses another list's index,
+    and build_plan refuses picks that do not give a position per sample."""
+
+    def _setup(self):
+        text, _ = generate_synthetic(SynthSpec(users=5, items=4, samples=20, seed=1))
+        samples = parse_dataset_lines(text.splitlines()).samples
+        return samples[:10], samples[10:], init_model_params(universe_of(samples), 4, 0)
+
+    def test_another_lists_index_rejected(self):
+        a, b, mp = self._setup()
+        for other in (b, a[:6], list(a)):  # another list, a shorter one, an equal copy
+            index = index_samples(other, mp.table)
+            with pytest.raises(ContractError, match="another list"):
+                score_samples(a, mp, index=index)
+            with pytest.raises(ContractError, match="another list"):
+                score_dataset(a, mp, index=index)
+        assert score_samples(a, mp, index=index_samples(a, mp.table)).tobytes() == score_samples(a, mp).tobytes()
+
+    def test_picks_of_another_length_rejected(self):
+        a, b, mp = self._setup()
+        index = index_samples(a + b, mp.table)
+        with pytest.raises(ContractError, match="picks"):
+            regularized_risk(a, mp, 0.1, index=index, picks=np.arange(12))
+        for picks in (np.arange(9), None):
+            with pytest.raises(ContractError, match="picks"):
+                build_plan(a, mp.table, CANONICAL, index, picks)
+        risk = regularized_risk(a, mp, 0.1, index=index, picks=np.arange(10))
+        assert float(risk.data) == float(regularized_risk(a, mp, 0.1).data)
+
+    def test_arguments_after_the_variant_are_keyword_only(self):
+        """A variant passed where the old signatures took it is a TypeError,
+        not an index, picks or cutoffs bound to the wrong parameter."""
+        a, _, mp = self._setup()
+        index = index_samples(a, mp.table)
+        calls = (lambda: score_samples(a, mp, CANONICAL, index), lambda: score_dataset(a, mp, CANONICAL),
+                 lambda: evaluate_model(a, mp, CANONICAL), lambda: regularized_risk(a, mp, 0.1, CANONICAL))
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestUnknownAttributes:

@@ -10,7 +10,7 @@ from gmrec.autodiff import Parameter, Tape, gradient_check
 from gmrec.data import sample_user_key, universe_of
 from gmrec.dataio import SynthSpec, generate_synthetic, load_checkpoint, parse_dataset_lines, save_checkpoint
 from gmrec.errors import ContractError, InvalidConfigError, SamplingError, UndefinedMetricError
-from gmrec.metrics import auc, evaluate_model
+from gmrec.metrics import auc, bce_loss, evaluate_model
 from gmrec.model import CANONICAL, FM_REDUCTION, VariantConfig, build_plan, init_model_params, score_samples
 from gmrec.training import (
     AdamState,
@@ -19,7 +19,6 @@ from gmrec.training import (
     TrainConfig,
     ablate,
     adam_step,
-    bce_loss,
     item_pool_of,
     l2_penalty,
     negative_sample,
@@ -157,7 +156,7 @@ def test_gru_node_gradients_are_within_tolerance_of_the_chain(variant, bench_bat
         def grads():
             for p in mp.parameters():
                 p.zero_grad()
-            risk = regularized_risk(batch, mp, TrainConfig().lam, variant)
+            risk = regularized_risk(batch, mp, TrainConfig().lam)
             risk.tape.backward(risk)
             return [p.grad.copy() for p in mp.parameters()]
 
@@ -348,11 +347,11 @@ class TestArena:
         split = split_per_user(dataset.samples, 0)
         mp = init_model_params(universe_of(dataset.samples), 2, 1, variant)
         _assert_views_of_the_arena(mp)
-        risk = regularized_risk(split.train[:8], mp, 1e-3, variant)
+        risk = regularized_risk(split.train[:8], mp, 1e-3)
         risk.tape.backward(risk)
         assert np.abs(mp.dense.grad).max() > 0
         _assert_views_of_the_arena(mp)
-        assert gradient_check(lambda: regularized_risk(split.train[:2], mp, 1e-3, variant), mp.parameters()) < 1e-4
+        assert gradient_check(lambda: regularized_risk(split.train[:2], mp, 1e-3), mp.parameters()) < 1e-4
         _assert_views_of_the_arena(mp)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(mp, variant, path, dataset.vocab)
@@ -513,9 +512,9 @@ class TestTrain:
         split = self._split(rng)
         tapes, risk_of = [], gmrec.training.regularized_risk
 
-        def recording(*args):
+        def recording(*args, **kwargs):
             assert all(ref() is None for ref in tapes)
-            risk = risk_of(*args)
+            risk = risk_of(*args, **kwargs)
             tapes.append(weakref.ref(risk.tape))
             return risk
 
@@ -559,7 +558,7 @@ class TestAblate:
                 split = split_per_user(samples, seed)
                 result = train(split, TrainConfig(dim=4, learning_rate=3e-3, epochs=2, batch_size=32,
                                                   seed=seed, patience=2, variant=variant))
-                reports.append(evaluate_model(split.test, result.params, variant))
+                reports.append(evaluate_model(split.test, result.params))
             expected.append({k: float(np.mean([r[k] for r in reports])) for k in reports[0]})
         assert expected[0] != expected[1]
         assert ablate(samples, self.VARIANTS, seeds, config) == expected

@@ -1,16 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 
+from gmrec.autodiff import Parameter, stable_sigmoid
 from gmrec.data import init_embeddings, universe_of
-from gmrec.errors import InvalidConfigError
+from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines, save_checkpoint
+from gmrec.errors import CheckpointError, ContractError, InvalidConfigError
+from gmrec.metrics import ScoredSample, evaluate_model, metric_report
 from gmrec.model import (
     CANONICAL,
     FM_REDUCTION,
+    ModelParams,
     VariantConfig,
     format_variant,
     init_model_params,
+    parameter_layout,
     parse_variant,
     predict,
+    score_samples,
 )
 from gmrec.selfcheck import run_fmcheck, run_gradcheck
 from gmrec.variants import fm_predict, fm_reduction_predict
@@ -236,3 +244,54 @@ def test_every_variant_gradient_passes_finite_differences():
             (rechecked if worst < 1e-8 else failed).append((format_variant(variant), seed, worst))
     print(f"instances re-checked at step 1e-6: {rechecked}")
     assert not failed, failed
+
+
+@pytest.fixture(scope="module")
+def small_dataset():
+    text, _ = generate_synthetic(SynthSpec(users=6, items=5, samples=30, seed=3))
+    return parse_dataset_lines(text.splitlines())
+
+
+class TestModelKnowsItsVariant:
+    """A set of weights is one variant's model: without a variant, scoring,
+    prediction and evaluation run the model's own; another variant with the
+    same parameter layout is refused rather than run or saved."""
+
+    def test_model_params_has_no_default_variant(self):
+        users, items = make_ids(1, 1)
+        table = init_embeddings(users + items, 2, 0)
+        with pytest.raises(TypeError, match="variant"):
+            ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"))
+
+    @pytest.mark.parametrize("variant", all_variants(), ids=format_variant)
+    def test_no_variant_is_the_models_own(self, small_dataset, variant):
+        samples = small_dataset.samples
+        mp = init_model_params(universe_of(samples), 4, 2, variant)
+        assert mp.variant == variant
+        assert score_samples(samples, mp).tobytes() == score_samples(samples, mp, mp.variant).tobytes()
+        for sample in samples[:4]:
+            bare, own = predict(sample, mp), predict(sample, mp, mp.variant)
+            assert np.float64(bare.score).tobytes() == np.float64(own.score).tobytes()
+            assert bare.user_repr.tobytes() == own.user_repr.tobytes()
+            assert bare.item_repr.tobytes() == own.item_repr.tobytes()
+        probs = stable_sigmoid(score_samples(samples, mp, mp.variant))
+        own_report = metric_report([ScoredSample(s.user_chars, float(p), s.label) for s, p in zip(samples, probs)])
+        assert repr(evaluate_model(samples, mp)) == repr(own_report)
+
+    @pytest.mark.parametrize("variant", all_variants(), ids=format_variant)
+    def test_another_variant_of_the_same_layout_rejected(self, small_dataset, variant, tmp_path):
+        samples = small_dataset.samples
+        mp = init_model_params(universe_of(samples), 4, 2, variant)
+        path = tmp_path / "model.ckpt"
+        for other in all_variants():
+            if other == variant or parameter_layout(other, 4) != parameter_layout(variant, 4):
+                continue
+            both = (repr(format_variant(variant)), repr(format_variant(other)))
+            for call in (lambda: score_samples(samples, mp, other), lambda: predict(samples[0], mp, other)):
+                with pytest.raises(ContractError) as err:
+                    call()
+                assert all(name in str(err.value) for name in both)
+            with pytest.raises(CheckpointError) as err:
+                save_checkpoint(mp, other, str(path), small_dataset.vocab)
+            assert all(name in str(err.value) for name in both)
+            assert os.listdir(tmp_path) == []
