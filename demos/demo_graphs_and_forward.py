@@ -1,4 +1,9 @@
-"""Build attribute graphs for one observation and walk through the forward pass.
+"""Walk one observation through the forward pass and read its attribute graphs
+from predict()'s per-node diagnostics.
+
+Each side is a complete graph over its attribute-value pairs: p nodes and
+p(p-1)/2 implicit same-side edges, every node's neighbourhood being all the
+others.
 
 Run: python demos/demo_graphs_and_forward.py
 """
@@ -8,7 +13,6 @@ from gmrec import (
     AttributeId,
     AttributeValuePair,
     DataSample,
-    build_graphs,
     init_model_params,
     predict,
     universe_of,
@@ -36,12 +40,13 @@ sample = DataSample(
 
 params = init_model_params(universe_of([sample]), dim=8, seed=3)
 
-user_graph, item_graph = build_graphs(sample, params.table)
-print("user graph:", user_graph.n_nodes, "nodes,", user_graph.n_edges, "implicit edges")
-print("item graph:", item_graph.n_nodes, "nodes,", item_graph.n_edges, "implicit edges")
-print("neighborhood of user node 0:", user_graph.neighborhood(0))
-
 result = predict(sample, params)
+for side, nodes in (("user", result.user_nodes), ("item", result.item_nodes)):
+    p = len(nodes)
+    print(f"{side} graph: {p} nodes, {p * (p - 1) // 2} implicit edges")
+first = result.user_nodes[0].att.id
+print(f"neighbourhood of user attr {first}:", tuple(n.att.id for n in result.user_nodes if n.att.id != first))
+
 print("\nscore:", result.score)
 print("probability:", result.probability)
 print("user graph representation:", np.round(result.user_repr, 4))

@@ -16,7 +16,6 @@ from .data import (
     DataSample,
     EmbeddingTable,
     init_embeddings,
-    node_representation,
     sample_item_key,
     sample_user_key,
     universe_of,
@@ -48,7 +47,6 @@ from .errors import (
     TrainingError,
     UndefinedMetricError,
 )
-from .graphs import AttributeGraph, build_graphs
 from .metrics import (
     ScoredSample,
     auc,
@@ -72,15 +70,10 @@ from .model import (
     VariantConfig,
     format_variant,
     fuse,
-    graph_representation,
     init_model_params,
-    inner_message,
-    message_pass,
-    node_match,
     parse_variant,
     predict,
     score_samples,
-    swap_roles,
 )
 from .selfcheck import run_fmcheck, run_gradcheck
 from .training import (

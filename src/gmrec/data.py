@@ -156,11 +156,6 @@ def init_embeddings(universe: Iterable[AttributeId], dim: int, seed: int) -> Emb
     return EmbeddingTable(dim=dim, ids=ids, matrix=matrix)
 
 
-def node_representation(pair: AttributeValuePair, table: EmbeddingTable) -> np.ndarray:
-    """Representation of an attribute-value pair: val * v, elementwise."""
-    return pair.val * table.vector(pair.att)
-
-
 def universe_of(samples: Sequence[DataSample]) -> tuple[AttributeId, ...]:
     """All attribute ids in the samples, ascending by id, walking each distinct side once."""
     seen: dict[int, AttributeId] = {}

@@ -64,7 +64,8 @@ The engine is written once, against an ops object, which also chooses the
 product kernels. Training runs it on a Tape, which records it for the
 backward pass; scoring and the difference quotients of the gradient check
 run it on ArrayOps, which computes the same arrays bit for bit and records
-nothing; predict() and the spec-level functions run it on RowLocalOps.
+nothing; predict() runs it on RowLocalOps, and fuse() runs the engine's GRU
+kernel there for one node.
 
 Ablation switches (VariantConfig) swap the pair model (mlp or elementwise
 product), the cross model (elementwise product, shared or separate MLP,
@@ -86,15 +87,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import ArrayOps, PairBlock, Parameter, RowLocalOps, Tape, Value, stable_sigmoid
-from .data import (
-    AttributeId,
-    AttributeValuePair,
-    DataSample,
-    EmbeddingTable,
-    init_embeddings,
-)
+from .data import AttributeId, DataSample, EmbeddingTable, init_embeddings
 from .errors import ContractError, InvalidConfigError, ShapeError
-from .graphs import AttributeGraph
 
 INNER_KINDS = ("mlp", "bi")
 CROSS_KINDS = ("bi", "mlp_shared", "mlp_separate", "none")
@@ -348,8 +342,13 @@ class _Plan:
     by sample, user side then item side, each side laid out as its distinct
     side. The stages that depend on one side alone run over side nodes, the
     rest over sample nodes.
+
+    A plan belongs to the variant of the model it was built from: it holds
+    the pair blocks that variant reads, and _forward runs it with a model
+    of that variant only.
     """
 
+    variant: VariantConfig
     n_nodes: int  # sample nodes
     side_map: np.ndarray  # (2 * n_samples,) side -> distinct side
     attr_rows: np.ndarray  # (side nodes,) embedding rows
@@ -448,16 +447,29 @@ def index_samples(samples, table: EmbeddingTable) -> SampleIndex:
     return SampleIndex(side_map, sizes, starts, owners, table.rows(ids)[order], vals, order, samples)
 
 
-def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICAL,
-               index: SampleIndex | None = None, picks: np.ndarray | None = None) -> _Plan:
-    """The index plan of a batch, by numpy index arithmetic over its distinct sides (module
-    docstring), from samples' own index; or, given the index of a list and picks, samples' positions
-    in it, cut from that index: the picked sides renumbered by first appearance, their nodes gathered."""
+def _picks_of(samples, index: SampleIndex, picks) -> np.ndarray:
+    """picks as an array, once it is checked to hold, for each sample, an
+    in-range position of index's list where that very sample object is."""
+    listed = index.samples
+    if picks is None or len(picks) != len(samples) or not all(
+            type(k) is int and 0 <= k < len(listed) and listed[k] is s
+            for k, s in zip(np.asarray(picks).tolist(), samples)):
+        raise ContractError(f"build_plan: picks must give, for each of the {len(samples)} samples, "
+                            "its position in the list the index is of")
+    return np.asarray(picks, dtype=np.intp)
+
+
+def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None,
+               picks: np.ndarray | None = None) -> _Plan:
+    """The index plan of a batch for mp, over mp's table, by numpy index arithmetic over its
+    distinct sides (module docstring), from samples' own index; or, given the index of a list and
+    picks, samples' positions in it, cut from that index: the picked sides renumbered by first
+    appearance, their nodes gathered. The plan belongs to mp's variant and records it."""
+    variant = mp.variant
     if index is None:
-        side_map, distinct_sizes, distinct_starts, owners, attr_rows, vals, input_pos, _ = index_samples(samples, table)
+        side_map, distinct_sizes, distinct_starts, owners, attr_rows, vals, input_pos, _ = index_samples(samples, mp.table)
     else:
-        if picks is None or len(picks) != len(samples):
-            raise ContractError(f"build_plan: picks must give the index position of each of the {len(samples)} samples")
+        picks = _picks_of(samples, index, picks)
         picked = index.side_map.reshape(-1, 2)[picks].reshape(-1)
         numbers, first, inverse = np.unique(picked, return_index=True, return_inverse=True)
         appearance = np.argsort(first)
@@ -481,6 +493,7 @@ def build_plan(samples, table: EmbeddingTable, variant: VariantConfig = CANONICA
     same_side = _same_side(distinct_starts, distinct_sizes) if variant.inner == "mlp" else None
     cross_side = _cross_side(starts, sizes) if variant.cross in ("mlp_shared", "mlp_separate") else None
     return _Plan(
+        variant=variant,
         n_nodes=n_nodes,
         side_map=side_map,
         attr_rows=attr_rows,
@@ -557,6 +570,9 @@ def _to_samples(ops: Tape | ArrayOps, side_rows: Value, plan: _Plan) -> Value:
 
 def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams) -> _EngineOut:
     d, variant = mp.dim, mp.variant
+    if plan.variant != variant:
+        raise ContractError(f"_forward: the plan is of {format_variant(plan.variant)!r}, "
+                            f"the model of {format_variant(variant)!r}")
     emb = ops.param(mp.emb)
     # Once per distinct side (side nodes): nodes, messages, side sums and
     # GRU steps 1-2. Node matching, GRU step 3 and the readout run per sample.
@@ -666,7 +682,7 @@ def score_samples(samples, mp: ModelParams, variant: VariantConfig | None = None
     for start, stop in zip(bounds, bounds[1:]):
         chunk = samples[start:stop]
         picks = None if index is None else np.arange(start, stop)
-        plan = build_plan(chunk, mp.table, mp.variant, index, picks)
+        plan = build_plan(chunk, mp, index=index, picks=picks)
         out[start:stop] = _forward(ArrayOps(), plan, mp).scores
     return out
 
@@ -709,7 +725,7 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig | None =
     is the forward's readout: in graph mode, np.dot of the two representations.
     """
     _own_variant(mp, variant, "predict")
-    plan = build_plan([sample], mp.table, mp.variant)
+    plan = build_plan([sample], mp)
     out = _forward(RowLocalOps(), plan, mp)
 
     def diag(att, row):
@@ -734,7 +750,7 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig | None =
 
 
 # --------------------------------------------------------------------------
-# Spec-level operations on explicit vectors and graphs
+# The GRU fuse of one node
 # --------------------------------------------------------------------------
 
 
@@ -743,45 +759,6 @@ def _check_dim(vec: np.ndarray, d: int, what: str) -> np.ndarray:
     if vec.shape != (d,):
         raise ShapeError(f"{what}: expected length {d}, got shape {vec.shape}")
     return vec
-
-
-def inner_message(u_i, u_j, mp: ModelParams) -> np.ndarray:
-    """Pair interaction z_ij = MLP(concat(u_i, u_j)); order matters."""
-    d = mp.dim
-    u_i = _check_dim(u_i, d, "inner_message u_i")
-    u_j = _check_dim(u_j, d, "inner_message u_j")
-    x = np.concatenate([u_i, u_j])[None, :]
-    return _mlp_apply(RowLocalOps(), mp.inner_mlp, x)[0].copy()
-
-
-def message_pass(graph: AttributeGraph, mp: ModelParams) -> list[np.ndarray]:
-    """Per-node sum of pair interactions against every neighbor.
-
-    A single-node graph has an empty neighborhood, so its message is zero.
-    """
-    vectors = [np.asarray(u, dtype=np.float64) for u in graph.nodes]
-    out = []
-    for i, u_i in enumerate(vectors):
-        z = np.zeros(mp.dim)
-        for j, u_j in enumerate(vectors):
-            if j != i:
-                z = z + inner_message(u_i, u_j, mp)
-        out.append(z)
-    return out
-
-
-def node_match(u_i, other_nodes) -> np.ndarray:
-    """Aggregated cross matching: sum over opposite nodes of u_i * u_hat_j."""
-    others = [np.asarray(u, dtype=np.float64) for u in other_nodes]
-    if not others:
-        raise ContractError("node_match: opposite node list is empty")
-    u_i = np.asarray(u_i, dtype=np.float64)
-    s = np.zeros_like(u_i)
-    for u_hat in others:
-        if u_hat.shape != u_i.shape:
-            raise ShapeError(f"node_match: shapes {u_i.shape} vs {u_hat.shape}")
-        s = s + u_i * u_hat
-    return s
 
 
 def fuse(u_i, z_i, s_i, mp: ModelParams) -> np.ndarray:
@@ -798,32 +775,3 @@ def fuse(u_i, z_i, s_i, mp: ModelParams) -> np.ndarray:
     ]
     ops = RowLocalOps()
     return ops.gru(rows, [ops.param(p) for p in mp.gru.parameters()])[0].copy()
-
-
-def graph_representation(graph: AttributeGraph, opposite_nodes, mp: ModelParams) -> np.ndarray:
-    """Sum of fused node representations: composes the three sub-operations."""
-    messages = message_pass(graph, mp)
-    v = np.zeros(mp.dim)
-    for u_i, z_i in zip(graph.nodes, messages):
-        s_i = node_match(u_i, opposite_nodes)
-        v = v + fuse(u_i, z_i, s_i, mp)
-    return v
-
-
-def swap_roles(sample: DataSample) -> DataSample:
-    """The same observation with the user and item sides exchanged.
-
-    Attribute ids keep their embedding rows; only the side tags flip so the
-    swapped sample still validates.
-    """
-
-    def flip(chars, new_side):
-        return tuple(
-            AttributeValuePair(AttributeId(p.att.id, new_side), p.val) for p in chars
-        )
-
-    return DataSample(
-        user_chars=flip(sample.item_chars, "user"),
-        item_chars=flip(sample.user_chars, "item"),
-        label=sample.label,
-    )

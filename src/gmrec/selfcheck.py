@@ -46,7 +46,7 @@ def gradcheck_problem(d: int, seed: int, max_attrs: int = 4, variant: VariantCon
     """
     sample, universe, init_seed = random_instance(d, seed, max_attrs)
     mp = init_model_params(universe, d, init_seed, variant)
-    plan = build_plan([sample], mp.table, variant)
+    plan = build_plan([sample], mp)
 
     def forward():
         tape = Tape()

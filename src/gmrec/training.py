@@ -121,7 +121,7 @@ def regularized_risk(
     if not (math.isfinite(lam) and lam >= 0):
         raise ContractError(f"regularized_risk: lam must be finite and non-negative, got {lam!r}")
     tape = Tape()
-    plan = build_plan(batch, mp.table, mp.variant, index, picks)
+    plan = build_plan(batch, mp, index=index, picks=picks)
     out = _forward(tape, plan, mp)
     labels = tape.constant(np.array([s.label for s in batch], dtype=np.float64))
     per_sample = tape.sub(tape.softplus(out.scores), tape.mul(out.scores, labels))

@@ -28,6 +28,20 @@ def make_sample(n_user: int, n_item: int, vals=None, label=1.0, id_offset: int =
     )
 
 
+def swap_roles(sample: DataSample) -> DataSample:
+    """The same observation with the user and item sides exchanged.
+
+    Attribute ids keep their embedding rows; only the side tags flip so the
+    swapped sample still validates.
+    """
+
+    def flip(chars, new_side):
+        return tuple(AttributeValuePair(AttributeId(p.att.id, new_side), p.val) for p in chars)
+
+    return DataSample(user_chars=flip(sample.item_chars, USER), item_chars=flip(sample.user_chars, ITEM),
+                      label=sample.label)
+
+
 def draw_synth_spec(data) -> SynthSpec:
     """A small SynthSpec drawn from a hypothesis st.data() object."""
     attrs = data.draw(st.sampled_from(["both", "user", "item", "none"]))

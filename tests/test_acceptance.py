@@ -25,12 +25,11 @@ from gmrec.model import (
     parse_variant,
     predict,
     score_samples,
-    swap_roles,
 )
 from gmrec.selfcheck import run_fmcheck, run_gradcheck
 from gmrec.training import SplitDataset, TrainConfig, ablate, split_per_user, train
 
-from conftest import make_sample
+from conftest import make_sample, swap_roles
 from oracles import auc_pair_oracle, ndcg_direct
 
 

@@ -17,7 +17,6 @@ from gmrec.data import (
     EmbeddingTable,
     Side,
     init_embeddings,
-    node_representation,
     sample_user_key,
     universe_of,
 )
@@ -116,53 +115,6 @@ class TestUniverse:
         for batch in (samples, samples[::-1], []):
             assert universe_of(batch) == _universe_by_sample(batch)
         assert AttributeId(3, ITEM) in universe_of(samples)
-
-
-class TestNodeRepresentation:
-    def _table(self, row):
-        table = init_embeddings([AttributeId(0, USER)], len(row), seed=0)
-        table.matrix[0] = row
-        return table
-
-    def test_scalar_multiple(self):
-        table = self._table([0.5, -1.0])
-        pair = AttributeValuePair(AttributeId(0, USER), 2.0)
-        assert np.array_equal(node_representation(pair, table), [1.0, -2.0])
-
-    def test_val_one_is_identity(self):
-        table = self._table([0.3, 0.7, -0.2])
-        pair = AttributeValuePair(AttributeId(0, USER), 1.0)
-        assert np.array_equal(node_representation(pair, table), table.matrix[0])
-
-    def test_val_zero_annihilates(self):
-        table = self._table([0.3, 0.7])
-        pair = AttributeValuePair(AttributeId(0, USER), 0.0)
-        assert np.array_equal(node_representation(pair, table), np.zeros(2))
-
-    def test_unknown_attribute_rejected(self):
-        table = self._table([0.3])
-        pair = AttributeValuePair(AttributeId(99, USER), 1.0)
-        with pytest.raises(MissingEmbeddingError):
-            node_representation(pair, table)
-
-    def test_linear_in_val(self, rng):
-        users, _ = make_ids(1, 0)
-        table = init_embeddings(users, 6, seed=3)
-        for _ in range(20):
-            val = float(rng.normal())
-            a = float(rng.normal())
-            lhs = node_representation(AttributeValuePair(users[0], a * val), table)
-            rhs = a * node_representation(AttributeValuePair(users[0], val), table)
-            assert np.allclose(lhs, rhs, rtol=0, atol=1e-15)
-
-    def test_shared_vector_mutation_visible_everywhere(self):
-        users, items = make_ids(1, 1)
-        table = init_embeddings(users + items, 4, seed=0)
-        pair = AttributeValuePair(users[0], 2.0)
-        before = node_representation(pair, table)
-        table.matrix[table.row(users[0])] += 1.0
-        after = node_representation(pair, table)
-        assert np.array_equal(after, before + 2.0)
 
 
 class TestDataSample:

@@ -251,11 +251,11 @@ class TestSideInterning:
             reordered = parse_dataset_lines(shuffled, options, parse_dataset_lines(lines).vocab)
             assert reordered.report == canonical.report
             assert _grouping(reordered, seed) == _grouping(canonical, seed)
-            table = init_model_params(universe_of(reordered.samples), 4, seed=1).table
+            mp = init_model_params(universe_of(reordered.samples), 4, seed=1)
             picks = data.draw(st.lists(st.integers(0, len(reordered.samples) - 1), max_size=64))
             for batch in (reordered.samples, [reordered.samples[k] for k in picks]):
                 if batch:
-                    assert np.array_equal(build_plan(batch, table).side_map, value_side_map(batch, table))
+                    assert np.array_equal(build_plan(batch, mp).side_map, value_side_map(batch, mp.table))
 
 
 class TestSynthetic:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmrec import model
-from gmrec.autodiff import ArrayOps, PairBlock, RowLocalOps, Tape, gradient_check
+from gmrec.autodiff import ArrayOps, PairBlock, Parameter, RowLocalOps, Tape, gradient_check
 from gmrec.data import (
     ITEM,
     USER,
@@ -22,22 +22,18 @@ from gmrec.data import (
     universe_of,
 )
 from gmrec.errors import ContractError, MissingEmbeddingError, ShapeError
-from gmrec.graphs import build_graphs
 from gmrec.model import (
     CANONICAL,
+    ModelParams,
     VariantConfig,
     _forward,
     build_plan,
+    format_variant,
     fuse,
     index_samples,
-    graph_representation,
     init_model_params,
-    inner_message,
-    message_pass,
-    node_match,
     predict,
     score_samples,
-    swap_roles,
 )
 
 from gmrec.dataio import SynthSpec, generate_synthetic, parse_dataset_lines
@@ -45,7 +41,7 @@ from gmrec.metrics import evaluate_model, score_dataset
 from gmrec.selfcheck import gradcheck_problem
 from gmrec.training import item_pool_of, regularized_risk
 
-from conftest import all_variants, draw_synth_spec, make_sample
+from conftest import all_variants, draw_synth_spec, make_sample, swap_roles
 from oracles import full_forward_oracle, gru_oracle, pair_message_oracle, plan_oracle, value_side_map
 
 
@@ -64,100 +60,62 @@ def zero_gru(gru):
         p.values[...] = 0.0
 
 
-class TestInnerMessage:
-    def test_zero_weights_give_zero(self, rng):
-        sample = make_sample(2, 2)
-        mp = make_model(sample)
-        zero_mlp(mp.inner_mlp)
-        out = inner_message(rng.normal(size=8), rng.normal(size=8), mp)
-        assert np.array_equal(out, np.zeros(8))
+def table_model(table, variant=CANONICAL):
+    """A model of variant over table with no weights: enough for build_plan,
+    which reads the table and the variant alone."""
+    return ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"), variant=variant)
 
-    def test_identity_weights_give_relu_of_first(self, rng):
-        sample = make_sample(2, 2)
+
+class TestNodesInPredict:
+    """Steps 1 and 2 of the forward as predict()'s diagnostics show them."""
+
+    def test_representation_is_value_times_row(self):
+        """u = val * v, bit for bit, for signed, unit and zero values, read
+        from the table's own rows: a changed row shows in the next call."""
+        sample = make_sample(3, 2, vals=[2.0, 1.0, 0.0, -0.5, 1.0])
         mp = make_model(sample, dim=4)
-        # hidden = relu(concat(u_i, u_j)) via an 8 -> 16 slot layout,
-        # output = first-4 slice of the hidden layer.
-        mp.inner_mlp.w_in.values[...] = 0.0
-        mp.inner_mlp.w_in.values[:8, :8] = np.eye(8)
-        mp.inner_mlp.b_hidden.values[...] = 0.0
-        mp.inner_mlp.w_out.values[...] = 0.0
-        mp.inner_mlp.w_out.values[:4, :4] = np.eye(4)
-        mp.inner_mlp.b_out.values[...] = 0.0
-        u_i = rng.normal(size=4)
-        u_j = rng.normal(size=4)
-        out = inner_message(u_i, u_j, mp)
-        assert np.allclose(out, np.maximum(u_i, 0.0), rtol=0, atol=1e-15)
+        for _ in range(2):
+            res = predict(sample, mp)
+            for c, n in zip(sample.user_chars + sample.item_chars, res.user_nodes + res.item_nodes):
+                assert n.representation.tobytes() == (c.val * mp.table.vector(c.att)).tobytes()
+            mp.table.matrix[mp.table.row(sample.user_chars[0].att)] += 1.0
+        assert not res.user_nodes[2].representation.any()
 
-    def test_matches_straight_line_oracle(self, rng):
-        sample = make_sample(2, 2)
-        mp = make_model(sample, dim=2, seed=5)
-        u_i = np.array([1.0, 0.0])
-        u_j = np.array([0.0, 1.0])
-        expected = pair_message_oracle(u_i, u_j, mp.inner_mlp)
-        assert np.allclose(inner_message(u_i, u_j, mp), expected, rtol=0, atol=1e-12)
-
-    def test_order_matters(self, rng):
-        sample = make_sample(2, 2)
-        mp = make_model(sample, seed=3)
-        u_i = rng.normal(size=8)
-        u_j = rng.normal(size=8)
-        assert not np.array_equal(inner_message(u_i, u_j, mp), inner_message(u_j, u_i, mp))
-
-    def test_length_mismatch_rejected(self):
-        mp = make_model(make_sample(2, 2))
-        with pytest.raises(ShapeError):
-            inner_message(np.zeros(8), np.zeros(7), mp)
-
-
-class TestMessagePass:
-    def test_single_node_graph_zero_message(self):
-        sample = make_sample(1, 2)
-        mp = make_model(sample)
-        user, _ = build_graphs(sample, mp.table)
-        (z,) = message_pass(user, mp)
-        assert np.array_equal(z, np.zeros(8))
-
-    def test_two_node_graph(self):
-        sample = make_sample(2, 1)
-        mp = make_model(sample)
-        user, _ = build_graphs(sample, mp.table)
-        z = message_pass(user, mp)
-        assert np.array_equal(z[0], inner_message(user.nodes[0], user.nodes[1], mp))
-        assert np.array_equal(z[1], inner_message(user.nodes[1], user.nodes[0], mp))
-
-    def test_zeroed_mlp_gives_zero_messages(self):
-        sample = make_sample(3, 1)
+    def test_zeroed_inner_mlp_gives_zero_messages(self):
+        sample = make_sample(3, 2)
         mp = make_model(sample)
         zero_mlp(mp.inner_mlp)
-        user, _ = build_graphs(sample, mp.table)
-        for z in message_pass(user, mp):
-            assert np.array_equal(z, np.zeros(8))
+        res = predict(sample, mp)
+        for node in res.user_nodes + res.item_nodes:
+            assert np.array_equal(node.message, np.zeros(8))
 
+    def test_identity_weights_give_relu_of_each_node(self, rng):
+        """With w_in routing concat(u_i, u_j) to the hidden layer unchanged and
+        w_out reading back its first d slots, each pair gives relu(u_i), so a
+        node of a p-node side gets (p - 1) relu(u_i)."""
+        for p in (2, 3):
+            sample = make_sample(p, 1, vals=list(rng.normal(size=p + 1)))
+            mp = make_model(sample, dim=4)
+            mp.inner_mlp.w_in.values[...] = 0.0
+            mp.inner_mlp.w_in.values[:8, :8] = np.eye(8)
+            mp.inner_mlp.b_hidden.values[...] = 0.0
+            mp.inner_mlp.w_out.values[...] = 0.0
+            mp.inner_mlp.w_out.values[:4, :4] = np.eye(4)
+            mp.inner_mlp.b_out.values[...] = 0.0
+            for node in predict(sample, mp).user_nodes:
+                want = (p - 1) * np.maximum(node.representation, 0.0)
+                assert np.allclose(node.message, want, rtol=0, atol=1e-15)
 
-class TestNodeMatch:
-    def test_all_ones_opposite_is_identity(self, rng):
-        u = rng.normal(size=5)
-        assert np.array_equal(node_match(u, [np.ones(5)]), u)
-
-    def test_single_opposite_elementwise(self):
-        out = node_match(np.array([1.0, 2.0]), [np.array([3.0, 4.0])])
-        assert np.array_equal(out, [3.0, 8.0])
-
-    def test_cancellation(self):
-        u = np.array([0.7, -1.3])
-        out = node_match(u, [np.array([1.0, 1.0]), np.array([-1.0, -1.0])])
-        assert np.array_equal(out, np.zeros(2))
-
-    def test_empty_opposite_rejected(self):
-        with pytest.raises(ContractError):
-            node_match(np.ones(3), [])
-
-    def test_linearity(self, rng):
-        u = rng.normal(size=6)
-        others = [rng.normal(size=6) for _ in range(5)]
-        pairwise = node_match(u, others)
-        factored = u * np.sum(others, axis=0)
-        assert np.abs(pairwise - factored).max() < 1e-12
+    def test_counts_of_nodes_and_same_side_pairs(self):
+        """One node per attribute; a p-node side has p (p - 1) ordered
+        same-side pairs, none for a single node."""
+        for p, q in ((3, 2), (1, 2), (2, 4), (4, 1)):
+            sample = make_sample(p, q)
+            mp = make_model(sample)
+            res = predict(sample, mp)
+            assert (len(res.user_nodes), len(res.item_nodes)) == (p, q)
+            plan = build_plan([sample], mp)
+            assert (plan.n_nodes, plan.pair_a.size) == (p + q, p * (p - 1) + q * (q - 1))
 
 
 class TestFuse:
@@ -187,36 +145,6 @@ class TestFuse:
             fuse(np.zeros(8), np.zeros(8), np.zeros(5), mp)
 
 
-class TestGraphRepresentation:
-    def test_single_node_equals_fuse(self):
-        sample = make_sample(1, 3)
-        mp = make_model(sample)
-        user, item = build_graphs(sample, mp.table)
-        v = graph_representation(user, item.nodes, mp)
-        s = node_match(user.nodes[0], item.nodes)
-        expected = fuse(user.nodes[0], np.zeros(8), s, mp)
-        assert np.array_equal(v, expected)
-
-    def test_zero_gru_gives_zero(self):
-        sample = make_sample(3, 2)
-        mp = make_model(sample)
-        zero_gru(mp.gru)
-        user, item = build_graphs(sample, mp.table)
-        assert np.array_equal(graph_representation(user, item.nodes, mp), np.zeros(8))
-
-    def test_two_node_composition(self):
-        sample = make_sample(2, 2)
-        mp = make_model(sample, seed=13)
-        user, item = build_graphs(sample, mp.table)
-        v = graph_representation(user, item.nodes, mp)
-        z = message_pass(user, mp)
-        parts = [
-            fuse(user.nodes[i], z[i], node_match(user.nodes[i], item.nodes), mp)
-            for i in range(2)
-        ]
-        assert np.array_equal(v, parts[0] + parts[1])
-
-
 class TestPredict:
     def test_zero_params_give_zero_score(self):
         sample = make_sample(2, 2)
@@ -225,6 +153,14 @@ class TestPredict:
         res = predict(sample, mp)
         assert res.score == 0.0
         assert res.probability == 0.5
+        assert not res.user_repr.any() and not res.item_repr.any()
+
+    def test_representation_is_the_sum_of_fused_nodes(self):
+        sample = make_sample(2, 2)
+        mp = make_model(sample, seed=13)
+        res = predict(sample, mp)
+        for reps, nodes in ((res.user_repr, res.user_nodes), (res.item_repr, res.item_nodes)):
+            assert np.array_equal(reps, nodes[0].fused + nodes[1].fused)
 
     def test_orthogonal_representations_zero_score(self):
         sample = make_sample(1, 1)
@@ -318,7 +254,7 @@ class TestEngineConsistency:
         assert len(variants) == 25
         for variant, samples in itertools.product(variants, batches):
             mp = make_model(samples, seed=11, variant=variant)
-            plan = build_plan(samples, mp.table, variant)
+            plan = build_plan(samples, mp)
             tracked = _forward(Tape(), plan, mp)
             plain = _forward(ArrayOps(), plan, mp)
             assert tracked.scores.node is not None
@@ -338,7 +274,7 @@ class TestEngineConsistency:
     def test_full_forward_gradient_check(self):
         sample = make_sample(2, 2)
         mp = make_model(sample, dim=8, seed=17)
-        plan = build_plan([sample], mp.table, CANONICAL)
+        plan = build_plan([sample], mp)
 
         def forward():
             tape = Tape()
@@ -450,7 +386,7 @@ class TestBatchedFiniteDifferences:
         checked = set()
         for variant, ops in itertools.product(all_variants(), (ArrayOps, RowLocalOps)):
             mp = make_model(samples, seed=11, variant=variant)
-            plan = build_plan(samples, mp.table, variant)
+            plan = build_plan(samples, mp)
             for name in ("emb", "inner_mlp.w_in", "gru.b_update", "fuse_mlp.w_in"):
                 owner, _, attr = name.rpartition(".")
                 part = getattr(mp, owner) if owner else mp
@@ -517,28 +453,27 @@ class TestNodeLevelMessagePassing:
                 for p in (mlp.parameters() if mlp is not None else []):
                     # Non-zero biases, and a cross MLP that differs from the inner one.
                     p.values[...] = rng.normal(scale=0.5, size=p.shape)
-            plan = build_plan(samples, mp.table, variant)
+            plan = build_plan(samples, mp)
             out = _forward(ops, plan, mp)
             messages = out.messages if plan.node_src is None else out.messages[plan.node_src]  # sample rows
             cross = mp.inner_mlp if variant.cross == "mlp_shared" else mp.cross_mlp
             base = 0
-            for sample in samples:
-                user, item = build_graphs(sample, mp.table)
-                rows_u = range(base, base + user.n_nodes)
-                rows_i = range(base + user.n_nodes, base + user.n_nodes + item.n_nodes)
-                base += user.n_nodes + item.n_nodes
-                for graph, rows, opposite in ((user, rows_u, item), (item, rows_i, user)):
-                    assert np.array_equal(out.nodes[list(rows)], np.array(graph.nodes))
-                    if variant.inner == "mlp":
-                        for row, z in zip(rows, message_pass(graph, mp)):
-                            if graph.n_nodes == 1:
+            for sample in samples:  # make_sample's ids ascend, so nodes are in input order
+                user, item = ([c.val * mp.table.vector(c.att) for c in chars]
+                              for chars in (sample.user_chars, sample.item_chars))
+                for side, opposite in ((user, item), (item, user)):
+                    rows = range(base, base + len(side))
+                    base += len(side)
+                    assert np.array_equal(out.nodes[list(rows)], np.array(side))
+                    for i, (row, u) in enumerate(zip(rows, side)):
+                        if variant.inner == "mlp":
+                            if len(side) == 1:
                                 assert np.array_equal(messages[row], np.zeros(8))
                             else:
-                                self._close(messages[row], z)
-                    if variant.cross in ("mlp_shared", "mlp_separate"):
-                        for row, u in zip(rows, graph.nodes):
-                            s = sum(pair_message_oracle(u, v, cross) for v in opposite.nodes)
-                            self._close(out.matches[row], s)
+                                self._close(messages[row], sum(pair_message_oracle(u, v, mp.inner_mlp)
+                                                               for j, v in enumerate(side) if j != i))
+                        if variant.cross in ("mlp_shared", "mlp_separate"):
+                            self._close(out.matches[row], sum(pair_message_oracle(u, v, cross) for v in opposite))
             assert base == plan.n_nodes
 
     def test_pairs_match_per_pair_plan(self, rng):
@@ -551,7 +486,7 @@ class TestNodeLevelMessagePassing:
                 expected += [base + i for i in range(count) for j in range(count) if i != j]
                 base += count
         for variant in (CANONICAL, VariantConfig(inner="bi")):
-            assert build_plan(samples, make_model(samples).table, variant).pair_a.tolist() == expected
+            assert build_plan(samples, make_model(samples, variant=variant)).pair_a.tolist() == expected
 
     def test_elementwise_messages_within_rounding_of_pair_loop(self, rng):
         """inner=bi computes z_i = u_i * (side sum - u_i). Against a loop that
@@ -564,7 +499,7 @@ class TestNodeLevelMessagePassing:
         eps = np.finfo(np.float64).eps
         sizes = set()
         for ops in (ArrayOps(), RowLocalOps()) * 10:
-            plan = build_plan(_plan_batch(rng, 64), mp.table, variant)
+            plan = build_plan(_plan_batch(rng, 64), mp)
             out = _forward(ops, plan, mp)
             u = out.nodes
             z = out.messages if plan.node_src is None else out.messages[plan.node_src]  # sample rows
@@ -604,6 +539,10 @@ def _plan_batch(rng, n_samples):
             sides.append([AttributeValuePair(pool[k], float(rng.uniform(-2.0, 2.0))) for k in picks])
         samples.append(DataSample(sides[0], sides[1], float(rng.integers(0, 2))))
     return samples
+
+
+# A d=4 model of every variant over the pools.
+_MODELS = {variant: init_model_params(_USER_POOL + _ITEM_POOL, 4, seed=5, variant=variant) for variant in all_variants()}
 
 
 def _shuffled_table(order):
@@ -664,7 +603,7 @@ class TestVectorisedPlan:
                 key = _PLAN_KEY(variant)
                 if key not in refs:
                     refs[key] = plan_oracle(samples, table, variant)
-                assert_plan_matches_oracle(build_plan(samples, table, variant), refs[key], (where, variant))
+                assert_plan_matches_oracle(build_plan(samples, table_model(table, variant)), refs[key], (where, variant))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -683,7 +622,7 @@ class TestVectorisedPlan:
             samples = data.draw(st.permutations(samples))
         table = _shuffled_table(data.draw(st.permutations(range(20))))
         variant = data.draw(st.sampled_from(all_variants()))
-        assert_plan_matches_oracle(build_plan(samples, table, variant), plan_oracle(samples, table, variant))
+        assert_plan_matches_oracle(build_plan(samples, table_model(table, variant)), plan_oracle(samples, table, variant))
 
     def test_same_side_blocks_only_for_the_pair_mlp(self, rng):
         """Only inner=mlp reads the same-side pair blocks, so only its plans
@@ -691,7 +630,7 @@ class TestVectorisedPlan:
         samples = _plan_batch(rng, 16)
         table = init_embeddings(_USER_POOL + _ITEM_POOL, 4, seed=0)
         for variant in all_variants():
-            plan = build_plan(samples, table, variant)
+            plan = build_plan(samples, table_model(table, variant))
             assert (plan.same_side is not None) == (variant.mode == "graph" and variant.inner == "mlp"), variant
 
     def test_predict_maps_nodes_back_to_input_order(self, rng):
@@ -735,14 +674,14 @@ class TestSampleIndex:
         picks = np.array(data.draw(st.lists(st.integers(0, len(samples) - 1), min_size=1, max_size=30)), dtype=np.intp)
         batch = [samples[k] for k in picks]
         for variant in self.VARIANTS:
-            plan = build_plan(batch, table, variant, index, picks)
+            plan = build_plan(batch, table_model(table, variant), index=index, picks=picks)
             assert_plan_matches_oracle(plan, plan_oracle(batch, table, variant), variant)
 
         known = {a.id for a in _USER_POOL + _ITEM_POOL}
         unknown = data.draw(st.integers(0, 120).filter(lambda i: i not in known))
         bad = DataSample(users[0] + (AttributeValuePair(AttributeId(unknown, USER), 1.0),), items[0], 0.0)
         with pytest.raises(MissingEmbeddingError, match=rf"attribute id {unknown}$"):
-            build_plan(batch + [bad], table)
+            build_plan(batch + [bad], table_model(table))
 
 
 def _side(pool_ids, vals, side):
@@ -773,7 +712,7 @@ class TestDistinctSides:
         table = init_embeddings(_USER_POOL + _ITEM_POOL, 4, seed=0)
         for where, samples, side_map in cases:
             for variant in all_variants():
-                plan = build_plan(samples, table, variant)
+                plan = build_plan(samples, table_model(table, variant))
                 assert plan.side_map.tolist() == side_map, where
                 assert (plan.node_src is None) == (max(side_map) == 3), where
                 assert_plan_matches_oracle(plan, plan_oracle(samples, table, variant), (where, variant))
@@ -788,7 +727,7 @@ class TestDistinctSides:
         apart = [DataSample(list(s.user_chars), list(s.item_chars), s.label) for s in shared]
         for variant in all_variants():
             mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4, variant=variant)
-            one, own = build_plan(shared, mp.table, variant), build_plan(apart, mp.table, variant)
+            one, own = build_plan(shared, mp), build_plan(apart, mp)
             assert one.node_src is not None and one.by_distinct.n < len(one.side_map)
             assert own.node_src is None and own.side_map.tolist() == list(range(2 * len(apart)))
             assert np.array_equal(own.attr_rows, one.attr_rows[one.node_src])
@@ -807,7 +746,7 @@ class TestDistinctSides:
         picks = data.draw(st.lists(st.integers(0, len(samples) - 1), min_size=1, max_size=128))
         user = samples[picks[0]].user_chars
         for batch in ([samples[k] for k in picks], [DataSample(user, item, 0.0) for item in item_pool_of(samples)]):
-            plan = build_plan(batch, table)
+            plan = build_plan(batch, table_model(table))
             assert np.array_equal(plan.side_map, value_side_map(batch, table))
 
     def test_each_distinct_side_is_looked_up_once(self, monkeypatch):
@@ -836,7 +775,7 @@ class TestDistinctSides:
             distinct = {id(chars): chars for s in batch for chars in (s.user_chars, s.item_chars)}.values()
             for variant in (CANONICAL, VariantConfig(inner="bi", cross="mlp_separate", fuse="mlp")):
                 looked_up.clear()
-                plan = build_plan(batch, table, variant)
+                plan = build_plan(batch, table_model(table, variant))
                 assert len(looked_up) == 1, where
                 assert sorted(looked_up[0]) == sorted(p.att.id for chars in distinct for p in chars), where
                 assert plan.node_src is not None and len(plan.attr_rows) < plan.n_nodes, where
@@ -855,7 +794,7 @@ class TestDistinctSides:
         samples = self._repeated_batch(rng)
         for variant in all_variants():
             mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4, variant=variant)
-            plan = build_plan(samples, mp.table, variant)
+            plan = build_plan(samples, mp)
             assert plan.node_src is not None and len(plan.attr_rows) < plan.n_nodes
             batched = score_samples(samples, mp, variant)
             alone = np.array([score_samples([s], mp, variant)[0] for s in samples])
@@ -874,7 +813,7 @@ class TestDistinctSides:
                 for p in params:
                     p.zero_grad()
                 tape = Tape()
-                out = _forward(tape, build_plan(batch, mp.table, variant), mp)
+                out = _forward(tape, build_plan(batch, mp), mp)
                 tape.backward(tape.sum_reduce(out.scores))
                 return [p.grad.copy() for p in params]
 
@@ -887,9 +826,6 @@ class TestDistinctSides:
 class TestScoringBudget:
     """score_samples cuts its list into chunks of whole samples by a budget
     of sample-node elements; the chunks change no bit of any score."""
-
-    MODELS = {variant: init_model_params(_USER_POOL + _ITEM_POOL, 4, seed=5, variant=variant)
-              for variant in all_variants()}
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -907,13 +843,13 @@ class TestScoringBudget:
             fewest, room = (fewest, room - e) if e <= room else (fewest + 1, budget - e)
         chunks, original = [], model.build_plan
 
-        def recorded(batch, *args):
+        def recorded(batch, *args, **kwargs):
             chunks.append(batch)
-            return original(batch, *args)
+            return original(batch, *args, **kwargs)
 
         with_index = data.draw(st.booleans())
-        for variant, mp in self.MODELS.items():
-            whole = _forward(ArrayOps(), build_plan(samples, mp.table, variant), mp).scores
+        for variant, mp in _MODELS.items():
+            whole = _forward(ArrayOps(), build_plan(samples, mp), mp).scores
             index = index_samples(samples, mp.table) if with_index else None
             chunks.clear()
             with pytest.MonkeyPatch.context() as patch:
@@ -992,9 +928,28 @@ class TestIndexOfItsOwnList:
             regularized_risk(a, mp, 0.1, index=index, picks=np.arange(12))
         for picks in (np.arange(9), None):
             with pytest.raises(ContractError, match="picks"):
-                build_plan(a, mp.table, CANONICAL, index, picks)
+                build_plan(a, mp, index=index, picks=picks)
         risk = regularized_risk(a, mp, 0.1, index=index, picks=np.arange(10))
         assert float(risk.data) == float(regularized_risk(a, mp, 0.1).data)
+
+    def test_index_of_another_batch_rejected(self):
+        """Given an index, each pick must be an in-range position of the
+        index's list that holds that very sample: another batch's index with
+        in-range picks, picks out of range or negative, and picks that are
+        not integers are a ContractError, not another batch's forward."""
+        text, _ = generate_synthetic(SynthSpec(users=8, items=6, samples=80, seed=5))
+        samples = parse_dataset_lines(text.splitlines()).samples
+        mp = init_model_params(universe_of(samples), 4, 0)
+        batch, other = samples[:10], index_samples(samples[10:20], mp.table)
+        with pytest.raises(ContractError, match="picks"):
+            regularized_risk(batch, mp, 0.0, index=other, picks=np.arange(10))
+        index = index_samples(samples, mp.table)
+        for picks in (np.arange(10) + 75, np.arange(-10, 0), np.arange(10.0), np.arange(10)[::-1]):
+            with pytest.raises(ContractError, match="picks"):
+                build_plan(batch, mp, index=index, picks=picks)
+        for picks in (np.arange(10), list(range(10))):
+            risk = regularized_risk(batch, mp, 0.0, index=index, picks=picks)
+            assert float(risk.data) == float(regularized_risk(batch, mp, 0.0).data)
 
     def test_arguments_after_the_variant_are_keyword_only(self):
         """A variant passed where the old signatures took it is a TypeError,
@@ -1006,6 +961,39 @@ class TestIndexOfItsOwnList:
         for call in calls:
             with pytest.raises(TypeError):
                 call()
+
+
+class TestPlanOfItsModel:
+    """A plan belongs to the variant of the model it was built from: _forward
+    refuses a model of any other variant, on every ops object, before it
+    computes or records anything."""
+
+    @pytest.mark.parametrize("variant", all_variants(), ids=format_variant)
+    def test_plan_runs_only_with_its_variant(self, variant):
+        samples = _plan_batch(np.random.default_rng(1), 8)
+        plan = build_plan(samples, _MODELS[variant])
+        assert plan.variant == variant
+        assert np.all(np.isfinite(_forward(ArrayOps(), plan, _MODELS[variant]).scores))
+        for other, mp in _MODELS.items():
+            if other == variant:
+                continue
+            for ops in (ArrayOps(), RowLocalOps(), Tape()):
+                with pytest.raises(ContractError) as caught:
+                    _forward(ops, plan, mp)
+                assert f"plan is of {format_variant(variant)!r}, the model of {format_variant(other)!r}" in str(caught.value)
+                if isinstance(ops, Tape):
+                    assert not ops.nodes
+
+    def test_inner_bi_plan_on_a_canonical_model(self):
+        """The plan of inner=bi has no same-side pair blocks, which the
+        canonical model's inner MLP reads."""
+        mp = _MODELS[CANONICAL]
+        plan = build_plan(_plan_batch(np.random.default_rng(2), 8), table_model(mp.table, VariantConfig(inner="bi")))
+        assert plan.same_side is None
+        tape = Tape()
+        with pytest.raises(ContractError, match="the model of 'inner=mlp,cross=bi,fuse=gru'"):
+            _forward(tape, plan, mp)
+        assert not tape.nodes
 
 
 class TestUnknownAttributes:
@@ -1025,7 +1013,7 @@ class TestUnknownAttributes:
         match = rf"attribute id {unknown}$"
         for variant in (CANONICAL, VariantConfig(inner="bi", cross="mlp_separate"), VariantConfig(mode="fm")):
             with pytest.raises(MissingEmbeddingError, match=match):
-                build_plan([good, bad], mp.table, variant)
+                build_plan([good, bad], table_model(mp.table, variant))
         with pytest.raises(MissingEmbeddingError, match=match):
             score_samples([good, good, bad], mp)
         with pytest.raises(MissingEmbeddingError, match=match):

@@ -125,7 +125,7 @@ def test_train_small_step_records_30_nodes_two_of_them_gru(monkeypatch):
     monkeypatch.setattr(Tape, "gru", recording)
     assert digest.tape_nodes() == 30
     batch, mp, _ = digest.train_small_step()
-    plan = build_plan(batch, mp.table)
+    plan = build_plan(batch, mp)
     assert plan.node_src is not None  # the batch repeats sides, so the two runs differ in rows
     assert runs == [(2, True, len(plan.attr_rows), 1), (1, False, plan.n_nodes, 1)]
 
