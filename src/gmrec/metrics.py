@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import stable_sigmoid
 from .data import EmbeddingTable, side_key
 from .errors import UndefinedMetricError
-from .model import ModelParams, SampleIndex, score_samples
+from .model import ModelParams, score_samples
 
 PROB_EPS = 1e-12
 
@@ -110,14 +110,13 @@ def ndcg_at_k(scored: Sequence[ScoredSample], k: int) -> float:
     return float(total / eligible)
 
 
-def score_dataset(samples, mp: ModelParams, *, index: SampleIndex | None = None) -> list[ScoredSample]:
-    """Score samples with the model and wrap them with their user side tuples.
+def score_dataset(samples, mp: ModelParams) -> list[ScoredSample]:
+    """Score samples with the model (score_samples) and wrap them with their user side tuples.
 
     The stored score is the sigmoid probability; AUC and NDCG are invariant
     under the monotone link and logloss needs the probability anyway.
-    index, the SampleIndex of samples, goes to score_samples.
     """
-    probs = stable_sigmoid(score_samples(samples, mp, index=index))
+    probs = stable_sigmoid(score_samples(samples, mp))
     return [
         ScoredSample(user=s.user_chars, score=float(p), label=float(s.label))
         for s, p in zip(samples, probs)

@@ -41,8 +41,8 @@ numbers the sides by identity; then, over the distinct sides only, one
 flat pass collects sizes, attribute ids and values, one binary search over
 the table's sorted ids finds the embedding rows and one lexsort by (side,
 id) orders the nodes. build_plan cuts a plan from such an index, which
-train() builds once for its training samples and once for its validation
-split; the layout, segment and pair arrays follow by repeat and cumsum
+train() builds once for its training samples and score_samples once for
+its list; the layout, segment and pair arrays follow by repeat and cumsum
 through the side map, with no Python loop per attribute.
 Inside a sample, nodes are processed in ascending attribute-id order, so
 reordering the input attributes cannot change any bit of the output. The
@@ -418,8 +418,8 @@ def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
 
 class SampleIndex(NamedTuple):
     """What a plan takes from its samples alone, over a list of them: _Plan's
-    fields of those names, each distinct side's size and first node, and
-    the list itself."""
+    fields of those names, each distinct side's size and first node, the
+    list itself, and the table whose rows attr_rows are."""
 
     side_map: np.ndarray
     sizes: np.ndarray
@@ -429,10 +429,11 @@ class SampleIndex(NamedTuple):
     vals: np.ndarray
     input_pos: np.ndarray
     samples: list
+    table: EmbeddingTable
 
 
 def index_samples(samples, table: EmbeddingTable) -> SampleIndex:
-    """The SampleIndex of samples' user and item sides, by one pass over the distinct ones."""
+    """The SampleIndex of samples' user and item sides over table, by one pass over the distinct ones."""
     sides = [chars for sample in samples for chars in (sample.user_chars, sample.item_chars)]
     distinct = {id(chars): chars for chars in sides}  # in order of first appearance
     number = {key: k for k, key in enumerate(distinct)}
@@ -444,7 +445,7 @@ def index_samples(samples, table: EmbeddingTable) -> SampleIndex:
     side_map = np.array([number[id(chars)] for chars in sides], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
     vals = np.array([pair[1] for pair in pairs], dtype=np.float64)[order]
-    return SampleIndex(side_map, sizes, starts, owners, table.rows(ids)[order], vals, order, samples)
+    return SampleIndex(side_map, sizes, starts, owners, table.rows(ids)[order], vals, order, samples, table)
 
 
 def _picks_of(samples, index: SampleIndex, picks) -> np.ndarray:
@@ -462,13 +463,17 @@ def _picks_of(samples, index: SampleIndex, picks) -> np.ndarray:
 def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None,
                picks: np.ndarray | None = None) -> _Plan:
     """The index plan of a batch for mp, over mp's table, by numpy index arithmetic over its
-    distinct sides (module docstring), from samples' own index; or, given the index of a list and
-    picks, samples' positions in it, cut from that index: the picked sides renumbered by first
-    appearance, their nodes gathered. The plan belongs to mp's variant and records it."""
+    distinct sides (module docstring), from samples' own index; or, given the index of a list over
+    mp's table and picks, samples' positions in it, cut from that index: the picked sides renumbered
+    by first appearance, their nodes gathered. The plan belongs to mp's variant and records it."""
     variant = mp.variant
     if index is None:
-        side_map, distinct_sizes, distinct_starts, owners, attr_rows, vals, input_pos, _ = index_samples(samples, mp.table)
+        if picks is not None:
+            raise ContractError("build_plan: picks are positions in an index's list, and no index is given")
+        side_map, distinct_sizes, distinct_starts, owners, attr_rows, vals, input_pos, *_ = index_samples(samples, mp.table)
     else:
+        if index.table is not mp.table:
+            raise ContractError("build_plan: the index is over another table than the model's")
         picks = _picks_of(samples, index, picks)
         picked = index.side_map.reshape(-1, 2)[picks].reshape(-1)
         numbers, first, inverse = np.unique(picked, return_index=True, return_inverse=True)
@@ -662,27 +667,23 @@ def _own_variant(mp: ModelParams, variant: VariantConfig | None, what: str) -> N
         raise ContractError(f"{what}: the model is {format_variant(mp.variant)!r}, not {format_variant(variant)!r}")
 
 
-def score_samples(samples, mp: ModelParams, variant: VariantConfig | None = None, *,
-                  index: SampleIndex | None = None) -> np.ndarray:
+def score_samples(samples, mp: ModelParams, variant: VariantConfig | None = None) -> np.ndarray:
     """Untracked scores of mp's variant; safe to call concurrently over read-only params.
 
-    variant, if given, must be mp.variant. The samples run in the fewest
-    balanced forwards of whole samples that hold at most SCORE_BATCH
-    sample-node elements each, a larger sample alone, so the working memory
-    does not grow with the list. A sample's score does not depend on the
-    chunk it runs in. Given index, the SampleIndex of this very list,
-    each chunk's plan is cut from it.
+    variant, if given, must be mp.variant. The list is indexed once over
+    mp's table, and each chunk's plan is cut from that index. The samples
+    run in the fewest balanced forwards of whole samples that hold at most
+    SCORE_BATCH sample-node elements each, a larger sample alone, so the
+    working memory does not grow with the list. A sample's score does not
+    depend on the chunk it runs in.
     """
     _own_variant(mp, variant, "score_samples")
-    if index is not None and index.samples is not samples:
-        raise ContractError("score_samples: the index is of another list of samples")
-    nodes = np.fromiter((len(s.user_chars) + len(s.item_chars) for s in samples), np.intp, len(samples))
+    index = index_samples(samples, mp.table)
+    nodes = index.sizes[index.side_map].reshape(-1, 2).sum(axis=1)
     bounds = _score_chunks(nodes * mp.dim, SCORE_BATCH)
     out = np.empty(len(samples))
     for start, stop in zip(bounds, bounds[1:]):
-        chunk = samples[start:stop]
-        picks = None if index is None else np.arange(start, stop)
-        plan = build_plan(chunk, mp, index=index, picks=picks)
+        plan = build_plan(samples[start:stop], mp, index=index, picks=np.arange(start, stop))
         out[start:stop] = _forward(ArrayOps(), plan, mp).scores
     return out
 
@@ -764,9 +765,11 @@ def _check_dim(vec: np.ndarray, d: int, what: str) -> np.ndarray:
 def fuse(u_i, z_i, s_i, mp: ModelParams) -> np.ndarray:
     """GRU over the sequence [u_i, z_i, s_i] from a zero hidden state.
 
-    Runs on RowLocalOps like predict(), so fusing a node alone gives
-    exactly the bits it gets inside a full forward pass.
+    Runs on RowLocalOps like predict(), so fusing a node alone gives exactly
+    the bits it gets inside a full forward pass; a model with no GRU is a ContractError.
     """
+    if mp.gru is None:
+        raise ContractError(f"fuse: the model {format_variant(mp.variant)!r} has no GRU")
     d = mp.dim
     rows = [
         _check_dim(u_i, d, "fuse u_i")[None, :],

@@ -219,8 +219,10 @@ def negative_sample(
 
 
 def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
-    """Mini-batch Adam on the regularized risk, over one sample index and per ModelParams block;
-    keeps the best-validation-AUC parameters; bit-reproducible for a fixed config and seed."""
+    """Mini-batch Adam on the regularized risk of a non-empty training split, over one sample index
+    and per ModelParams block; keeps the best-validation-AUC parameters; bit-reproducible per config."""
+    if not split.train:
+        raise ContractError("train: the training split is empty")
     universe = universe_of(list(split.train) + list(split.valid) + list(split.test))
     mp = init_model_params(universe, config.dim, config.seed, config.variant)
     blocks = mp.blocks()
@@ -233,7 +235,6 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
     stall = 0
     train_samples, valid = list(split.train), list(split.valid)
     index = index_samples(train_samples, mp.table)
-    valid_index = index_samples(valid, mp.table) if valid else None
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(train_samples))
         loss_sum, seen = 0.0, 0
@@ -253,8 +254,8 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
             adam_step(blocks, state, config.learning_rate)
             loss_sum += value * len(batch)
             seen += len(batch)
-        train_loss = loss_sum / max(seen, 1)
-        val_auc, val_logloss = _validation_metrics(valid, valid_index, mp)
+        train_loss = loss_sum / seen
+        val_auc, val_logloss = _validation_metrics(valid, mp)
         logs.append(EpochLog(epoch, train_loss, val_auc, val_logloss))
         if np.isfinite(val_auc):
             if val_auc > best_auc:
@@ -290,8 +291,8 @@ def ablate(samples: Sequence[DataSample], variants: Sequence[VariantConfig], see
     return [{k: float(np.mean([r[k] for r in per_seed])) for k in per_seed[0]} for per_seed in reports]
 
 
-def _validation_metrics(valid: list[DataSample], index, mp) -> tuple[float, float]:
+def _validation_metrics(valid: list[DataSample], mp) -> tuple[float, float]:
     if not valid:
         return float("nan"), float("nan")
-    report = metric_report(score_dataset(valid, mp, index=index), ks=())
+    report = metric_report(score_dataset(valid, mp), ks=())
     return report["auc"], report["logloss"]

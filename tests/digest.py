@@ -3,9 +3,11 @@ every bit, or which bits it changes.
 
 Run as `python tests/digest.py` (pytest does not collect it). It first
 prints the BLAS thread setting it ran under (OPENBLAS_NUM_THREADS and
-OMP_NUM_THREADS as set, or "default"): the matmul bits, and so some
-digests, depend on it. Then it prints one sha256 per group; two commits
-that print the same lines under one setting give bit-identical results on:
+OMP_NUM_THREADS as set, or "default"), then the numpy version and the name
+and version of the BLAS numpy was built against: the matmul bits, and so
+some digests, depend on both. Then it prints one sha256 per group; two
+commits that print the same lines under one setting and build give
+bit-identical results on:
 
   forward      for each of the 25 variants, on two fixed batches (one that
                repeats side tuples as shared objects, one with +0, -0 and
@@ -189,8 +191,14 @@ def blas_threads() -> str:
     return " ".join(setting) or "default"
 
 
+def blas_build() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__} {blas['name']} {blas['version']}"
+
+
 def main() -> None:
     print("blas-threads", blas_threads())
+    print("blas-build  ", blas_build())
     forward, grads_gru, grads_other = variants_digests()
     print("forward    ", forward)
     print("grads-gru  ", grads_gru)

@@ -144,6 +144,14 @@ class TestFuse:
         with pytest.raises(ShapeError):
             fuse(np.zeros(8), np.zeros(8), np.zeros(5), mp)
 
+    def test_model_without_gru_rejected(self):
+        """fuse=sum, fuse=mlp and mode=fm have no GRU: a ContractError
+        naming the model's variant, not an AttributeError."""
+        for variant in (VariantConfig(fuse="sum"), VariantConfig(fuse="mlp"), VariantConfig(mode="fm")):
+            mp = make_model(make_sample(2, 2), variant=variant)
+            with pytest.raises(ContractError, match=f"fuse: the model '{format_variant(variant)}' has no GRU"):
+                fuse(np.zeros(8), np.zeros(8), np.zeros(8), mp)
+
 
 class TestPredict:
     def test_zero_params_give_zero_score(self):
@@ -830,33 +838,38 @@ class TestScoringBudget:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_chunks_fit_the_budget_and_keep_the_bits(self, data):
-        """Under a budget drawn up to the list's size, with or without the
-        list's SampleIndex, the scores of every variant have the bytes of
-        one forward over the whole list; the chunks are consecutive runs of
-        whole samples that cover it in order, as few as fit, each within the
-        budget unless it is one sample."""
+        """Under a budget drawn up to the list's size, the scores of every
+        variant have the bytes of one forward over the whole list; the
+        chunks are consecutive runs of whole samples that cover it in order,
+        as few as fit, each within the budget unless it is one sample; and
+        the list is indexed once, whatever the number of chunks."""
         samples = _plan_batch(np.random.default_rng(data.draw(st.integers(0, 2**16))), data.draw(st.integers(1, 40)))
         elems = [4 * (len(s.user_chars) + len(s.item_chars)) for s in samples]
         budget = data.draw(st.integers(1, sum(elems) + 4))
         fewest, room = 0, 0
         for e in elems:  # greedy packing: the fewest runs for a budget
             fewest, room = (fewest, room - e) if e <= room else (fewest + 1, budget - e)
-        chunks, original = [], model.build_plan
+        chunks, indexed, original, original_index = [], [], model.build_plan, model.index_samples
 
         def recorded(batch, *args, **kwargs):
             chunks.append(batch)
             return original(batch, *args, **kwargs)
 
-        with_index = data.draw(st.booleans())
+        def recorded_index(batch, *args, **kwargs):
+            indexed.append(batch)
+            return original_index(batch, *args, **kwargs)
+
         for variant, mp in _MODELS.items():
             whole = _forward(ArrayOps(), build_plan(samples, mp), mp).scores
-            index = index_samples(samples, mp.table) if with_index else None
             chunks.clear()
+            indexed.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(model, "SCORE_BATCH", budget)
                 patch.setattr(model, "build_plan", recorded)
-                got = score_samples(samples, mp, index=index)
+                patch.setattr(model, "index_samples", recorded_index)
+                got = score_samples(samples, mp)
             assert got.tobytes() == whole.tobytes(), variant
+            assert len(indexed) == 1 and indexed[0] is samples, variant
             assert [s for chunk in chunks for s in chunk] == samples and len(chunks) == fewest
             for chunk in chunks:
                 assert len(chunk) == 1 or sum(4 * (len(s.user_chars) + len(s.item_chars)) for s in chunk) <= budget
@@ -903,8 +916,9 @@ class TestScoringBudget:
 
 
 class TestIndexOfItsOwnList:
-    """A SampleIndex is of one list: scoring refuses another list's index,
-    and build_plan refuses picks that do not give a position per sample."""
+    """A SampleIndex is of one list over one table: build_plan refuses picks
+    that do not give a position per sample in that list, picks without an
+    index, and an index over another table than the model's."""
 
     def _setup(self):
         text, _ = generate_synthetic(SynthSpec(users=5, items=4, samples=20, seed=1))
@@ -912,14 +926,42 @@ class TestIndexOfItsOwnList:
         return samples[:10], samples[10:], init_model_params(universe_of(samples), 4, 0)
 
     def test_another_lists_index_rejected(self):
+        """Another list's index and a shorter one's are a ContractError; an
+        equal copy of the list holds the very samples, so its index plans
+        them as their own does."""
         a, b, mp = self._setup()
-        for other in (b, a[:6], list(a)):  # another list, a shorter one, an equal copy
+        for other in (b, a[:6]):  # another list, a shorter one
             index = index_samples(other, mp.table)
-            with pytest.raises(ContractError, match="another list"):
-                score_samples(a, mp, index=index)
-            with pytest.raises(ContractError, match="another list"):
-                score_dataset(a, mp, index=index)
-        assert score_samples(a, mp, index=index_samples(a, mp.table)).tobytes() == score_samples(a, mp).tobytes()
+            with pytest.raises(ContractError, match="picks"):
+                build_plan(a, mp, index=index, picks=np.arange(10))
+            with pytest.raises(ContractError, match="picks"):
+                regularized_risk(a, mp, 0.1, index=index, picks=np.arange(10))
+        risk = regularized_risk(a, mp, 0.1, index=index_samples(list(a), mp.table), picks=np.arange(10))
+        assert float(risk.data) == float(regularized_risk(a, mp, 0.1).data)
+
+    def test_index_over_another_table_rejected(self):
+        """An index over a table with the model's ids in reversed row order
+        is a ContractError, not the forward of another model's rows."""
+        text, _ = generate_synthetic(SynthSpec(users=8, items=6, samples=80, seed=5))
+        samples = parse_dataset_lines(text.splitlines()).samples
+        mp = init_model_params(universe_of(samples), 4, 0)
+        other = EmbeddingTable(dim=4, ids=mp.table.ids[::-1], matrix=mp.table.matrix[::-1].copy())
+        batch = samples[:10]
+        for table in (other, init_model_params(universe_of(samples), 4, 0).table):
+            with pytest.raises(ContractError, match="another table"):
+                regularized_risk(batch, mp, 0.0, index=index_samples(batch, table), picks=np.arange(10))
+        risk = regularized_risk(batch, mp, 0.0, index=index_samples(batch, mp.table), picks=np.arange(10))
+        assert float(risk.data) == float(regularized_risk(batch, mp, 0.0).data)
+
+    def test_picks_without_an_index_rejected(self):
+        """Picks are positions in an index's list: without an index they are
+        a ContractError, not silently ignored."""
+        a, _, mp = self._setup()
+        for picks in (np.arange(10), [99, 98]):
+            with pytest.raises(ContractError, match="no index"):
+                build_plan(a, mp, picks=picks)
+            with pytest.raises(ContractError, match="no index"):
+                regularized_risk(a, mp, 0.0, picks=picks)
 
     def test_picks_of_another_length_rejected(self):
         a, b, mp = self._setup()

@@ -481,6 +481,15 @@ class TestTrain:
         for pa, pb in zip(a.params.parameters(), b.params.parameters()):
             assert np.array_equal(pa.values, pb.values)
 
+    def test_empty_training_split_rejected(self):
+        """A split with no training samples is a ContractError before epoch
+        1, not epochs of train_loss=0.0 without a step."""
+        text, _ = generate_synthetic(SynthSpec(users=8, items=6, samples=80, seed=5))
+        split = split_per_user(parse_dataset_lines(text.splitlines()).samples, 5)
+        split.train = []
+        with pytest.raises(ContractError, match="^train: the training split is empty$"):
+            train(split, TrainConfig(dim=4, epochs=2, seed=5))
+
     def test_single_sample_descent(self, rng):
         sample = make_sample(2, 2, label=1.0)
         split = SplitDataset(train=[sample], valid=[], test=[])
