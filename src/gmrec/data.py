@@ -10,6 +10,7 @@ to many hand-built samples to share one checked side, as the parser does.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -37,6 +38,9 @@ class AttributeValuePair(NamedTuple):
 # at about 570 MiB.
 MAX_SIDE_ATTRS = 128
 
+# A pair's value type: float and int first, since checking the numbers.Real ABC alone is slow.
+_NUMBER = (float, int, numbers.Real)
+
 
 class Side(tuple):
     """A nonempty tuple of at most MAX_SIDE_ATTRS attribute-value pairs with
@@ -49,6 +53,10 @@ class Side(tuple):
         self = super().__new__(cls, pairs)
         if not self:
             raise ContractError("empty attribute list")
+        for k, pair in enumerate(self):
+            if not (isinstance(pair, AttributeValuePair) and isinstance(pair.att, AttributeId)
+                    and isinstance(pair.val, _NUMBER)):
+                raise ContractError(f"pair {k} of the side is not AttributeValuePair(AttributeId, number): {pair!r}")
         tag = self[0].att.side
         if len(self) > MAX_SIDE_ATTRS:
             raise ContractError(f"{len(self)} attributes on the {tag} side, at most {MAX_SIDE_ATTRS}")
@@ -98,13 +106,17 @@ class EmbeddingTable:
 
     dim: int
     ids: tuple[AttributeId, ...]
-    matrix: np.ndarray  # (len(ids), dim), float64
+    matrix: np.ndarray  # (len(ids), dim), held as C-contiguous float64
     _keys: np.ndarray = field(init=False, repr=False, compare=False)  # ids ascending
     _key_rows: np.ndarray = field(init=False, repr=False, compare=False)  # row of each key
 
     def __post_init__(self):
         if not self.ids:
             raise InvalidConfigError("attribute universe is empty")
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)  # Parameter shares it, no copy
+        if self.matrix.shape != (len(self.ids), self.dim):
+            raise InvalidConfigError(f"embedding matrix of shape {self.matrix.shape}, "
+                                     f"expected ({len(self.ids)}, {self.dim}): one row of dim per id")
         ids = np.array([att.id for att in self.ids])
         self._key_rows = np.argsort(ids, kind="stable")
         self._keys = ids[self._key_rows]

@@ -41,9 +41,9 @@ numbers the sides by identity; then, over the distinct sides only, one
 flat pass collects sizes, attribute ids and values, one binary search over
 the table's sorted ids finds the embedding rows and one lexsort by (side,
 id) orders the nodes. build_plan cuts a plan from such an index, which
-train() builds once for its training samples and score_samples once for
-its list; the layout, segment and pair arrays follow by repeat and cumsum
-through the side map, with no Python loop per attribute.
+train() and score_samples each build once for their list, by looking each
+sample's two sides up in it; the layout, segment and pair arrays follow by
+repeat and cumsum through the side map, with no Python loop per attribute.
 Inside a sample, nodes are processed in ascending attribute-id order, so
 reordering the input attributes cannot change any bit of the output. The
 pair sums always add a node's terms in neighbour order, and on RowLocalOps
@@ -350,7 +350,6 @@ class _Plan:
 
     variant: VariantConfig
     n_nodes: int  # sample nodes
-    side_map: np.ndarray  # (2 * n_samples,) side -> distinct side
     attr_rows: np.ndarray  # (side nodes,) embedding rows
     vals: np.ndarray  # (side nodes,)
     by_distinct: _SegIndex  # side node -> distinct side
@@ -417,18 +416,19 @@ def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
 
 
 class SampleIndex(NamedTuple):
-    """What a plan takes from its samples alone, over a list of them: _Plan's
-    fields of those names, each distinct side's size and first node, the
-    list itself, and the table whose rows attr_rows are."""
+    """What a plan takes from its sides alone, over the distinct sides of a list
+    of samples: _Plan's fields of those names, each side's size and first node,
+    the list's side map, each side's number by id() and the sides themselves
+    (so no other object takes those ids), and the table whose rows attr_rows are."""
 
-    side_map: np.ndarray
+    side_map: np.ndarray  # (2 * samples of the list,) side -> its number
     sizes: np.ndarray
     starts: np.ndarray
-    owners: np.ndarray  # (side nodes,) the distinct side of each
     attr_rows: np.ndarray
     vals: np.ndarray
     input_pos: np.ndarray
-    samples: list
+    number: dict
+    sides: list
     table: EmbeddingTable
 
 
@@ -439,53 +439,38 @@ def index_samples(samples, table: EmbeddingTable) -> SampleIndex:
     number = {key: k for k, key in enumerate(distinct)}
     pairs = [pair for chars in distinct.values() for pair in chars]
     sizes = np.array([len(chars) for chars in distinct.values()], dtype=np.intp)
-    owners = np.repeat(np.arange(len(sizes)), sizes)
     ids = np.array([pair[0][0] for pair in pairs])
-    order = np.lexsort((ids, owners))
+    order = np.lexsort((ids, np.repeat(np.arange(len(sizes)), sizes)))
     side_map = np.array([number[id(chars)] for chars in sides], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
     vals = np.array([pair[1] for pair in pairs], dtype=np.float64)[order]
-    return SampleIndex(side_map, sizes, starts, owners, table.rows(ids)[order], vals, order, samples, table)
+    return SampleIndex(side_map, sizes, starts, table.rows(ids)[order], vals, order, number, [*distinct.values()], table)
 
 
-def _picks_of(samples, index: SampleIndex, picks) -> np.ndarray:
-    """picks as an array, once it is checked to hold, for each sample, an
-    in-range position of index's list where that very sample object is."""
-    listed = index.samples
-    if picks is None or len(picks) != len(samples) or not all(
-            type(k) is int and 0 <= k < len(listed) and listed[k] is s
-            for k, s in zip(np.asarray(picks).tolist(), samples)):
-        raise ContractError(f"build_plan: picks must give, for each of the {len(samples)} samples, "
-                            "its position in the list the index is of")
-    return np.asarray(picks, dtype=np.intp)
-
-
-def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None,
-               picks: np.ndarray | None = None) -> _Plan:
+def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None) -> _Plan:
     """The index plan of a batch for mp, over mp's table, by numpy index arithmetic over its
-    distinct sides (module docstring), from samples' own index; or, given the index of a list over
-    mp's table and picks, samples' positions in it, cut from that index: the picked sides renumbered
-    by first appearance, their nodes gathered. The plan belongs to mp's variant and records it."""
+    distinct sides (module docstring), from samples' own index; or, given an index over mp's table
+    that holds every side of the batch (the very object), cut from that index: the batch's sides
+    renumbered by first appearance, their nodes gathered. The plan belongs to mp's variant and records it."""
     variant = mp.variant
     if index is None:
-        if picks is not None:
-            raise ContractError("build_plan: picks are positions in an index's list, and no index is given")
-        side_map, distinct_sizes, distinct_starts, owners, attr_rows, vals, input_pos, *_ = index_samples(samples, mp.table)
+        side_map, distinct_sizes, distinct_starts, attr_rows, vals, input_pos, *_ = index_samples(samples, mp.table)
     else:
         if index.table is not mp.table:
             raise ContractError("build_plan: the index is over another table than the model's")
-        picks = _picks_of(samples, index, picks)
-        picked = index.side_map.reshape(-1, 2)[picks].reshape(-1)
-        numbers, first, inverse = np.unique(picked, return_index=True, return_inverse=True)
-        appearance = np.argsort(first)
-        side_map = np.argsort(appearance)[inverse]
-        kept = numbers[appearance]
+        own = {}  # the batch's sides by id(), numbered in order of first appearance
+        side_map = np.array([own.setdefault(id(chars), len(own))
+                             for sample in samples for chars in (sample.user_chars, sample.item_chars)], dtype=np.intp)
+        try:
+            kept = np.fromiter(map(index.number.__getitem__, own), np.intp, len(own))
+        except KeyError:
+            raise ContractError("build_plan: a side of the batch is not in the index (by identity)") from None
         distinct_sizes = index.sizes[kept]
         distinct_starts = np.cumsum(distinct_sizes) - distinct_sizes
-        owners = np.repeat(np.arange(len(kept)), distinct_sizes)
-        shift = (index.starts[kept] - distinct_starts)[owners]
+        shift = (index.starts[kept] - distinct_starts).repeat(distinct_sizes)
         src = np.arange(len(shift)) + shift
         attr_rows, vals, input_pos = index.attr_rows[src], index.vals[src], index.input_pos[src] - shift
+    owners = np.repeat(np.arange(len(distinct_sizes)), distinct_sizes)
     n_distinct, n_samples = len(distinct_sizes), len(side_map) // 2
     side_ids = np.arange(2 * n_samples)
     # Distinct sides and samples are numbered from 0: their numbers are prefixes of the sides'.
@@ -500,7 +485,6 @@ def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None,
     return _Plan(
         variant=variant,
         n_nodes=n_nodes,
-        side_map=side_map,
         attr_rows=attr_rows,
         vals=vals,
         by_distinct=by_distinct,
@@ -671,7 +655,7 @@ def score_samples(samples, mp: ModelParams, variant: VariantConfig | None = None
     """Untracked scores of mp's variant; safe to call concurrently over read-only params.
 
     variant, if given, must be mp.variant. The list is indexed once over
-    mp's table, and each chunk's plan is cut from that index. The samples
+    mp's table, and each chunk's plan looks its sides up in that index. The samples
     run in the fewest balanced forwards of whole samples that hold at most
     SCORE_BATCH sample-node elements each, a larger sample alone, so the
     working memory does not grow with the list. A sample's score does not
@@ -683,7 +667,7 @@ def score_samples(samples, mp: ModelParams, variant: VariantConfig | None = None
     bounds = _score_chunks(nodes * mp.dim, SCORE_BATCH)
     out = np.empty(len(samples))
     for start, stop in zip(bounds, bounds[1:]):
-        plan = build_plan(samples[start:stop], mp, index=index, picks=np.arange(start, stop))
+        plan = build_plan(samples[start:stop], mp, index=index)
         out[start:stop] = _forward(ArrayOps(), plan, mp).scores
     return out
 

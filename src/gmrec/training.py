@@ -112,16 +112,16 @@ def regularized_risk(
     mp: ModelParams,
     lam: float,
     *,
-    index: SampleIndex | None = None, picks: np.ndarray | None = None,
+    index: SampleIndex | None = None,
 ) -> Value:
     """Tracked mean BCE plus the squared-L2 penalty for one mini-batch of
-    mp's variant, on a new tape (risk.tape). index and picks go to build_plan."""
+    mp's variant, on a new tape (risk.tape). index, one holding the batch's sides, goes to build_plan."""
     if not batch:
         raise ContractError("regularized_risk: batch is empty")
     if not (math.isfinite(lam) and lam >= 0):
         raise ContractError(f"regularized_risk: lam must be finite and non-negative, got {lam!r}")
     tape = Tape()
-    plan = build_plan(batch, mp, index=index, picks=picks)
+    plan = build_plan(batch, mp, index=index)
     out = _forward(tape, plan, mp)
     labels = tape.constant(np.array([s.label for s in batch], dtype=np.float64))
     per_sample = tape.sub(tape.softplus(out.scores), tape.mul(out.scores, labels))
@@ -219,8 +219,8 @@ def negative_sample(
 
 
 def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
-    """Mini-batch Adam on the regularized risk of a non-empty training split, over one sample index
-    and per ModelParams block; keeps the best-validation-AUC parameters; bit-reproducible per config."""
+    """Mini-batch Adam per ModelParams block on the regularized risk of a non-empty training split, each batch
+    planned from one index of its sides; keeps the best-validation-AUC parameters; bit-reproducible per config."""
     if not split.train:
         raise ContractError("train: the training split is empty")
     universe = universe_of(list(split.train) + list(split.valid) + list(split.test))
@@ -239,11 +239,10 @@ def train(split: SplitDataset, config: TrainConfig) -> TrainResult:
         order = shuffle_rng.permutation(len(train_samples))
         loss_sum, seen = 0.0, 0
         for start in range(0, len(order), config.batch_size):
-            picks = order[start:start + config.batch_size]
-            batch = [train_samples[k] for k in picks]
+            batch = [train_samples[k] for k in order[start:start + config.batch_size]]
             for p in blocks:
                 p.zero_grad()
-            risk = regularized_risk(batch, mp, config.lam, index=index, picks=picks)
+            risk = regularized_risk(batch, mp, config.lam, index=index)
             value = float(risk.data)
             if not np.isfinite(value):
                 raise TrainingError(

@@ -42,6 +42,13 @@ def swap_roles(sample: DataSample) -> DataSample:
                       label=sample.label)
 
 
+def plan_side_map(plan) -> np.ndarray:
+    """The distinct side of each side of a plan's samples (user side, then
+    item side, of each), read from opp_seg: the first node of a sample's
+    other side is opposite this one."""
+    return plan.opp_seg[plan.by_side.starts[np.arange(plan.by_side.n) ^ 1]]
+
+
 def draw_synth_spec(data) -> SynthSpec:
     """A small SynthSpec drawn from a hypothesis st.data() object."""
     attrs = data.draw(st.sampled_from(["both", "user", "item", "none"]))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmrec.autodiff import Parameter
 from gmrec.data import (
     ITEM,
     MAX_SIDE_ATTRS,
@@ -65,6 +66,31 @@ class TestInitEmbeddings:
         ids = tuple(AttributeId(i, USER) for i in (9, 2, 30, 2))
         with pytest.raises(InvalidConfigError, match="duplicate"):
             EmbeddingTable(dim=2, ids=ids, matrix=np.zeros((len(ids), 2)))
+
+    def test_matrix_of_another_shape_rejected(self):
+        """The matrix must be (len(ids), dim): a wider one, one row short, a
+        flat one or a 3-D one is an InvalidConfigError, not a score from the
+        wrong entries or an IndexError later."""
+        ids = (AttributeId(4, USER), AttributeId(1, ITEM))
+        for matrix in (np.ones((3, 5)), np.ones((2, 5)), np.ones((1, 4)), np.ones(8), np.ones((2, 4, 1))):
+            with pytest.raises(InvalidConfigError, match=r"embedding matrix of shape .*expected \(2, 4\)"):
+                EmbeddingTable(dim=4, ids=ids, matrix=matrix)
+
+    def test_matrix_held_as_c_contiguous_float64(self):
+        """A float32, Fortran-order or integer matrix is held as a C-contiguous
+        float64 copy of its values, which a model's embedding Parameter then
+        shares, so the table sees every update; a C-contiguous float64 matrix
+        is held as itself."""
+        ids = (AttributeId(4, USER), AttributeId(1, ITEM))
+        given = np.arange(8.0).reshape(2, 4)
+        for matrix in (given.astype(np.float32), np.asfortranarray(given), given.astype(np.int64), given):
+            table = EmbeddingTable(dim=4, ids=ids, matrix=matrix)
+            assert table.matrix.dtype == np.float64 and table.matrix.flags.c_contiguous
+            assert np.array_equal(table.matrix, given)
+            emb = Parameter(table.matrix, "embeddings")
+            emb.values[1, 2] = -7.0
+            assert table.vector(AttributeId(1, ITEM))[2] == -7.0
+        assert EmbeddingTable(dim=4, ids=ids, matrix=given).matrix is given
 
     def test_vectorised_rows_equal_row_for_non_ascending_ids(self, rng):
         ids = tuple(AttributeId(i, USER) for i in (9, 2, 30, 4, 17, -3))
@@ -186,6 +212,29 @@ class TestSide:
         for twin in (copy.copy(side), copy.deepcopy(side), pickle.loads(pickle.dumps(side))):
             assert type(twin) is Side and twin == side
         assert type(tuple(side)) is tuple and tuple(side) == side
+
+    def test_malformed_pairs_rejected_by_position(self):
+        """A pair that is not an AttributeValuePair of an AttributeId and a
+        number is a ContractError naming its position, from Side and from
+        DataSample: a plain tuple, an int or plain-tuple att, a string or
+        None value, a bare AttributeId."""
+        good = AttributeValuePair(AttributeId(1, USER), 1.0)
+        item = (AttributeValuePair(AttributeId(9, ITEM), 1.0),)
+        malformed = [
+            (AttributeId(2, USER), 1.0),
+            AttributeValuePair(2, 1.0),
+            AttributeValuePair((2, USER), 1.0),
+            AttributeValuePair(AttributeId(2, USER), "1.0"),
+            AttributeValuePair(AttributeId(2, USER), None),
+            AttributeId(2, USER),
+        ]
+        for pair in malformed:
+            for pairs, k in (([pair], 0), ([good, pair], 1)):
+                with pytest.raises(ContractError, match=rf"^pair {k} of the side is not"):
+                    Side(pairs)
+                with pytest.raises(ContractError, match=rf"^pair {k} of the side is not"):
+                    DataSample(pairs, item, 1.0)
+        assert Side([good, AttributeValuePair(AttributeId(2, USER), np.float32(0.5))])[1].val == 0.5
 
     @staticmethod
     @st.composite

@@ -40,7 +40,7 @@ from gmrec.model import (
 )
 from gmrec.training import split_per_user
 
-from conftest import draw_synth_spec, shuffle_tokens
+from conftest import draw_synth_spec, plan_side_map, shuffle_tokens
 from oracles import value_side_map
 
 
@@ -255,7 +255,7 @@ class TestSideInterning:
             picks = data.draw(st.lists(st.integers(0, len(reordered.samples) - 1), max_size=64))
             for batch in (reordered.samples, [reordered.samples[k] for k in picks]):
                 if batch:
-                    assert np.array_equal(build_plan(batch, mp).side_map, value_side_map(batch, mp.table))
+                    assert np.array_equal(plan_side_map(build_plan(batch, mp)), value_side_map(batch, mp.table))
 
 
 class TestSynthetic:

@@ -18,6 +18,7 @@ from gmrec.data import (
     AttributeValuePair,
     DataSample,
     EmbeddingTable,
+    Side,
     init_embeddings,
     universe_of,
 )
@@ -41,7 +42,7 @@ from gmrec.metrics import evaluate_model, score_dataset
 from gmrec.selfcheck import gradcheck_problem
 from gmrec.training import item_pool_of, regularized_risk
 
-from conftest import all_variants, draw_synth_spec, make_sample, swap_roles
+from conftest import all_variants, draw_synth_spec, make_sample, plan_side_map, swap_roles
 from oracles import full_forward_oracle, gru_oracle, pair_message_oracle, plan_oracle, value_side_map
 
 
@@ -565,7 +566,8 @@ def assert_plan_matches_oracle(plan, ref, where=""):
         assert np.array_equal(got, want), (where, name)
 
     assert plan.n_nodes == ref["n_nodes"], where
-    for name in ("side_map", "attr_rows", "vals", "opp_seg", "user_seg", "item_seg", "pair_a", "input_pos"):
+    same(plan_side_map(plan), ref["side_map"], "side_map")
+    for name in ("attr_rows", "vals", "opp_seg", "user_seg", "item_seg", "pair_a", "input_pos"):
         same(getattr(plan, name), ref[name], name)
     assert (plan.node_src is None) == (ref["node_src"] is None), where
     if plan.node_src is not None:
@@ -655,7 +657,8 @@ class TestVectorisedPlan:
 
 class TestSampleIndex:
     """A plan cut from a SampleIndex, as train() cuts each step's plan from
-    the index of its training samples, is the plan of the picked samples."""
+    the index of its training samples, is the plan of the batch, whatever
+    samples of the indexed sides the batch holds."""
 
     VARIANTS = (CANONICAL, VariantConfig(inner="bi"), VariantConfig(inner="bi", cross="mlp_separate"),
                 VariantConfig(mode="union"), VariantConfig(mode="fm"))
@@ -663,10 +666,11 @@ class TestSampleIndex:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_index_plans_match_loop_builder(self, data):
-        """Picks, with repeats, from an indexed list whose samples share side
-        tuples and include single-node sides: every field equals that of
-        oracles.plan_oracle on the picked samples; and a sample with an
-        unknown attribute is still a MissingEmbeddingError naming its id."""
+        """Batches of new samples built from the sides of an indexed list,
+        mixed with repeats of the list's own samples, where the list's
+        samples share side tuples and include single-node sides: every field
+        equals that of oracles.plan_oracle on the batch; and a sample with
+        an unknown attribute is still a MissingEmbeddingError naming its id."""
         def sides(pool):
             side = st.lists(st.tuples(st.sampled_from(pool), st.floats(-4.0, 4.0)),
                             min_size=1, max_size=8, unique_by=lambda t: t[0].id)
@@ -679,10 +683,12 @@ class TestSampleIndex:
         samples = [DataSample(*t) for t in data.draw(st.lists(triples, min_size=1, max_size=20))]
         table = _shuffled_table(data.draw(st.permutations(range(20))))
         index = index_samples(samples, table)
-        picks = np.array(data.draw(st.lists(st.integers(0, len(samples) - 1), min_size=1, max_size=30)), dtype=np.intp)
-        batch = [samples[k] for k in picks]
+        indexed = st.tuples(st.sampled_from([s.user_chars for s in samples]),
+                            st.sampled_from([s.item_chars for s in samples]), st.sampled_from([0.0, 1.0]))
+        batch = [DataSample(*t) for t in data.draw(st.lists(indexed, min_size=1, max_size=30))]
+        batch = data.draw(st.permutations(batch + data.draw(st.lists(st.sampled_from(samples), max_size=10))))
         for variant in self.VARIANTS:
-            plan = build_plan(batch, table_model(table, variant), index=index, picks=picks)
+            plan = build_plan(batch, table_model(table, variant), index=index)
             assert_plan_matches_oracle(plan, plan_oracle(batch, table, variant), variant)
 
         known = {a.id for a in _USER_POOL + _ITEM_POOL}
@@ -721,7 +727,7 @@ class TestDistinctSides:
         for where, samples, side_map in cases:
             for variant in all_variants():
                 plan = build_plan(samples, table_model(table, variant))
-                assert plan.side_map.tolist() == side_map, where
+                assert plan_side_map(plan).tolist() == side_map, where
                 assert (plan.node_src is None) == (max(side_map) == 3), where
                 assert_plan_matches_oracle(plan, plan_oracle(samples, table, variant), (where, variant))
 
@@ -736,8 +742,8 @@ class TestDistinctSides:
         for variant in all_variants():
             mp = init_model_params(_USER_POOL + _ITEM_POOL, 8, seed=4, variant=variant)
             one, own = build_plan(shared, mp), build_plan(apart, mp)
-            assert one.node_src is not None and one.by_distinct.n < len(one.side_map)
-            assert own.node_src is None and own.side_map.tolist() == list(range(2 * len(apart)))
+            assert one.node_src is not None and one.by_distinct.n < 2 * len(shared)
+            assert own.node_src is None and plan_side_map(own).tolist() == list(range(2 * len(apart)))
             assert np.array_equal(own.attr_rows, one.attr_rows[one.node_src])
             assert own.vals.tobytes() == one.vals[one.node_src].tobytes()
             want = _forward(RowLocalOps(), one, mp).scores
@@ -755,7 +761,7 @@ class TestDistinctSides:
         user = samples[picks[0]].user_chars
         for batch in ([samples[k] for k in picks], [DataSample(user, item, 0.0) for item in item_pool_of(samples)]):
             plan = build_plan(batch, table_model(table))
-            assert np.array_equal(plan.side_map, value_side_map(batch, table))
+            assert np.array_equal(plan_side_map(plan), value_side_map(batch, table))
 
     def test_each_distinct_side_is_looked_up_once(self, monkeypatch):
         """build_plan searches the embedding rows of each distinct side's ids
@@ -915,29 +921,81 @@ class TestScoringBudget:
         assert float(proc.stdout) < 64.0
 
 
-class TestIndexOfItsOwnList:
-    """A SampleIndex is of one list over one table: build_plan refuses picks
-    that do not give a position per sample in that list, picks without an
-    index, and an index over another table than the model's."""
+class TestIndexOfSides:
+    """A SampleIndex holds the distinct sides of a list over one table: it
+    plans any batch whose sides it holds, as the very objects, and
+    build_plan refuses a batch with a side it does not hold and an index
+    over another table than the model's."""
 
     def _setup(self):
         text, _ = generate_synthetic(SynthSpec(users=5, items=4, samples=20, seed=1))
         samples = parse_dataset_lines(text.splitlines()).samples
         return samples[:10], samples[10:], init_model_params(universe_of(samples), 4, 0)
 
-    def test_another_lists_index_rejected(self):
-        """Another list's index and a shorter one's are a ContractError; an
-        equal copy of the list holds the very samples, so its index plans
-        them as their own does."""
+    def test_new_sample_of_indexed_sides_plans_as_alone(self):
+        """On an index over a catalogue, a new DataSample pairing a user side
+        and an item side of the catalogue, as a sample of it or not, gets
+        the plan of oracles.plan_oracle and the score and risk bits it gets
+        without an index."""
+        text, _ = generate_synthetic(SynthSpec(users=8, items=6, samples=80, seed=5))
+        catalogue = parse_dataset_lines(text.splitlines()).samples
+        users = list({id(s.user_chars): s.user_chars for s in catalogue}.values())
+        items = list({id(s.item_chars): s.item_chars for s in catalogue}.values())
+        for variant in (CANONICAL, VariantConfig(inner="bi", cross="mlp_separate", fuse="mlp")):
+            mp = init_model_params(universe_of(catalogue), 4, 0, variant)
+            index = index_samples(catalogue, mp.table)
+            for user, item in itertools.product(users[:3], items):
+                sample = DataSample(user, item, 1.0)
+                plan, alone = build_plan([sample], mp, index=index), build_plan([sample], mp)
+                assert_plan_matches_oracle(plan, plan_oracle([sample], mp.table, variant), variant)
+                scores = [_forward(ArrayOps(), p, mp).scores.tobytes() for p in (plan, alone)]
+                assert scores[0] == scores[1]
+                risk = regularized_risk([sample], mp, 0.1, index=index)
+                assert float(risk.data) == float(regularized_risk([sample], mp, 0.1).data)
+
+    def test_side_missing_from_the_index_rejected(self):
+        """A batch with a side that the index does not hold, through
+        build_plan and regularized_risk, is a ContractError: an index of the
+        list without one of the batch's users, and of its first sample alone."""
         a, b, mp = self._setup()
-        for other in (b, a[:6]):  # another list, a shorter one
+        user = a[0].user_chars
+        for other in ([s for s in a + b if s.user_chars is not user], a[:1]):
             index = index_samples(other, mp.table)
-            with pytest.raises(ContractError, match="picks"):
-                build_plan(a, mp, index=index, picks=np.arange(10))
-            with pytest.raises(ContractError, match="picks"):
-                regularized_risk(a, mp, 0.1, index=index, picks=np.arange(10))
-        risk = regularized_risk(a, mp, 0.1, index=index_samples(list(a), mp.table), picks=np.arange(10))
-        assert float(risk.data) == float(regularized_risk(a, mp, 0.1).data)
+            with pytest.raises(ContractError, match="not in the index"):
+                build_plan(a, mp, index=index)
+            with pytest.raises(ContractError, match="not in the index"):
+                regularized_risk(a, mp, 0.1, index=index)
+
+    def test_equal_side_of_another_object_rejected(self):
+        """Sides are the same exactly when they are one object: a sample whose
+        user side equals an indexed side but is a new tuple is not in the
+        index, whether the new side is a Side or a plain tuple."""
+        a, _, mp = self._setup()
+        index = index_samples(a, mp.table)
+        for twin in (Side(list(a[0].user_chars)), tuple(list(a[0].user_chars))):
+            assert twin == a[0].user_chars and twin is not a[0].user_chars
+            for batch in ([DataSample(twin, a[0].item_chars, 1.0)], [*a[1:], DataSample(twin, a[0].item_chars, 1.0)]):
+                with pytest.raises(ContractError, match="not in the index"):
+                    build_plan(batch, mp, index=index)
+
+    def test_superset_index_gives_the_batchs_own_risk(self):
+        """An index over a list that holds the batch's sides, the list itself,
+        a larger list, or a copy of it in another order, gives the batch's
+        own risk and gradient bits, and so does a batch out of list order."""
+        a, b, mp = self._setup()
+        params = mp.parameters()
+
+        def risk_and_grads(batch, **kwargs):
+            for p in params:
+                p.zero_grad()
+            risk = regularized_risk(batch, mp, 0.1, **kwargs)
+            risk.tape.backward(risk)
+            return [float(risk.data)] + [p.grad.tobytes() for p in params]
+
+        for batch in (a, a[::-1], a[3:7] + a[:2]):
+            want = risk_and_grads(batch)
+            for listed in (a, a + b, (b + a)[::-1]):
+                assert risk_and_grads(batch, index=index_samples(listed, mp.table)) == want
 
     def test_index_over_another_table_rejected(self):
         """An index over a table with the model's ids in reversed row order
@@ -949,57 +1007,20 @@ class TestIndexOfItsOwnList:
         batch = samples[:10]
         for table in (other, init_model_params(universe_of(samples), 4, 0).table):
             with pytest.raises(ContractError, match="another table"):
-                regularized_risk(batch, mp, 0.0, index=index_samples(batch, table), picks=np.arange(10))
-        risk = regularized_risk(batch, mp, 0.0, index=index_samples(batch, mp.table), picks=np.arange(10))
+                regularized_risk(batch, mp, 0.0, index=index_samples(batch, table))
+        risk = regularized_risk(batch, mp, 0.0, index=index_samples(batch, mp.table))
         assert float(risk.data) == float(regularized_risk(batch, mp, 0.0).data)
-
-    def test_picks_without_an_index_rejected(self):
-        """Picks are positions in an index's list: without an index they are
-        a ContractError, not silently ignored."""
-        a, _, mp = self._setup()
-        for picks in (np.arange(10), [99, 98]):
-            with pytest.raises(ContractError, match="no index"):
-                build_plan(a, mp, picks=picks)
-            with pytest.raises(ContractError, match="no index"):
-                regularized_risk(a, mp, 0.0, picks=picks)
-
-    def test_picks_of_another_length_rejected(self):
-        a, b, mp = self._setup()
-        index = index_samples(a + b, mp.table)
-        with pytest.raises(ContractError, match="picks"):
-            regularized_risk(a, mp, 0.1, index=index, picks=np.arange(12))
-        for picks in (np.arange(9), None):
-            with pytest.raises(ContractError, match="picks"):
-                build_plan(a, mp, index=index, picks=picks)
-        risk = regularized_risk(a, mp, 0.1, index=index, picks=np.arange(10))
-        assert float(risk.data) == float(regularized_risk(a, mp, 0.1).data)
-
-    def test_index_of_another_batch_rejected(self):
-        """Given an index, each pick must be an in-range position of the
-        index's list that holds that very sample: another batch's index with
-        in-range picks, picks out of range or negative, and picks that are
-        not integers are a ContractError, not another batch's forward."""
-        text, _ = generate_synthetic(SynthSpec(users=8, items=6, samples=80, seed=5))
-        samples = parse_dataset_lines(text.splitlines()).samples
-        mp = init_model_params(universe_of(samples), 4, 0)
-        batch, other = samples[:10], index_samples(samples[10:20], mp.table)
-        with pytest.raises(ContractError, match="picks"):
-            regularized_risk(batch, mp, 0.0, index=other, picks=np.arange(10))
-        index = index_samples(samples, mp.table)
-        for picks in (np.arange(10) + 75, np.arange(-10, 0), np.arange(10.0), np.arange(10)[::-1]):
-            with pytest.raises(ContractError, match="picks"):
-                build_plan(batch, mp, index=index, picks=picks)
-        for picks in (np.arange(10), list(range(10))):
-            risk = regularized_risk(batch, mp, 0.0, index=index, picks=picks)
-            assert float(risk.data) == float(regularized_risk(batch, mp, 0.0).data)
 
     def test_arguments_after_the_variant_are_keyword_only(self):
         """A variant passed where the old signatures took it is a TypeError,
-        not an index, picks or cutoffs bound to the wrong parameter."""
+        not an index or cutoffs bound to the wrong parameter; so is a picks
+        keyword, which build_plan and regularized_risk do not take."""
         a, _, mp = self._setup()
         index = index_samples(a, mp.table)
         calls = (lambda: score_samples(a, mp, CANONICAL, index), lambda: score_dataset(a, mp, CANONICAL),
-                 lambda: evaluate_model(a, mp, CANONICAL), lambda: regularized_risk(a, mp, 0.1, CANONICAL))
+                 lambda: evaluate_model(a, mp, CANONICAL), lambda: regularized_risk(a, mp, 0.1, CANONICAL),
+                 lambda: build_plan(a, mp, index=index, picks=np.arange(10)),
+                 lambda: regularized_risk(a, mp, 0.1, index=index, picks=np.arange(10)))
         for call in calls:
             with pytest.raises(TypeError):
                 call()
