@@ -331,7 +331,6 @@ PRIMITIVES: dict[str, Primitive] = {
     "sub": Primitive(np.subtract, lambda out, a, b: (lambda g: g, np.negative), 2, _same_shape, "one shape"),
     "mul": Primitive(np.multiply, lambda out, a, b: (lambda g: g * b, lambda g: g * a), 2, _same_shape,
                      "one shape for an elementwise-product"),
-    "one_minus": Primitive(lambda a: 1.0 - a, lambda out, a: (np.negative,)),
     "scale": Primitive(lambda a, c: a * float(c), lambda out, a, c: (lambda g: g * float(c),)),
     "sigmoid": Primitive(stable_sigmoid, lambda s, a: (lambda g: g * s * (1.0 - s),)),
     "tanh": Primitive(np.tanh, lambda t, a: (lambda g: g * (1.0 - t * t),)),

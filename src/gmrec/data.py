@@ -96,32 +96,35 @@ class DataSample:
             raise ContractError(f"label must be 0 or 1, got {self.label!r}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Dense lookup table: one length-dim vector per attribute id.
 
     All samples sharing an attribute resolve to the same underlying row,
-    so mutating a row changes every representation built from it.
+    so mutating a row in place changes every representation built from it.
+    The fields cannot be rebound, and tables are equal only when identical.
     """
 
     dim: int
     ids: tuple[AttributeId, ...]
     matrix: np.ndarray  # (len(ids), dim), held as C-contiguous float64
-    _keys: np.ndarray = field(init=False, repr=False, compare=False)  # ids ascending
-    _key_rows: np.ndarray = field(init=False, repr=False, compare=False)  # row of each key
+    _keys: np.ndarray = field(init=False, repr=False)  # ids ascending
+    _key_rows: np.ndarray = field(init=False, repr=False)  # row of each key
 
     def __post_init__(self):
         if not self.ids:
             raise InvalidConfigError("attribute universe is empty")
-        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)  # Parameter shares it, no copy
-        if self.matrix.shape != (len(self.ids), self.dim):
-            raise InvalidConfigError(f"embedding matrix of shape {self.matrix.shape}, "
+        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)  # Parameter shares it, no copy
+        if matrix.shape != (len(self.ids), self.dim):
+            raise InvalidConfigError(f"embedding matrix of shape {matrix.shape}, "
                                      f"expected ({len(self.ids)}, {self.dim}): one row of dim per id")
         ids = np.array([att.id for att in self.ids])
-        self._key_rows = np.argsort(ids, kind="stable")
-        self._keys = ids[self._key_rows]
-        if np.any(self._keys[1:] == self._keys[:-1]):
+        key_rows = np.argsort(ids, kind="stable")
+        keys = ids[key_rows]
+        if np.any(keys[1:] == keys[:-1]):
             raise InvalidConfigError("duplicate attribute ids in universe")
+        for name, value in (("ids", tuple(self.ids)), ("matrix", matrix), ("_keys", keys), ("_key_rows", key_rows)):
+            object.__setattr__(self, name, value)
 
     def _search(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Binary-search positions of ids among the sorted keys, and which

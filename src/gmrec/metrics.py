@@ -66,6 +66,8 @@ def bce_loss(probability, label):
 def logloss(scored: Sequence[ScoredSample]) -> float:
     """Mean binary cross entropy, scores interpreted as probabilities."""
     scores, labels = _arrays(scored)
+    if not scores.size:
+        raise UndefinedMetricError("log loss needs at least one sample")
     return float(bce_loss(scores, labels).mean())
 
 

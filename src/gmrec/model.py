@@ -37,13 +37,13 @@ each sample's graphs separate. Only step 3's node matching needs the pair,
 so a plan starts from the batch's distinct sides: sides are the same
 exactly when they are the same tuple object (the parser interns sides by
 value, so on a parsed dataset equal sides are one tuple). index_samples
-numbers the sides by identity; then, over the distinct sides only, one
-flat pass collects sizes, attribute ids and values, one binary search over
-the table's sorted ids finds the embedding rows and one lexsort by (side,
-id) orders the nodes. build_plan cuts a plan from such an index, which
-train() and score_samples each build once for their list, by looking each
-sample's two sides up in it; the layout, segment and pair arrays follow by
-repeat and cumsum through the side map, with no Python loop per attribute.
+indexes a list's distinct sides: one flat pass collects sizes, attribute
+ids and values, one binary search over the table's sorted ids finds the
+embedding rows and one lexsort by (side, id) orders the nodes. build_plan
+numbers the batch's sides by identity in one pass and takes their nodes
+from its own index or from one that train() and score_samples build once
+for their list; the layout, segment and pair arrays follow from that
+numbering by repeat and cumsum, with no Python loop per attribute.
 Inside a sample, nodes are processed in ascending attribute-id order, so
 reordering the input attributes cannot change any bit of the output. The
 pair sums always add a node's terms in neighbour order, and on RowLocalOps
@@ -164,8 +164,13 @@ def format_variant(v: VariantConfig) -> str:
     return text
 
 
+class _Weights:
+    def parameters(self) -> list[Parameter]:  # in field order, the order of parameter_layout's shapes
+        return [getattr(self, f.name) for f in fields(self)]
+
+
 @dataclass
-class MlpWeights:
+class MlpWeights(_Weights):
     """Two-layer perceptron, stored input-major so rows multiply directly."""
 
     w_in: Parameter  # (in_dim, hidden)
@@ -173,12 +178,9 @@ class MlpWeights:
     w_out: Parameter  # (hidden, out_dim)
     b_out: Parameter  # (out_dim,)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w_in, self.b_hidden, self.w_out, self.b_out]
-
 
 @dataclass
-class GruWeights:
+class GruWeights(_Weights):
     """One GRU cell: update and reset gates plus the candidate state."""
 
     w_update: Parameter
@@ -190,13 +192,6 @@ class GruWeights:
     w_cand: Parameter
     u_cand: Parameter
     b_cand: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [
-            self.w_update, self.u_update, self.b_update,
-            self.w_reset, self.u_reset, self.b_reset,
-            self.w_cand, self.u_cand, self.b_cand,
-        ]
 
 
 @dataclass
@@ -316,12 +311,11 @@ def init_model_params(
 
 @dataclass
 class _SegIndex:
-    """Sorted segment ids with precomputed run boundaries."""
+    """Sorted segment ids with precomputed run boundaries; one output row per segment."""
 
     ids: np.ndarray
     starts: np.ndarray
     out_rows: np.ndarray
-    n: int
 
 
 @dataclass
@@ -357,8 +351,6 @@ class _Plan:
     by_side: _SegIndex  # sample node -> side segment (2*b user, 2*b+1 item)
     by_sample: _SegIndex  # sample node -> sample
     opp_seg: np.ndarray  # (n_nodes,) distinct side opposite each sample node
-    user_seg: np.ndarray  # (n_samples,)
-    item_seg: np.ndarray  # (n_samples,)
     # First sample node of each same-side ordered pair, ascending. _forward
     # reads only its size (zero: every side is a single node); the
     # benchmark's pair counts read the array.
@@ -418,10 +410,9 @@ def _cross_side(starts: np.ndarray, sizes: np.ndarray) -> _Neighbourhoods:
 class SampleIndex(NamedTuple):
     """What a plan takes from its sides alone, over the distinct sides of a list
     of samples: _Plan's fields of those names, each side's size and first node,
-    the list's side map, each side's number by id() and the sides themselves
-    (so no other object takes those ids), and the table whose rows attr_rows are."""
+    each side's number by id() and the sides themselves (so no other object
+    takes those ids), and the table whose rows attr_rows are."""
 
-    side_map: np.ndarray  # (2 * samples of the list,) side -> its number
     sizes: np.ndarray
     starts: np.ndarray
     attr_rows: np.ndarray
@@ -433,34 +424,33 @@ class SampleIndex(NamedTuple):
 
 
 def index_samples(samples, table: EmbeddingTable) -> SampleIndex:
-    """The SampleIndex of samples' user and item sides over table, by one pass over the distinct ones."""
-    sides = [chars for sample in samples for chars in (sample.user_chars, sample.item_chars)]
-    distinct = {id(chars): chars for chars in sides}  # in order of first appearance
+    """The SampleIndex of samples' distinct sides over table, in order of first appearance, by one pass over them."""
+    distinct = {id(chars): chars for sample in samples for chars in (sample.user_chars, sample.item_chars)}
     number = {key: k for k, key in enumerate(distinct)}
     pairs = [pair for chars in distinct.values() for pair in chars]
     sizes = np.array([len(chars) for chars in distinct.values()], dtype=np.intp)
     ids = np.array([pair[0][0] for pair in pairs])
     order = np.lexsort((ids, np.repeat(np.arange(len(sizes)), sizes)))
-    side_map = np.array([number[id(chars)] for chars in sides], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
     vals = np.array([pair[1] for pair in pairs], dtype=np.float64)[order]
-    return SampleIndex(side_map, sizes, starts, table.rows(ids)[order], vals, order, number, [*distinct.values()], table)
+    return SampleIndex(sizes, starts, table.rows(ids)[order], vals, order, number, [*distinct.values()], table)
 
 
 def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None) -> _Plan:
     """The index plan of a batch for mp, over mp's table, by numpy index arithmetic over its
-    distinct sides (module docstring), from samples' own index; or, given an index over mp's table
-    that holds every side of the batch (the very object), cut from that index: the batch's sides
-    renumbered by first appearance, their nodes gathered. The plan belongs to mp's variant and records it."""
+    distinct sides (module docstring). The batch's sides are numbered by id() in order of first
+    appearance, in one pass; their nodes come from samples' own index, or, given an index over
+    mp's table that holds every side of the batch (the very object), are gathered from that
+    index. The plan belongs to mp's variant and records it."""
     variant = mp.variant
+    own = {}
+    side_map = np.array([own.setdefault(id(chars), len(own))
+                         for sample in samples for chars in (sample.user_chars, sample.item_chars)], dtype=np.intp)
     if index is None:
-        side_map, distinct_sizes, distinct_starts, attr_rows, vals, input_pos, *_ = index_samples(samples, mp.table)
+        distinct_sizes, distinct_starts, attr_rows, vals, input_pos, *_ = index_samples(samples, mp.table)
     else:
         if index.table is not mp.table:
             raise ContractError("build_plan: the index is over another table than the model's")
-        own = {}  # the batch's sides by id(), numbered in order of first appearance
-        side_map = np.array([own.setdefault(id(chars), len(own))
-                             for sample in samples for chars in (sample.user_chars, sample.item_chars)], dtype=np.intp)
         try:
             kept = np.fromiter(map(index.number.__getitem__, own), np.intp, len(own))
         except KeyError:
@@ -470,33 +460,28 @@ def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None) ->
         shift = (index.starts[kept] - distinct_starts).repeat(distinct_sizes)
         src = np.arange(len(shift)) + shift
         attr_rows, vals, input_pos = index.attr_rows[src], index.vals[src], index.input_pos[src] - shift
-    owners = np.repeat(np.arange(len(distinct_sizes)), distinct_sizes)
     n_distinct, n_samples = len(distinct_sizes), len(side_map) // 2
     side_ids = np.arange(2 * n_samples)
-    # Distinct sides and samples are numbered from 0: their numbers are prefixes of the sides'.
-    by_distinct = _SegIndex(ids=owners, starts=distinct_starts, out_rows=side_ids[:n_distinct], n=n_distinct)
     sizes = distinct_sizes[side_map]
     starts = np.cumsum(sizes) - sizes
     side = np.repeat(side_ids, sizes)
     n_nodes = len(side)
     node_src = None if n_distinct == len(side_map) else np.arange(n_nodes) + (distinct_starts[side_map] - starts)[side]
-    same_side = _same_side(distinct_starts, distinct_sizes) if variant.inner == "mlp" else None
-    cross_side = _cross_side(starts, sizes) if variant.cross in ("mlp_shared", "mlp_separate") else None
+    # Distinct sides and samples are numbered from 0: their numbers are prefixes of the sides'.
     return _Plan(
         variant=variant,
         n_nodes=n_nodes,
         attr_rows=attr_rows,
         vals=vals,
-        by_distinct=by_distinct,
+        by_distinct=_SegIndex(ids=np.repeat(side_ids[:n_distinct], distinct_sizes), starts=distinct_starts,
+                              out_rows=side_ids[:n_distinct]),
         node_src=node_src,
-        by_side=_SegIndex(ids=side, starts=starts, out_rows=side_ids, n=2 * n_samples),
-        by_sample=_SegIndex(ids=side >> 1, starts=starts[0::2], out_rows=side_ids[:n_samples], n=n_samples),
+        by_side=_SegIndex(ids=side, starts=starts, out_rows=side_ids),
+        by_sample=_SegIndex(ids=side >> 1, starts=starts[0::2], out_rows=side_ids[:n_samples]),
         opp_seg=side_map[side ^ 1],
-        user_seg=side_ids[0::2],
-        item_seg=side_ids[1::2],
         pair_a=np.repeat(np.arange(n_nodes), np.repeat(sizes - 1, sizes)),
-        same_side=same_side,
-        cross_side=cross_side,
+        same_side=_same_side(distinct_starts, distinct_sizes) if variant.inner == "mlp" else None,
+        cross_side=_cross_side(starts, sizes) if variant.cross in ("mlp_shared", "mlp_separate") else None,
         input_pos=input_pos,
     )
 
@@ -540,7 +525,7 @@ def _pair_mlp_sums(ops: Tape | ArrayOps, w: MlpWeights, nodes: Value, pairs: _Ne
 
 
 def _segsum(ops: Tape | ArrayOps, m: Value, seg: _SegIndex) -> Value:
-    return ops.segment_sum_prepared(m, seg.ids, seg.starts, seg.out_rows, seg.n)
+    return ops.segment_sum_prepared(m, seg.ids, seg.starts, seg.out_rows, len(seg.out_rows))
 
 
 def _others_product(ops: Tape | ArrayOps, nodes: Value, sums: Value, seg_ids: np.ndarray) -> Value:
@@ -603,8 +588,8 @@ def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams) -> _EngineOut:
         fused = _mlp_apply(ops, mp.fuse_mlp, stacked)
 
     graph_reprs = _segsum(ops, fused, plan.by_side)
-    user_repr = ops.gather_rows(graph_reprs, plan.user_seg)
-    item_repr = ops.gather_rows(graph_reprs, plan.item_seg)
+    user_repr = ops.gather_rows(graph_reprs, plan.by_side.out_rows[0::2])
+    item_repr = ops.gather_rows(graph_reprs, plan.by_side.out_rows[1::2])
     if variant.mode in ("union", "fm"):
         scores = ops.add(ops.row_sums(user_repr), ops.row_sums(item_repr))
     else:
@@ -654,17 +639,17 @@ def _own_variant(mp: ModelParams, variant: VariantConfig | None, what: str) -> N
 def score_samples(samples, mp: ModelParams, variant: VariantConfig | None = None) -> np.ndarray:
     """Untracked scores of mp's variant; safe to call concurrently over read-only params.
 
-    variant, if given, must be mp.variant. The list is indexed once over
-    mp's table, and each chunk's plan looks its sides up in that index. The samples
-    run in the fewest balanced forwards of whole samples that hold at most
-    SCORE_BATCH sample-node elements each, a larger sample alone, so the
-    working memory does not grow with the list. A sample's score does not
-    depend on the chunk it runs in.
+    variant, if given, must be mp.variant. The samples run in the fewest
+    balanced forwards of whole samples that hold at most SCORE_BATCH
+    sample-node elements each, a larger sample alone, so the working memory
+    does not grow with the list. Each chunk's plan looks its sides up once in
+    the list's one index over mp's table. A sample's score does not depend
+    on the chunk it runs in.
     """
     _own_variant(mp, variant, "score_samples")
-    index = index_samples(samples, mp.table)
-    nodes = index.sizes[index.side_map].reshape(-1, 2).sum(axis=1)
+    nodes = np.fromiter((len(s.user_chars) + len(s.item_chars) for s in samples), np.intp, len(samples))
     bounds = _score_chunks(nodes * mp.dim, SCORE_BATCH)
+    index = index_samples(samples, mp.table)
     out = np.empty(len(samples))
     for start, stop in zip(bounds, bounds[1:]):
         plan = build_plan(samples[start:stop], mp, index=index)

@@ -46,7 +46,7 @@ def plan_side_map(plan) -> np.ndarray:
     """The distinct side of each side of a plan's samples (user side, then
     item side, of each), read from opp_seg: the first node of a sample's
     other side is opposite this one."""
-    return plan.opp_seg[plan.by_side.starts[np.arange(plan.by_side.n) ^ 1]]
+    return plan.opp_seg[plan.by_side.starts[np.arange(len(plan.by_side.out_rows)) ^ 1]]
 
 
 def draw_synth_spec(data) -> SynthSpec:

@@ -194,8 +194,7 @@ def plan_oracle(samples, table, variant):
         "side_map": idx(side_map), "attr_rows": idx(attr_rows), "vals": np.array(vals, dtype=np.float64),
         "by_distinct": segments(distinct_of, len(distinct)), "node_src": node_src,
         "by_side": segments(side_of, 2 * len(samples)), "by_sample": segments(sample_of, len(samples)),
-        "opp_seg": idx([side_map[o] for o in other_of]), "user_seg": idx(range(0, 2 * len(samples), 2)),
-        "item_seg": idx(range(1, 2 * len(samples), 2)), "input_pos": idx(input_pos),
+        "opp_seg": idx([side_map[o] for o in other_of]), "input_pos": idx(input_pos),
         "pair_a": idx([f + i for f, m in zip(firsts, sizes) for i in range(m) for j in range(m) if j != i]),
         "same_side": None, "cross_side": None,
     }
@@ -238,7 +237,7 @@ def gru_chain(ops, steps, weights, h=None):
         cand = ops.tanh(
             ops.add_rowvec(ops.add(ops.matmul(x, w_cand), ops.matmul(ops.mul(reset, h), u_cand)), b_cand)
         )
-        h = ops.add(ops.mul(ops.one_minus(update), h), ops.mul(update, cand))
+        h = ops.add(ops.mul(ops.sub(ops.constant(np.ones(update.shape)), update), h), ops.mul(update, cand))
     return h
 
 

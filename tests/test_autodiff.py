@@ -379,7 +379,6 @@ _PAIRS = _same_side(np.array([0, 3]), np.array([3, 2]))  # sides of 3 and 2 node
 PRIMITIVE_CASES = [
     ("add", lambda t, a, b: t.add(a, b), 2, (4,)),
     ("sub", lambda t, a, b: t.sub(a, b), 2, (4,)),
-    ("one_minus", lambda t, a: t.one_minus(a), 1, (4,)),
     ("mul", lambda t, a, b: t.mul(a, b), 2, (4,)),
     ("scale", lambda t, a: t.scale(a, -1.3), 1, (4,)),
     ("matmul", lambda t, a, b: t.matmul(a, b), 2, [(3, 4), (4, 2)]),

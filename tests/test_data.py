@@ -92,6 +92,25 @@ class TestInitEmbeddings:
             assert table.vector(AttributeId(1, ITEM))[2] == -7.0
         assert EmbeddingTable(dim=4, ids=ids, matrix=given).matrix is given
 
+    def test_fields_cannot_be_rebound(self):
+        """Rebinding matrix, ids or dim raises and leaves the table as it
+        was: rows() and vector() read what they read before, and a model's
+        embedding Parameter still shares the matrix. Rows stay writable in
+        place; tables are equal only when they are one object."""
+        ids = (AttributeId(4, USER), AttributeId(1, ITEM))
+        table = EmbeddingTable(dim=4, ids=ids, matrix=np.arange(8.0).reshape(2, 4))
+        emb = Parameter(table.matrix, "embeddings")
+        rows, vector = table.rows(np.array([1, 4])), table.vector(AttributeId(1, ITEM)).copy()
+        for name, value in (("matrix", np.ones((3, 5), dtype=np.float32)), ("ids", ids[::-1]), ("dim", 5)):
+            with pytest.raises(AttributeError):
+                setattr(table, name, value)
+        assert np.array_equal(table.rows(np.array([1, 4])), rows)
+        assert np.array_equal(table.vector(AttributeId(1, ITEM)), vector)
+        assert table.ids is ids and table.dim == 4 and table.matrix is emb.values
+        table.matrix[1] += 1.0
+        assert np.array_equal(emb.values[1], vector + 1.0)
+        assert table == table and table != EmbeddingTable(dim=4, ids=ids, matrix=table.matrix)
+
     def test_vectorised_rows_equal_row_for_non_ascending_ids(self, rng):
         ids = tuple(AttributeId(i, USER) for i in (9, 2, 30, 4, 17, -3))
         table = EmbeddingTable(dim=2, ids=ids, matrix=np.zeros((len(ids), 2)))

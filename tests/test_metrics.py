@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ class TestLogloss:
         rate = 0.3
         entropy = -(rate * math.log(rate) + (1 - rate) * math.log(1 - rate))
         assert abs(logloss(scored([rate] * 10, labels)) - entropy) < 1e-12
+
+    def test_empty_list_is_undefined(self):
+        """As for auc and ndcg_at_k: an error, not numpy's empty-mean warning and nan."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UndefinedMetricError):
+                logloss([])
 
 
 class TestNdcg:
