@@ -75,7 +75,7 @@ from .model import (
     predict,
     score_samples,
 )
-from .selfcheck import run_fmcheck, run_gradcheck
+from .selfcheck import fm_predict, fm_reduction_predict, run_fmcheck, run_gradcheck
 from .training import (
     AdamState,
     EpochLog,
@@ -91,6 +91,5 @@ from .training import (
     split_per_user,
     train,
 )
-from .variants import fm_predict, fm_reduction_predict
 
 __version__ = "0.1.0"

@@ -174,8 +174,8 @@ def _sigmoid_of(x: np.ndarray) -> np.ndarray:
 
 
 # pair_relu_sum works through a block a few graphs at a time, so that its
-# per-pair temporaries hold at most this many elements and are reused from
-# the allocator's free lists instead of being mapped afresh on every call.
+# per-pair temporaries hold at most this many elements (or one graph's, if
+# more): a call's working memory does not grow with the graphs of a shape.
 _PAIR_CHUNK_ELEMS = 1 << 16
 
 # gradient_check builds the perturbed copies of one parameter array in

@@ -471,36 +471,35 @@ def load_checkpoint(path: str) -> tuple[ModelParams, VariantConfig, Vocabulary]:
             )
         raise CheckpointError("unsupported format: bad magic")
     offset = len(MAGIC)
-    if len(blob) < offset + _HEADER.size:
-        raise CheckpointError("truncated checkpoint: header missing")
-    dim, n_attrs, variant_len, n_mlp, n_gru = _HEADER.unpack_from(blob, offset)
-    offset += _HEADER.size
-    if len(blob) < offset + variant_len:
-        raise CheckpointError("truncated checkpoint: variant string missing")
+
+    def take(n: int, what: str) -> bytes:
+        """The next n bytes, or a CheckpointError naming what the file cuts off."""
+        nonlocal offset
+        if len(blob) < offset + n:
+            raise CheckpointError(f"truncated checkpoint: {what} missing")
+        offset += n
+        return blob[offset - n:offset]
+
+    dim, n_attrs, variant_len, n_mlp, n_gru = _HEADER.unpack(take(_HEADER.size, "header"))
+    text = take(variant_len, "variant string")
     try:
-        variant = parse_variant(blob[offset:offset + variant_len].decode("utf-8"))
+        variant = parse_variant(text.decode("utf-8"))
     except (UnicodeDecodeError, InvalidConfigError) as exc:
         raise CheckpointError(f"corrupt variant string: {exc}") from None
-    offset += variant_len
     vocab = Vocabulary()
     for k in range(n_attrs):
-        if len(blob) < offset + _U32.size:
-            raise CheckpointError("truncated checkpoint: vocabulary missing")
-        (name_len,) = _U32.unpack_from(blob, offset)
-        offset += _U32.size
-        if len(blob) < offset + name_len + 1:
-            raise CheckpointError("truncated checkpoint: vocabulary missing")
+        (name_len,) = _U32.unpack(take(_U32.size, "vocabulary"))
+        entry = take(name_len + 1, "vocabulary")  # the name, then its side byte
+        side = entry[-1]
         try:
-            name = blob[offset:offset + name_len].decode("utf-8")
+            name = entry[:-1].decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"corrupt vocabulary: name {k} is not valid UTF-8") from None
-        offset += name_len
-        if blob[offset] >= len(_SIDES):
-            raise CheckpointError(f"corrupt vocabulary: side byte {blob[offset]} for {name!r}")
+        if side >= len(_SIDES):
+            raise CheckpointError(f"corrupt vocabulary: side byte {side} for {name!r}")
         if vocab.lookup(name) is not None:
             raise CheckpointError(f"corrupt vocabulary: duplicate name {name!r}")
-        vocab.intern(name, _SIDES[blob[offset]])
-        offset += 1
+        vocab.intern(name, _SIDES[side])
 
     shapes, expected_mlp, expected_gru = _checkpoint_layout(variant, dim, n_attrs)
     if (n_mlp, n_gru) != (expected_mlp, expected_gru):

@@ -335,14 +335,10 @@ class _Plan:
     attribute-id order. Sample nodes are every node of every sample: sample
     by sample, user side then item side, each side laid out as its distinct
     side. The stages that depend on one side alone run over side nodes, the
-    rest over sample nodes.
-
-    A plan belongs to the variant of the model it was built from: it holds
-    the pair blocks that variant reads, and _forward runs it with a model
-    of that variant only.
+    rest over sample nodes. A plan runs any variant over its table; the pair
+    blocks that only some variants read are built when a forward first reads them.
     """
 
-    variant: VariantConfig
     n_nodes: int  # sample nodes
     attr_rows: np.ndarray  # (side nodes,) embedding rows
     vals: np.ndarray  # (side nodes,)
@@ -355,9 +351,16 @@ class _Plan:
     # reads only its size (zero: every side is a single node); the
     # benchmark's pair counts read the array.
     pair_a: np.ndarray
-    same_side: _Neighbourhoods | None  # every other side node of the side; inner=mlp only
-    cross_side: _Neighbourhoods | None  # every sample node of the opposite side; MLP cross kinds only
-    input_pos: np.ndarray  # (side nodes,) side node -> position among the distinct sides' pairs in input order
+    distinct_sizes: np.ndarray  # (distinct sides,) nodes of each
+    sizes: np.ndarray  # (2 * samples,) nodes of each sample side
+
+    @functools.cached_property
+    def same_side(self) -> _Neighbourhoods:  # every other side node of the side; read by inner=mlp
+        return _same_side(self.by_distinct.starts, self.distinct_sizes)
+
+    @functools.cached_property
+    def cross_side(self) -> _Neighbourhoods:  # every sample node of the opposite side; read by the MLP cross kinds
+        return _cross_side(self.by_side.starts, self.sizes)
 
 
 @functools.lru_cache(maxsize=64)
@@ -417,7 +420,6 @@ class SampleIndex(NamedTuple):
     starts: np.ndarray
     attr_rows: np.ndarray
     vals: np.ndarray
-    input_pos: np.ndarray
     number: dict
     sides: list
     table: EmbeddingTable
@@ -433,7 +435,7 @@ def index_samples(samples, table: EmbeddingTable) -> SampleIndex:
     order = np.lexsort((ids, np.repeat(np.arange(len(sizes)), sizes)))
     starts = np.cumsum(sizes) - sizes  # no side is empty, so each starts a segment
     vals = np.array([pair[1] for pair in pairs], dtype=np.float64)[order]
-    return SampleIndex(sizes, starts, table.rows(ids)[order], vals, order, number, [*distinct.values()], table)
+    return SampleIndex(sizes, starts, table.rows(ids)[order], vals, number, [*distinct.values()], table)
 
 
 def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None) -> _Plan:
@@ -441,13 +443,12 @@ def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None) ->
     distinct sides (module docstring). The batch's sides are numbered by id() in order of first
     appearance, in one pass; their nodes come from samples' own index, or, given an index over
     mp's table that holds every side of the batch (the very object), are gathered from that
-    index. The plan belongs to mp's variant and records it."""
-    variant = mp.variant
+    index. Any model over mp's table runs the plan, whatever its variant."""
     own = {}
     side_map = np.array([own.setdefault(id(chars), len(own))
                          for sample in samples for chars in (sample.user_chars, sample.item_chars)], dtype=np.intp)
     if index is None:
-        distinct_sizes, distinct_starts, attr_rows, vals, input_pos, *_ = index_samples(samples, mp.table)
+        distinct_sizes, distinct_starts, attr_rows, vals, *_ = index_samples(samples, mp.table)
     else:
         if index.table is not mp.table:
             raise ContractError("build_plan: the index is over another table than the model's")
@@ -459,7 +460,7 @@ def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None) ->
         distinct_starts = np.cumsum(distinct_sizes) - distinct_sizes
         shift = (index.starts[kept] - distinct_starts).repeat(distinct_sizes)
         src = np.arange(len(shift)) + shift
-        attr_rows, vals, input_pos = index.attr_rows[src], index.vals[src], index.input_pos[src] - shift
+        attr_rows, vals = index.attr_rows[src], index.vals[src]
     n_distinct, n_samples = len(distinct_sizes), len(side_map) // 2
     side_ids = np.arange(2 * n_samples)
     sizes = distinct_sizes[side_map]
@@ -469,7 +470,6 @@ def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None) ->
     node_src = None if n_distinct == len(side_map) else np.arange(n_nodes) + (distinct_starts[side_map] - starts)[side]
     # Distinct sides and samples are numbered from 0: their numbers are prefixes of the sides'.
     return _Plan(
-        variant=variant,
         n_nodes=n_nodes,
         attr_rows=attr_rows,
         vals=vals,
@@ -480,9 +480,8 @@ def build_plan(samples, mp: ModelParams, *, index: SampleIndex | None = None) ->
         by_sample=_SegIndex(ids=side >> 1, starts=starts[0::2], out_rows=side_ids[:n_samples]),
         opp_seg=side_map[side ^ 1],
         pair_a=np.repeat(np.arange(n_nodes), np.repeat(sizes - 1, sizes)),
-        same_side=_same_side(distinct_starts, distinct_sizes) if variant.inner == "mlp" else None,
-        cross_side=_cross_side(starts, sizes) if variant.cross in ("mlp_shared", "mlp_separate") else None,
-        input_pos=input_pos,
+        distinct_sizes=distinct_sizes,
+        sizes=sizes,
     )
 
 
@@ -544,9 +543,6 @@ def _to_samples(ops: Tape | ArrayOps, side_rows: Value, plan: _Plan) -> Value:
 
 def _forward(ops: Tape | ArrayOps, plan: _Plan, mp: ModelParams) -> _EngineOut:
     d, variant = mp.dim, mp.variant
-    if plan.variant != variant:
-        raise ContractError(f"_forward: the plan is of {format_variant(plan.variant)!r}, "
-                            f"the model of {format_variant(variant)!r}")
     emb = ops.param(mp.emb)
     # Once per distinct side (side nodes): nodes, messages, side sums and
     # GRU steps 1-2. Node matching, GRU step 3 and the readout run per sample.
@@ -695,20 +691,12 @@ def predict(sample: DataSample, mp: ModelParams, variant: VariantConfig | None =
     is the forward's readout: in graph mode, np.dot of the two representations.
     """
     _own_variant(mp, variant, "predict")
-    plan = build_plan([sample], mp)
-    out = _forward(RowLocalOps(), plan, mp)
-
-    def diag(att, row):
-        return NodeDiagnostics(
-            att=att,
-            representation=out.nodes[row].copy(),
-            message=out.messages[row].copy(),
-            match=out.matches[row].copy(),
-            fused=out.fused[row].copy(),
-        )
-
+    out = _forward(RowLocalOps(), build_plan([sample], mp), mp)
     chars = sample.user_chars + sample.item_chars
-    nodes = tuple(diag(c.att, row) for c, row in zip(chars, np.argsort(plan.input_pos)))
+    # Each node's row: the plan orders nodes by side, then by attribute id, as index_samples sorts them.
+    rows = np.argsort(np.lexsort(([c.att.id for c in chars], np.arange(len(chars)) >= len(sample.user_chars))))
+    per_node = zip(chars, out.nodes[rows], out.messages[rows], out.matches[rows], out.fused[rows])
+    nodes = tuple(NodeDiagnostics(c.att, u, z, s, f) for c, u, z, s, f in per_node)
     user_nodes, item_nodes = nodes[:len(sample.user_chars)], nodes[len(sample.user_chars):]
     return ForwardResult(
         user_repr=out.user_repr[0].copy(),

@@ -132,17 +132,15 @@ def value_side_map(samples, table):
     return np.array(side_map, dtype=np.intp)
 
 
-def plan_oracle(samples, table, variant):
+def plan_oracle(samples, table):
     """The batch plan by per-sample, per-attribute loops: the reference for
     model.build_plan. Returns its fields by name as plain intp/float64
     arrays; a segment index is (ids, starts, out_rows, n), a neighbourhood
     is (blocks, counts) with each block a (rows, nbrs, sources, back) tuple,
     in the plan's block order. Sides are deduplicated with a dict keyed by
-    the id() of each side's tuple; node_src is None when no side repeats.
-    input_pos is over side nodes: each side node's position in the flat
-    input order of the distinct sides' pairs."""
+    the id() of each side's tuple; node_src is None when no side repeats."""
     idx = lambda xs: np.array(xs, dtype=np.intp)
-    side_rows, side_vals, side_orders, side_of, sample_of, other_of, firsts, sizes = [], [], [], [], [], [], [], []
+    side_rows, side_vals, side_of, sample_of, other_of, firsts, sizes = [], [], [], [], [], [], []
     tuple_ids = []
     for b, sample in enumerate(samples):
         for side, other, chars in ((2 * b, 2 * b + 1, sample.user_chars), (2 * b + 1, 2 * b, sample.item_chars)):
@@ -152,7 +150,6 @@ def plan_oracle(samples, table, variant):
             order = np.argsort([p.att.id for p in chars], kind="stable")
             side_rows.append([table.row(chars[k].att) for k in order])
             side_vals.append([chars[k].val for k in order])
-            side_orders.append(order)
             for k in order:
                 side_of.append(side)
                 sample_of.append(b)
@@ -164,10 +161,10 @@ def plan_oracle(samples, table, variant):
             distinct[key] = len(distinct)
             distinct_first.append(s)
         side_map.append(distinct[key])
-    attr_rows, vals, distinct_of, distinct_firsts, input_pos = [], [], [], [], []
+    distinct_sizes = [sizes[s] for s in distinct_first]
+    attr_rows, vals, distinct_of, distinct_firsts = [], [], [], []
     for e, s in enumerate(distinct_first):
         distinct_firsts.append(len(attr_rows))
-        input_pos += [len(attr_rows) + k for k in side_orders[s]]
         attr_rows += side_rows[s]
         vals += side_vals[s]
         distinct_of += [e] * sizes[s]
@@ -194,28 +191,25 @@ def plan_oracle(samples, table, variant):
         "side_map": idx(side_map), "attr_rows": idx(attr_rows), "vals": np.array(vals, dtype=np.float64),
         "by_distinct": segments(distinct_of, len(distinct)), "node_src": node_src,
         "by_side": segments(side_of, 2 * len(samples)), "by_sample": segments(sample_of, len(samples)),
-        "opp_seg": idx([side_map[o] for o in other_of]), "input_pos": idx(input_pos),
+        "opp_seg": idx([side_map[o] for o in other_of]),
         "pair_a": idx([f + i for f, m in zip(firsts, sizes) for i in range(m) for j in range(m) if j != i]),
-        "same_side": None, "cross_side": None,
+        "distinct_sizes": idx(distinct_sizes), "sizes": idx(sizes),
     }
-    distinct_sizes = [sizes[s] for s in distinct_first]
     blocks = []
     for m in sorted(set(distinct_sizes) - {0, 1}):
         group = [f for f, size in zip(distinct_firsts, distinct_sizes) if size == m]
         blocks.append(block(group, m, group, m, m - 1, lambda t, i: t + (t >= i)))
     counts = [float(m - 1) for m in distinct_sizes for _ in range(m)]
-    if variant.inner == "mlp":
-        plan["same_side"] = (blocks, np.array(counts))
-    if variant.cross in ("mlp_shared", "mlp_separate"):
-        shapes = list(zip(sizes[0::2], sizes[1::2]))
-        blocks = []
-        for p, q in sorted(set(shapes)):
-            users = [firsts[2 * b] for b, shape in enumerate(shapes) if shape == (p, q)]
-            items = [firsts[2 * b + 1] for b, shape in enumerate(shapes) if shape == (p, q)]
-            blocks.append(block(users, p, items, q, q, lambda t, i: t))
-            blocks.append(block(items, q, users, p, p, lambda t, i: t))
-        counts = [float(other) for p, q in shapes for m, other in ((p, q), (q, p)) for _ in range(m)]
-        plan["cross_side"] = (blocks, np.array(counts))
+    plan["same_side"] = (blocks, np.array(counts))
+    shapes = list(zip(sizes[0::2], sizes[1::2]))
+    blocks = []
+    for p, q in sorted(set(shapes)):
+        users = [firsts[2 * b] for b, shape in enumerate(shapes) if shape == (p, q)]
+        items = [firsts[2 * b + 1] for b, shape in enumerate(shapes) if shape == (p, q)]
+        blocks.append(block(users, p, items, q, q, lambda t, i: t))
+        blocks.append(block(items, q, users, p, p, lambda t, i: t))
+    counts = [float(other) for p, q in shapes for m, other in ((p, q), (q, p)) for _ in range(m)]
+    plan["cross_side"] = (blocks, np.array(counts))
     return plan
 
 

@@ -35,6 +35,7 @@ from gmrec.model import (
     CANONICAL,
     VariantConfig,
     build_plan,
+    format_variant,
     init_model_params,
     predict,
 )
@@ -555,6 +556,22 @@ class TestCheckpointHardening:
             load_checkpoint(path)
         assert main(["predict", "--ckpt", path, "--line", "u\ti"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", [CANONICAL, VariantConfig(mode="fm")], ids=format_variant)
+    def test_every_prefix_and_one_more_byte_rejected(self, tmp_path, variant):
+        """Every proper prefix of a valid d=2 checkpoint, cut in the header,
+        the variant string, the vocabulary or the parameters, and the file
+        with one byte more, is a CheckpointError."""
+        text, _ = generate_synthetic(SynthSpec(users=4, items=3, samples=8, seed=1))
+        ds = parse_dataset_lines(text.splitlines())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model_params(universe_of(ds.samples), 2, 1, variant), variant, str(path), ds.vocab)
+        blob = path.read_bytes()
+        assert load_checkpoint(str(path))[1] == variant
+        for cut in [blob[:n] for n in range(len(blob))] + [blob + b"\0"]:
+            path.write_bytes(cut)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path))
 
     def test_restore_failure_becomes_checkpoint_error(self, tmp_path, monkeypatch):
         path = str(tmp_path / "model.ckpt")

@@ -61,10 +61,10 @@ def zero_gru(gru):
         p.values[...] = 0.0
 
 
-def table_model(table, variant=CANONICAL):
-    """A model of variant over table with no weights: enough for build_plan,
-    which reads the table and the variant alone."""
-    return ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"), variant=variant)
+def table_model(table):
+    """A model over table with no weights: enough for build_plan, which
+    reads the table alone."""
+    return ModelParams(table=table, emb=Parameter(table.matrix, "embeddings"), variant=CANONICAL)
 
 
 class TestNodesInPredict:
@@ -531,7 +531,6 @@ class TestNodeLevelMessagePassing:
 # differs from pool order and the id lookup has holes to miss.
 _USER_POOL = [AttributeId(id_, USER) for id_ in (3, 5, 6, 11, 13, 17, 40, 41, 57, 90)]
 _ITEM_POOL = [AttributeId(id_, ITEM) for id_ in (1, 8, 9, 20, 22, 23, 31, 60, 70, 99)]
-_PLAN_KEY = lambda v: (v.inner, v.cross in ("mlp_shared", "mlp_separate"))
 
 
 def _plan_batch(rng, n_samples):
@@ -567,7 +566,7 @@ def assert_plan_matches_oracle(plan, ref, where=""):
 
     assert plan.n_nodes == ref["n_nodes"], where
     same(plan_side_map(plan), ref["side_map"], "side_map")
-    for name in ("attr_rows", "vals", "opp_seg", "pair_a", "input_pos"):
+    for name in ("attr_rows", "vals", "opp_seg", "pair_a", "distinct_sizes", "sizes"):
         same(getattr(plan, name), ref[name], name)
     assert (plan.node_src is None) == (ref["node_src"] is None), where
     if plan.node_src is not None:
@@ -579,22 +578,18 @@ def assert_plan_matches_oracle(plan, ref, where=""):
         assert len(seg.out_rows) == want[3], (where, name)
     for name in ("same_side", "cross_side"):
         got, want = getattr(plan, name), ref[name]
-        assert (got is None) == (want is None), (where, name)
-        if got is not None:
-            assert len(got.blocks) == len(want[0]), (where, name)
-            for k, (block, ref_block) in enumerate(zip(got.blocks, want[0])):
-                for field, array in zip(PairBlock._fields, ref_block):
-                    same(getattr(block, field), array, f"{name}.blocks[{k}].{field}")
-            same(got.counts, want[1], f"{name}.counts")
+        assert len(got.blocks) == len(want[0]), (where, name)
+        for k, (block, ref_block) in enumerate(zip(got.blocks, want[0])):
+            for field, array in zip(PairBlock._fields, ref_block):
+                same(getattr(block, field), array, f"{name}.blocks[{k}].{field}")
+        same(got.counts, want[1], f"{name}.counts")
 
 
 class TestVectorisedPlan:
     """build_plan's index arithmetic gives, array for array, the plan of
     the per-sample loop builder in oracles.plan_oracle."""
 
-    def test_matches_loop_builder_all_variants(self, rng):
-        variants = all_variants()
-        assert len(variants) == 25
+    def test_matches_loop_builder(self, rng):
         ascending = init_embeddings(_USER_POOL + _ITEM_POOL, 4, seed=0)
         batches = [
             ("empty", [], ascending),
@@ -608,12 +603,7 @@ class TestVectorisedPlan:
         sizes = {len(chars) for _, samples, _ in batches for s in samples for chars in (s.user_chars, s.item_chars)}
         assert sizes == set(range(1, 9))
         for where, samples, table in batches:
-            refs = {}
-            for variant in variants:
-                key = _PLAN_KEY(variant)
-                if key not in refs:
-                    refs[key] = plan_oracle(samples, table, variant)
-                assert_plan_matches_oracle(build_plan(samples, table_model(table, variant)), refs[key], (where, variant))
+            assert_plan_matches_oracle(build_plan(samples, table_model(table)), plan_oracle(samples, table), where)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -631,17 +621,7 @@ class TestVectorisedPlan:
             samples += data.draw(st.lists(st.sampled_from(samples), max_size=4))
             samples = data.draw(st.permutations(samples))
         table = _shuffled_table(data.draw(st.permutations(range(20))))
-        variant = data.draw(st.sampled_from(all_variants()))
-        assert_plan_matches_oracle(build_plan(samples, table_model(table, variant)), plan_oracle(samples, table, variant))
-
-    def test_same_side_blocks_only_for_the_pair_mlp(self, rng):
-        """Only inner=mlp reads the same-side pair blocks, so only its plans
-        build them."""
-        samples = _plan_batch(rng, 16)
-        table = init_embeddings(_USER_POOL + _ITEM_POOL, 4, seed=0)
-        for variant in all_variants():
-            plan = build_plan(samples, table_model(table, variant))
-            assert (plan.same_side is not None) == (variant.mode == "graph" and variant.inner == "mlp"), variant
+        assert_plan_matches_oracle(build_plan(samples, table_model(table)), plan_oracle(samples, table))
 
     def test_predict_maps_nodes_back_to_input_order(self, rng):
         """Diagnostics come back in each side's input order whatever the
@@ -659,9 +639,6 @@ class TestSampleIndex:
     """A plan cut from a SampleIndex, as train() cuts each step's plan from
     the index of its training samples, is the plan of the batch, whatever
     samples of the indexed sides the batch holds."""
-
-    VARIANTS = (CANONICAL, VariantConfig(inner="bi"), VariantConfig(inner="bi", cross="mlp_separate"),
-                VariantConfig(mode="union"), VariantConfig(mode="fm"))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -687,9 +664,7 @@ class TestSampleIndex:
                             st.sampled_from([s.item_chars for s in samples]), st.sampled_from([0.0, 1.0]))
         batch = [DataSample(*t) for t in data.draw(st.lists(indexed, min_size=1, max_size=30))]
         batch = data.draw(st.permutations(batch + data.draw(st.lists(st.sampled_from(samples), max_size=10))))
-        for variant in self.VARIANTS:
-            plan = build_plan(batch, table_model(table, variant), index=index)
-            assert_plan_matches_oracle(plan, plan_oracle(batch, table, variant), variant)
+        assert_plan_matches_oracle(build_plan(batch, table_model(table), index=index), plan_oracle(batch, table))
 
         known = {a.id for a in _USER_POOL + _ITEM_POOL}
         unknown = data.draw(st.integers(0, 120).filter(lambda i: i not in known))
@@ -725,11 +700,10 @@ class TestDistinctSides:
         ]
         table = init_embeddings(_USER_POOL + _ITEM_POOL, 4, seed=0)
         for where, samples, side_map in cases:
-            for variant in all_variants():
-                plan = build_plan(samples, table_model(table, variant))
-                assert plan_side_map(plan).tolist() == side_map, where
-                assert (plan.node_src is None) == (max(side_map) == 3), where
-                assert_plan_matches_oracle(plan, plan_oracle(samples, table, variant), (where, variant))
+            plan = build_plan(samples, table_model(table))
+            assert plan_side_map(plan).tolist() == side_map, where
+            assert (plan.node_src is None) == (max(side_map) == 3), where
+            assert_plan_matches_oracle(plan, plan_oracle(samples, table), where)
 
     def test_equal_sides_as_separate_tuples_get_their_own_side_nodes(self, rng):
         """The same batch with every side rebuilt as a new, value-equal tuple:
@@ -787,12 +761,11 @@ class TestDistinctSides:
         monkeypatch.setattr(EmbeddingTable, "rows", recorded)
         for where, batch in batches.items():
             distinct = {id(chars): chars for s in batch for chars in (s.user_chars, s.item_chars)}.values()
-            for variant in (CANONICAL, VariantConfig(inner="bi", cross="mlp_separate", fuse="mlp")):
-                looked_up.clear()
-                plan = build_plan(batch, table_model(table, variant))
-                assert len(looked_up) == 1, where
-                assert sorted(looked_up[0]) == sorted(p.att.id for chars in distinct for p in chars), where
-                assert plan.node_src is not None and len(plan.attr_rows) < plan.n_nodes, where
+            looked_up.clear()
+            plan = build_plan(batch, table_model(table))
+            assert len(looked_up) == 1, where
+            assert sorted(looked_up[0]) == sorted(p.att.id for chars in distinct for p in chars), where
+            assert plan.node_src is not None and len(plan.attr_rows) < plan.n_nodes, where
 
     @staticmethod
     def _repeated_batch(rng):
@@ -947,7 +920,7 @@ class TestIndexOfSides:
             for user, item in itertools.product(users[:3], items):
                 sample = DataSample(user, item, 1.0)
                 plan, alone = build_plan([sample], mp, index=index), build_plan([sample], mp)
-                assert_plan_matches_oracle(plan, plan_oracle([sample], mp.table, variant), variant)
+                assert_plan_matches_oracle(plan, plan_oracle([sample], mp.table), variant)
                 scores = [_forward(ArrayOps(), p, mp).scores.tobytes() for p in (plan, alone)]
                 assert scores[0] == scores[1]
                 risk = regularized_risk([sample], mp, 0.1, index=index)
@@ -1026,37 +999,50 @@ class TestIndexOfSides:
                 call()
 
 
-class TestPlanOfItsModel:
-    """A plan belongs to the variant of the model it was built from: _forward
-    refuses a model of any other variant, on every ops object, before it
-    computes or records anything."""
+class TestOnePlanForEveryVariant:
+    """A plan records no variant: built from a model of one variant, it runs
+    a model of any variant over the same table, and a forward builds only
+    the pair blocks its variant reads."""
 
-    @pytest.mark.parametrize("variant", all_variants(), ids=format_variant)
-    def test_plan_runs_only_with_its_variant(self, variant):
-        samples = _plan_batch(np.random.default_rng(1), 8)
-        plan = build_plan(samples, _MODELS[variant])
-        assert plan.variant == variant
-        assert np.all(np.isfinite(_forward(ArrayOps(), plan, _MODELS[variant]).scores))
-        for other, mp in _MODELS.items():
-            if other == variant:
-                continue
-            for ops in (ArrayOps(), RowLocalOps(), Tape()):
-                with pytest.raises(ContractError) as caught:
-                    _forward(ops, plan, mp)
-                assert f"plan is of {format_variant(variant)!r}, the model of {format_variant(other)!r}" in str(caught.value)
-                if isinstance(ops, Tape):
-                    assert not ops.nodes
-
-    def test_inner_bi_plan_on_a_canonical_model(self):
-        """The plan of inner=bi has no same-side pair blocks, which the
-        canonical model's inner MLP reads."""
-        mp = _MODELS[CANONICAL]
-        plan = build_plan(_plan_batch(np.random.default_rng(2), 8), table_model(mp.table, VariantConfig(inner="bi")))
-        assert plan.same_side is None
+    @staticmethod
+    def _tape_bits(plan, mp):
+        """Scores and every gradient of their sum, as bytes, from a Tape."""
+        params = mp.parameters()
+        for p in params:
+            p.zero_grad()
         tape = Tape()
-        with pytest.raises(ContractError, match="the model of 'inner=mlp,cross=bi,fuse=gru'"):
-            _forward(tape, plan, mp)
-        assert not tape.nodes
+        scores = _forward(tape, plan, mp).scores
+        tape.backward(tape.sum_reduce(scores))
+        return [scores.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+    @pytest.mark.parametrize("built_from", all_variants(), ids=format_variant)
+    def test_one_plan_runs_every_variant(self, built_from):
+        """On ArrayOps and RowLocalOps the scores, and on a Tape the scores
+        and gradients, are byte-equal to those from each variant's own plan."""
+        samples = _plan_batch(np.random.default_rng(1), 8)
+        plan = build_plan(samples, _MODELS[built_from])
+        for variant, mp in _MODELS.items():
+            own = build_plan(samples, mp)
+            for ops in (ArrayOps(), RowLocalOps()):
+                assert _forward(ops, plan, mp).scores.tobytes() == _forward(ops, own, mp).scores.tobytes(), variant
+            assert self._tape_bits(plan, mp) == self._tape_bits(own, mp), variant
+
+    def test_forward_builds_only_the_blocks_it_reads(self):
+        """Same-side blocks for the inner pair MLP, cross-side blocks for the
+        MLP cross kinds, each built by the first forward that reads it: a
+        canonical forward builds same_side and never cross_side."""
+        samples = _plan_batch(np.random.default_rng(2), 8)
+        mlp_cross = ("mlp_shared", "mlp_separate")
+        for variant, mp in _MODELS.items():
+            plan = build_plan(samples, mp)
+            assert not {"same_side", "cross_side"} & vars(plan).keys(), variant
+            _forward(ArrayOps(), plan, mp)
+            graph = variant.mode == "graph"
+            assert ("same_side" in vars(plan)) == (graph and variant.inner == "mlp"), variant
+            assert ("cross_side" in vars(plan)) == (graph and variant.cross in mlp_cross), variant
+        plan = build_plan(samples, _MODELS[CANONICAL])
+        _forward(Tape(), plan, _MODELS[CANONICAL])
+        assert "same_side" in vars(plan) and "cross_side" not in vars(plan)
 
 
 class TestUnknownAttributes:
@@ -1074,9 +1060,8 @@ class TestUnknownAttributes:
         else:
             bad = DataSample(good.user_chars, (extra,) + good.item_chars, 0.0)
         match = rf"attribute id {unknown}$"
-        for variant in (CANONICAL, VariantConfig(inner="bi", cross="mlp_separate"), VariantConfig(mode="fm")):
-            with pytest.raises(MissingEmbeddingError, match=match):
-                build_plan([good, bad], table_model(mp.table, variant))
+        with pytest.raises(MissingEmbeddingError, match=match):
+            build_plan([good, bad], table_model(mp.table))
         with pytest.raises(MissingEmbeddingError, match=match):
             score_samples([good, good, bad], mp)
         with pytest.raises(MissingEmbeddingError, match=match):

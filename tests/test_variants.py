@@ -20,8 +20,7 @@ from gmrec.model import (
     predict,
     score_samples,
 )
-from gmrec.selfcheck import run_fmcheck, run_gradcheck
-from gmrec.variants import fm_predict, fm_reduction_predict
+from gmrec.selfcheck import fm_predict, fm_reduction_predict, run_fmcheck, run_gradcheck
 
 from conftest import all_variants, make_ids, make_sample
 from oracles import fm_oracle
